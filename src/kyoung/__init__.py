@@ -7,7 +7,6 @@ below rectangles, and the q-series that count them.
 
 from .partitions import (
     Cell,
-    EMPTY,
     KRectangle,
     Parts,
     SkewShape,
@@ -33,7 +32,6 @@ from .partitions import (
 from .lattice import (
     HasseDiagram,
     RectangleTranslationWitness,
-    build_graded,
     build_ideal,
     check_rectangle_translation,
     covers,
@@ -65,7 +63,6 @@ from .qpoly import (
     rank_gen_Lk,
     rank_gen_gamma,
     sieved_sums,
-    strided_prefix_sums,
 )
 from .verify import (
     SweepConfig,

@@ -2,6 +2,10 @@
 
 Partitions are written as comma-separated parts ("4,2,1,1"; "" or "-" for
 the empty partition).  Range flags accept "lo:hi" or a single integer.
+For ``verify conjecture-u``, ``--m LO:HI`` runs every prime in the range and
+``--m A,B,...`` runs exactly the values given, each of which must be prime.
+A flag the chosen check does not read, like a sweep-config param it does not
+know, is a usage error.
 Exit codes: 0 all checks passed, 1 a counterexample was found, 2 usage or
 validation error.
 """
@@ -117,17 +121,12 @@ def _print_or_write(text: str, out: str | None) -> None:
 
 
 def _verify_params(args) -> dict:
-    params = {}
-    if args.m is not None:
-        params["m"] = args.m
-    for name in ("k", "n", "a", "b"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    for name in ("m_max", "n_max", "k_max", "degree_max"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+    names = ("m", "k", "n", "a", "b", "m_max", "n_max", "k_max", "degree_max")
+    params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if isinstance(params.get("m"), list):
+        # Each comma-list value stays apart, so that two of them do not read as [lo, hi].
+        values = params["m"]
+        params["m"] = values[0] if len(values) == 1 else [[v] for v in values]
     return params
 
 
@@ -138,6 +137,15 @@ def _summarize(reports) -> None:
             f" ({rep.elapsed_ms} ms)"
         )
         print(line)
+
+
+def _run_sweeps(configs) -> int:
+    passed = True
+    for config in configs:
+        reports = verify.run_sweep(config)
+        _summarize(reports)
+        passed = passed and all(r.all_pass() for r in reports)
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:
@@ -175,22 +183,12 @@ def main(argv=None) -> int:
             print(str(poly) if args.pretty else json.dumps(poly.to_json_list()))
             return 0
         if args.command == "verify":
-            reports = verify.run_check(args.check, _verify_params(args))
-            _summarize(reports)
-            if args.out:
-                verify.export(reports if len(reports) > 1 else reports[0], "json", args.out)
-            return 0 if all(r.all_pass() for r in reports) else 1
+            return _run_sweeps([verify.SweepConfig(args.check, _verify_params(args), args.out)])
         if args.command == "sweep":
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
             entries = data["sweeps"] if isinstance(data, dict) and "sweeps" in data else [data]
-            all_reports = []
-            for entry in entries:
-                config = verify.SweepConfig.from_json_dict(entry)
-                reports = verify.run_sweep(config)
-                _summarize(reports)
-                all_reports.extend(reports)
-            return 0 if all(r.all_pass() for r in all_reports) else 1
+            return _run_sweeps([verify.SweepConfig.from_json_dict(entry) for entry in entries])
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

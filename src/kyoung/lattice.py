@@ -15,7 +15,6 @@ from .partitions import (
     Parts,
     contains,
     is_k_bounded,
-    k_bounded_partitions,
     k_conjugate,
     k_skew,
     part_at,
@@ -212,24 +211,6 @@ def build_ideal(generator: Parts, k: int) -> HasseDiagram:
         ranks=levels,
         up_edges={v: tuple(sorted(parents)) for v, parents in up.items()},
     )
-
-
-def build_graded(k: int, max_degree: int) -> HasseDiagram:
-    """Hasse diagram of all k-bounded partitions of degree at most max_degree."""
-    if k < 1:
-        raise ValueError(f"k must be positive: {k}")
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be non-negative: {max_degree}")
-    ranks: list[list[Parts]] = [[] for _ in range(max_degree + 1)]
-    for p in k_bounded_partitions(k, max_degree):
-        ranks[sum(p)].append(p)
-    for rank in ranks:
-        rank.sort()
-    up = {}
-    for d, rank in enumerate(ranks):
-        for v in rank:
-            up[v] = _covers_up(v, k) if d < max_degree else ()
-    return HasseDiagram(k=k, name=f"graded <= {max_degree}", ranks=ranks, up_edges=up)
 
 
 @dataclass(frozen=True)

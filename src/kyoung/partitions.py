@@ -14,8 +14,6 @@ from typing import Iterator, NamedTuple, Sequence
 Parts = tuple[int, ...]
 Cell = tuple[int, int]
 
-EMPTY: Parts = ()
-
 
 def partition(parts: Sequence[int]) -> Parts:
     """Canonicalize a part sequence: drop trailing zeros, validate monotonicity."""

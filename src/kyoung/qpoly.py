@@ -261,15 +261,6 @@ def sieved_sums(p: QPoly, m: int) -> list[int]:
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
-def strided_prefix_sums(p: QPoly, m: int, length: int) -> list[int]:
-    """v_i = sum of coefficients a_(i), a_(i-m), a_(i-2m), ... for i < length."""
-    if m < 1:
-        raise ValueError(f"m must be positive: {m}")
-    if length < p.degree + 1:
-        raise ValueError(f"length {length} shorter than coefficient count {p.degree + 1}")
-    return [sum(p.coeffs[j] for j in range(i % m, i + 1, m) if j < len(p.coeffs)) for i in range(length)]
-
-
 def conjecture_sum(a: int, b: int, m: int, n: int | None = None) -> QPoly:
     """Partial sum of stratum generating functions for levels a+1 .. b.
 

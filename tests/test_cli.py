@@ -163,6 +163,18 @@ class TestVerifyCommand:
         assert code == 0
         assert len(json.loads(target.read_text())) == 2
 
+    def test_verify_m_range_runs_its_primes(self, tmp_path, capsys):
+        target = tmp_path / "reports.json"
+        for m, expected in (("2:7", ["m=2", "m=3", "m=5", "m=7"]), ("2,7", ["m=2", "m=7"])):
+            argv = ["verify", "conjecture-u", "--m", m, "--k", "1:6", "--n", "1:6"]
+            assert main(argv + ["--out", str(target)]) == 0
+            assert [r["notes"][0] for r in json.loads(target.read_text())] == expected
+        capsys.readouterr()
+
+    def test_verify_flag_the_check_does_not_read_is_error(self, capsys):
+        assert main(["verify", "structure", "--k", "3"]) == 2
+        assert "unknown params for structure: ['k']" in capsys.readouterr().err
+
     def test_verify_counterexample_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(qpoly, "is_unimodal", lambda p: False)
         code = main(["verify", "conjecture-u", "--m", "3", "--k", "4:6", "--n", "4:8"])
@@ -222,6 +234,12 @@ class TestSweepCommand:
         cfg.write_text(json.dumps({"check": "sieved", "typo": True}))
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_param_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"check": "structure", "params": {"k_mx": 2}}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "unknown params for structure: ['k_mx']" in capsys.readouterr().err
 
 
 class TestUsageErrors:

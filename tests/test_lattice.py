@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from kyoung.lattice import (
     HasseDiagram,
-    build_graded,
     build_ideal,
     check_rectangle_translation,
     covers,
@@ -205,27 +204,11 @@ class TestHasseDiagram:
             expected = tuple(q for q in covers(p, 3, "up") if q in verts)
             assert d.up_edges[p] == expected
 
-    def test_build_graded_rank_sizes(self):
-        d = build_graded(2, 4)
-        assert [len(r) for r in d.ranks] == [1, 1, 2, 2, 3]
-        assert d.ranks[2] == [(1, 1), (2,)]
-
-    def test_build_graded_all_bounded_partitions_present(self):
-        d = build_graded(3, 6)
-        expected = sorted(k_bounded_partitions(3, 6), key=lambda p: (sum(p), p))
-        assert sorted(d.vertices(), key=lambda p: (sum(p), p)) == expected
-
     def test_index_and_edges(self):
-        d = build_graded(1, 3)
+        d = build_ideal((1, 1, 1), 1)
         assert d.index()[(1, 1)] == 2
         assert d.edges() == [((), (1,)), ((1,), (1, 1)), ((1, 1), (1, 1, 1))]
         assert d.to_json_dict()["edges"] == [[0, 1], [1, 2], [2, 3]]
-
-    def test_graded_validates(self):
-        with pytest.raises(ValueError):
-            build_graded(0, 3)
-        with pytest.raises(ValueError):
-            build_graded(2, -1)
 
     def test_ideal_validates(self):
         with pytest.raises(ValueError):
@@ -258,7 +241,7 @@ class TestHasseDiagram:
         assert d.to_dot() == expected + "\n"
 
     def test_dot_contains_all_edges(self):
-        d = build_graded(2, 3)
+        d = build_ideal((2, 2, 1), 2)
         dot = d.to_dot()
         idx = d.index()
         for v, u in d.edges():

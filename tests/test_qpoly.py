@@ -20,7 +20,6 @@ from kyoung.qpoly import (
     rank_gen_Lk,
     rank_gen_gamma,
     sieved_sums,
-    strided_prefix_sums,
 )
 
 
@@ -318,31 +317,6 @@ class TestSieved:
     def test_sieved_sums_validation(self):
         with pytest.raises(ValueError):
             sieved_sums(QPoly.one(), 0)
-
-    def test_strided_prefix_sums_golden(self):
-        assert strided_prefix_sums(QPoly([1, 1, 1]), 3, 6) == [1, 1, 1, 1, 1, 1]
-        assert strided_prefix_sums(gaussian(4, 2), 2, 8) == [1, 1, 3, 2, 4, 2, 4, 2]
-
-    def test_strided_prefix_sums_oracle(self):
-        p = gaussian(5, 2)
-        for m in range(1, 5):
-            for length in range(p.degree + 1, p.degree + 5):
-                got = strided_prefix_sums(p, m, length)
-                expected = [
-                    sum(p.coefficient(i - t * m) for t in range(i // m + 1))
-                    for i in range(length)
-                ]
-                assert got == expected, (m, length)
-
-    def test_strided_prefix_sums_validation(self):
-        with pytest.raises(ValueError):
-            strided_prefix_sums(QPoly([1, 1]), 2, 1)
-        with pytest.raises(ValueError):
-            strided_prefix_sums(QPoly([1]), 0, 3)
-
-    def test_strided_prefix_sums_zero(self):
-        assert strided_prefix_sums(QPoly.zero(), 2, 0) == []
-        assert strided_prefix_sums(QPoly.zero(), 2, 3) == [0, 0, 0]
 
 
 class TestConjectureSum:

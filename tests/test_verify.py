@@ -1,5 +1,6 @@
 """Report plumbing, sweep runners, exports, and configuration parsing."""
 
+import hashlib
 import json
 
 import pytest
@@ -56,7 +57,7 @@ class TestReport:
         rep.record(True)
         rep.record(False, {"cell": 1})
         rep.record(False)
-        rep.skip()
+        rep.skip("no claim")
         assert (rep.grid, rep.passed, rep.failed, rep.skipped) == (3, 1, 2, 1)
         assert rep.counterexamples == [{"cell": 1}, {}]
         assert not rep.all_pass()
@@ -288,6 +289,8 @@ class TestSweepConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             SweepConfig.from_json_dict({"check": "sieved", "bogus": 1})
+        with pytest.raises(ValueError):
+            SweepConfig.from_json_dict({"check": "sieved", "params": []})
 
     def test_requires_check(self):
         with pytest.raises(ValueError):
@@ -304,6 +307,9 @@ class TestRunners:
         assert len(reports) == 1 and reports[0].failed == 0
         reports = run_check("conjecture-u", {"m": [2, 3], "k": [1, 8], "n": [1, 8]})
         assert [r.notes[0] for r in reports] == ["m=2", "m=3"]
+        # [lo, hi] is a range here as in every check; conjecture-u runs its primes
+        reports = run_check("conjecture-u", {"m": [2, 7], "k": [1, 8], "n": [1, 8]})
+        assert [r.notes[0] for r in reports] == ["m=2", "m=3", "m=5", "m=7"]
 
     def test_param_range_validation(self):
         with pytest.raises(ValueError):
@@ -328,3 +334,30 @@ class TestRunners:
         reports = run_sweep(cfg)
         assert len(reports) == 10
         assert len(json.loads(out.read_text())) == 10
+
+
+class TestGoldenReports:
+    """Each check's reports on a small grid, as JSON without elapsed_ms, hash
+    to a recorded digest: counts, counterexamples, note order and skip-reason
+    text are all pinned."""
+
+    GRIDS = {
+        "conjecture-u": {"m": [2, 3], "k": [1, 12], "n": [1, 14]},
+        "conjecture-gen": {"m": [2, 6], "a": [2, 9], "b": [3, 10], "n": [1, 12]},
+        "sieved": {"m": [2, 6], "a": [2, 9], "b": [3, 10], "k": [3, 20]},
+        "structure": {"m_max": 2, "n_max": 3, "k_max": 4, "degree_max": 6},
+    }
+    DIGESTS = {
+        "conjecture-u": "adadb2e99c42b77afc95c07b865011b9b3269a9ecbd2b9a73e2e8f9362ef30bc",
+        "conjecture-gen": "1bde6b2144cc4b1f1d996e71054e43221f0c3081375f367d65a0b89b597c0294",
+        "sieved": "8a59c0324c194c5106cc7b93f0f51f1b78431ef709ff326ac0cf36c534248c52",
+        "structure": "c7a8b225b3ffe594f527030932fe04df68266fee57e79ee609218a26817a7256",
+    }
+
+    @pytest.mark.parametrize("check", sorted(GRIDS))
+    def test_report_digest(self, check):
+        docs = [r.to_json_dict() for r in run_check(check, self.GRIDS[check])]
+        for doc in docs:
+            del doc["elapsed_ms"]
+        text = json.dumps(docs, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[check]
