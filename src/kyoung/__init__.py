@@ -57,7 +57,6 @@ from .qpoly import (
     cyclotomic_check,
     cyclotomic_polynomial,
     gaussian,
-    gaussian_via_division,
     is_symmetric,
     is_unimodal,
     rank_gen_Lk,

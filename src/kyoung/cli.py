@@ -188,6 +188,8 @@ def main(argv=None) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
             entries = data["sweeps"] if isinstance(data, dict) and "sweeps" in data else [data]
+            if not isinstance(entries, list):
+                raise ValueError(f"sweep config 'sweeps' must be a list of objects: {entries!r}")
             return _run_sweeps([verify.SweepConfig.from_json_dict(entry) for entry in entries])
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,26 +74,50 @@ def residue(cell: Cell, modulus: int) -> int:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Parts]:
-    """All partitions of n with parts at most max_part, largest part first."""
+    """All partitions of n with parts at most max_part, largest part first.
+
+    Reverse lexicographic order: each step lowers the last part above 1 by
+    one and refills what follows greedily with parts no larger.
+    """
     bound = n if max_part is None else min(max_part, n)
     if n == 0:
         yield ()
         return
     if n < 0 or bound <= 0:
         return
-    for first in range(bound, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    parts = [bound] * (n // bound) + ([n % bound] if n % bound else [])
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        top = parts.pop()
+        q, r = divmod(top + ones, top - 1)
+        parts += [top - 1] * q
+        if r:
+            parts.append(r)
 
 
 def partitions_in_box(width: int, height: int) -> Iterator[Parts]:
-    """All partitions with at most height parts, each at most width."""
-    yield ()
-    if height == 0 or width == 0:
-        return
-    for first in range(1, width + 1):
-        for rest in partitions_in_box(first, height - 1):
-            yield (first,) + rest
+    """All partitions with at most height parts, each at most width.
+
+    Depth-first preorder: a partition comes before its extensions by one more
+    part, and the extensions of a prefix come in increasing last part.
+    """
+    parts: list[int] = []
+    while True:
+        yield tuple(parts)
+        if len(parts) < height and (parts or width > 0):
+            parts.append(1)
+            continue
+        while parts and parts[-1] == (parts[-2] if len(parts) > 1 else width):
+            parts.pop()
+        if not parts:
+            return
+        parts[-1] += 1
 
 
 def k_bounded_partitions(k: int, max_degree: int) -> Iterator[Parts]:
@@ -110,10 +134,6 @@ class SkewShape(NamedTuple):
 
     def inner_at(self, i: int) -> int:
         return part_at(self.inner, i)
-
-    def cell_in(self, cell: Cell) -> bool:
-        i, j = cell
-        return 1 <= i <= len(self.outer) and self.inner_at(i) < j <= self.outer[i - 1]
 
     def row_lengths(self) -> Parts:
         return tuple(o - self.inner_at(i + 1) for i, o in enumerate(self.outer))

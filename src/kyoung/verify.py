@@ -579,11 +579,16 @@ class SweepConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"sweep config entry must be an object: {data!r}")
         unknown = set(data) - {"check", "params", "out", "format"}
         if unknown:
             raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
         if "check" not in data:
             raise ValueError("sweep config needs a 'check' name")
+        for key in ("check", "out", "format"):
+            if key in data and not isinstance(data[key], str):
+                raise ValueError(f"sweep config {key!r} must be a string: {data[key]!r}")
         if not isinstance(data.get("params", {}), dict):
             raise ValueError("sweep config 'params' must be an object")
         return cls(

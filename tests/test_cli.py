@@ -95,6 +95,10 @@ class TestCommands:
         assert main(["rankgen", "--m", "3", "--n", "3", "--k", "4"]) == 0
         assert json.loads(capsys.readouterr().out) == [1, 1, 2, 2, 2, 2, 2, 2, 1, 1]
 
+    def test_rankgen_large_k(self, capsys):
+        assert main(["rankgen", "--m", "2", "--n", "1500", "--k", "1500"]) == 0
+        assert sum(json.loads(capsys.readouterr().out)) == qpoly.count_Lk(2, 1500, 1500)
+
     def test_rankgen_pretty(self, capsys):
         assert main(["rankgen", "--m", "3", "--n", "3", "--k", "3", "--pretty"]) == 0
         out = capsys.readouterr().out.strip()
@@ -240,6 +244,26 @@ class TestSweepCommand:
         cfg.write_text(json.dumps({"check": "structure", "params": {"k_mx": 2}}))
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "unknown params for structure: ['k_mx']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"sweeps": [1]}, "sweep config entry must be an object"),
+            ({"check": ["x"]}, "sweep config 'check' must be a string"),
+            ({"sweeps": {"check": "sieved"}}, "sweep config 'sweeps' must be a list"),
+            # a large int, which open() would take for a file descriptor
+            (
+                {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}, "out": 987654},
+                "sweep config 'out' must be a string",
+            ),
+        ],
+        ids=["entry-not-object", "check-not-string", "sweeps-not-list", "out-not-string"],
+    )
+    def test_malformed_sweep_entries(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestUsageErrors:

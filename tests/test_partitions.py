@@ -24,6 +24,29 @@ from kyoung.partitions import (
     union,
 )
 
+def recursive_partitions_of(n, max_part=None):
+    """Oracle: the recursive enumeration, first part from largest down."""
+    bound = n if max_part is None else min(max_part, n)
+    if n == 0:
+        yield ()
+        return
+    if n < 0 or bound <= 0:
+        return
+    for first in range(bound, 0, -1):
+        for rest in recursive_partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def recursive_partitions_in_box(width, height):
+    """Oracle: the recursive enumeration, a prefix before its extensions."""
+    yield ()
+    if height == 0 or width == 0:
+        return
+    for first in range(1, width + 1):
+        for rest in recursive_partitions_in_box(first, height - 1):
+            yield (first,) + rest
+
+
 small_partitions = st.lists(st.integers(1, 6), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
@@ -98,6 +121,22 @@ class TestBasics:
         for m in range(4):
             for n in range(4):
                 assert len(list(partitions_in_box(m, n))) == comb(m + n, m)
+
+    def test_enumerators_match_recursive_oracle(self):
+        for n in range(16):
+            for max_part in (None, *range(n + 2)):
+                assert list(partitions_of(n, max_part)) == list(
+                    recursive_partitions_of(n, max_part)
+                ), (n, max_part)
+        for width in range(6):
+            for height in range(6):
+                assert list(partitions_in_box(width, height)) == list(
+                    recursive_partitions_in_box(width, height)
+                ), (width, height)
+
+    def test_enumerators_do_not_recurse_per_part(self):
+        assert len(list(k_bounded_partitions(1, 1200))) == 1201
+        assert len(list(partitions_in_box(1, 1200))) == 1201
 
 
 class TestSkewShape:

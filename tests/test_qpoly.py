@@ -14,7 +14,6 @@ from kyoung.qpoly import (
     cyclotomic_check,
     cyclotomic_polynomial,
     gaussian,
-    gaussian_via_division,
     is_symmetric,
     is_unimodal,
     rank_gen_Lk,
@@ -37,6 +36,17 @@ def box_counts_by_degree(width: int, height: int) -> list[int]:
         return count(w - 1, h, d) + full
 
     return [count(width, height, d) for d in range(width * height + 1)]
+
+
+def q_pascal_rows(a_max: int) -> list[list[QPoly]]:
+    """Oracle: rows a = 0 .. a_max of Gaussian binomials, built iteratively by
+    the q-Pascal rule [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b]."""
+    rows = [[QPoly.one()]]
+    for a in range(1, a_max + 1):
+        prev = rows[-1]
+        inner = [prev[b - 1] + prev[b].shifted(b) for b in range(1, a)]
+        rows.append([QPoly.one(), *inner, QPoly.one()])
+    return rows
 
 
 ints = st.lists(st.integers(-9, 9), max_size=8)
@@ -163,10 +173,17 @@ class TestGaussian:
                 expected = tuple(box_counts_by_degree(a - b, b))
                 assert gaussian(a, b).coeffs == expected, (a, b)
 
-    def test_matches_division_route(self):
-        for a in range(9):
-            for b in range(a + 1):
-                assert gaussian(a, b) == gaussian_via_division(a, b), (a, b)
+    def test_matches_q_pascal_oracle(self):
+        for a, row in enumerate(q_pascal_rows(40)):
+            for b, expected in enumerate(row):
+                assert gaussian(a, b) == expected, (a, b)
+            assert gaussian(a, -1).is_zero()
+            assert gaussian(a, a + 1).is_zero()
+
+    def test_cache_holds_only_requested_values(self):
+        gaussian.cache_clear()
+        rank_gen_Lk(68, 69, 136)
+        assert gaussian.cache_info().currsize == 2
 
     def test_specializes_to_binomial(self):
         for a in range(9):
@@ -391,6 +408,18 @@ class TestCyclotomic:
             for b in range(a + 1, 9):
                 expected = sum((-1) ** j for j in range(a + 1, b + 1)) == 0
                 assert cyclotomic_check(a, b, 2, 2) == expected, (a, b)
+
+    def test_check_matches_unshifted_sum(self):
+        # the definition: sum q^j [j-1 choose m-2]_q itself, reduced mod Phi_d
+        for m in (2, 3, 4, 6):
+            for d in (d for d in range(2, m + 1) if m % d == 0):
+                for a in range(m, m + 6):
+                    for b in range(a + 1, a + 8):
+                        total = QPoly.zero()
+                        for j in range(a + 1, b + 1):
+                            total = total + gaussian(j - 1, m - 2).shifted(j)
+                        _, rem = divmod(total, cyclotomic_polynomial(d))
+                        assert cyclotomic_check(a, b, m, d) == rem.is_zero(), (m, d, a, b)
 
     def test_check_validation(self):
         with pytest.raises(ValueError):
