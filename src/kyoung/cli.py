@@ -187,11 +187,14 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-            entries = data["sweeps"] if isinstance(data, dict) and "sweeps" in data else [data]
+            wrapped = isinstance(data, dict) and "sweeps" in data
+            if wrapped and len(data) > 1:
+                raise ValueError(f"unknown sweep config keys: {sorted(set(data) - {'sweeps'})}")
+            entries = data["sweeps"] if wrapped else [data]
             if not isinstance(entries, list):
                 raise ValueError(f"sweep config 'sweeps' must be a list of objects: {entries!r}")
             return _run_sweeps([verify.SweepConfig.from_json_dict(entry) for entry in entries])
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -37,36 +37,16 @@ def _remove_box(p: Parts, row: int) -> Parts:
 
 
 @lru_cache(maxsize=None)
-def _covers_up(p: Parts, k: int) -> tuple[Parts, ...]:
-    corners = k_skew(p, k).corners("addable")
-    modulus = k + 1
-    out = []
-    for idx, (r, c) in enumerate(corners):
-        rho = residue((r, c), modulus)
-        # excluded when the same residue occurs in a higher addable corner
-        if any(residue(higher, modulus) == rho for higher in corners[idx + 1 :]):
-            continue
-        new_val = part_at(p, r) + 1
-        if new_val > k:
-            continue
-        if r > 1 and part_at(p, r - 1) < new_val:
-            continue
-        out.append(_add_box(p, r))
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _covers_down(p: Parts, k: int) -> tuple[Parts, ...]:
-    corners = k_skew(p, k).corners("removable")
-    modulus = k + 1
-    out = []
-    for idx, (r, c) in enumerate(corners):
-        rho = residue((r, c), modulus)
-        if any(residue(higher, modulus) == rho for higher in corners[idx + 1 :]):
-            continue
-        if part_at(p, r) <= part_at(p, r + 1):
-            continue
-        out.append(_remove_box(p, r))
+def _covers(p: Parts, k: int, direction: str) -> tuple[Parts, ...]:
+    """Covers of p: add (up) or remove (down) a box at the topmost addable or
+    removable corner of each residue of the k-skew diagram, and keep the
+    results that are k-bounded partitions."""
+    corners = k_skew(p, k).corners("addable" if direction == "up" else "removable")
+    step = _add_box if direction == "up" else _remove_box
+    # corners come by increasing row, so each residue keeps its topmost one
+    rows = {residue(cell, k + 1): cell[0] for cell in corners}.values()
+    out = (step(p, r) for r in rows)
+    out = [q for q in out if is_k_bounded(q, k) and list(q) == sorted(q, reverse=True)]
     return tuple(sorted(out))
 
 
@@ -74,11 +54,9 @@ def covers(p: Parts, k: int, direction: str = "up") -> list[Parts]:
     """Partitions covering p (up) or covered by p (down) in the k-Young order."""
     if not is_k_bounded(p, k):
         raise ValueError(f"partition {p} is not {k}-bounded")
-    if direction == "up":
-        return list(_covers_up(p, k))
-    if direction == "down":
-        return list(_covers_down(p, k))
-    raise ValueError(f"direction must be 'up' or 'down': {direction!r}")
+    if direction not in ("up", "down"):
+        raise ValueError(f"direction must be 'up' or 'down': {direction!r}")
+    return list(_covers(p, k, direction))
 
 
 def covers_oracle(p: Parts, k: int, direction: str = "up") -> list[Parts]:
@@ -130,7 +108,7 @@ def leq(a: Parts, b: Parts, k: int) -> bool:
     for _ in range(sum(a), sum(b)):
         nxt = set()
         for v in frontier:
-            for u in _covers_up(v, k):
+            for u in _covers(v, k, "up"):
                 if contains(u, b) and contains(k_conjugate(u, k), bk):
                     nxt.add(u)
         if not nxt:
@@ -201,7 +179,7 @@ def build_ideal(generator: Parts, k: int) -> HasseDiagram:
     for d in range(top, 0, -1):
         children = set()
         for v in levels[d]:
-            for c in _covers_down(v, k):
+            for c in _covers(v, k, "down"):
                 children.add(c)
                 up.setdefault(c, []).append(v)
         levels[d - 1] = sorted(children)
@@ -234,6 +212,6 @@ def check_rectangle_translation(lam: Parts, rect: KRectangle, k: int) -> Rectang
         raise ValueError(f"rectangle {rect} is not a {k}-rectangle")
     if not is_k_bounded(lam, k):
         raise ValueError(f"partition {lam} is not {k}-bounded")
-    lhs = _covers_up(union(lam, rect.parts), k)
-    rhs = tuple(sorted(union(mu, rect.parts) for mu in _covers_up(lam, k)))
+    lhs = _covers(union(lam, rect.parts), k, "up")
+    rhs = tuple(sorted(union(mu, rect.parts) for mu in _covers(lam, k, "up")))
     return RectangleTranslationWitness(lam=lam, rect=rect, k=k, lhs=lhs, rhs=rhs)

@@ -7,6 +7,8 @@ a diagram has length equal to part i.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -45,6 +47,11 @@ def conjugate(p: Parts) -> Parts:
     if not p:
         return ()
     return tuple(sum(1 for v in p if v >= j) for j in range(1, p[0] + 1))
+
+
+def _column_height(p: Parts, j: int) -> int:
+    """Number of parts of p that are at least j: part j of conjugate(p)."""
+    return bisect_left(p, 1 - j, key=operator.neg)
 
 
 def contains(inner: Parts, outer: Parts) -> bool:
@@ -127,7 +134,8 @@ def k_bounded_partitions(k: int, max_degree: int) -> Iterator[Parts]:
 
 
 class SkewShape(NamedTuple):
-    """Skew diagram outer/inner; row i spans columns inner_i+1 .. outer_i."""
+    """Skew diagram outer/inner: row i spans columns inner_i+1 .. outer_i, and
+    column j spans rows conj(inner)_j+1 .. conj(outer)_j."""
 
     outer: Parts
     inner: Parts
@@ -142,7 +150,7 @@ class SkewShape(NamedTuple):
         if not self.outer:
             return ()
         return tuple(
-            sum(1 for i in range(1, len(self.outer) + 1) if self.inner_at(i) < c <= self.outer[i - 1])
+            _column_height(self.outer, c) - _column_height(self.inner, c)
             for c in range(1, self.outer[0] + 1)
         )
 
@@ -164,11 +172,7 @@ class SkewShape(NamedTuple):
         if not (1 <= i <= len(self.outer) and 1 <= j <= self.outer[i - 1]):
             raise ValueError(f"cell {cell} outside outer shape {self.outer}")
         arm = self.outer[i - 1] - max(self.inner_at(i), j)
-        leg = sum(
-            1
-            for r in range(i + 1, len(self.outer) + 1)
-            if self.inner_at(r) < j <= self.outer[r - 1]
-        )
+        leg = _column_height(self.outer, j) - max(i, _column_height(self.inner, j))
         own = 1 if j > self.inner_at(i) else 0
         return arm + leg + own
 
@@ -225,24 +229,24 @@ def k_skew(p: Parts, k: int) -> SkewShape:
     each new bottom row of length part goes as far left as the hook bound k
     and skewness allow.  The hook of the new row's leftmost cell is the part
     length plus the number of cells above it in its column, so scanning start
-    columns rightward until that is at most k places the row.
+    columns rightward until that is at most k places the row.  Placed rows
+    have increasing starts and ends, so those covering column c are the rows
+    starting before c less those ending before c.
     """
     if k < 1:
         raise ValueError(f"k must be positive: {k}")
     if not is_k_bounded(p, k):
         raise ValueError(f"partition {p} is not {k}-bounded")
-    spans: list[tuple[int, int]] = []
+    starts: list[int] = []
+    ends: list[int] = []
     for length in reversed(p):
-        start = spans[0][0] if spans else 0
-        while True:
-            col = start + 1
-            leg = sum(1 for s, e in spans if s < col <= e)
-            if length + leg <= k:
-                break
+        start = starts[-1] if starts else 0
+        while length + bisect_left(starts, start + 1) - bisect_left(ends, start + 1) > k:
             start += 1
-        spans.insert(0, (start, start + length))
-    outer = tuple(e for _, e in spans)
-    inner = tuple(s for s, _ in spans)
+        starts.append(start)
+        ends.append(start + length)
+    outer = tuple(reversed(ends))
+    inner = tuple(reversed(starts))
     while inner and inner[-1] == 0:
         inner = inner[:-1]
     return SkewShape(outer, inner)

@@ -353,16 +353,17 @@ def _kskew_cells(g: _Grid) -> Iterator[SweepCell]:
     for k in range(1, g.k_max + 1):
         for p in partitions.k_bounded_partitions(k, g.degree_max):
             s = partitions.k_skew(p, k)
-            ok = s.row_lengths() == p
-            ok = ok and all(s.hook_length(c) <= k for c in s.cells())
-            for i in range(1, len(s.outer) + 1):
-                for j in range(1, s.inner_at(i) + 1):
-                    below = any(
-                        s.inner_at(r) < j <= s.outer[r - 1]
-                        for r in range(i + 1, len(s.outer) + 1)
-                    )
-                    if below and s.hook_length((i, j)) <= k:
-                        ok = False
+            # the hook of inner cell (i, j) is p_i plus the skew cells above it,
+            # and one with a skew cell above must have hook > k
+            ok = (
+                s.row_lengths() == p
+                and all(s.hook_length(c) <= k for c in s.cells())
+                and not any(
+                    p[i - 1] < s.hook_length((i, j)) <= k
+                    for i in range(1, len(p) + 1)
+                    for j in range(1, s.inner_at(i) + 1)
+                )
+            )
             yield ok, {"k": k, "partition": list(p)}
 
 
@@ -449,7 +450,7 @@ def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
         members = ideals.enumerate_ideal(spec)
         member_set = set(members)
-        dual = functools.partial(ideals.complement_dual, spec=spec)
+        dual = functools.cache(functools.partial(ideals.complement_dual, spec=spec))
         meet = functools.partial(ideals.meet, spec=spec)
         join = functools.partial(ideals.join, spec=spec)
         triples = _sample_triples(members, 200, seed=spec.m * 100 + spec.n * 10 + spec.k)

@@ -99,6 +99,11 @@ class TestCommands:
         assert main(["rankgen", "--m", "2", "--n", "1500", "--k", "1500"]) == 0
         assert sum(json.loads(capsys.readouterr().out)) == qpoly.count_Lk(2, 1500, 1500)
 
+    def test_rankgen_too_large_is_usage_error(self, capsys):
+        big = str(10**30)
+        assert main(["rankgen", "--m", "1", "--n", big, "--k", big]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_rankgen_pretty(self, capsys):
         assert main(["rankgen", "--m", "3", "--n", "3", "--k", "3", "--pretty"]) == 0
         out = capsys.readouterr().out.strip()
@@ -256,8 +261,18 @@ class TestSweepCommand:
                 {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}, "out": 987654},
                 "sweep config 'out' must be a string",
             ),
+            (
+                {"sweeps": [{"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}}], "bogus": 1},
+                "unknown sweep config keys: ['bogus']",
+            ),
         ],
-        ids=["entry-not-object", "check-not-string", "sweeps-not-list", "out-not-string"],
+        ids=[
+            "entry-not-object",
+            "check-not-string",
+            "sweeps-not-list",
+            "out-not-string",
+            "unknown-top-level-key",
+        ],
     )
     def test_malformed_sweep_entries(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"

@@ -90,6 +90,11 @@ class TestBasics:
     def test_conjugate_degree(self, p):
         assert sum(conjugate(p)) == sum(p)
 
+    def test_column_height_is_conjugate_part(self):
+        for p in partitions_in_box(6, 6):
+            for j in range(1, 9):
+                assert pc._column_height(p, j) == pc.part_at(conjugate(p), j), (p, j)
+
     def test_contains(self):
         assert contains((2, 1), (3, 2, 1))
         assert not contains((3, 2, 1), (2, 1))

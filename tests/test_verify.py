@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from kyoung import qpoly, verify
+from kyoung import partitions, qpoly, verify
 from kyoung.ideals import RankVector
 from kyoung.lattice import build_ideal
 from kyoung.qpoly import QPoly, conjecture_sum
@@ -229,6 +230,30 @@ class TestStructure:
             assert r.failed == 0, r.check
             assert r.grid == r.passed
             assert r.grid > 0, r.check
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["left", "right"])
+    def test_kskew_catches_a_misplaced_row(self, monkeypatch, shift):
+        """Move the bottom row of every k-skew diagram one column, where the
+        result is still a skew shape.  Only verify's view of partitions is
+        patched, so the lru caches of k_skew and k_conjugate stay clean."""
+
+        def misplaced(p, k):
+            s = partitions.k_skew(p, k)
+            if not s.outer:
+                return s
+            outer = (s.outer[0] + shift,) + s.outer[1:]
+            inner = (s.inner_at(1) + shift,) + s.inner[1:]
+            try:
+                return partitions.skew_shape(outer, inner)
+            except ValueError:
+                return s
+
+        view = SimpleNamespace(**{**vars(partitions), "k_skew": misplaced})
+        monkeypatch.setattr(verify, "partitions", view)
+        reports = verify_structure(m_max=1, n_max=1, k_max=4, degree_max=6)
+        failed = {r.check: r.failed for r in reports}
+        assert failed.pop("structure-kskew") > 0
+        assert set(failed.values()) == {0}
 
 
 class TestExport:
