@@ -197,6 +197,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
+        return 2
     return 2
 
 

@@ -353,16 +353,16 @@ def _kskew_cells(g: _Grid) -> Iterator[SweepCell]:
     for k in range(1, g.k_max + 1):
         for p in partitions.k_bounded_partitions(k, g.degree_max):
             s = partitions.k_skew(p, k)
-            # the hook of inner cell (i, j) is p_i plus the skew cells above it,
-            # and one with a skew cell above must have hook > k
+            # the hook of inner cell (i, j) is p_i + h_j, h_j the skew cells in
+            # column j, and one with h_j > 0 must have hook > k; so the least
+            # nonzero h_j over columns 1..inner_i must exceed k - p_i
+            least = list(
+                itertools.accumulate((h or k + 1 for h in s.column_heights()), min, initial=k + 1)
+            )
             ok = (
                 s.row_lengths() == p
                 and all(s.hook_length(c) <= k for c in s.cells())
-                and not any(
-                    p[i - 1] < s.hook_length((i, j)) <= k
-                    for i in range(1, len(p) + 1)
-                    for j in range(1, s.inner_at(i) + 1)
-                )
+                and all(least[s.inner_at(i)] > k - p[i - 1] for i in range(1, len(p) + 1))
             )
             yield ok, {"k": k, "partition": list(p)}
 
@@ -421,15 +421,21 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
         where = asdict(spec)
         members = ideals.enumerate_ideal(spec)
+        diagram = lattice.build_ideal(spec.rectangle, spec.k)
+        # the ideal is downward closed, so every saturated chain between two
+        # members stays in it: the k-order there is reachability in the diagram
+        above: dict[Parts, set[Parts]] = {}
+        for v in reversed(diagram.vertices()):
+            above[v] = {v}.union(*(above[u] for u in diagram.up_edges.get(v, ())))
         for x in members:
             for y in members:
-                ok = lattice.leq(x, y, spec.k) == partitions.contains(x, y)
+                ok = (y in above.get(x, ())) == partitions.contains(x, y)
                 yield ok, {**where, "a": list(x), "b": list(y)}
         for y in members:
-            down = set(lattice.covers(y, spec.k, "down"))
             for x in members:
                 if sum(x) + 1 == sum(y) and partitions.contains(x, y):
-                    yield x in down, {**where, "child": list(x), "parent": list(y)}
+                    up = diagram.up_edges.get(x, ())
+                    yield y in up, {**where, "child": list(x), "parent": list(y)}
 
 
 def _counts_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -576,7 +582,6 @@ class SweepConfig:
     check: str
     params: dict
     out: str | None = None
-    fmt: str = "json"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
@@ -587,30 +592,32 @@ class SweepConfig:
             raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
         if "check" not in data:
             raise ValueError("sweep config needs a 'check' name")
-        for key in ("check", "out", "format"):
+        for key in ("check", "out"):
             if key in data and not isinstance(data[key], str):
                 raise ValueError(f"sweep config {key!r} must be a string: {data[key]!r}")
+        if data.get("format", "json") != "json":
+            raise ValueError(f"sweep config 'format' must be 'json': {data['format']!r}")
         if not isinstance(data.get("params", {}), dict):
             raise ValueError("sweep config 'params' must be an object")
         return cls(
             check=data["check"],
             params=data.get("params", {}),
             out=data.get("out"),
-            fmt=data.get("format", "json"),
         )
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_pair(value) -> bool:
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, int) for v in value)
-    )
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_int, value))
 
 
 def _param_range(value) -> Range:
     """An int, or a [lo, hi] pair of ints for the inclusive range lo..hi."""
-    if isinstance(value, int):
+    if _is_int(value):
         return value
     if _is_pair(value):
         return tuple(value)
@@ -618,7 +625,7 @@ def _param_range(value) -> Range:
 
 
 def _param_int(value) -> int:
-    if isinstance(value, int):
+    if _is_int(value):
         return value
     raise ValueError(f"expected int: {value!r}")
 
@@ -629,7 +636,7 @@ def _prime_values(value) -> list[int]:
     Two ints read as [lo, hi], as in every check.  An int that is not prime
     is left for verify_conjecture_u to reject.
     """
-    if isinstance(value, int):
+    if _is_int(value):
         return [value]
     if _is_pair(value):
         primes = [p for p in _as_values(value) if is_prime(p)]
@@ -683,5 +690,5 @@ def run_check(check: str, params: dict) -> list[VerificationReport]:
 def run_sweep(config: SweepConfig) -> list[VerificationReport]:
     reports = run_check(config.check, config.params)
     if config.out:
-        export(reports if len(reports) > 1 else reports[0], config.fmt, config.out)
+        export(reports if len(reports) > 1 else reports[0], "json", config.out)
     return reports

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kyoung import qpoly
+from kyoung import qpoly, verify
 from kyoung.cli import main, parse_m_values, parse_parts, parse_span
 
 
@@ -191,6 +191,14 @@ class TestVerifyCommand:
         assert code == 1
         assert " 0 pass" in out
 
+    def test_verify_out_of_memory_is_usage_error(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(verify, "verify_conjecture_u", exhausted)
+        assert main(["verify", "conjecture-u", "--m", "3", "--k", "4:6", "--n", "4:8"]) == 2
+        assert "error: input too large" in capsys.readouterr().err
+
     def test_verify_nonprime_m_is_error(self, capsys):
         assert main(["verify", "conjecture-u", "--m", "4"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -265,6 +273,11 @@ class TestSweepCommand:
                 {"sweeps": [{"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}}], "bogus": 1},
                 "unknown sweep config keys: ['bogus']",
             ),
+            ({"check": "structure", "params": {"k_max": True}}, "expected int: True"),
+            (
+                {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4, "k": False}},
+                "expected int or [lo, hi]: False",
+            ),
         ],
         ids=[
             "entry-not-object",
@@ -272,6 +285,8 @@ class TestSweepCommand:
             "sweeps-not-list",
             "out-not-string",
             "unknown-top-level-key",
+            "bool-int-param",
+            "bool-range-param",
         ],
     )
     def test_malformed_sweep_entries(self, tmp_path, capsys, config, message):
@@ -279,6 +294,25 @@ class TestSweepCommand:
         cfg.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+
+
+    def test_unsupported_format_stops_before_any_sweep_runs(self, tmp_path, capsys):
+        first = tmp_path / "first.json"
+        entry = {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "sweeps": [
+                        {**entry, "out": str(first), "format": "json"},
+                        {**entry, "out": str(tmp_path / "second.csv"), "format": "csv"},
+                    ]
+                }
+            )
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "sweep config 'format' must be 'json': 'csv'" in capsys.readouterr().err
+        assert not first.exists()
 
 
 class TestUsageErrors:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from kyoung import partitions, qpoly, verify
+from kyoung import lattice, partitions, qpoly, verify
 from kyoung.ideals import RankVector
 from kyoung.lattice import build_ideal
 from kyoung.qpoly import QPoly, conjecture_sum
@@ -255,6 +255,63 @@ class TestStructure:
         assert failed.pop("structure-kskew") > 0
         assert set(failed.values()) == {0}
 
+    def test_kskew_inner_clause_matches_hook_scan(self, monkeypatch):
+        """The structure-kskew verdict against a scan of the hook of every
+        cell, on each k-skew diagram with k <= 6 and degree <= 12 and on
+        copies with its first or second row moved one column either way."""
+
+        def scan(s, p, k):
+            """(row lengths and skew hooks as they must be, no inner cell with p_i < hook <= k)"""
+            if s.row_lengths() != p or any(s.hook_length(c) > k for c in s.cells()):
+                return False, True
+            return True, not any(
+                p[i - 1] < s.hook_length((i, j)) <= k
+                for i in range(1, len(p) + 1)
+                for j in range(1, s.inner_at(i) + 1)
+            )
+
+        def moved(s, row, shift):
+            outer = list(s.outer)
+            inner = list(s.inner) + [0] * (len(outer) - len(s.inner))
+            if row >= len(outer):
+                return s
+            outer[row] += shift
+            inner[row] += shift
+            try:
+                return partitions.skew_shape(outer, inner)
+            except ValueError:
+                return s
+
+        grid = verify._Grid(1, 1, 6, 12)
+        cases = [(k, p) for k in range(1, 7) for p in partitions.k_bounded_partitions(k, 12)]
+        inner_clause_failures = 0
+        for row, shift in [(0, 0)] + [(r, d) for r in range(2) for d in (-1, 1)]:
+            shapes = {(p, k): moved(partitions.k_skew(p, k), row, shift) for k, p in cases}
+            view = SimpleNamespace(**{**vars(partitions), "k_skew": lambda p, k: shapes[p, k]})
+            monkeypatch.setattr(verify, "partitions", view)
+            verdicts = [ok for ok, _ in verify._kskew_cells(grid)]
+            scans = [scan(shapes[p, k], p, k) for k, p in cases]
+            assert verdicts == [all(clauses) for clauses in scans], (row, shift)
+            inner_clause_failures += scans.count((True, False))
+        assert inner_clause_failures > 0
+
+    def test_subposet_checks_the_exported_diagram(self, monkeypatch):
+        """Drop one up-edge from every diagram build_ideal returns; only
+        verify's view of lattice is patched."""
+
+        def dropped(generator, k):
+            d = lattice.build_ideal(generator, k)
+            v = next(v for v in d.vertices() if d.up_edges.get(v))
+            d.up_edges[v] = d.up_edges[v][1:]
+            return d
+
+        view = SimpleNamespace(**{**vars(lattice), "build_ideal": dropped})
+        monkeypatch.setattr(verify, "lattice", view)
+        reports = verify_structure(m_max=2, n_max=3, k_max=3, degree_max=4)
+        failed = {r.check: r.failed for r in reports}
+        assert failed.pop("structure-subposet") > 0
+        assert set(failed.values()) == {0}
+
 
 class TestExport:
     def test_diagram_formats(self, tmp_path):
@@ -303,7 +360,6 @@ class TestSweepConfig:
             {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}, "out": "x.json"}
         )
         assert cfg.check == "sieved"
-        assert cfg.fmt == "json"
         assert cfg.out == "x.json"
 
     def test_defaults(self):
@@ -339,6 +395,16 @@ class TestRunners:
     def test_param_range_validation(self):
         with pytest.raises(ValueError):
             run_check("conjecture-gen", {"m": "wide"})
+        # JSON true and false are not ints
+        for check, params in (
+            ("structure", {"k_max": True}),
+            ("sieved", {"k": False}),
+            ("conjecture-gen", {"n": [True, 5]}),
+            ("conjecture-u", {"m": True}),
+            ("conjecture-u", {"m": [[3], [False]]}),
+        ):
+            with pytest.raises(ValueError, match="expected"):
+                run_check(check, params)
 
     def test_run_sweep_writes_single_report(self, tmp_path):
         out = tmp_path / "out.json"
