@@ -62,6 +62,8 @@ from .qpoly import (
     rank_gen_Lk,
     rank_gen_gamma,
     sieved_sums,
+    times_geometric,
+    vanishes_mod_cyclotomic,
 )
 from .verify import (
     SweepConfig,

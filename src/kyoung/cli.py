@@ -7,13 +7,15 @@ For ``verify conjecture-u``, ``--m LO:HI`` runs every prime in the range and
 A flag the chosen check does not read, like a sweep-config param it does not
 know, is a usage error.
 Exit codes: 0 all checks passed, 1 a counterexample was found, 2 usage or
-validation error.
+validation error, 141 stdout was closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import ideals, lattice, partitions, qpoly, verify
@@ -112,9 +114,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _file_access():
+    """A sweep config or --out file that cannot be opened, read or written is
+    a usage error (exit 2); OSError anywhere else is not."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(exc) from exc
+
+
 def _print_or_write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _file_access(), open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -142,13 +154,28 @@ def _summarize(reports) -> None:
 def _run_sweeps(configs) -> int:
     passed = True
     for config in configs:
-        reports = verify.run_sweep(config)
+        with _file_access():  # run_sweep writes config.out
+            reports = verify.run_sweep(config)
         _summarize(reports)
         passed = passed and all(r.all_pass() for r in reports)
     return 0 if passed else 1
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the flush at
+        # exit does not fail again, and exit as a process killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -185,7 +212,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_sweeps([verify.SweepConfig(args.check, _verify_params(args), args.out)])
         if args.command == "sweep":
-            with open(args.config, encoding="utf-8") as fh:
+            with _file_access(), open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
             wrapped = isinstance(data, dict) and "sweeps" in data
             if wrapped and len(data) > 1:
@@ -194,7 +221,7 @@ def main(argv=None) -> int:
             if not isinstance(entries, list):
                 raise ValueError(f"sweep config 'sweeps' must be a list of objects: {entries!r}")
             return _run_sweeps([verify.SweepConfig.from_json_dict(entry) for entry in entries])
-    except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -1,15 +1,19 @@
 """Exact integer q-polynomials: Gaussian binomials, rank generating functions,
 unimodality and symmetry tests, sieved sums, and cyclotomic reduction.
 
-Coefficients are arbitrary-precision Python ints in a dense tuple; geometric
-factors are always expanded to finite sums, never left as rational functions.
+Coefficients are arbitrary-precision Python ints in a dense tuple.  A
+geometric factor (1 - q^(st)) / (1 - q^s) is applied to a coefficient list in
+place: a multiply by 1 - q^(st), then an exact division by 1 - q^s, which is
+a prefix sum with stride s.  No rational function is ever left over, since
+each such division is exact.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice, starmap
+from operator import add, ge, gt
 from typing import Iterable
 
 
@@ -19,10 +23,10 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+        cs = list(map(int, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -165,27 +169,46 @@ class QPoly:
         return list(self.coeffs)
 
 
+def _times_quotient(cs: list[int], s: int, i: int) -> None:
+    """Multiply cs in place by 1 - q^s, then divide exactly by 1 - q^i.
+
+    The division is a prefix sum with stride i; the caller guarantees it is
+    exact, which leaves the top i entries zero, and they are dropped.
+    """
+    cs += [0] * s
+    cs[s:] = [x - y for x, y in zip(cs[s:], cs)]
+    for r in range(i):
+        cs[r::i] = accumulate(cs[r::i])
+    del cs[-i:]
+
+
+def times_geometric(p: QPoly, step: int, terms: int) -> QPoly:
+    """p times 1 + q^step + ... + q^(step*(terms-1)), that is times
+    (1 - q^(step*terms)) / (1 - q^step), computed in place."""
+    if step < 1:
+        raise ValueError(f"step must be positive: {step}")
+    if terms < 0:
+        raise ValueError(f"terms must be non-negative: {terms}")
+    cs = list(p.coeffs)
+    _times_quotient(cs, step * terms, step)
+    return QPoly(cs)
+
+
 # Cached because sweeps repeat the same few (a, b), and perfbench/traced.py reads cache_info().
 @lru_cache(maxsize=None)
 def gaussian(a: int, b: int) -> QPoly:
     """Gaussian binomial [a choose b]_q by the product formula.
 
     The product of (1 - q^(a-b+i)) / (1 - q^i) over i = 1 .. min(b, a-b), taken
-    in place on one coefficient list: multiply by the numerator factor, then
-    divide exactly by the denominator as a prefix sum with stride i, which
-    leaves the top i entries zero.
+    in place on one coefficient list; each partial product is a Gaussian
+    binomial, so every division is exact.
     """
     if b < 0 or b > a:
         return QPoly.zero()
     b = min(b, a - b)
     cs = [1]
     for i in range(1, b + 1):
-        s = a - b + i
-        cs += [0] * s
-        cs[s:] = [x - y for x, y in zip(cs[s:], cs)]
-        for r in range(i):
-            cs[r::i] = accumulate(cs[r::i])
-        del cs[-i:]
+        _times_quotient(cs, a - b + i, i)
     return QPoly(cs)
 
 
@@ -199,7 +222,7 @@ def rank_gen_Lk(m: int, n: int, k: int) -> QPoly:
         raise ValueError(f"need 1 <= m <= k: m={m} k={k}")
     if n < k - m + 1:
         raise ValueError(f"need n >= k - m + 1: m={m} n={n} k={k}")
-    tail = QPoly.geometric(m, n - k + m - 1) * gaussian(k, m - 1)
+    tail = times_geometric(gaussian(k, m - 1), m, n - k + m - 1)
     return gaussian(k + 1, m) + tail.shifted(k + 1)
 
 
@@ -222,7 +245,7 @@ def rank_gen_gamma(m: int, n: int, k: int) -> QPoly:
         raise ValueError(f"need 1 <= m < k: m={m} k={k}")
     if n < k - m + 1:
         raise ValueError(f"need n >= k - m + 1: m={m} n={n} k={k}")
-    return (QPoly.geometric(m, n - k + m) * gaussian(k - 1, m - 2)).shifted(k - m + 1)
+    return times_geometric(gaussian(k - 1, m - 2), m, n - k + m).shifted(k - m + 1)
 
 
 def is_unimodal(p: QPoly) -> bool:
@@ -232,16 +255,10 @@ def is_unimodal(p: QPoly) -> bool:
     The zero polynomial is unimodal.
     """
     cs = p.coeffs
-    if not cs:
-        return True
-    lo = next(i for i, c in enumerate(cs) if c)
-    window = cs[lo:]
-    i = 1
-    while i < len(window) and window[i] >= window[i - 1]:
-        i += 1
-    while i < len(window) and window[i] <= window[i - 1]:
-        i += 1
-    return i >= len(window)
+    lo = next((i for i, c in enumerate(cs) if c), len(cs))
+    steps = zip(islice(cs, lo, None), islice(cs, lo + 1, None))
+    any(starmap(gt, steps))  # consume the rise up to and with its first descent
+    return all(starmap(ge, steps))  # after it, no step rises
 
 
 def is_symmetric(p: QPoly, twice_center: int) -> bool:
@@ -262,6 +279,13 @@ def sieved_sums(p: QPoly, m: int) -> list[int]:
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
+def _add_into(total: list[int], cs: tuple[int, ...], shift: int = 0) -> None:
+    """total += q^shift * cs, on coefficient lists; total grows as needed."""
+    end = shift + len(cs)
+    total += [0] * (end - len(total))
+    total[shift:end] = map(add, total[shift:end], cs)
+
+
 def conjecture_sum(a: int, b: int, m: int, n: int | None = None) -> QPoly:
     """Partial sum of stratum generating functions for levels a+1 .. b.
 
@@ -273,16 +297,15 @@ def conjecture_sum(a: int, b: int, m: int, n: int | None = None) -> QPoly:
         raise ValueError(f"need m <= a < b: m={m} a={a} b={b}")
     if m < 1:
         raise ValueError(f"m must be positive: {m}")
-    total = QPoly.zero()
-    if n is None:
-        for j in range(a + 1, b + 1):
-            total = total + gaussian(j - 1, m - 2).shifted(j - (a + 1))
-        return total
-    if b > n + m - 1:
+    if n is not None and b > n + m - 1:
         raise ValueError(f"need b <= n + m - 1: b={b} m={m} n={n}")
+    total: list[int] = []
     for j in range(a + 1, b + 1):
-        total = total + rank_gen_gamma(m, n, j)
-    return total
+        if n is None:
+            _add_into(total, gaussian(j - 1, m - 2).coeffs, j - (a + 1))
+        else:
+            _add_into(total, rank_gen_gamma(m, n, j).coeffs)
+    return QPoly(total)
 
 
 def _divisors(n: int) -> list[int]:
@@ -302,6 +325,22 @@ def cyclotomic_polynomial(d: int) -> QPoly:
     return poly
 
 
+def vanishes_mod_cyclotomic(sums: list[int], d: int) -> bool:
+    """Whether the d-th cyclotomic polynomial divides a polynomial, given the
+    polynomial's sieved_sums mod a multiple m of d.
+
+    Those m sums are the polynomial's remainder mod q^m - 1.  Folded mod d
+    they are its remainder mod q^d - 1, which divides q^m - 1; the d-th
+    cyclotomic polynomial divides q^d - 1, so dividing the fold by it leaves
+    the polynomial's own remainder.
+    """
+    if d < 1 or len(sums) % d != 0:
+        raise ValueError(f"d must divide the number of sums: {len(sums)} sums, d={d}")
+    folded = QPoly([sum(sums[r::d]) for r in range(d)])
+    _, rem = divmod(folded, cyclotomic_polynomial(d))
+    return rem.is_zero()
+
+
 def cyclotomic_check(a: int, b: int, m: int, d: int) -> bool:
     """Whether sum of q^j [j-1 choose m-2]_q over j = a+1 .. b vanishes at
     every primitive d-th root of unity, by exact reduction mod the d-th
@@ -310,5 +349,4 @@ def cyclotomic_check(a: int, b: int, m: int, d: int) -> bool:
         raise ValueError(f"d must be a divisor of m larger than 1: m={m} d={d}")
     # That sum is q^(a+1) times the large-n conjecture_sum, and q is a unit
     # mod the d-th cyclotomic polynomial, so reducing the latter decides it.
-    _, rem = divmod(conjecture_sum(a, b, m), cyclotomic_polynomial(d))
-    return rem.is_zero()
+    return vanishes_mod_cyclotomic(sieved_sums(conjecture_sum(a, b, m), d), d)

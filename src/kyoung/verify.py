@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from collections import Counter
@@ -189,15 +190,23 @@ def _conjecture_u_cells(
     notes.append(f"boundary n = k-m+1 cells evaluated under the k != -1,0 clause: {boundary}")
 
 
-def _prefix_sums(m: int, n: int, b_max: int) -> list[QPoly]:
-    """prefix[x] = sum of stratum polynomials for levels m+1 .. x, x <= b_max."""
-    prefix = [QPoly.zero()] * (b_max + 1)
-    acc = QPoly.zero()
+def _prefix_sums(m: int, n: int, b_max: int) -> list[list[int]]:
+    """prefix[x] = coefficients of the sum of stratum polynomials for levels
+    m+1 .. x, x <= b_max; each list is at least as long as the one before."""
+    prefix: list[list[int]] = [[]] * (b_max + 1)
+    acc: list[int] = []
     for j in range(m + 1, b_max + 1):
         if n >= j - m + 1:
-            acc = acc + qpoly.rank_gen_gamma(m, n, j)
+            cs = qpoly.rank_gen_gamma(m, n, j).coeffs
+            acc = [*map(operator.add, acc, cs), *acc[len(cs):], *cs[len(acc):]]
         prefix[j] = acc
     return prefix
+
+
+def _window_sum(prefix: list[list[int]], a: int, b: int) -> QPoly:
+    """Sum of stratum polynomials for levels a+1 .. b, as prefix[b] - prefix[a]."""
+    upper, lower = prefix[b], prefix[a]
+    return QPoly([*map(operator.sub, upper, lower), *upper[len(lower):]])
 
 
 def verify_conjecture_gen(m: Range, a: Range, b: Range, n: Range) -> VerificationReport:
@@ -215,7 +224,7 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
     for m_val in m_values:
         if m_val < 1:
             raise ValueError(f"m must be positive: {m_val}")
-        prefixes: dict[int, list[QPoly]] = {}
+        prefixes: dict[int, list[list[int]]] = {}
         for a_val in a_values:
             if a_val < m_val:
                 yield Skip("a < m", len(b_values) * len(n_values))
@@ -233,7 +242,7 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
                         continue
                     if n_val not in prefixes:
                         prefixes[n_val] = _prefix_sums(m_val, n_val, max(b_values))
-                    poly = prefixes[n_val][b_val] - prefixes[n_val][a_val]
+                    poly = _window_sum(prefixes[n_val], a_val, b_val)
                     yield qpoly.is_unimodal(poly), {
                         "m": m_val,
                         "a": a_val,
@@ -283,7 +292,7 @@ def _sieved_cells(
                 limit = qpoly.conjecture_sum(a_val, b_val, m_val, None)
                 sums = qpoly.sieved_sums(limit, m_val)
                 total = limit(1)
-                cyclo = all(qpoly.cyclotomic_check(a_val, b_val, m_val, d) for d in divisors)
+                cyclo = all(qpoly.vanishes_mod_cyclotomic(sums, d) for d in divisors)
                 yield len(set(sums)) == 1 and sums[0] * m_val == total and cyclo, {
                     "m": m_val,
                     "a": a_val,

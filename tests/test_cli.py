@@ -1,6 +1,10 @@
 """Command line behavior: output shapes, exit codes, file writing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +317,37 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "sweep config 'format' must be 'json': 'csv'" in capsys.readouterr().err
         assert not first.exists()
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "structure", "--n-max", "3", "--k-max", "4", "--m-max", "2"]
+            + ["--degree-max", "6"],
+            ["rankgen", "--m", "3", "--n", "3", "--k", "4"],
+        ],
+        ids=["verify", "rankgen"],
+    )
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_gone_exits_141_silently(self, args, unbuffered):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kyoung", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestUsageErrors:

@@ -1,5 +1,7 @@
 """Exact q-polynomials, Gaussian binomials, generating functions, cyclotomics."""
 
+import itertools
+import random
 from functools import lru_cache
 from math import comb
 
@@ -19,6 +21,8 @@ from kyoung.qpoly import (
     rank_gen_Lk,
     rank_gen_gamma,
     sieved_sums,
+    times_geometric,
+    vanishes_mod_cyclotomic,
 )
 
 
@@ -49,6 +53,22 @@ def q_pascal_rows(a_max: int) -> list[list[QPoly]]:
     return rows
 
 
+def is_unimodal_by_window(p: QPoly) -> bool:
+    """Oracle: copy the support window, climb while weakly rising, then
+    descend while weakly falling; unimodal when that reaches the end."""
+    cs = p.coeffs
+    if not cs:
+        return True
+    lo = next(i for i, c in enumerate(cs) if c)
+    window = cs[lo:]
+    i = 1
+    while i < len(window) and window[i] >= window[i - 1]:
+        i += 1
+    while i < len(window) and window[i] <= window[i - 1]:
+        i += 1
+    return i >= len(window)
+
+
 ints = st.lists(st.integers(-9, 9), max_size=8)
 
 
@@ -57,6 +77,18 @@ class TestQPoly:
         assert QPoly([1, 0, 2, 0, 0]).coeffs == (1, 0, 2)
         assert QPoly([0, 0]).coeffs == ()
         assert QPoly().is_zero()
+
+    def test_coercion_and_stripping(self):
+        cases = [
+            ([1, 0, 0], (1,)),
+            ((True, 2), (1, 2)),
+            ([0], ()),
+            (iter([3, 0]), (3,)),
+        ]
+        for given_coeffs, expected in cases:
+            coeffs = QPoly(given_coeffs).coeffs
+            assert coeffs == expected
+            assert all(type(c) is int for c in coeffs)
 
     def test_constructors(self):
         assert QPoly.zero().degree == -1
@@ -140,6 +172,22 @@ class TestQPoly:
             for t in range(5):
                 lhs = QPoly.geometric(m, t) * (QPoly.one() - QPoly.monomial(m))
                 assert lhs == QPoly.one() - QPoly.monomial(m * t)
+
+    def test_times_geometric_matches_schoolbook_product(self):
+        rng = random.Random(20261018)
+        polys = [QPoly.zero(), QPoly.one(), QPoly([0, 0, 5])]
+        polys += [QPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]) for _ in range(60)]
+        for p in polys:
+            for step in range(1, 6):
+                for terms in range(0, 6):
+                    expected = QPoly.geometric(step, terms) * p
+                    assert times_geometric(p, step, terms) == expected, (p, step, terms)
+
+    def test_times_geometric_validation(self):
+        with pytest.raises(ValueError):
+            times_geometric(QPoly.one(), 0, 3)
+        with pytest.raises(ValueError):
+            times_geometric(QPoly.one(), 2, -1)
 
     def test_str(self):
         assert str(QPoly.zero()) == "0"
@@ -308,6 +356,15 @@ class TestShapeTests:
         assert not is_unimodal(QPoly([2, 1, 2]))
         assert not is_unimodal(QPoly([1, 2, 1, 2]))
 
+    def test_unimodal_matches_window_scan(self):
+        verdicts = set()
+        for length in range(8):
+            for coeffs in itertools.product((0, 1, 2), repeat=length):
+                p = QPoly(coeffs)
+                verdicts.add(is_unimodal(p))
+                assert is_unimodal(p) == is_unimodal_by_window(p), coeffs
+        assert verdicts == {True, False}
+
     def test_symmetric(self):
         assert is_symmetric(QPoly([1, 2, 1]), 2)
         assert is_symmetric(QPoly([0, 1, 1]), 3)
@@ -342,20 +399,23 @@ class TestConjectureSum:
         assert conjecture_sum(3, 6, 3).coeffs == (1, 2, 3, 2, 2, 1, 1)
 
     def test_limit_is_shifted_gaussian_pieces(self):
-        m, a, b = 3, 4, 7
-        expected = QPoly.zero()
-        for j in range(a + 1, b + 1):
-            expected = expected + QPoly.monomial(j - a - 1) * gaussian(j - 1, m - 2)
-        assert conjecture_sum(a, b, m) == expected
+        for m in range(1, 7):
+            for a in range(m, m + 5):
+                for b in range(a + 1, a + 7):
+                    expected = QPoly.zero()
+                    for j in range(a + 1, b + 1):
+                        expected = expected + QPoly.monomial(j - a - 1) * gaussian(j - 1, m - 2)
+                    assert conjecture_sum(a, b, m) == expected, (m, a, b)
 
     def test_finite_sums_strata(self):
-        m, n = 3, 5
-        for a in range(m, 6):
-            for b in range(a + 1, n + m - 1):
-                expected = QPoly.zero()
-                for j in range(a + 1, b + 1):
-                    expected = expected + rank_gen_gamma(m, n, j)
-                assert conjecture_sum(a, b, m, n) == expected, (a, b)
+        for m in range(1, 6):
+            for n in range(1, 7):
+                for a in range(m, n + m - 1):
+                    for b in range(a + 1, n + m):
+                        expected = QPoly.zero()
+                        for j in range(a + 1, b + 1):
+                            expected = expected + rank_gen_gamma(m, n, j)
+                        assert conjecture_sum(a, b, m, n) == expected, (m, n, a, b)
 
     def test_full_window_recovers_ideal(self):
         # chain plus all strata up to k is the whole ideal
@@ -420,6 +480,26 @@ class TestCyclotomic:
                             total = total + gaussian(j - 1, m - 2).shifted(j)
                         _, rem = divmod(total, cyclotomic_polynomial(d))
                         assert cyclotomic_check(a, b, m, d) == rem.is_zero(), (m, d, a, b)
+
+    def test_fold_matches_full_reduction(self):
+        # sieved sums mod m, folded mod d | m, against dividing the whole sum by Phi_d
+        verdicts = set()
+        for m in range(1, 13):
+            for d in (d for d in range(1, m + 1) if m % d == 0):
+                for a in range(m, m + 5):
+                    for b in range(a + 1, a + 9):
+                        limit = conjecture_sum(a, b, m)
+                        _, rem = divmod(limit, cyclotomic_polynomial(d))
+                        folded = vanishes_mod_cyclotomic(sieved_sums(limit, m), d)
+                        verdicts.add(folded)
+                        assert folded == rem.is_zero(), (m, d, a, b)
+        assert verdicts == {True, False}
+
+    def test_fold_validation(self):
+        with pytest.raises(ValueError):
+            vanishes_mod_cyclotomic([1, 2, 3], 2)
+        with pytest.raises(ValueError):
+            vanishes_mod_cyclotomic([1, 2], 0)
 
     def test_check_validation(self):
         with pytest.raises(ValueError):

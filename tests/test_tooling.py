@@ -6,16 +6,44 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_launcher_runs_and_reads_gaussian_cache(tmp_path):
+def run_traced(tmp_path, cli_args):
+    """Run perfbench/traced.py on one kyoung invocation; its layers by name."""
     out = tmp_path / "trace.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(out)]
-    argv += ["rankgen", "--m", "3", "--n", "3", "--k", "4"]
+    argv = [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(out), *cli_args]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    layers = json.loads(out.read_text())["layers"]
+    return json.loads(out.read_text())["layers"]
+
+
+def test_traced_launcher_runs_and_reads_gaussian_cache(tmp_path):
+    layers = run_traced(tmp_path, ["rankgen", "--m", "3", "--n", "3", "--k", "4"])
     assert "cache_size" in layers["qpoly.gaussian"]
+
+
+@pytest.mark.parametrize(
+    "cli_args, expected",
+    [
+        (
+            ["verify", "sieved", "--m", "2:6", "--a", "2:9", "--b", "3:10", "--k", "3:12"],
+            {"qpoly.series", "qpoly.predicates", "qpoly.add"},
+        ),
+        (
+            ["verify", "conjecture-gen", "--m", "2:4", "--a", "2:6", "--b", "3:7", "--n", "1:6"],
+            {"qpoly.series", "qpoly.predicates"},
+        ),
+    ],
+    ids=["sieved", "conjecture-gen"],
+)
+def test_traced_launcher_times_the_qseries_layers(tmp_path, cli_args, expected):
+    # sieved reaches QPoly.__add__ through cyclotomic_polynomial's q^d - 1;
+    # conjecture-gen sums coefficient lists and adds no QPoly
+    layers = run_traced(tmp_path, cli_args)
+    assert expected <= set(layers)
+    assert all(layers[name]["calls"] > 0 for name in expected)

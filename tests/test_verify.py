@@ -145,7 +145,7 @@ class TestConjectureGen:
                     for b in range(a + 1, 10):
                         if n < b - m + 1:
                             continue
-                        assert prefix[b] - prefix[a] == conjecture_sum(a, b, m, n), (
+                        assert verify._window_sum(prefix, a, b) == conjecture_sum(a, b, m, n), (
                             m,
                             n,
                             a,
