@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .partitions import Parts, contains, part_at, partitions_in_box
+from .partitions import Parts, partitions_in_box
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,11 @@ def short_rows(p: Parts, m: int) -> int:
 
 
 def is_member(p: Parts, spec: IdealSpec) -> bool:
-    """Box fit plus the short-row bound."""
-    if not contains(p, spec.rectangle):
-        return False
-    return short_rows(p, spec.m) <= spec.k - spec.m + 1
+    """Box fit plus the short-row bound: inside the rectangle, every part
+    other than m is short."""
+    m = spec.m
+    short = len(p) - p.count(m)
+    return len(p) <= spec.n and (not p or max(p) <= m) and short <= spec.k - m + 1
 
 
 def enumerate_ideal(spec: IdealSpec) -> list[Parts]:
@@ -83,7 +84,8 @@ def _require_member(p: Parts, spec: IdealSpec) -> None:
 def complement_dual(p: Parts, spec: IdealSpec) -> Parts:
     """Rotate the complement in the rectangle: row i maps to m - p_(n+1-i)."""
     _require_member(p, spec)
-    out = tuple(spec.m - part_at(p, spec.n + 1 - i) for i in range(1, spec.n + 1))
+    m = spec.m
+    out = (m,) * (spec.n - len(p)) + tuple(m - v for v in reversed(p))
     while out and out[-1] == 0:
         out = out[:-1]
     return out
@@ -93,18 +95,17 @@ def meet(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
     """Componentwise minimum."""
     _require_member(a, spec)
     _require_member(b, spec)
-    out = tuple(min(x, y) for x, y in zip(a, b))
+    out = tuple(map(min, a, b))
     while out and out[-1] == 0:
         out = out[:-1]
     return out
 
 
 def join(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
-    """Componentwise maximum."""
+    """Componentwise maximum; the longer argument's tail is kept as it is."""
     _require_member(a, spec)
     _require_member(b, spec)
-    n = max(len(a), len(b))
-    return tuple(max(part_at(a, i), part_at(b, i)) for i in range(1, n + 1))
+    return (*map(max, a, b), *a[len(b):], *b[len(a):])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Rectangle ideals: membership, gamma strata, duality, lattice operations."""
 
+import itertools
+
 import pytest
 
 from kyoung.ideals import (
@@ -15,7 +17,7 @@ from kyoung.ideals import (
     short_rows,
 )
 from kyoung.lattice import leq
-from kyoung.partitions import partitions_in_box, sum_parts
+from kyoung.partitions import contains, part_at, partitions_in_box, sum_parts
 
 
 def members_by_search(spec):
@@ -45,6 +47,50 @@ def members_by_parametrization(spec):
             for a in range(n - j + 1):
                 out.add((m,) * a + tail)
     return sorted(out, key=lambda p: (sum(p), p))
+
+
+def old_is_member(p, spec):
+    """The definition before the box test was one expression."""
+    if not contains(p, spec.rectangle):
+        return False
+    return short_rows(p, spec.m) <= spec.k - spec.m + 1
+
+
+def old_require_member(p, spec):
+    if not old_is_member(p, spec):
+        raise ValueError(f"{p} is not a member of L^{spec.k}({spec.m},{spec.n})")
+
+
+def old_strip(out):
+    while out and out[-1] == 0:
+        out = out[:-1]
+    return out
+
+
+def old_complement_dual(p, spec):
+    old_require_member(p, spec)
+    return old_strip(tuple(spec.m - part_at(p, spec.n + 1 - i) for i in range(1, spec.n + 1)))
+
+
+def old_meet(a, b, spec):
+    old_require_member(a, spec)
+    old_require_member(b, spec)
+    return old_strip(tuple(min(x, y) for x, y in zip(a, b)))
+
+
+def old_join(a, b, spec):
+    old_require_member(a, spec)
+    old_require_member(b, spec)
+    n = max(len(a), len(b))
+    return tuple(max(part_at(a, i), part_at(b, i)) for i in range(1, n + 1))
+
+
+def outcome(f, *args):
+    """f's value, or the message of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
 
 
 class TestSpec:
@@ -98,6 +144,25 @@ class TestMembership:
                 for n in range(1, 6):
                     spec = IdealSpec(m, n, k)
                     assert enumerate_ideal(spec) == members_by_parametrization(spec), spec
+
+
+    @pytest.mark.parametrize("m, n, k", [(1, 2, 1), (1, 3, 2), (2, 2, 2), (2, 2, 3), (3, 2, 4)])
+    def test_operations_match_old_definitions(self, m, n, k):
+        """is_member, complement_dual, meet and join against their earlier
+        definitions on every tuple over 0..m+1 of length up to n+1: tuples
+        that are not weakly decreasing, that hold zeros, and pairs of unequal
+        length included, with the same ValueError for a non-member."""
+        spec = IdealSpec(m, n, k)
+        tuples = [
+            t for size in range(n + 2) for t in itertools.product(range(m + 2), repeat=size)
+        ]
+        assert any(is_member(t, spec) and list(t) != sorted(t, reverse=True) for t in tuples)
+        for t in tuples:
+            assert is_member(t, spec) == old_is_member(t, spec), t
+            assert outcome(complement_dual, t, spec) == outcome(old_complement_dual, t, spec), t
+        for a, b in itertools.product(tuples, repeat=2):
+            assert outcome(meet, a, b, spec) == outcome(old_meet, a, b, spec), (a, b)
+            assert outcome(join, a, b, spec) == outcome(old_join, a, b, spec), (a, b)
 
 
 class TestGamma:

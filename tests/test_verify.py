@@ -1,16 +1,20 @@
 """Report plumbing, sweep runners, exports, and configuration parsing."""
 
 import hashlib
+import itertools
 import json
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
 
-from kyoung import lattice, partitions, qpoly, verify
+from kyoung import ideals, lattice, partitions, qpoly, verify
 from kyoung.ideals import RankVector
 from kyoung.lattice import build_ideal
 from kyoung.qpoly import QPoly, conjecture_sum
 from kyoung.verify import (
+    Pass,
+    Skip,
     SweepConfig,
     VerificationReport,
     export,
@@ -62,6 +66,19 @@ class TestReport:
         assert (rep.grid, rep.passed, rep.failed, rep.skipped) == (3, 1, 2, 1)
         assert rep.counterexamples == [{"cell": 1}, {}]
         assert not rep.all_pass()
+
+    def test_pass_tallies_as_passing_outcomes(self):
+        def report(cells):
+            doc = verify._sweep("x", "theorem", cells, ["note"]).to_json_dict()
+            del doc["elapsed_ms"]
+            return doc
+
+        ok = (True, {"cell": 0})
+        bad = (False, {"cell": 1})
+        assert report([Skip("no claim", 2), Pass(3), bad, Pass(0), Pass(1)]) == report(
+            [Skip("no claim", 2), ok, ok, ok, bad, ok]
+        )
+        assert report([Pass(5)])["pass"] == report([Pass(5)])["grid"] == 5
 
     def test_json_schema(self):
         rep = VerificationReport(check="x", status="conjecture")
@@ -295,21 +312,137 @@ class TestStructure:
             inner_clause_failures += scans.count((True, False))
         assert inner_clause_failures > 0
 
-    def test_subposet_checks_the_exported_diagram(self, monkeypatch):
-        """Drop one up-edge from every diagram build_ideal returns; only
-        verify's view of lattice is patched."""
+    @staticmethod
+    def check_damaged_subposet(monkeypatch, damage):
+        """Damage every diagram build_ideal returns; only verify's view of
+        lattice is patched.  structure-subposet alone must fail, with the
+        report, counterexamples included, that the per-pair loop the bitsets
+        replace gives on the same diagrams."""
 
-        def dropped(generator, k):
+        def damaged(generator, k):
             d = lattice.build_ideal(generator, k)
-            v = next(v for v in d.vertices() if d.up_edges.get(v))
-            d.up_edges[v] = d.up_edges[v][1:]
+            damage(d)
             return d
 
-        view = SimpleNamespace(**{**vars(lattice), "build_ideal": dropped})
+        def per_pair_cells(g):
+            for spec in verify._grid_cells(g):
+                where = asdict(spec)
+                members = ideals.enumerate_ideal(spec)
+                diagram = damaged(spec.rectangle, spec.k)
+                above = {}
+                for v in reversed(diagram.vertices()):
+                    above[v] = {v}.union(*(above[u] for u in diagram.up_edges.get(v, ())))
+                for x in members:
+                    for y in members:
+                        ok = (y in above.get(x, ())) == partitions.contains(x, y)
+                        yield ok, {**where, "a": list(x), "b": list(y)}
+                for y in members:
+                    for x in members:
+                        if sum(x) + 1 == sum(y) and partitions.contains(x, y):
+                            up = diagram.up_edges.get(x, ())
+                            yield y in up, {**where, "child": list(x), "parent": list(y)}
+
+        view = SimpleNamespace(**{**vars(lattice), "build_ideal": damaged})
         monkeypatch.setattr(verify, "lattice", view)
-        reports = verify_structure(m_max=2, n_max=3, k_max=3, degree_max=4)
+        grid = verify._Grid(3, 3, 4, 4)
+        reports = verify_structure(*grid)
         failed = {r.check: r.failed for r in reports}
         assert failed.pop("structure-subposet") > 0
+        assert set(failed.values()) == {0}
+        docs = [
+            verify._sweep("structure-subposet", "theorem", cells).to_json_dict()
+            for cells in (verify._subposet_cells(grid), per_pair_cells(grid))
+        ]
+        for doc in docs:
+            del doc["elapsed_ms"]
+        assert docs[0] == docs[1]
+
+    def test_subposet_checks_the_exported_diagram(self, monkeypatch):
+        def dropped_edge(d):
+            v = next(v for v in d.vertices() if d.up_edges.get(v))
+            d.up_edges[v] = d.up_edges[v][1:]
+
+        self.check_damaged_subposet(monkeypatch, dropped_edge)
+
+    def test_subposet_catches_an_edge_to_a_non_containing_vertex(self, monkeypatch):
+        def extra_edge(d):
+            # an up-edge to a vertex of the next rank that does not contain v
+            for low, high in zip(d.ranks, d.ranks[1:]):
+                for v, u in itertools.product(low, high):
+                    if not partitions.contains(v, u):
+                        d.up_edges[v] = d.up_edges.get(v, ()) + (u,)
+                        return
+
+        self.check_damaged_subposet(monkeypatch, extra_edge)
+
+    def test_upsets_match_containment(self):
+        """On every ideal of the default grid, bit j of entry x is
+        contains(rows[x], rows[j]), and contains(rows[j], rows[x]) in
+        reverse, with the members and with their duals as rows."""
+        for spec in verify._grid_cells(verify._Grid(4, 6, 7, 10)):
+            members = ideals.enumerate_ideal(spec)
+            duals = [ideals.complement_dual(p, spec) for p in members]
+            for rows in (members, duals):
+                ups = verify._upsets(rows, spec)
+                downs = verify._upsets(rows, spec, reverse=True)
+                for x, up, down in zip(rows, ups, downs):
+                    for j, y in enumerate(rows):
+                        assert up >> j & 1 == partitions.contains(x, y), (spec, x, y)
+                        assert down >> j & 1 == partitions.contains(y, x), (spec, x, y)
+                    assert up < 1 << len(rows) and down < 1 << len(rows)
+
+    def test_duality_catches_a_dual_that_is_not_order_reversing(self, monkeypatch):
+        """Swap the images of two members of one degree under complement_dual.
+        The result is still an involution onto the members that complements
+        degrees, so only the order-reversal clause can see it; the swap is
+        made where it breaks order reversal, and each such ideal must fail."""
+
+        def swapped_dual(spec):
+            members = ideals.enumerate_ideal(spec)
+            dual = {p: ideals.complement_dual(p, spec) for p in members}
+            for a, b in itertools.combinations(members, 2):
+                if sum(a) != sum(b) or {a, b} & {dual[a], dual[b]}:
+                    continue
+                f = {**dual, a: dual[b], b: dual[a], dual[a]: b, dual[b]: a}
+                if any(
+                    partitions.contains(x, y) != partitions.contains(f[y], f[x])
+                    for x in members
+                    for y in members
+                ):
+                    return f
+            return None
+
+        swaps = {
+            spec: swapped_dual(spec) for spec in verify._grid_cells(verify._Grid(3, 4, 4, 4))
+        }
+        broken = [asdict(spec) for spec, f in swaps.items() if f is not None]
+
+        def mutated(p, spec):
+            f = swaps[spec]
+            return ideals.complement_dual(p, spec) if f is None else f[p]
+
+        view = SimpleNamespace(**{**vars(ideals), "complement_dual": mutated})
+        monkeypatch.setattr(verify, "ideals", view)
+        reports = verify_structure(m_max=3, n_max=4, k_max=4, degree_max=4)
+        by_name = {r.check: r for r in reports}
+        duality = by_name.pop("structure-duality")
+        assert broken and duality.counterexamples == broken
+        assert {r.failed for r in by_name.values()} == {0}
+
+    def test_duality_records_a_lattice_op_that_leaves_the_ideal(self, monkeypatch):
+        """A join that leaves the ideal is a counterexample, not a ValueError
+        from the next meet or join it would be passed to."""
+
+        def leaky_join(a, b, spec):
+            if spec.m == 2 and {a, b} == {(2,), (1, 1)}:
+                return (3,)
+            return ideals.join(a, b, spec)
+
+        view = SimpleNamespace(**{**vars(ideals), "join": leaky_join})
+        monkeypatch.setattr(verify, "ideals", view)
+        reports = verify_structure(m_max=2, n_max=3, k_max=3, degree_max=10)
+        failed = {r.check: r.failed for r in reports}
+        assert failed.pop("structure-duality") > 0
         assert set(failed.values()) == {0}
 
 
