@@ -13,7 +13,6 @@ from .partitions import (
     all_k_rectangles,
     conjugate,
     contains,
-    degree,
     is_k_bounded,
     k_bounded_partitions,
     k_conjugate,
@@ -26,7 +25,6 @@ from .partitions import (
     residue,
     skew_shape,
     sum_parts,
-    to_core,
     union,
 )
 from .lattice import (

@@ -203,7 +203,7 @@ def _main(argv) -> int:
             elif args.dot:
                 _print_or_write(diagram.to_dot(), args.out)
             else:
-                _print_or_write(verify.render(diagram, "json"), args.out)
+                _print_or_write(verify.render(diagram), args.out)
             return 0
         if args.command == "rankgen":
             poly = qpoly.rank_gen_Lk(args.m, args.n, args.k)

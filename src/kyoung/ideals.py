@@ -8,6 +8,7 @@ containment and the lattice operations are componentwise.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -39,15 +40,23 @@ class IdealSpec:
 
 def short_rows(p: Parts, m: int) -> int:
     """Number of positive parts strictly smaller than m."""
-    return sum(1 for v in p if v < m)
+    return sum(1 for v in p if 0 < v < m)
 
 
 def is_member(p: Parts, spec: IdealSpec) -> bool:
-    """Box fit plus the short-row bound: inside the rectangle, every part
-    other than m is short."""
+    """A partition inside the rectangle whose parts other than m, its short
+    rows, number at most k - m + 1.  A tuple with a zero or an increase is
+    not a partition, so it is no member."""
+    if not p:
+        return True
     m = spec.m
-    short = len(p) - p.count(m)
-    return len(p) <= spec.n and (not p or max(p) <= m) and short <= spec.k - m + 1
+    return (
+        len(p) <= spec.n
+        and p[0] <= m
+        and p[-1] > 0
+        and all(map(operator.ge, p, p[1:]))
+        and len(p) - p.count(m) <= spec.k - m + 1
+    )
 
 
 def enumerate_ideal(spec: IdealSpec) -> list[Parts]:
@@ -95,10 +104,7 @@ def meet(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
     """Componentwise minimum."""
     _require_member(a, spec)
     _require_member(b, spec)
-    out = tuple(map(min, a, b))
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
+    return tuple(map(min, a, b))
 
 
 def join(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
@@ -118,14 +124,8 @@ class RankVector:
     def top_rank(self) -> int:
         return len(self.counts) - 1
 
-    def total(self) -> int:
-        return sum(self.counts)
-
     def is_palindromic(self) -> bool:
         return self.counts == self.counts[::-1]
-
-    def to_json_list(self) -> list[int]:
-        return list(self.counts)
 
     def to_csv(self) -> str:
         lines = ["i,count"]

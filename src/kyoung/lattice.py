@@ -132,9 +132,6 @@ class HasseDiagram:
     def vertex_count(self) -> int:
         return sum(len(rank) for rank in self.ranks)
 
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.up_edges.values())
-
     def edges(self) -> list[tuple[Parts, Parts]]:
         out = []
         for v in self.vertices():

@@ -34,10 +34,6 @@ def part_at(p: Parts, i: int) -> int:
     return p[i - 1] if 1 <= i <= len(p) else 0
 
 
-def degree(p: Parts) -> int:
-    return sum(p)
-
-
 def is_k_bounded(p: Parts, k: int) -> bool:
     return not p or p[0] <= k
 
@@ -159,9 +155,6 @@ class SkewShape(NamedTuple):
             for j in range(self.inner_at(i) + 1, o + 1):
                 yield (i, j)
 
-    def degree(self) -> int:
-        return sum(self.row_lengths())
-
     def hook_length(self, cell: Cell) -> int:
         """Arm plus leg plus one if the cell itself lies in the diagram.
 
@@ -186,25 +179,22 @@ class SkewShape(NamedTuple):
         square (1, 1).
         """
         outer, ell = self.outer, len(self.outer)
-        out: list[Cell] = []
+        inner = self.inner + (0,) * (ell - len(self.inner))
+        rows = enumerate(zip(outer, inner))
         if direction == "removable":
-            for i in range(1, ell + 1):
-                o = outer[i - 1]
-                if o == self.inner_at(i):
-                    continue
-                if i == 1 or i == ell or outer[i] < o:
-                    out.append((i, o))
-            return out
+            return [
+                (i + 1, o)
+                for i, (o, a) in rows
+                if o != a and (i == 0 or i == ell - 1 or outer[i + 1] < o)
+            ]
         if direction == "addable":
             if ell == 0:
                 return [(1, 1)]
-            for i in range(1, ell + 1):
-                o = outer[i - 1]
-                if o == self.inner_at(i):
-                    continue
-                j = o + 1
-                if i == 1 or (self.inner_at(i - 1) < j <= outer[i - 2]):
-                    out.append((i, j))
+            out = [
+                (i + 1, o + 1)
+                for i, (o, a) in rows
+                if o != a and (i == 0 or inner[i - 1] <= o < outer[i - 1])
+            ]
             out.append((ell + 1, 1))
             return out
         raise ValueError(f"direction must be 'removable' or 'addable': {direction!r}")
@@ -225,13 +215,16 @@ def skew_shape(outer: Sequence[int], inner: Sequence[int] = ()) -> SkewShape:
 def k_skew(p: Parts, k: int) -> SkewShape:
     """The k-skew diagram of a k-bounded partition.
 
-    Rows are added bottommost-first for the parts taken smallest-to-largest;
-    each new bottom row of length part goes as far left as the hook bound k
-    and skewness allow.  The hook of the new row's leftmost cell is the part
-    length plus the number of cells above it in its column, so scanning start
-    columns rightward until that is at most k places the row.  Placed rows
-    have increasing starts and ends, so those covering column c are the rows
-    starting before c less those ending before c.
+    Rows are placed top row first, for the parts taken smallest to largest;
+    each new row goes below the placed ones, as far left as the hook bound k
+    and skewness allow.  The hook of the new row's leftmost cell is its length
+    plus the placed cells above it in its column, and skewness keeps the row
+    from starting left of the row above.  Placed rows have nondecreasing
+    starts and ends, so every placed row starts at or left of any column from
+    the row above's start s on, and the rows over such a column are exactly
+    those whose end lies beyond it.  At most k - length of them may remain,
+    so the row starts at max(s, ends[t-1]) with t = len(ends) - (k - length),
+    or at s when t < 1.
     """
     if k < 1:
         raise ValueError(f"k must be positive: {k}")
@@ -239,10 +232,11 @@ def k_skew(p: Parts, k: int) -> SkewShape:
         raise ValueError(f"partition {p} is not {k}-bounded")
     starts: list[int] = []
     ends: list[int] = []
+    start = 0
     for length in reversed(p):
-        start = starts[-1] if starts else 0
-        while length + bisect_left(starts, start + 1) - bisect_left(ends, start + 1) > k:
-            start += 1
+        t = len(ends) - (k - length)
+        if t >= 1:
+            start = max(start, ends[t - 1])
         starts.append(start)
         ends.append(start + length)
     outer = tuple(reversed(ends))
@@ -256,11 +250,6 @@ def k_skew(p: Parts, k: int) -> SkewShape:
 def k_conjugate(p: Parts, k: int) -> Parts:
     """Column lengths of the k-skew diagram, sorted decreasing."""
     return tuple(sorted(k_skew(p, k).column_heights(), reverse=True))
-
-
-def to_core(p: Parts, k: int) -> Parts:
-    """Outer shape of the k-skew diagram, a (k+1)-core."""
-    return k_skew(p, k).outer
 
 
 @dataclass(frozen=True)

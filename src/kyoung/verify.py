@@ -593,42 +593,17 @@ def verify_structure(
     return [_sweep(name, "theorem", cells(g)) for name, cells in _STRUCTURE_FAMILIES]
 
 
-def _json_text(payload) -> str:
+def render(obj: Any) -> str:
+    """JSON text of a diagram, a report, or a list of reports."""
+    payload = [r.to_json_dict() for r in obj] if isinstance(obj, list) else obj.to_json_dict()
     return json.dumps(payload, indent=2) + "\n"
 
 
-def export(obj: Any, fmt: str, path: str) -> None:
-    """Write a diagram, report, rank vector, or polynomial to path.
-
-    Formats: dot (diagrams), json (everything), csv (rank vectors).  Output
-    is deterministic for identical in-memory inputs.
-    """
-    text = render(obj, fmt)
+def export(obj: Any, path: str) -> None:
+    """Write render(obj) to path; identical inputs give identical bytes."""
+    text = render(obj)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def render(obj: Any, fmt: str) -> str:
-    if isinstance(obj, lattice.HasseDiagram):
-        if fmt == "dot":
-            return obj.to_dot()
-        if fmt == "json":
-            return _json_text(obj.to_json_dict())
-    if isinstance(obj, VerificationReport):
-        if fmt == "json":
-            return _json_text(obj.to_json_dict())
-    if isinstance(obj, list) and all(isinstance(r, VerificationReport) for r in obj):
-        if fmt == "json":
-            return _json_text([r.to_json_dict() for r in obj])
-    if isinstance(obj, ideals.RankVector):
-        if fmt == "csv":
-            return obj.to_csv()
-        if fmt == "json":
-            return _json_text(obj.to_json_list())
-    if isinstance(obj, QPoly):
-        if fmt == "json":
-            return _json_text(obj.to_json_list())
-    raise ValueError(f"unsupported export: {type(obj).__name__} as {fmt!r}")
 
 
 @dataclass
@@ -746,5 +721,5 @@ def run_check(check: str, params: dict) -> list[VerificationReport]:
 def run_sweep(config: SweepConfig) -> list[VerificationReport]:
     reports = run_check(config.check, config.params)
     if config.out:
-        export(reports if len(reports) > 1 else reports[0], "json", config.out)
+        export(reports if len(reports) > 1 else reports[0], config.out)
     return reports

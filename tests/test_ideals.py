@@ -85,6 +85,11 @@ def old_join(a, b, spec):
     return tuple(max(part_at(a, i), part_at(b, i)) for i in range(1, n + 1))
 
 
+def is_partition(t):
+    """Positive parts in weakly decreasing order."""
+    return 0 not in t and list(t) == sorted(t, reverse=True)
+
+
 def outcome(f, *args):
     """f's value, or the message of the ValueError it raised."""
     try:
@@ -111,6 +116,7 @@ class TestSpec:
         assert short_rows((3, 2, 1), 3) == 2
         assert short_rows((3, 3), 3) == 0
         assert short_rows((), 5) == 0
+        assert short_rows((3, 0), 3) == 0
 
 
 class TestMembership:
@@ -149,20 +155,40 @@ class TestMembership:
     @pytest.mark.parametrize("m, n, k", [(1, 2, 1), (1, 3, 2), (2, 2, 2), (2, 2, 3), (3, 2, 4)])
     def test_operations_match_old_definitions(self, m, n, k):
         """is_member, complement_dual, meet and join against their earlier
-        definitions on every tuple over 0..m+1 of length up to n+1: tuples
-        that are not weakly decreasing, that hold zeros, and pairs of unequal
-        length included, with the same ValueError for a non-member."""
+        definitions on every partition among the tuples over 0..m+1 of length
+        up to n+1, pairs of unequal length included, with the same ValueError
+        for a non-member.  Every other tuple, one that holds a zero or is not
+        weakly decreasing, is no member, and each operation rejects it."""
         spec = IdealSpec(m, n, k)
         tuples = [
             t for size in range(n + 2) for t in itertools.product(range(m + 2), repeat=size)
         ]
-        assert any(is_member(t, spec) and list(t) != sorted(t, reverse=True) for t in tuples)
-        for t in tuples:
+        parts = [t for t in tuples if is_partition(t)]
+        others = [t for t in tuples if not is_partition(t)]
+        assert others
+        for t in parts:
             assert is_member(t, spec) == old_is_member(t, spec), t
             assert outcome(complement_dual, t, spec) == outcome(old_complement_dual, t, spec), t
-        for a, b in itertools.product(tuples, repeat=2):
+        for a, b in itertools.product(parts, repeat=2):
             assert outcome(meet, a, b, spec) == outcome(old_meet, a, b, spec), (a, b)
             assert outcome(join, a, b, spec) == outcome(old_join, a, b, spec), (a, b)
+        for t in others:
+            assert not is_member(t, spec), t
+            with pytest.raises(ValueError):
+                complement_dual(t, spec)
+            for u in tuples:
+                for op in (meet, join):
+                    with pytest.raises(ValueError):
+                        op(t, u, spec)
+                    with pytest.raises(ValueError):
+                        op(u, t, spec)
+
+    def test_rejects_tuples_that_are_not_partitions(self):
+        spec = IdealSpec(2, 2, 2)
+        assert not is_member((2, 0), spec)
+        assert not is_member((1, 2), spec)
+        with pytest.raises(ValueError):
+            join((2, 0), (1,), spec)
 
 
 class TestGamma:
@@ -294,7 +320,7 @@ class TestRankVector:
         spec = IdealSpec(3, 3, 4)
         rv = rank_vector(enumerate_ideal(spec), spec.top_rank)
         assert rv.counts == (1, 1, 2, 2, 2, 2, 2, 2, 1, 1)
-        assert rv.total() == 16
+        assert sum(rv.counts) == 16
         assert rv.top_rank == 9
         assert rv.is_palindromic()
 
@@ -309,7 +335,6 @@ class TestRankVector:
 
     def test_serialization(self):
         rv = RankVector((1, 2, 1))
-        assert rv.to_json_list() == [1, 2, 1]
         assert rv.to_csv() == "i,count\n0,1\n1,2\n2,1\n"
 
     def test_palindromic_sweep(self):

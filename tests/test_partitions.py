@@ -1,5 +1,7 @@
 """Partition core: conjugation, skew diagrams, hooks, corners, rectangles."""
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,6 @@ from kyoung.partitions import (
     residue,
     skew_shape,
     sum_parts,
-    to_core,
     union,
 )
 
@@ -144,6 +145,36 @@ class TestBasics:
         assert len(list(partitions_in_box(1, 1200))) == 1201
 
 
+def inner_at_corners(s, direction):
+    """Oracle: corners read row by row through inner_at, which gives zero
+    above the inner shape's last row."""
+    outer, ell = s.outer, len(s.outer)
+    out = []
+    if direction == "removable":
+        for i in range(1, ell + 1):
+            o = outer[i - 1]
+            if o != s.inner_at(i) and (i == 1 or i == ell or outer[i] < o):
+                out.append((i, o))
+        return out
+    if ell == 0:
+        return [(1, 1)]
+    for i in range(1, ell + 1):
+        o = outer[i - 1]
+        j = o + 1
+        if o != s.inner_at(i) and (i == 1 or s.inner_at(i - 1) < j <= outer[i - 2]):
+            out.append((i, j))
+    out.append((ell + 1, 1))
+    return out
+
+
+def box_skew_shapes(width, height):
+    """Every skew shape whose outer shape fits the width x height box."""
+    for outer in partitions_in_box(width, height):
+        for inner in partitions_in_box(outer[0] if outer else 0, len(outer)):
+            if contains(inner, outer):
+                yield SkewShape(outer, inner)
+
+
 class TestSkewShape:
     def test_factory_validates(self):
         with pytest.raises(ValueError):
@@ -153,12 +184,12 @@ class TestSkewShape:
         s = skew_shape((3, 2), (1,))
         assert list(s.cells()) == [(1, 2), (1, 3), (2, 1), (2, 2)]
         assert s.row_lengths() == (2, 2)
-        assert s.degree() == 4
+        assert sum(s.row_lengths()) == 4
 
     def test_column_heights(self):
         s = skew_shape((5, 5, 4, 1), (4, 2))
         assert s.column_heights() == (2, 1, 2, 2, 2)
-        assert sum(s.column_heights()) == s.degree()
+        assert sum(s.column_heights()) == sum(s.row_lengths())
 
     def test_hook_lengths_worked_example(self):
         s = skew_shape((5, 5, 4, 1), (4, 2))
@@ -200,6 +231,11 @@ class TestSkewShape:
         removable = s.corners("removable")
         assert removable == [(1, 6), (2, 2), (4, 1)]
 
+    def test_corners_match_inner_at_oracle(self):
+        for s in box_skew_shapes(6, 6):
+            for direction in ("addable", "removable"):
+                assert s.corners(direction) == inner_at_corners(s, direction), (s, direction)
+
     def test_corners_bad_direction(self):
         with pytest.raises(ValueError):
             skew_shape((1,)).corners("sideways")
@@ -220,6 +256,23 @@ def _skew_is_valid(p, k):
             if below_diagram and s.hook_length((i, j)) <= k:
                 return False
     return True
+
+
+def scanned_k_skew(p, k):
+    """Oracle: place each row by scanning start columns rightward from the
+    row above's start until the hook of its leftmost cell, the row length
+    plus the placed rows covering that column, is at most k."""
+    starts, ends = [], []
+    for length in reversed(p):
+        start = starts[-1] if starts else 0
+        while length + bisect_left(starts, start + 1) - bisect_left(ends, start + 1) > k:
+            start += 1
+        starts.append(start)
+        ends.append(start + length)
+    inner = tuple(reversed(starts))
+    while inner and inner[-1] == 0:
+        inner = inner[:-1]
+    return SkewShape(tuple(reversed(ends)), inner)
 
 
 class TestKSkew:
@@ -248,6 +301,11 @@ class TestKSkew:
         assert s.outer == (12, 9, 9, 6, 6, 3, 3)
         assert s.inner == (9, 6, 6, 3, 3)
 
+    def test_matches_column_scan(self):
+        for k in range(1, 9):
+            for p in k_bounded_partitions(k, 18):
+                assert k_skew(p, k) == scanned_k_skew(p, k), (p, k)
+
     def test_defining_conditions_sweep(self):
         for k in range(1, 6):
             for p in k_bounded_partitions(k, 9):
@@ -257,7 +315,7 @@ class TestKSkew:
         # outer shape admits no hook equal to k+1 anywhere
         for k in range(1, 5):
             for p in k_bounded_partitions(k, 8):
-                core = to_core(p, k)
+                core = k_skew(p, k).outer
                 s = skew_shape(core)
                 assert all(s.hook_length(c) != k + 1 for c in s.cells()), (p, k)
 

@@ -51,10 +51,25 @@ def test_traced_launcher_times_the_qseries_layers(tmp_path, cli_args, expected):
 
 def test_traced_launcher_times_the_structure_layers(tmp_path):
     # the lattice operations and the diagram build are wrapped by attribute:
-    # ideals.meet/join/complement_dual, lattice.build_ideal, verify.render/export
-    # and the HasseDiagram renderers must all still exist under those names
+    # ideals.meet/join/complement_dual and lattice.build_ideal must all still
+    # exist under those names
     cli_args = ["verify", "structure", "--m-max", "2", "--n-max", "3", "--k-max", "3"]
     layers = run_traced(tmp_path, [*cli_args, "--degree-max", "4"])
     expected = {"ideals.lattice_ops", "lattice.build_ideal"}
     assert expected <= set(layers)
     assert all(layers[name]["calls"] > 0 for name in expected)
+
+
+def test_traced_launcher_times_the_ideal_json_writer(tmp_path):
+    # cli writes the diagram through verify.render, which reads HasseDiagram.to_json_dict
+    layers = run_traced(tmp_path, ["ideal", "--m", "3", "--n", "4", "--k", "4", "--out", "F"])
+    assert (tmp_path / "F").exists()
+    assert all(layers[name]["calls"] > 0 for name in ("verify.render", "lattice.render"))
+
+
+def test_traced_launcher_times_the_report_writer(tmp_path):
+    # a sweep with --out reaches render only through export
+    cli_args = ["verify", "sieved", "--m", "2", "--a", "2", "--b", "4", "--k", "3", "--out", "F"]
+    layers = run_traced(tmp_path, cli_args)
+    assert (tmp_path / "F").exists()
+    assert layers["verify.render"]["calls"] > 0

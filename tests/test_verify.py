@@ -9,9 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from kyoung import ideals, lattice, partitions, qpoly, verify
-from kyoung.ideals import RankVector
 from kyoung.lattice import build_ideal
-from kyoung.qpoly import QPoly, conjecture_sum
+from kyoung.qpoly import conjecture_sum
 from kyoung.verify import (
     Pass,
     Skip,
@@ -447,43 +446,23 @@ class TestStructure:
 
 
 class TestExport:
-    def test_diagram_formats(self, tmp_path):
-        d = build_ideal((2, 1), 2)
-        dot = tmp_path / "d.dot"
-        js = tmp_path / "d.json"
-        export(d, "dot", str(dot))
-        export(d, "json", str(js))
-        assert dot.read_text().startswith("digraph kyoung {")
-        doc = json.loads(js.read_text())
+    def test_diagram_json(self, tmp_path):
+        path = tmp_path / "d.json"
+        export(build_ideal((2, 1), 2), str(path))
+        doc = json.loads(path.read_text())
         assert doc["k"] == 2 and doc["name"] == "ideal [2,1]"
 
     def test_report_and_list(self, tmp_path):
         rep = verify_sieved(2, 2, 4)
         path = tmp_path / "r.json"
-        export(rep, "json", str(path))
+        export(rep, str(path))
         assert json.loads(path.read_text())["check"] == "sieved"
-        export([rep, rep], "json", str(path))
+        export([rep, rep], str(path))
         assert [r["check"] for r in json.loads(path.read_text())] == ["sieved", "sieved"]
 
-    def test_rank_vector_and_poly(self, tmp_path):
-        rv = RankVector((1, 2, 1))
-        p = tmp_path / "rv.csv"
-        export(rv, "csv", str(p))
-        assert p.read_text() == "i,count\n0,1\n1,2\n2,1\n"
-        assert render(rv, "json") == "[\n  1,\n  2,\n  1\n]\n"
-        assert render(QPoly([1, 0, 2]), "json") == "[\n  1,\n  0,\n  2\n]\n"
-
-    def test_unsupported_combinations(self):
-        with pytest.raises(ValueError):
-            render(build_ideal((1,), 1), "csv")
-        with pytest.raises(ValueError):
-            render(QPoly([1]), "dot")
-        with pytest.raises(ValueError):
-            render(object(), "json")
-
     def test_byte_identical_reruns(self, tmp_path):
-        a = render(build_ideal((2, 2), 2), "json")
-        b = render(build_ideal((2, 2), 2), "json")
+        a = render(build_ideal((2, 2), 2))
+        b = render(build_ideal((2, 2), 2))
         assert a == b
 
 
