@@ -24,7 +24,6 @@ from .partitions import (
     rectangle_k_conjugate,
     residue,
     skew_shape,
-    sum_parts,
     union,
 )
 from .lattice import (

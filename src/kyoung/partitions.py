@@ -19,7 +19,7 @@ Cell = tuple[int, int]
 
 def partition(parts: Sequence[int]) -> Parts:
     """Canonicalize a part sequence: drop trailing zeros, validate monotonicity."""
-    out = tuple(int(p) for p in parts)
+    out = tuple(map(operator.index, parts))
     while out and out[-1] == 0:
         out = out[:-1]
     if any(p <= 0 for p in out):
@@ -60,12 +60,6 @@ def contains(inner: Parts, outer: Parts) -> bool:
 def union(a: Parts, b: Parts) -> Parts:
     """Multiset union of parts, re-sorted."""
     return tuple(sorted(a + b, reverse=True))
-
-
-def sum_parts(a: Parts, b: Parts) -> Parts:
-    """Componentwise sum."""
-    n = max(len(a), len(b))
-    return tuple(part_at(a, i) + part_at(b, i) for i in range(1, n + 1))
 
 
 def residue(cell: Cell, modulus: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, islice, starmap
-from operator import add, ge, gt
+from operator import add, ge, gt, index, sub
 from typing import Iterable
 
 
@@ -23,7 +23,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(map(int, coeffs))
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -279,11 +279,35 @@ def sieved_sums(p: QPoly, m: int) -> list[int]:
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
-def _add_into(total: list[int], cs: tuple[int, ...], shift: int = 0) -> None:
-    """total += q^shift * cs, on coefficient lists; total grows as needed."""
-    end = shift + len(cs)
-    total += [0] * (end - len(total))
-    total[shift:end] = map(add, total[shift:end], cs)
+def stratum_prefixes(m: int, b_max: int, n: int | None = None) -> list[list[int]]:
+    """prefix[x] = coefficients of the sum of the strata at levels m+1 .. x,
+    for x <= b_max; each list is at least as long as the one before.
+
+    With n given a level j adds rank_gen_gamma(m, n, j), and levels past
+    n+m-1, whose strata are empty, add nothing; with n omitted it adds the
+    large-n limit q^(j-m+1) [j-1 choose m-2]_q.
+    """
+    prefix: list[list[int]] = [[]] * (b_max + 1)
+    acc: list[int] = []
+    for j in range(m + 1, b_max + 1):
+        if n is None:
+            cs = gaussian(j - 1, m - 2).shifted(j - m + 1).coeffs
+        elif j < n + m:
+            cs = rank_gen_gamma(m, n, j).coeffs
+        else:  # the level-j stratum is empty once j - m + 1 > n
+            cs = ()
+        if cs:
+            acc = [*map(add, acc, cs), *acc[len(cs):], *cs[len(acc):]]
+        prefix[j] = acc
+    return prefix
+
+
+def window_sum(prefix: list[list[int]], a: int, b: int, drop: int = 0) -> QPoly:
+    """The strata at levels a+1 .. b, prefix[b] - prefix[a], divided by q^drop;
+    the caller guarantees that the drop lowest coefficients are zero."""
+    upper, lower = prefix[b], prefix[a]
+    cs = [*map(sub, upper, lower), *upper[len(lower):]]
+    return QPoly(cs[drop:] if drop else cs)
 
 
 def conjecture_sum(a: int, b: int, m: int, n: int | None = None) -> QPoly:
@@ -299,13 +323,8 @@ def conjecture_sum(a: int, b: int, m: int, n: int | None = None) -> QPoly:
         raise ValueError(f"m must be positive: {m}")
     if n is not None and b > n + m - 1:
         raise ValueError(f"need b <= n + m - 1: b={b} m={m} n={n}")
-    total: list[int] = []
-    for j in range(a + 1, b + 1):
-        if n is None:
-            _add_into(total, gaussian(j - 1, m - 2).coeffs, j - (a + 1))
-        else:
-            _add_into(total, rank_gen_gamma(m, n, j).coeffs)
-    return QPoly(total)
+    # the limit-form prefixes carry q^(j-m+1), so the window has q^(a-m+2) to spare
+    return window_sum(stratum_prefixes(m, b, n), a, b, a - m + 2 if n is None else 0)
 
 
 def _divisors(n: int) -> list[int]:

@@ -201,25 +201,6 @@ def _conjecture_u_cells(
     notes.append(f"boundary n = k-m+1 cells evaluated under the k != -1,0 clause: {boundary}")
 
 
-def _prefix_sums(m: int, n: int, b_max: int) -> list[list[int]]:
-    """prefix[x] = coefficients of the sum of stratum polynomials for levels
-    m+1 .. x, x <= b_max; each list is at least as long as the one before."""
-    prefix: list[list[int]] = [[]] * (b_max + 1)
-    acc: list[int] = []
-    for j in range(m + 1, b_max + 1):
-        if n >= j - m + 1:
-            cs = qpoly.rank_gen_gamma(m, n, j).coeffs
-            acc = [*map(operator.add, acc, cs), *acc[len(cs):], *cs[len(acc):]]
-        prefix[j] = acc
-    return prefix
-
-
-def _window_sum(prefix: list[list[int]], a: int, b: int) -> QPoly:
-    """Sum of stratum polynomials for levels a+1 .. b, as prefix[b] - prefix[a]."""
-    upper, lower = prefix[b], prefix[a]
-    return QPoly([*map(operator.sub, upper, lower), *upper[len(lower):]])
-
-
 def verify_conjecture_gen(m: Range, a: Range, b: Range, n: Range) -> VerificationReport:
     """Unimodality of partial stratum sums for general m on qualifying windows.
 
@@ -252,8 +233,8 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
                         yield Skip("n < b-m+1")
                         continue
                     if n_val not in prefixes:
-                        prefixes[n_val] = _prefix_sums(m_val, n_val, max(b_values))
-                    poly = _window_sum(prefixes[n_val], a_val, b_val)
+                        prefixes[n_val] = qpoly.stratum_prefixes(m_val, max(b_values), n_val)
+                    poly = qpoly.window_sum(prefixes[n_val], a_val, b_val)
                     yield qpoly.is_unimodal(poly), {
                         "m": m_val,
                         "a": a_val,
@@ -281,12 +262,14 @@ def _sieved_cells(
     m: Range, a: Range, b: Range, k: Range | None, notes: list[str]
 ) -> Iterator[SweepCell]:
     scalar = isinstance(m, int) and isinstance(a, int) and isinstance(b, int)
+    b_values = _as_values(b)
     for m_val in _as_values(m):
         if m_val < 2:
             raise ValueError(f"m must be at least 2: {m_val}")
         divisors = [d for d in range(2, m_val + 1) if m_val % d == 0]
+        prefix: list[list[int]] | None = None
         for a_val in _as_values(a):
-            for b_val in _as_values(b):
+            for b_val in b_values:
                 if not m_val <= a_val < b_val:
                     if scalar:
                         raise ValueError(f"need m <= a < b: m={m_val} a={a_val} b={b_val}")
@@ -300,7 +283,10 @@ def _sieved_cells(
                         )
                     yield Skip("endpoint = -1 mod a prime divisor of m")
                     continue
-                limit = qpoly.conjecture_sum(a_val, b_val, m_val, None)
+                if prefix is None:
+                    prefix = qpoly.stratum_prefixes(m_val, max(b_values))
+                # conjecture_sum(a, b, m): the window of limit-form prefixes over q^(a-m+2)
+                limit = qpoly.window_sum(prefix, a_val, b_val, a_val - m_val + 2)
                 sums = qpoly.sieved_sums(limit, m_val)
                 total = limit(1)
                 cyclo = all(qpoly.vanishes_mod_cyclotomic(sums, d) for d in divisors)
@@ -565,9 +551,8 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
 
 def _decomposition_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
-        total = QPoly.geometric(1, spec.top_rank + 1)
-        for r in range(spec.m + 1, spec.k + 1):
-            total = total + qpoly.rank_gen_gamma(spec.m, spec.n, r)
+        strata = qpoly.window_sum(qpoly.stratum_prefixes(spec.m, spec.k, spec.n), spec.m, spec.k)
+        total = QPoly.geometric(1, spec.top_rank + 1) + strata
         yield total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k), asdict(spec)
 
 

@@ -17,7 +17,13 @@ from kyoung.ideals import (
     short_rows,
 )
 from kyoung.lattice import leq
-from kyoung.partitions import contains, part_at, partitions_in_box, sum_parts
+from kyoung.partitions import contains, part_at, partitions_in_box
+
+
+def sum_parts(a, b):
+    """Componentwise sum of two partitions."""
+    n = max(len(a), len(b))
+    return tuple(part_at(a, i) + part_at(b, i) for i in range(1, n + 1))
 
 
 def members_by_search(spec):

@@ -21,7 +21,6 @@ from kyoung.partitions import (
     rectangle_k_conjugate,
     residue,
     skew_shape,
-    sum_parts,
     union,
 )
 
@@ -79,6 +78,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             partition([3, -1])
 
+    def test_partition_rejects_non_integers(self):
+        # int() would truncate 1.7 to 1 and accept (1, 1)
+        with pytest.raises(TypeError):
+            partition([1.7, 1])
+
     def test_conjugate(self):
         assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
         assert conjugate(()) == ()
@@ -104,8 +108,6 @@ class TestBasics:
 
     def test_union_and_sum(self):
         assert union((3, 1), (2, 2)) == (3, 2, 2, 1)
-        assert sum_parts((3, 1), (2, 2)) == (5, 3)
-        assert sum_parts((), (2,)) == (2,)
 
     def test_residue(self):
         assert residue((1, 5), 5) == 4

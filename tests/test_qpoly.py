@@ -21,8 +21,10 @@ from kyoung.qpoly import (
     rank_gen_Lk,
     rank_gen_gamma,
     sieved_sums,
+    stratum_prefixes,
     times_geometric,
     vanishes_mod_cyclotomic,
+    window_sum,
 )
 
 
@@ -89,6 +91,12 @@ class TestQPoly:
             coeffs = QPoly(given_coeffs).coeffs
             assert coeffs == expected
             assert all(type(c) is int for c in coeffs)
+
+    @pytest.mark.parametrize("coeffs", [[0.5, 1.9], ["3", "4"]], ids=["float", "str"])
+    def test_rejects_non_integers(self, coeffs):
+        # int() would truncate the floats to q and parse the strings to 3 + 4q
+        with pytest.raises(TypeError):
+            QPoly(coeffs)
 
     def test_constructors(self):
         assert QPoly.zero().degree == -1
@@ -391,6 +399,49 @@ class TestSieved:
     def test_sieved_sums_validation(self):
         with pytest.raises(ValueError):
             sieved_sums(QPoly.one(), 0)
+
+
+def finite_strata_by_addition(m, n, a, b):
+    """Oracle: the strata at levels a+1 .. b, one QPoly addition a level;
+    no level past n+m-1 has a stratum."""
+    total = QPoly.zero()
+    for j in range(a + 1, min(b, n + m - 1) + 1):
+        total = total + rank_gen_gamma(m, n, j)
+    return total
+
+
+def limit_strata_by_addition(m, a, b):
+    """Oracle: q^(j-a-1) [j-1 choose m-2]_q summed over j = a+1 .. b."""
+    total = QPoly.zero()
+    for j in range(a + 1, b + 1):
+        total = total + QPoly.monomial(j - a - 1) * gaussian(j - 1, m - 2)
+    return total
+
+
+class TestStratumPrefixes:
+    def test_finite_windows_match_repeated_addition(self):
+        for m in range(1, 7):
+            for n in range(1, 8):
+                b_max = n + m + 1  # two levels past the last stratum
+                prefix = stratum_prefixes(m, b_max, n)
+                assert len(prefix) == b_max + 1
+                assert all(len(x) <= len(y) for x, y in zip(prefix, prefix[1:]))
+                for a in range(m, b_max + 1):
+                    for b in range(a, b_max + 1):  # a = b is the empty window
+                        expected = finite_strata_by_addition(m, n, a, b)
+                        assert window_sum(prefix, a, b) == expected, (m, n, a, b)
+
+    def test_limit_windows_match_repeated_addition(self):
+        for m in range(1, 7):
+            b_max = m + 8
+            prefix = stratum_prefixes(m, b_max)
+            assert len(prefix) == b_max + 1
+            for a in range(m, b_max + 1):
+                for b in range(a, b_max + 1):
+                    expected = limit_strata_by_addition(m, a, b)
+                    assert window_sum(prefix, a, b, a - m + 2) == expected, (m, a, b)
+                    # the dropped coefficients are the zeros below q^(a-m+2)
+                    assert window_sum(prefix, a, b) == expected.shifted(a - m + 2), (m, a, b)
 
 
 class TestConjectureSum:
