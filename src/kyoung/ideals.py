@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .partitions import Parts, partitions_in_box
@@ -60,8 +61,14 @@ def is_member(p: Parts, spec: IdealSpec) -> bool:
 
 
 def enumerate_ideal(spec: IdealSpec) -> list[Parts]:
-    """All members, ordered by degree then lexicographically."""
-    members = [p for p in partitions_in_box(spec.m, spec.n) if is_member(p, spec)]
+    """All members, ordered by degree then lexicographically.  Each is (m^j)
+    over a partition in the (m - 1) x min(n - j, k - m + 1) box, j = 0 .. n."""
+    m, width = spec.m, spec.k - spec.m + 1
+    members = [
+        (m,) * j + rest
+        for j in range(spec.n + 1)
+        for rest in partitions_in_box(m - 1, min(spec.n - j, width))
+    ]
     members.sort(key=lambda p: (sum(p), p))
     return members
 
@@ -76,13 +83,7 @@ def gamma_set(spec: IdealSpec) -> list[Parts]:
             stacklevel=2,
         )
         return []
-    out = [
-        p
-        for p in partitions_in_box(spec.m, spec.n)
-        if short_rows(p, spec.m) == spec.k - spec.m + 1
-    ]
-    out.sort(key=lambda p: (sum(p), p))
-    return out
+    return [p for p in enumerate_ideal(spec) if short_rows(p, spec.m) == spec.k - spec.m + 1]
 
 
 def _require_member(p: Parts, spec: IdealSpec) -> None:
@@ -94,10 +95,7 @@ def complement_dual(p: Parts, spec: IdealSpec) -> Parts:
     """Rotate the complement in the rectangle: row i maps to m - p_(n+1-i)."""
     _require_member(p, spec)
     m = spec.m
-    out = (m,) * (spec.n - len(p)) + tuple(m - v for v in reversed(p))
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
+    return (m,) * (spec.n - len(p)) + tuple(m - v for v in reversed(p) if v < m)
 
 
 def meet(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
@@ -133,7 +131,7 @@ class RankVector:
         return "\n".join(lines) + "\n"
 
 
-def rank_vector(members: list[Parts], top_rank: int) -> RankVector:
+def rank_vector(members: Iterable[Parts], top_rank: int) -> RankVector:
     """Tally degrees; any member beyond top_rank is an error."""
     counts = [0] * (top_rank + 1)
     for p in members:

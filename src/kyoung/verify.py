@@ -497,7 +497,7 @@ def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
         members = ideals.enumerate_ideal(spec)
         member_set = set(members)
-        dual = functools.cache(functools.partial(ideals.complement_dual, spec=spec))
+        dual = functools.partial(ideals.complement_dual, spec=spec)
         meet = functools.partial(ideals.meet, spec=spec)
         join = functools.partial(ideals.join, spec=spec)
         triples = _sample_triples(members, 200, seed=spec.m * 100 + spec.n * 10 + spec.k)
@@ -531,8 +531,8 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
         members = set(ideals.enumerate_ideal(spec))
         smaller = set(ideals.enumerate_ideal(IdealSpec(spec.m, spec.n, spec.k - 1)))
         gamma = set(ideals.gamma_set(spec))
-        ok = smaller <= members and members == smaller | gamma and not (smaller & gamma)
-        gamma_rv = ideals.rank_vector(sorted(gamma), spec.top_rank)
+        ok = members == smaller | gamma and not (smaller & gamma)
+        gamma_rv = ideals.rank_vector(gamma, spec.top_rank)
         poly = qpoly.rank_gen_gamma(spec.m, spec.n, spec.k)
         ok = ok and gamma_rv.counts == tuple(
             poly.coefficient(i) for i in range(spec.top_rank + 1)

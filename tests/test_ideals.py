@@ -55,6 +55,19 @@ def members_by_parametrization(spec):
     return sorted(out, key=lambda p: (sum(p), p))
 
 
+def members_by_box_filter(spec):
+    """Oracle: every partition of the m x n box that is a member."""
+    members = [p for p in partitions_in_box(spec.m, spec.n) if is_member(p, spec)]
+    return sorted(members, key=lambda p: (sum(p), p))
+
+
+def gamma_by_box_filter(spec):
+    """Oracle: every partition of the m x n box with k - m + 1 short rows."""
+    j = spec.k - spec.m + 1
+    gamma = [p for p in partitions_in_box(spec.m, spec.n) if short_rows(p, spec.m) == j]
+    return sorted(gamma, key=lambda p: (sum(p), p))
+
+
 def old_is_member(p, spec):
     """The definition before the box test was one expression."""
     if not contains(p, spec.rectangle):
@@ -157,6 +170,31 @@ class TestMembership:
                     spec = IdealSpec(m, n, k)
                     assert enumerate_ideal(spec) == members_by_parametrization(spec), spec
 
+    def test_matches_box_filter(self):
+        # m = 1 (an inner box of width 0), k = m, and n below k - m + 1 included
+        for m in range(1, 5):
+            for k in range(m, 9):
+                for n in range(1, 8):
+                    spec = IdealSpec(m, n, k)
+                    assert enumerate_ideal(spec) == members_by_box_filter(spec), spec
+
+    @pytest.mark.parametrize(
+        "m, n, k", [(3, 3, 3), (1, 4, 2), (2, 5, 3), (4, 7, 6), (3, 2, 8), (5, 6, 5)]
+    )
+    def test_draws_one_partition_per_member(self, m, n, k, monkeypatch):
+        """The enumeration is output-sensitive: every partition it draws from
+        a box becomes a member, none is filtered out."""
+        drawn = 0
+
+        def counting(width, height):
+            nonlocal drawn
+            for p in partitions_in_box(width, height):
+                drawn += 1
+                yield p
+
+        monkeypatch.setattr("kyoung.ideals.partitions_in_box", counting)
+        assert len(enumerate_ideal(IdealSpec(m, n, k))) == drawn
+
 
     @pytest.mark.parametrize("m, n, k", [(1, 2, 1), (1, 3, 2), (2, 2, 2), (2, 2, 3), (3, 2, 4)])
     def test_operations_match_old_definitions(self, m, n, k):
@@ -221,6 +259,18 @@ class TestGamma:
     def test_warns_when_empty(self):
         with pytest.warns(UserWarning):
             assert gamma_set(IdealSpec(3, 1, 5)) == []
+
+    def test_matches_box_filter(self):
+        for m in range(1, 5):
+            for k in range(m + 1, 9):
+                for n in range(1, 8):
+                    spec = IdealSpec(m, n, k)
+                    if n < k - m + 1:
+                        with pytest.warns(UserWarning):
+                            assert gamma_set(spec) == [], spec
+                        assert gamma_by_box_filter(spec) == [], spec
+                    else:
+                        assert gamma_set(spec) == gamma_by_box_filter(spec), spec
 
     def test_stratifies_ideal(self):
         # members at level k split into last level's members and the new stratum

@@ -50,12 +50,13 @@ def test_traced_launcher_times_the_qseries_layers(tmp_path, cli_args, expected):
 
 
 def test_traced_launcher_times_the_structure_layers(tmp_path):
-    # the lattice operations and the diagram build are wrapped by attribute:
+    # the enumeration, the lattice operations and the diagram build are
+    # wrapped by attribute: ideals.enumerate_ideal/gamma_set,
     # ideals.meet/join/complement_dual and lattice.build_ideal must all still
     # exist under those names
     cli_args = ["verify", "structure", "--m-max", "2", "--n-max", "3", "--k-max", "3"]
     layers = run_traced(tmp_path, [*cli_args, "--degree-max", "4"])
-    expected = {"ideals.lattice_ops", "lattice.build_ideal"}
+    expected = {"ideals.enumerate_ideal", "ideals.lattice_ops", "lattice.build_ideal"}
     assert expected <= set(layers)
     assert all(layers[name]["calls"] > 0 for name in expected)
 
