@@ -208,6 +208,22 @@ class TestSieved:
         assert rep.failed == 0
         assert rep.grid > 0
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_total_is_checked_against_the_hockey_stick(self, monkeypatch, m):
+        """Add 1 + q + ... + q^(m-1) to every window: each residue total rises
+        by one, so the sums stay equal and still vanish mod every cyclotomic
+        divisor, and only the total can see it."""
+
+        def padded_window(prefix, a, b, drop=0):
+            return qpoly.window_sum(prefix, a, b, drop) + qpoly.QPoly.geometric(1, m)
+
+        view = SimpleNamespace(**{**vars(qpoly), "window_sum": padded_window})
+        monkeypatch.setattr(verify, "qpoly", view)
+        rep = verify_sieved(m, (m, m + 6), (m + 1, m + 8))
+        assert rep.grid > 0 and rep.failed == rep.grid
+        for cx in rep.counterexamples:
+            assert len(set(cx["sieved_sums"])) == 1 and cx["cyclotomic"], cx
+
 
 class TestStructure:
     def test_small_sweep(self):
@@ -296,22 +312,36 @@ class TestStructure:
         assert inner_clause_failures > 0
 
     @staticmethod
-    def check_damaged_subposet(monkeypatch, damage):
+    def damaged_diagrams(monkeypatch, damage):
         """Damage every diagram build_ideal returns; only verify's view of
-        lattice is patched.  structure-subposet alone must fail, with the
-        report, counterexamples included, that the per-pair loop the bitsets
-        replace gives on the same diagrams."""
+        lattice is patched.  structure-subposet alone must fail on
+        _Grid(3, 3, 4, 4), whose report is returned."""
 
         def damaged(generator, k):
             d = lattice.build_ideal(generator, k)
             damage(d)
             return d
 
+        view = SimpleNamespace(**{**vars(lattice), "build_ideal": damaged})
+        monkeypatch.setattr(verify, "lattice", view)
+        by_name = {r.check: r for r in verify_structure(3, 3, 4, 4)}
+        subposet = by_name.pop("structure-subposet")
+        assert subposet.failed > 0
+        assert {r.failed for r in by_name.values()} == {0}
+        return subposet
+
+    @classmethod
+    def check_damaged_subposet(cls, monkeypatch, damage):
+        """As damaged_diagrams, and the report, counterexamples included, is
+        the one the per-pair loop the bitsets replace gives on the same
+        diagrams."""
+        cls.damaged_diagrams(monkeypatch, damage)
+
         def per_pair_cells(g):
             for spec in verify._grid_cells(g):
                 where = asdict(spec)
                 members = ideals.enumerate_ideal(spec)
-                diagram = damaged(spec.rectangle, spec.k)
+                diagram = verify.lattice.build_ideal(spec.rectangle, spec.k)
                 above = {}
                 for v in reversed(diagram.vertices()):
                     above[v] = {v}.union(*(above[u] for u in diagram.up_edges.get(v, ())))
@@ -325,13 +355,7 @@ class TestStructure:
                             up = diagram.up_edges.get(x, ())
                             yield y in up, {**where, "child": list(x), "parent": list(y)}
 
-        view = SimpleNamespace(**{**vars(lattice), "build_ideal": damaged})
-        monkeypatch.setattr(verify, "lattice", view)
         grid = verify._Grid(3, 3, 4, 4)
-        reports = verify_structure(*grid)
-        failed = {r.check: r.failed for r in reports}
-        assert failed.pop("structure-subposet") > 0
-        assert set(failed.values()) == {0}
         docs = [
             verify._sweep("structure-subposet", "theorem", cells).to_json_dict()
             for cells in (verify._subposet_cells(grid), per_pair_cells(grid))
@@ -357,6 +381,30 @@ class TestStructure:
                         return
 
         self.check_damaged_subposet(monkeypatch, extra_edge)
+
+    def test_subposet_catches_a_padded_vertex_set(self, monkeypatch):
+        """A diagram with one vertex beyond the ideal, on a rank of its own
+        above the rectangle, fails once per ideal with that vertex listed."""
+
+        def padded(d):
+            d.ranks.append([(1,) * len(d.ranks)])
+
+        report = self.damaged_diagrams(monkeypatch, padded)
+        specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
+        assert report.counterexamples == [
+            {**asdict(spec), "extra": [[1] * (spec.top_rank + 1)], "missing": []}
+            for spec in specs
+        ]
+
+    def test_subposet_catches_a_dropped_vertex(self, monkeypatch):
+        def dropped(d):
+            d.ranks[1].remove((1,))
+
+        report = self.damaged_diagrams(monkeypatch, dropped)
+        specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
+        assert report.counterexamples == [
+            {**asdict(spec), "extra": [], "missing": [[1]]} for spec in specs
+        ]
 
     def test_upsets_match_containment(self):
         """On every ideal of the default grid, bit j of entry x is
@@ -427,6 +475,24 @@ class TestStructure:
         failed = {r.check: r.failed for r in reports}
         assert failed.pop("structure-duality") > 0
         assert set(failed.values()) == {0}
+
+    def test_duality_checks_every_class_pair(self, monkeypatch):
+        """A join that leaves the ideal on one pair only, () with (m, m), is
+        caught on every ideal that holds that pair and on no other."""
+
+        def leaky_join(a, b, spec):
+            if {a, b} == {(), (spec.m,) * 2}:
+                return (spec.m + 1,)
+            return ideals.join(a, b, spec)
+
+        view = SimpleNamespace(**{**vars(ideals), "join": leaky_join})
+        monkeypatch.setattr(verify, "ideals", view)
+        grid = verify._Grid(3, 5, 6, 4)
+        by_name = {r.check: r for r in verify_structure(*grid)}
+        duality = by_name.pop("structure-duality")
+        expected = [asdict(spec) for spec in verify._grid_cells(grid) if spec.n >= 2]
+        assert expected and duality.counterexamples == expected
+        assert {r.failed for r in by_name.values()} == {0}
 
 
 class TestExport:
@@ -528,23 +594,45 @@ class TestGoldenReports:
     to a recorded digest: counts, counterexamples, note order and skip-reason
     text are all pinned."""
 
-    GRIDS = {
-        "conjecture-u": {"m": [2, 3], "k": [1, 12], "n": [1, 14]},
-        "conjecture-gen": {"m": [2, 6], "a": [2, 9], "b": [3, 10], "n": [1, 12]},
-        "sieved": {"m": [2, 6], "a": [2, 9], "b": [3, 10], "k": [3, 20]},
-        "structure": {"m_max": 2, "n_max": 3, "k_max": 4, "degree_max": 6},
-    }
-    DIGESTS = {
-        "conjecture-u": "adadb2e99c42b77afc95c07b865011b9b3269a9ecbd2b9a73e2e8f9362ef30bc",
-        "conjecture-gen": "1bde6b2144cc4b1f1d996e71054e43221f0c3081375f367d65a0b89b597c0294",
-        "sieved": "8a59c0324c194c5106cc7b93f0f51f1b78431ef709ff326ac0cf36c534248c52",
-        "structure": "c7a8b225b3ffe594f527030932fe04df68266fee57e79ee609218a26817a7256",
+    # test id: (check, grid, digest).  The last two are the grids of the
+    # benchmark's structure workload and of its qseries-small sieved run.
+    CASES = {
+        "conjecture-u": (
+            "conjecture-u",
+            {"m": [2, 3], "k": [1, 12], "n": [1, 14]},
+            "adadb2e99c42b77afc95c07b865011b9b3269a9ecbd2b9a73e2e8f9362ef30bc",
+        ),
+        "conjecture-gen": (
+            "conjecture-gen",
+            {"m": [2, 6], "a": [2, 9], "b": [3, 10], "n": [1, 12]},
+            "1bde6b2144cc4b1f1d996e71054e43221f0c3081375f367d65a0b89b597c0294",
+        ),
+        "sieved": (
+            "sieved",
+            {"m": [2, 6], "a": [2, 9], "b": [3, 10], "k": [3, 20]},
+            "8a59c0324c194c5106cc7b93f0f51f1b78431ef709ff326ac0cf36c534248c52",
+        ),
+        "structure": (
+            "structure",
+            {"m_max": 2, "n_max": 3, "k_max": 4, "degree_max": 6},
+            "c7a8b225b3ffe594f527030932fe04df68266fee57e79ee609218a26817a7256",
+        ),
+        "structure-workload": (
+            "structure",
+            {"m_max": 4, "n_max": 5, "k_max": 7, "degree_max": 10},
+            "75f74d81955668f80e9d30f0f9fddb8a3506d616e570d0aec08a93f9312ab2f5",
+        ),
+        "sieved-qseries-small": (
+            "sieved",
+            {"m": [2, 14], "a": [2, 32], "b": [3, 33], "k": [3, 55]},
+            "5eb63bfab53db8381bf25366655d7b17f338739800fe123733576ecdad2950e0",
+        ),
     }
 
-    @pytest.mark.parametrize("check", sorted(GRIDS))
-    def test_report_digest(self, check):
-        docs = [r.to_json_dict() for r in run_check(check, self.GRIDS[check])]
+    @pytest.mark.parametrize("check, grid, digest", CASES.values(), ids=CASES.keys())
+    def test_report_digest(self, check, grid, digest):
+        docs = [r.to_json_dict() for r in run_check(check, grid)]
         for doc in docs:
             del doc["elapsed_ms"]
         text = json.dumps(docs, indent=2)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[check]
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
