@@ -279,35 +279,25 @@ def sieved_sums(p: QPoly, m: int) -> list[int]:
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
-def stratum_prefixes(m: int, b_max: int, n: int | None = None) -> list[list[int]]:
-    """prefix[x] = coefficients of the sum of the strata at levels m+1 .. x,
-    for x <= b_max; each list is at least as long as the one before.
-
-    With n given a level j adds rank_gen_gamma(m, n, j), and levels past
-    n+m-1, whose strata are empty, add nothing; with n omitted it adds the
-    large-n limit q^(j-m+1) [j-1 choose m-2]_q.
-    """
+def stratum_prefixes(m: int, b_max: int, n: int) -> list[list[int]]:
+    """prefix[x] = coefficients of the sum of rank_gen_gamma(m, n, j) over the
+    levels j = m+1 .. x, for x <= b_max; each list is at least as long as the
+    one before.  Levels past n+m-1, whose strata are empty, add nothing."""
     prefix: list[list[int]] = [[]] * (b_max + 1)
     acc: list[int] = []
     for j in range(m + 1, b_max + 1):
-        if n is None:
-            cs = gaussian(j - 1, m - 2).shifted(j - m + 1).coeffs
-        elif j < n + m:
-            cs = rank_gen_gamma(m, n, j).coeffs
-        else:  # the level-j stratum is empty once j - m + 1 > n
-            cs = ()
+        # the level-j stratum is empty once j - m + 1 > n
+        cs = rank_gen_gamma(m, n, j).coeffs if j < n + m else ()
         if cs:
             acc = [*map(add, acc, cs), *acc[len(cs):], *cs[len(acc):]]
         prefix[j] = acc
     return prefix
 
 
-def window_sum(prefix: list[list[int]], a: int, b: int, drop: int = 0) -> QPoly:
-    """The strata at levels a+1 .. b, prefix[b] - prefix[a], divided by q^drop;
-    the caller guarantees that the drop lowest coefficients are zero."""
+def window_sum(prefix: list[list[int]], a: int, b: int) -> QPoly:
+    """The strata at levels a+1 .. b: prefix[b] - prefix[a]."""
     upper, lower = prefix[b], prefix[a]
-    cs = [*map(sub, upper, lower), *upper[len(lower):]]
-    return QPoly(cs[drop:] if drop else cs)
+    return QPoly([*map(sub, upper, lower), *upper[len(lower):]])
 
 
 def conjecture_sum(a: int, b: int, m: int, n: int | None = None) -> QPoly:
@@ -321,10 +311,13 @@ def conjecture_sum(a: int, b: int, m: int, n: int | None = None) -> QPoly:
         raise ValueError(f"need m <= a < b: m={m} a={a} b={b}")
     if m < 1:
         raise ValueError(f"m must be positive: {m}")
-    if n is not None and b > n + m - 1:
+    if n is None:
+        # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
+        # telescopes the limit to ([b choose m-1]_q - [a choose m-1]_q) / q^(a-m+2)
+        return QPoly((gaussian(b, m - 1) - gaussian(a, m - 1)).coeffs[a - m + 2:])
+    if b > n + m - 1:
         raise ValueError(f"need b <= n + m - 1: b={b} m={m} n={n}")
-    # the limit-form prefixes carry q^(j-m+1), so the window has q^(a-m+2) to spare
-    return window_sum(stratum_prefixes(m, b, n), a, b, a - m + 2 if n is None else 0)
+    return window_sum(stratum_prefixes(m, b, n), a, b)
 
 
 def _divisors(n: int) -> list[int]:

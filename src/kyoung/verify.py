@@ -258,11 +258,12 @@ def _sieved_cells(
 ) -> Iterator[SweepCell]:
     scalar = isinstance(m, int) and isinstance(a, int) and isinstance(b, int)
     b_values = _as_values(b)
+    b_max = max(b_values)
     for m_val in _as_values(m):
         if m_val < 2:
             raise ValueError(f"m must be at least 2: {m_val}")
         divisors = [d for d in range(2, m_val + 1) if m_val % d == 0]
-        prefix: list[list[int]] | None = None
+        tally = [qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in range(b_max + 1)]
         for a_val in _as_values(a):
             for b_val in b_values:
                 if not m_val <= a_val < b_val:
@@ -278,12 +279,12 @@ def _sieved_cells(
                         )
                     yield Skip("endpoint = -1 mod a prime divisor of m")
                     continue
-                if prefix is None:
-                    prefix = qpoly.stratum_prefixes(m_val, max(b_values))
-                # conjecture_sum(a, b, m): the window of limit-form prefixes over q^(a-m+2)
-                limit = qpoly.window_sum(prefix, a_val, b_val, a_val - m_val + 2)
-                sums = qpoly.sieved_sums(limit, m_val)
-                # limit(1) without the window: sum C(j-1, m-2), j = a+1 .. b, by the hockey stick
+                # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
+                # telescopes conjecture_sum(a, b, m) to ([b choose m-1]_q - [a choose m-1]_q) over
+                # q^(a-m+2), whose residue r is residue r + a - m + 2 of the two Gaussians.
+                lo, hi = tally[a_val], tally[b_val]
+                sums = [hi[i % m_val] - lo[i % m_val] for i in range(a_val - m_val + 2, a_val + 2)]
+                # the window at q = 1: sum C(j-1, m-2), j = a+1 .. b, by the hockey stick
                 total = math.comb(b_val, m_val - 1) - math.comb(a_val, m_val - 1)
                 cyclo = all(qpoly.vanishes_mod_cyclotomic(sums, d) for d in divisors)
                 yield len(set(sums)) == 1 and sums[0] * m_val == total and cyclo, {
@@ -445,12 +446,23 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
         where = asdict(spec)
         members = ideals.enumerate_ideal(spec)
         diagram = lattice.build_ideal(spec.rectangle, spec.k)
-        vertices = diagram.vertices()
+        vertices, member_set = diagram.vertices(), set(members)
         if vertices != members:  # both come by degree, then lexicographically
-            vertex_set, member_set = set(vertices), set(members)
+            vertex_set = set(vertices)
             extra = [list(v) for v in vertices if v not in member_set]
             missing = [list(p) for p in members if p not in vertex_set]
             yield False, {**where, "extra": extra, "missing": missing}
+            continue
+        for x in members:  # the walk below may follow only covers between members
+            extra = [
+                list(u)
+                for u in diagram.up_edges.get(x, ())
+                if u not in member_set or sum(u) != sum(x) + 1 or not partitions.contains(x, u)
+            ]
+            if extra:
+                break
+        if extra:
+            yield False, {**where, "child": list(x), "extra": extra}
             continue
         ups = _upsets(members, spec)
         # the ideal is downward closed, so every saturated chain between two

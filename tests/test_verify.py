@@ -210,19 +210,42 @@ class TestSieved:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
     def test_total_is_checked_against_the_hockey_stick(self, monkeypatch, m):
-        """Add 1 + q + ... + q^(m-1) to every window: each residue total rises
-        by one, so the sums stay equal and still vanish mod every cyclotomic
-        divisor, and only the total can see it."""
+        """Add x (1 + q + ... + q^(m-1)) to [x choose m-1]_q: each residue
+        total of the window (a, b] rises by b - a, so the sums stay equal and
+        still vanish mod every cyclotomic divisor, and only the total can see
+        it."""
 
-        def padded_window(prefix, a, b, drop=0):
-            return qpoly.window_sum(prefix, a, b, drop) + qpoly.QPoly.geometric(1, m)
+        def padded_gaussian(x, j):
+            return qpoly.gaussian(x, j) + x * qpoly.QPoly.geometric(1, m)
 
-        view = SimpleNamespace(**{**vars(qpoly), "window_sum": padded_window})
+        view = SimpleNamespace(**{**vars(qpoly), "gaussian": padded_gaussian})
         monkeypatch.setattr(verify, "qpoly", view)
         rep = verify_sieved(m, (m, m + 6), (m + 1, m + 8))
         assert rep.grid > 0 and rep.failed == rep.grid
         for cx in rep.counterexamples:
             assert len(set(cx["sieved_sums"])) == 1 and cx["cyclotomic"], cx
+
+    def test_sums_are_the_window_residue_totals(self, monkeypatch):
+        """Off the qualifying windows the residue totals differ, so they pin
+        which Gaussian residue feeds which window residue."""
+        monkeypatch.setattr(verify, "qualifies", lambda a, b, m: True)
+        rep = verify_sieved((2, 6), (2, 12), (3, 13))
+        assert rep.failed > 0
+        for cx in rep.counterexamples:
+            window = conjecture_sum(cx["a"], cx["b"], cx["m"])
+            assert cx["sieved_sums"] == qpoly.sieved_sums(window, cx["m"]), cx
+
+    def test_windows_need_no_stratum_prefixes(self, monkeypatch):
+        """The windows are read from two Gaussians' residue totals, never from
+        a table of strata."""
+
+        def unused(*args):
+            raise AssertionError("sieved summed strata")
+
+        names = {"window_sum": unused, "stratum_prefixes": unused}
+        monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
+        rep = verify_sieved((2, 14), (2, 32), (3, 33), (3, 55))
+        assert rep.grid > 0 and rep.failed == 0
 
 
 class TestStructure:
@@ -371,16 +394,50 @@ class TestStructure:
 
         self.check_damaged_subposet(monkeypatch, dropped_edge)
 
-    def test_subposet_catches_an_edge_to_a_non_containing_vertex(self, monkeypatch):
+    def check_extra_edge(self, monkeypatch, pick):
+        """Add the up-edge pick(d) returns, if any, to every diagram: each
+        damaged ideal fails once, with the edge's lower end as child and its
+        upper end as extra."""
+        added = []
+
         def extra_edge(d):
+            added.append(pick(d))
+            if added[-1]:
+                v, u = added[-1]
+                d.up_edges[v] = d.up_edges.get(v, ()) + (u,)
+
+        report = self.damaged_diagrams(monkeypatch, extra_edge)
+        specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
+        assert report.counterexamples == [
+            {**asdict(spec), "child": list(edge[0]), "extra": [list(edge[1])]}
+            for spec, edge in zip(specs, added, strict=True)
+            if edge
+        ]
+
+    def test_subposet_catches_an_edge_to_a_non_containing_vertex(self, monkeypatch):
+        def non_containing(d):
             # an up-edge to a vertex of the next rank that does not contain v
             for low, high in zip(d.ranks, d.ranks[1:]):
                 for v, u in itertools.product(low, high):
                     if not partitions.contains(v, u):
-                        d.up_edges[v] = d.up_edges.get(v, ()) + (u,)
-                        return
+                        return v, u
 
-        self.check_damaged_subposet(monkeypatch, extra_edge)
+        self.check_extra_edge(monkeypatch, non_containing)
+
+    def test_subposet_catches_an_edge_inside_a_rank(self, monkeypatch):
+        def same_rank(d):
+            if {(2,), (1, 1)} <= set(d.vertices()):
+                return (2,), (1, 1)
+
+        self.check_extra_edge(monkeypatch, same_rank)
+
+    def test_subposet_catches_an_edge_that_skips_a_rank(self, monkeypatch):
+        def rank_skipping(d):
+            # () lies inside every vertex, so only the rank tells this edge apart
+            if len(d.ranks) > 2:
+                return (), d.ranks[2][0]
+
+        self.check_extra_edge(monkeypatch, rank_skipping)
 
     def test_subposet_catches_a_padded_vertex_set(self, monkeypatch):
         """A diagram with one vertex beyond the ideal, on a rank of its own
@@ -594,8 +651,10 @@ class TestGoldenReports:
     to a recorded digest: counts, counterexamples, note order and skip-reason
     text are all pinned."""
 
-    # test id: (check, grid, digest).  The last two are the grids of the
-    # benchmark's structure workload and of its qseries-small sieved run.
+    # test id: (check, grid, digest).  structure-workload and
+    # sieved-qseries-small are the grids of the benchmark's structure workload
+    # and of its qseries-small sieved run; sieved-large-m takes m past 14, up
+    # to 24 with its seven divisors d > 1.
     CASES = {
         "conjecture-u": (
             "conjecture-u",
@@ -626,6 +685,11 @@ class TestGoldenReports:
             "sieved",
             {"m": [2, 14], "a": [2, 32], "b": [3, 33], "k": [3, 55]},
             "5eb63bfab53db8381bf25366655d7b17f338739800fe123733576ecdad2950e0",
+        ),
+        "sieved-large-m": (
+            "sieved",
+            {"m": [15, 24], "a": [15, 48], "b": [16, 49], "k": [16, 60]},
+            "a737c469b3ce378d3fe64603e845a6ad796d80a38b8f4f74dec9cca026128199",
         ),
     }
 
