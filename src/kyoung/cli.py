@@ -196,14 +196,12 @@ def _main(argv) -> int:
             return 0
         if args.command == "ideal":
             spec = ideals.IdealSpec(args.m, args.n, args.k)
-            diagram = lattice.build_ideal(spec.rectangle, args.k)
             if args.csv:
-                rv = ideals.rank_vector(diagram.vertices(), spec.top_rank)
-                _print_or_write(rv.to_csv(), args.out)
-            elif args.dot:
-                _print_or_write(diagram.to_dot(), args.out)
+                text = ideals.rank_vector(ideals.enumerate_ideal(spec), spec.top_rank).to_csv()
             else:
-                _print_or_write(verify.render(diagram), args.out)
+                diagram = ideals.hasse_diagram(spec)
+                text = diagram.to_dot() if args.dot else verify.render(diagram)
+            _print_or_write(text, args.out)
             return 0
         if args.command == "rankgen":
             poly = qpoly.rank_gen_Lk(args.m, args.n, args.k)

@@ -3,7 +3,8 @@
 Membership below the m x n rectangle in the k-Young order has a box
 characterization: fit inside the rectangle with at most k - m + 1 parts
 strictly smaller than m.  Within such an ideal the order is plain
-containment and the lattice operations are componentwise.
+containment, so its Hasse diagram is the one-box covers between members, and
+the lattice operations are componentwise.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from .lattice import HasseDiagram
 from .partitions import Parts, partitions_in_box
 
 
@@ -71,6 +73,33 @@ def enumerate_ideal(spec: IdealSpec) -> list[Parts]:
     ]
     members.sort(key=lambda p: (sum(p), p))
     return members
+
+
+def hasse_diagram(spec: IdealSpec) -> HasseDiagram:
+    """The Hasse diagram of the ideal, the one lattice.build_ideal finds by
+    k-covers, read from the characterization instead.
+
+    The order is containment, so p is covered by the members with one box
+    more: a box at the first row of each part v < m, and a new row of 1 while
+    p has fewer than n rows.  Only that new row can leave the ideal, as one
+    short row too many.
+    """
+    m, width = spec.m, spec.k - spec.m + 1
+    ranks: list[list[Parts]] = [[] for _ in range(spec.top_rank + 1)]
+    up_edges: dict[Parts, tuple[Parts, ...]] = {}
+    for p in enumerate_ideal(spec):  # by degree, then lexicographically
+        ranks[sum(p)].append(p)
+        j = p.count(m)  # the rows below the first j are the short rows
+        up = [
+            p[:i] + (p[i] + 1,) + p[i + 1:]
+            for i in range(j, len(p))
+            if i == j or p[i - 1] > p[i]
+        ]
+        if len(p) < spec.n and len(p) - j < width:
+            up.append(p + (1,))
+        up_edges[p] = tuple(sorted(up))
+    name = "ideal [" + ",".join(map(str, spec.rectangle)) + "]"
+    return HasseDiagram(k=spec.k, name=name, ranks=ranks, up_edges=up_edges)
 
 
 def gamma_set(spec: IdealSpec) -> list[Parts]:

@@ -245,7 +245,9 @@ def rank_gen_gamma(m: int, n: int, k: int) -> QPoly:
         raise ValueError(f"need 1 <= m < k: m={m} k={k}")
     if n < k - m + 1:
         raise ValueError(f"need n >= k - m + 1: m={m} n={n} k={k}")
-    return times_geometric(gaussian(k - 1, m - 2), m, n - k + m).shifted(k - m + 1)
+    cs = [0] * (k - m + 1) + list(gaussian(k - 1, m - 2).coeffs)
+    _times_quotient(cs, m * (n - k + m), m)
+    return QPoly(cs)
 
 
 def is_unimodal(p: QPoly) -> bool:

@@ -532,14 +532,19 @@ def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
 
 
 def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
+    # The grid runs k upward for each m, and every n it takes at level k it
+    # took at level k - 1, so the members one level down are those kept from
+    # the pass before.
+    previous: dict[IdealSpec, set[Parts]] = {}
     for spec in _grid_cells(g):
         if spec.k == spec.m:
             chain = ideals.enumerate_ideal(spec)
+            previous[spec] = set(chain)
             ok = len(chain) == spec.top_rank + 1 and all(sum(p) == i for i, p in enumerate(chain))
             yield ok, asdict(spec)
             continue
-        members = set(ideals.enumerate_ideal(spec))
-        smaller = set(ideals.enumerate_ideal(IdealSpec(spec.m, spec.n, spec.k - 1)))
+        members = previous[spec] = set(ideals.enumerate_ideal(spec))
+        smaller = previous.pop(IdealSpec(spec.m, spec.n, spec.k - 1))
         gamma = set(ideals.gamma_set(spec))
         ok = members == smaller | gamma and not (smaller & gamma)
         gamma_rv = ideals.rank_vector(gamma, spec.top_rank)
@@ -588,10 +593,32 @@ def verify_structure(
     return [_sweep(name, "theorem", cells(g)) for name, cells in _STRUCTURE_FAMILIES]
 
 
+def _indented(value: Any, indent: str) -> str:
+    """The text json.dumps(value, indent=2) gives, for dicts with string keys,
+    lists, tuples and scalars, nested at indent.  A list of ints is one join,
+    so the diagram's vertices and edges skip the pure-Python encoder that
+    json.dumps falls back to when indenting."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = (f"{json.dumps(key)}: {_indented(v, inner)}" for key, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        opening, closing = "[", "]"
+        if all(type(v) is int for v in value):  # not bool, which json writes as true
+            items = map(str, value)
+        else:
+            items = (_indented(v, inner) for v in value)
+    else:
+        return json.dumps(value)
+    if not value:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
 def render(obj: Any) -> str:
     """JSON text of a diagram, a report, or a list of reports."""
     payload = [r.to_json_dict() for r in obj] if isinstance(obj, list) else obj.to_json_dict()
-    return json.dumps(payload, indent=2) + "\n"
+    return _indented(payload, "") + "\n"
 
 
 def export(obj: Any, path: str) -> None:

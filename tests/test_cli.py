@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, exit codes, file writing."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,15 @@ class TestCommands:
         ) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["name"] == "ideal [2,2]"
+
+    @pytest.mark.parametrize("fmt", [(), ("--dot",)], ids=["json", "dot"])
+    def test_ideal_export_matches_the_recorded_digests(self, capsys, fmt):
+        # the digests were recorded from the export of the k-cover diagram
+        args = ["ideal", "--m", "4", "--n", "45", "--k", "14", *fmt]
+        digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+        expected = json.loads(digests.read_text())[" ".join(args)]
+        assert main(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
     def test_ideal_invalid_spec(self, capsys):
         assert main(["ideal", "--m", "3", "--n", "3", "--k", "2"]) == 2

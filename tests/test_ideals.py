@@ -10,13 +10,14 @@ from kyoung.ideals import (
     complement_dual,
     enumerate_ideal,
     gamma_set,
+    hasse_diagram,
     is_member,
     join,
     meet,
     rank_vector,
     short_rows,
 )
-from kyoung.lattice import leq
+from kyoung.lattice import build_ideal, leq
 from kyoung.partitions import contains, part_at, partitions_in_box
 
 
@@ -296,6 +297,19 @@ class TestGamma:
                         for a in range(n - j + 1):
                             expected.add((m,) * a + tail)
                     assert set(gamma_set(spec)) == expected, spec
+
+
+class TestHasseDiagram:
+    def test_matches_the_k_cover_diagram(self):
+        # 350 ideals, among them m = 1, m = k, and n < k - m + 1, where every
+        # partition in the box is a member
+        specs = [
+            IdealSpec(m, n, k) for m in range(1, 6) for k in range(m, 10) for n in range(1, 11)
+        ]
+        for spec in specs:
+            got, expected = hasse_diagram(spec), build_ideal(spec.rectangle, spec.k)
+            assert (got.k, got.name, got.ranks) == (expected.k, expected.name, expected.ranks), spec
+            assert got.up_edges == expected.up_edges, spec
 
 
 class TestDuality:

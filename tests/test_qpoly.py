@@ -323,6 +323,14 @@ class TestGammaGen:
         with pytest.raises(ValueError):
             rank_gen_gamma(3, 1, 5)
 
+    def test_is_the_shifted_geometric_product(self):
+        # the factor q^(k-m+1) enters as leading zeros of one coefficient list
+        for m in range(1, 7):
+            for k in range(m + 1, 12):
+                for n in range(k - m + 1, 14):
+                    expected = times_geometric(gaussian(k - 1, m - 2), m, n - k + m)
+                    assert rank_gen_gamma(m, n, k) == expected.shifted(k - m + 1), (m, n, k)
+
     def test_width_one_stratum_is_empty(self):
         assert rank_gen_gamma(1, 4, 3).is_zero()
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -463,6 +464,23 @@ class TestStructure:
             {**asdict(spec), "extra": [], "missing": [[1]]} for spec in specs
         ]
 
+    def test_gamma_takes_the_level_below_from_the_pass_before(self, monkeypatch):
+        # each ideal is enumerated for its members, and once more inside
+        # gamma_set above level m; none again as the level below the next
+        calls = Counter()
+        enumerate_ideal = ideals.enumerate_ideal
+
+        def counted(spec):
+            calls[spec] += 1
+            return enumerate_ideal(spec)
+
+        monkeypatch.setattr(ideals, "enumerate_ideal", counted)
+        grid = verify._Grid(4, 5, 7, 10)
+        verdicts = [ok for ok, _ in verify._gamma_cells(grid)]
+        specs = list(verify._grid_cells(grid))
+        assert calls == Counter({spec: 1 if spec.k == spec.m else 2 for spec in specs})
+        assert verdicts == [True] * len(specs)
+
     def test_upsets_match_containment(self):
         """On every ideal of the default grid, bit j of entry x is
         contains(rows[x], rows[j]), and contains(rows[j], rows[x]) in
@@ -566,6 +584,37 @@ class TestExport:
         assert json.loads(path.read_text())["check"] == "sieved"
         export([rep, rep], str(path))
         assert [r["check"] for r in json.loads(path.read_text())] == ["sieved", "sieved"]
+
+    def test_render_matches_the_json_module(self):
+        """render writes what json.dumps(payload, indent=2) writes."""
+        report = verify_sieved(2, 2, 4)
+        odd = VerificationReport(check="odd", status="conjecture", notes=["é \"q\"\n"])
+        odd.record(
+            False,
+            {
+                "empty": [],
+                "nested": [[], [1, [2, []]], {"a": [], "b": {}}, (3, -4)],
+                "flags": [True, False],
+                "mixed": [1, None, 0.5, "x"],
+            },
+        )
+        odd.record(False)
+        cases = [
+            build_ideal((3, 3, 2), 4),
+            ideals.hasse_diagram(ideals.IdealSpec(2, 3, 3)),
+            build_ideal((3, 3), 3),  # a chain
+            build_ideal((), 2),  # one vertex, no edge
+            report,
+            odd,
+            [report, odd],
+            [],
+        ]
+        for obj in cases:
+            if isinstance(obj, list):
+                payload = [r.to_json_dict() for r in obj]
+            else:
+                payload = obj.to_json_dict()
+            assert render(obj) == json.dumps(payload, indent=2) + "\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         a = render(build_ideal((2, 2), 2))
