@@ -103,16 +103,23 @@ def hasse_diagram(spec: IdealSpec) -> HasseDiagram:
 
 
 def gamma_set(spec: IdealSpec) -> list[Parts]:
-    """Members with exactly k - m + 1 short rows: the new stratum at level k."""
-    if spec.k <= spec.m:
-        raise ValueError(f"gamma set needs k > m: m={spec.m} k={spec.k}")
-    if spec.n < spec.k - spec.m + 1:
-        warnings.warn(
-            f"gamma set is empty for n < k - m + 1: m={spec.m} n={spec.n} k={spec.k}",
-            stacklevel=2,
-        )
+    """Members with exactly w = k - m + 1 short rows, the new stratum at level
+    k: (m^j) over w rows of 1 topped by a partition in the (m - 2) x w box."""
+    m, w = spec.m, spec.k - spec.m + 1
+    if spec.k <= m:
+        raise ValueError(f"gamma set needs k > m: m={m} k={spec.k}")
+    if spec.n < w:
+        message = f"gamma set is empty for n < k - m + 1: m={m} n={spec.n} k={spec.k}"
+        warnings.warn(message, stacklevel=2)
         return []
-    return [p for p in enumerate_ideal(spec) if short_rows(p, spec.m) == spec.k - spec.m + 1]
+    if m == 1:  # no part lies strictly between 0 and 1
+        return []
+    gamma = (
+        (m,) * j + tuple(v + 1 for v in rest) + (1,) * (w - len(rest))
+        for j in range(spec.n - w + 1)
+        for rest in partitions_in_box(m - 2, w)
+    )
+    return sorted(gamma, key=lambda p: (sum(p), p))
 
 
 def _require_member(p: Parts, spec: IdealSpec) -> None:

@@ -132,35 +132,31 @@ class HasseDiagram:
     def vertex_count(self) -> int:
         return sum(len(rank) for rank in self.ranks)
 
-    def edges(self) -> list[tuple[Parts, Parts]]:
-        out = []
-        for v in self.vertices():
-            out.extend((v, u) for u in self.up_edges.get(v, ()))
-        return out
-
-    def index(self) -> dict[Parts, int]:
-        return {v: i for i, v in enumerate(self.vertices())}
+    def edge_positions(self) -> list[tuple[int, int]]:
+        """Up-edges as (position, position) pairs along vertices(), sorted."""
+        position = {v: i for i, v in enumerate(self.vertices())}
+        return [
+            (i, j)
+            for v, i in position.items()
+            for j in sorted(map(position.__getitem__, self.up_edges.get(v, ())))
+        ]
 
     def to_json_dict(self) -> dict:
-        idx = self.index()
-        edges = sorted((idx[v], idx[u]) for v, u in self.edges())
         return {
             "k": self.k,
             "name": self.name,
             "ranks": [[list(v) for v in rank] for rank in self.ranks],
-            "edges": [list(e) for e in edges],
+            "edges": [[i, j] for i, j in self.edge_positions()],
         }
 
     def to_dot(self) -> str:
-        idx = self.index()
         lines = ["digraph kyoung {", "  rankdir=BT;", "  node [shape=box];"]
-        for rank in self.ranks:
-            if not rank:
-                continue
-            row = " ".join(f'v{idx[v]} [label="[{",".join(map(str, v))}]"];' for v in rank)
-            lines.append("  { rank=same; " + row + " }")
-        for a, b in sorted((idx[v], idx[u]) for v, u in self.edges()):
-            lines.append(f"  v{a} -> v{b};")
+        start = 0  # the position of the rank's first vertex
+        for rank in filter(None, self.ranks):
+            row = (f'v{i} [label="[{",".join(map(str, v))}]"];' for i, v in enumerate(rank, start))
+            lines.append("  { rank=same; " + " ".join(row) + " }")
+            start += len(rank)
+        lines.extend(f"  v{i} -> v{j};" for i, j in self.edge_positions())
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -533,34 +533,28 @@ def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
 
 def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
     # The grid runs k upward for each m, and every n it takes at level k it
-    # took at level k - 1, so the members one level down are those kept from
-    # the pass before.
+    # took at level k - 1, so the members one level down are the diagram
+    # vertices kept from the pass before.
     previous: dict[IdealSpec, set[Parts]] = {}
     for spec in _grid_cells(g):
-        if spec.k == spec.m:
-            chain = ideals.enumerate_ideal(spec)
-            previous[spec] = set(chain)
-            ok = len(chain) == spec.top_rank + 1 and all(sum(p) == i for i, p in enumerate(chain))
-            yield ok, asdict(spec)
+        diagram = ideals.hasse_diagram(spec)
+        members = previous[spec] = set(diagram.vertices())
+        if spec.k == spec.m:  # a chain: one member per degree
+            yield [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1), asdict(spec)
             continue
-        members = previous[spec] = set(ideals.enumerate_ideal(spec))
         smaller = previous.pop(IdealSpec(spec.m, spec.n, spec.k - 1))
         gamma = set(ideals.gamma_set(spec))
         ok = members == smaller | gamma and not (smaller & gamma)
-        gamma_rv = ideals.rank_vector(gamma, spec.top_rank)
         poly = qpoly.rank_gen_gamma(spec.m, spec.n, spec.k)
-        ok = ok and gamma_rv.counts == tuple(
-            poly.coefficient(i) for i in range(spec.top_rank + 1)
-        )
+        expected = tuple(poly.coefficient(i) for i in range(spec.top_rank + 1))
+        ok = ok and ideals.rank_vector(gamma, spec.top_rank).counts == expected
         ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
-        for parent in members:
-            stratum_parent = ideals.short_rows(parent, spec.m)
-            for row in range(1, len(parent) + 1):
-                if partitions.part_at(parent, row) <= partitions.part_at(parent, row + 1):
-                    continue
-                child = lattice._remove_box(parent, row)
-                if child in members and abs(ideals.short_rows(child, spec.m) - stratum_parent) > 1:
-                    ok = False
+        # the up-edges are the one-box steps between members: none crosses two strata
+        ok = ok and all(
+            abs(ideals.short_rows(u, spec.m) - ideals.short_rows(x, spec.m)) <= 1
+            for x, ups in diagram.up_edges.items()
+            for u in ups
+        )
         yield ok, asdict(spec)
 
 
@@ -678,9 +672,12 @@ def _param_range(value) -> Range:
 
 
 def _param_int(value) -> int:
-    if _is_int(value):
-        return value
-    raise ValueError(f"expected int: {value!r}")
+    """A structure bound: an int >= 0, where 0 leaves a family empty."""
+    if not _is_int(value):
+        raise ValueError(f"expected int: {value!r}")
+    if value < 0:
+        raise ValueError(f"expected int >= 0: {value!r}")
+    return value
 
 
 def _prime_values(value) -> list[int]:

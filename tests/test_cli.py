@@ -217,6 +217,10 @@ class TestVerifyCommand:
         assert main(["verify", "conjecture-u", "--m", "4"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_verify_structure_negative_bound_is_error(self, capsys):
+        assert main(["verify", "structure", "--degree-max", "-1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_single_config(self, tmp_path, capsys):

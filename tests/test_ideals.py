@@ -273,6 +273,21 @@ class TestGamma:
                     else:
                         assert gamma_set(spec) == gamma_by_box_filter(spec), spec
 
+    @pytest.mark.parametrize("m, n, k", [(2, 4, 3), (2, 6, 5), (3, 4, 4), (4, 7, 6), (5, 5, 7)])
+    def test_draws_one_partition_per_member(self, m, n, k, monkeypatch):
+        """The stratum is drawn from its own box: every partition drawn
+        becomes a member of it, and no enumeration of the ideal is filtered."""
+        drawn = 0
+
+        def counting(width, height):
+            nonlocal drawn
+            for p in partitions_in_box(width, height):
+                drawn += 1
+                yield p
+
+        monkeypatch.setattr("kyoung.ideals.partitions_in_box", counting)
+        assert len(gamma_set(IdealSpec(m, n, k))) == drawn
+
     def test_stratifies_ideal(self):
         # members at level k split into last level's members and the new stratum
         for m in range(1, 4):

@@ -183,7 +183,7 @@ class TestHasseDiagram:
     def test_build_ideal_chain(self):
         d = build_ideal((3, 3, 3), 3)
         assert d.vertex_count() == 10
-        assert len(d.edges()) == 9
+        assert len(d.edge_positions()) == 9
         assert [len(r) for r in d.ranks] == [1] * 10
 
     def test_build_ideal_counts(self):
@@ -204,11 +204,27 @@ class TestHasseDiagram:
             expected = tuple(q for q in covers(p, 3, "up") if q in verts)
             assert d.up_edges[p] == expected
 
-    def test_index_and_edges(self):
+    def test_edge_positions(self):
         d = build_ideal((1, 1, 1), 1)
-        assert d.index()[(1, 1)] == 2
-        assert d.edges() == [((), (1,)), ((1,), (1, 1)), ((1, 1), (1, 1, 1))]
+        vertices = d.vertices()
+        assert vertices.index((1, 1)) == 2
+        assert d.edge_positions() == [(0, 1), (1, 2), (2, 3)]
+        assert [(vertices[i], vertices[j]) for i, j in d.edge_positions()] == [
+            ((), (1,)),
+            ((1,), (1, 1)),
+            ((1, 1), (1, 1, 1)),
+        ]
         assert d.to_json_dict()["edges"] == [[0, 1], [1, 2], [2, 3]]
+
+    def test_edge_positions_sort_every_edge(self):
+        """The pairs come sorted whatever the order of each vertex's
+        up-edges: the sorted positions of every up-edge of every vertex."""
+        d = build_ideal((3, 3, 3), 4)
+        d.up_edges = {v: ups[::-1] for v, ups in d.up_edges.items()}
+        position = {v: i for i, v in enumerate(d.vertices())}
+        every = [(position[v], position[u]) for v in d.vertices() for u in d.up_edges[v]]
+        assert any(len(ups) > 1 for ups in d.up_edges.values())
+        assert d.edge_positions() == sorted(every)
 
     def test_ideal_validates(self):
         with pytest.raises(ValueError):
@@ -243,9 +259,10 @@ class TestHasseDiagram:
     def test_dot_contains_all_edges(self):
         d = build_ideal((2, 2, 1), 2)
         dot = d.to_dot()
-        idx = d.index()
-        for v, u in d.edges():
-            assert f"v{idx[v]} -> v{idx[u]};" in dot
+        for i, v in enumerate(d.vertices()):
+            assert f'v{i} [label="[{",".join(map(str, v))}]"];' in dot
+        for i, j in d.edge_positions():
+            assert f"v{i} -> v{j};" in dot
 
 
 class TestRectangleTranslation:

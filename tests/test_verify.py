@@ -465,8 +465,8 @@ class TestStructure:
         ]
 
     def test_gamma_takes_the_level_below_from_the_pass_before(self, monkeypatch):
-        # each ideal is enumerated for its members, and once more inside
-        # gamma_set above level m; none again as the level below the next
+        # each ideal is enumerated once, for its diagram; gamma_set draws the
+        # stratum from its own box, and the level below is the pass before's
         calls = Counter()
         enumerate_ideal = ideals.enumerate_ideal
 
@@ -478,8 +478,31 @@ class TestStructure:
         grid = verify._Grid(4, 5, 7, 10)
         verdicts = [ok for ok, _ in verify._gamma_cells(grid)]
         specs = list(verify._grid_cells(grid))
-        assert calls == Counter({spec: 1 if spec.k == spec.m else 2 for spec in specs})
+        assert calls == Counter(specs)
+        assert sum(calls.values()) == len(specs) == 59
         assert verdicts == [True] * len(specs)
+
+    def test_gamma_catches_a_step_across_two_strata(self, monkeypatch):
+        """An up-edge () -> (1, 1) joins strata 0 and 2.  Added wherever m >= 2
+        and (1, 1) is a member, it fails exactly the gamma cells with
+        m >= 2, n >= 2 and k > m (the chain at k = m has no strata to cross);
+        only verify's view of ideals is patched, and no other family fails."""
+
+        def two_strata(spec):
+            d = ideals.hasse_diagram(spec)
+            if spec.m >= 2 and (1, 1) in d.vertices():
+                d.up_edges[()] += ((1, 1),)
+            return d
+
+        view = SimpleNamespace(**{**vars(ideals), "hasse_diagram": two_strata})
+        monkeypatch.setattr(verify, "ideals", view)
+        by_name = {r.check: r for r in verify_structure(4, 5, 7, 10)}
+        gamma = by_name.pop("structure-gamma")
+        specs = verify._grid_cells(verify._Grid(4, 5, 7, 10))
+        expected = [asdict(s) for s in specs if s.m >= 2 and s.n >= 2 and s.k > s.m]
+        assert len(expected) == 29
+        assert gamma.counterexamples == expected
+        assert {r.failed for r in by_name.values()} == {0}
 
     def test_upsets_match_containment(self):
         """On every ideal of the default grid, bit j of entry x is
@@ -663,9 +686,11 @@ class TestRunners:
     def test_param_range_validation(self):
         with pytest.raises(ValueError):
             run_check("conjecture-gen", {"m": "wide"})
-        # JSON true and false are not ints
+        # JSON true and false are not ints, and a structure bound is not negative
         for check, params in (
             ("structure", {"k_max": True}),
+            ("structure", {"degree_max": -1}),
+            ("structure", {"m_max": -2}),
             ("sieved", {"k": False}),
             ("conjecture-gen", {"n": [True, 5]}),
             ("conjecture-u", {"m": True}),
