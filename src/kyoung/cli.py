@@ -135,10 +135,17 @@ def _print_or_write(text: str, out: str | None) -> None:
 def _verify_params(args) -> dict:
     names = ("m", "k", "n", "a", "b", "m_max", "n_max", "k_max", "degree_max")
     params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    if isinstance(params.get("m"), list):
+    values = params.get("m")
+    if isinstance(values, list) and len(values) == 1:
+        params["m"] = values[0]
+    elif isinstance(values, list):
+        if args.check in ("conjecture-gen", "sieved"):
+            given = ",".join(map(str, values))
+            raise ValueError(
+                f"verify {args.check} takes --m as INT or LO:HI, not a comma list: --m {given}"
+            )
         # Each comma-list value stays apart, so that two of them do not read as [lo, hi].
-        values = params["m"]
-        params["m"] = values[0] if len(values) == 1 else [[v] for v in values]
+        params["m"] = [[v] for v in values]
     return params
 
 

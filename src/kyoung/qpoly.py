@@ -302,24 +302,16 @@ def window_sum(prefix: list[list[int]], a: int, b: int) -> QPoly:
     return QPoly([*map(sub, upper, lower), *upper[len(lower):]])
 
 
-def conjecture_sum(a: int, b: int, m: int, n: int | None = None) -> QPoly:
-    """Partial sum of stratum generating functions for levels a+1 .. b.
-
-    With n given this is the finite form, the sum of rank_gen_gamma(m, n, j);
-    with n omitted it is the large-n limit, the sum of
-    q^(j-a-1) [j-1 choose m-2]_q.
-    """
+def conjecture_sum(a: int, b: int, m: int) -> QPoly:
+    """Large-n limit of the partial sum of stratum generating functions for
+    levels a+1 .. b: the sum of q^(j-a-1) [j-1 choose m-2]_q."""
     if not m <= a < b:
         raise ValueError(f"need m <= a < b: m={m} a={a} b={b}")
     if m < 1:
         raise ValueError(f"m must be positive: {m}")
-    if n is None:
-        # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
-        # telescopes the limit to ([b choose m-1]_q - [a choose m-1]_q) / q^(a-m+2)
-        return QPoly((gaussian(b, m - 1) - gaussian(a, m - 1)).coeffs[a - m + 2:])
-    if b > n + m - 1:
-        raise ValueError(f"need b <= n + m - 1: b={b} m={m} n={n}")
-    return window_sum(stratum_prefixes(m, b, n), a, b)
+    # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
+    # telescopes the limit to ([b choose m-1]_q - [a choose m-1]_q) / q^(a-m+2)
+    return QPoly((gaussian(b, m - 1) - gaussian(a, m - 1)).coeffs[a - m + 2:])
 
 
 def _divisors(n: int) -> list[int]:

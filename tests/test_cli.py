@@ -221,6 +221,28 @@ class TestVerifyCommand:
         assert main(["verify", "structure", "--degree-max", "-1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["conjecture-gen", "sieved"])
+    def test_verify_comma_m_names_the_flag(self, capsys, check):
+        # only conjecture-u takes a comma list of m
+        assert main(["verify", check, "--m", "2,3"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: verify {check} takes --m as INT or LO:HI" in err
+        assert err.rstrip().endswith("--m 2,3")
+
+    def test_verify_structure_matches_the_recorded_digest(self, tmp_path, capsys):
+        # the digest is of the reports without elapsed_ms, keys sorted
+        args = ["verify", "structure", "--n-max", "5"]
+        digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+        expected = json.loads(digests.read_text())[" ".join(args)]
+        target = tmp_path / "structure.json"
+        assert main([*args, "--out", str(target)]) == 0
+        capsys.readouterr()
+        reports = json.loads(target.read_text())
+        for rep in reports:
+            del rep["elapsed_ms"]
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
+
 
 class TestSweepCommand:
     def test_single_config(self, tmp_path, capsys):
@@ -296,6 +318,10 @@ class TestSweepCommand:
                 {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4, "k": False}},
                 "expected int or [lo, hi]: False",
             ),
+            (
+                {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4, "k": None}},
+                "expected int or [lo, hi]: None",
+            ),
         ],
         ids=[
             "entry-not-object",
@@ -305,6 +331,7 @@ class TestSweepCommand:
             "unknown-top-level-key",
             "bool-int-param",
             "bool-range-param",
+            "null-param",
         ],
     )
     def test_malformed_sweep_entries(self, tmp_path, capsys, config, message):

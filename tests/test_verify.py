@@ -12,6 +12,7 @@ import pytest
 from kyoung import ideals, lattice, partitions, qpoly, verify
 from kyoung.lattice import build_ideal
 from kyoung.qpoly import conjecture_sum
+from test_qpoly import finite_strata_by_addition
 from kyoung.verify import (
     Pass,
     Skip,
@@ -168,7 +169,7 @@ class TestConjectureGen:
                         if n < b - m + 1:
                             continue
                         expected_grid += 1
-                        if qpoly.is_unimodal(conjecture_sum(a, b, m, n)):
+                        if qpoly.is_unimodal(finite_strata_by_addition(m, n, a, b)):
                             expected_pass += 1
         assert (rep.grid, rep.passed) == (expected_grid, expected_pass)
 
@@ -336,69 +337,81 @@ class TestStructure:
         assert inner_clause_failures > 0
 
     @staticmethod
-    def damaged_diagrams(monkeypatch, damage):
-        """Damage every diagram build_ideal returns; only verify's view of
-        lattice is patched.  structure-subposet alone must fail on
-        _Grid(3, 3, 4, 4), whose report is returned."""
+    def damage(monkeypatch, damage, source=lattice, builder="build_ideal"):
+        """Damage every diagram source.builder returns, lattice.build_ideal's
+        k-cover diagrams or ideals.hasse_diagram's one-box steps; only
+        verify's view of source is patched."""
+        build = getattr(source, builder)
 
-        def damaged(generator, k):
-            d = lattice.build_ideal(generator, k)
+        def damaged(*args):
+            d = build(*args)
             damage(d)
             return d
 
-        view = SimpleNamespace(**{**vars(lattice), "build_ideal": damaged})
-        monkeypatch.setattr(verify, "lattice", view)
+        view = SimpleNamespace(**{**vars(source), builder: damaged})
+        monkeypatch.setattr(verify, source.__name__.rpartition(".")[2], view)
+
+    @classmethod
+    def damaged_diagrams(cls, monkeypatch, damage, **source):
+        """As damage; structure-subposet alone must then fail on
+        _Grid(3, 3, 4, 4), whose report is returned."""
+        cls.damage(monkeypatch, damage, **source)
         by_name = {r.check: r for r in verify_structure(3, 3, 4, 4)}
         subposet = by_name.pop("structure-subposet")
         assert subposet.failed > 0
         assert {r.failed for r in by_name.values()} == {0}
         return subposet
 
-    @classmethod
-    def check_damaged_subposet(cls, monkeypatch, damage):
-        """As damaged_diagrams, and the report, counterexamples included, is
-        the one the per-pair loop the bitsets replace gives on the same
-        diagrams."""
-        cls.damaged_diagrams(monkeypatch, damage)
+    def check_dropped_edge(self, monkeypatch, **source):
+        """Drop the first up-edge of every diagram: each ideal fails once,
+        with the edge's lower end as child.  The edge is missing when
+        build_ideal drops it, and extra when hasse_diagram does."""
 
-        def per_pair_cells(g):
-            for spec in verify._grid_cells(g):
-                where = asdict(spec)
-                members = ideals.enumerate_ideal(spec)
-                diagram = verify.lattice.build_ideal(spec.rectangle, spec.k)
-                above = {}
-                for v in reversed(diagram.vertices()):
-                    above[v] = {v}.union(*(above[u] for u in diagram.up_edges.get(v, ())))
-                for x in members:
-                    for y in members:
-                        ok = (y in above.get(x, ())) == partitions.contains(x, y)
-                        yield ok, {**where, "a": list(x), "b": list(y)}
-                for y in members:
-                    for x in members:
-                        if sum(x) + 1 == sum(y) and partitions.contains(x, y):
-                            up = diagram.up_edges.get(x, ())
-                            yield y in up, {**where, "child": list(x), "parent": list(y)}
-
-        grid = verify._Grid(3, 3, 4, 4)
-        docs = [
-            verify._sweep("structure-subposet", "theorem", cells).to_json_dict()
-            for cells in (verify._subposet_cells(grid), per_pair_cells(grid))
-        ]
-        for doc in docs:
-            del doc["elapsed_ms"]
-        assert docs[0] == docs[1]
-
-    def test_subposet_checks_the_exported_diagram(self, monkeypatch):
-        def dropped_edge(d):
+        def first_edge(d):
             v = next(v for v in d.vertices() if d.up_edges.get(v))
+            return v, d.up_edges[v][0]
+
+        def dropped_edge(d):
+            v, _ = first_edge(d)
             d.up_edges[v] = d.up_edges[v][1:]
 
-        self.check_damaged_subposet(monkeypatch, dropped_edge)
+        report = self.damaged_diagrams(monkeypatch, dropped_edge, **source)
+        side = "extra" if source else "missing"
+        specs = verify._grid_cells(verify._Grid(3, 3, 4, 4))
+        edges = {spec: first_edge(ideals.hasse_diagram(spec)) for spec in specs}
+        assert report.counterexamples == [
+            {**asdict(spec), "child": list(v), "extra": [], "missing": [], side: [list(u)]}
+            for spec, (v, u) in edges.items()
+        ]
+
+    def test_subposet_checks_the_exported_diagram(self, monkeypatch):
+        self.check_dropped_edge(monkeypatch)
+
+    def test_subposet_checks_the_one_box_steps(self, monkeypatch):
+        self.check_dropped_edge(monkeypatch, source=ideals, builder="hasse_diagram")
+
+    def test_subposet_checks_reachability_against_containment(self, monkeypatch):
+        """Drop () -> (1,), the one up-edge of (), from both the one-box
+        steps and the k-cover diagram.  The two still agree, so only the
+        reachability cells can fail: () reaches no other member now, and
+        every other member still reaches each member containing it."""
+
+        def bottom_edge_dropped(d):
+            assert d.up_edges[()] == ((1,),)
+            d.up_edges[()] = ()
+
+        self.damage(monkeypatch, bottom_edge_dropped, source=ideals, builder="hasse_diagram")
+        report = self.damaged_diagrams(monkeypatch, bottom_edge_dropped)
+        assert report.counterexamples == [
+            {**asdict(spec), "a": [], "b": list(y)}
+            for spec in verify._grid_cells(verify._Grid(3, 3, 4, 4))
+            for y in ideals.enumerate_ideal(spec)[1:]
+        ]
 
     def check_extra_edge(self, monkeypatch, pick):
         """Add the up-edge pick(d) returns, if any, to every diagram: each
-        damaged ideal fails once, with the edge's lower end as child and its
-        upper end as extra."""
+        damaged ideal fails once, with the edge's lower end as child, its
+        upper end as extra and no step missing."""
         added = []
 
         def extra_edge(d):
@@ -410,7 +423,7 @@ class TestStructure:
         report = self.damaged_diagrams(monkeypatch, extra_edge)
         specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
         assert report.counterexamples == [
-            {**asdict(spec), "child": list(edge[0]), "extra": [list(edge[1])]}
+            {**asdict(spec), "child": list(edge[0]), "extra": [list(edge[1])], "missing": []}
             for spec, edge in zip(specs, added, strict=True)
             if edge
         ]
@@ -486,7 +499,9 @@ class TestStructure:
         """An up-edge () -> (1, 1) joins strata 0 and 2.  Added wherever m >= 2
         and (1, 1) is a member, it fails exactly the gamma cells with
         m >= 2, n >= 2 and k > m (the chain at k = m has no strata to cross);
-        only verify's view of ideals is patched, and no other family fails."""
+        only verify's view of ideals is patched.  structure-subposet fails on
+        the same ideals, where the step is no k-cover, and no other family
+        fails."""
 
         def two_strata(spec):
             d = ideals.hasse_diagram(spec)
@@ -502,6 +517,10 @@ class TestStructure:
         expected = [asdict(s) for s in specs if s.m >= 2 and s.n >= 2 and s.k > s.m]
         assert len(expected) == 29
         assert gamma.counterexamples == expected
+        subposet = by_name.pop("structure-subposet")
+        assert subposet.counterexamples == [
+            {**where, "child": [], "extra": [], "missing": [[1, 1]]} for where in expected
+        ]
         assert {r.failed for r in by_name.values()} == {0}
 
     def test_upsets_match_containment(self):
@@ -695,6 +714,8 @@ class TestRunners:
             ("conjecture-gen", {"n": [True, 5]}),
             ("conjecture-u", {"m": True}),
             ("conjecture-u", {"m": [[3], [False]]}),
+            # null is no value, not the default
+            ("sieved", {"m": 2, "a": 2, "b": 4, "k": None}),
         ):
             with pytest.raises(ValueError, match="expected"):
                 run_check(check, params)
