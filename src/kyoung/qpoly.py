@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, islice, starmap
+from itertools import accumulate, islice, repeat, starmap
 from operator import add, ge, gt, index, sub
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class QPoly:
@@ -300,6 +300,74 @@ def window_sum(prefix: list[list[int]], a: int, b: int) -> QPoly:
     """The strata at levels a+1 .. b: prefix[b] - prefix[a]."""
     upper, lower = prefix[b], prefix[a]
     return QPoly([*map(sub, upper, lower), *upper[len(lower):]])
+
+
+def _shift_walk(p: list[int], h: list[int], s: int, m: int) -> Iterator[tuple[QPoly, bool]]:
+    """Yield P_0 = p, then P_(r+1) = P_r + q^(s+rm) H, each with whether it
+    is settled: whether it is its predecessor with one period inserted.
+
+    p is extended in place: a step adds len(h) coefficients.  Needs s >= m
+    and H != 0.
+
+    Lemma (for non-negative coefficients).  Say the step at s_r = s + rm
+    inserts, P_(r+1)[s_r:] == P_r[s_r-m:]: P_(r+1) is P_r with the block
+    B = P_r[s_r-m:s_r] put in again at s_r.  For i >= s_r + m,
+    P_(r+2)[i] = P_(r+1)[i] + H[i-s_r-m] = P_r[i-m] + H[i-m-s_r] = P_(r+1)[i-m],
+    so the next step inserts too, and its block P_(r+1)[s_r:s_r+m] is B.
+    Every later P is then P_(r+1) with more copies of B beside the BB it
+    holds.  If B is not constant, its cyclic differences hold a fall and a
+    rise, and BB shows a fall before a rise; a fall needs a positive
+    coefficient, so both lie past the leading zeros, and no such P is
+    unimodal.  If B is constant, a longer run of it changes no outcome.  So
+    every P from the first settled one on has that one's outcome.
+    """
+    if s < m or not any(h):
+        raise ValueError(f"need s >= m and H != 0: s={s} m={m} H={h}")
+    # Q = (1 - q^m) P_r + q^(s_r) H is the same for every r, and for i >= s_r,
+    # P_(r+1)[i] - P_r[i-m] = Q[i]: the step at s_r inserts exactly when s_r > deg Q.
+    q = p + [0] * (max(m + len(p), s + len(h)) - len(p))
+    q[m:m + len(p)] = map(sub, q[m:m + len(p)], p)
+    q[s:s + len(h)] = map(add, q[s:s + len(h)], h)
+    top = QPoly(q).degree
+    settled = False
+    while True:
+        yield QPoly(p), settled
+        p += [0] * (s + len(h) - len(p))
+        p[s:s + len(h)] = map(add, p[s:s + len(h)], h)
+        settled = s > top
+        s += m
+
+
+def strata_walk(m: int, a: int, b: int, n: int) -> Iterator[tuple[QPoly, bool]]:
+    """The sum of the strata at levels a+1 .. b below (m^x) for x = n, n+1,
+    ..., each with whether it is settled: from the first settled one on,
+    every sum has its outcome under is_unimodal (see _shift_walk).
+
+    Needs m <= a < b and n >= b-m+1, where every level has a stratum.
+    """
+    if not 1 <= m <= a < b:
+        raise ValueError(f"need 1 <= m <= a < b: m={m} a={a} b={b}")
+    if n < b - m + 1:
+        raise ValueError(f"need n >= b - m + 1: m={m} n={n} b={b}")
+    # Level j's stratum is q^(j-m+1) G_j (1 - q^(m(x-j+m))) / (1 - q^m), with
+    # G_j = [j-1 choose m-2]_q.  Summed over the levels, (1 - q^m) P_x =
+    # D - H_x, where D = sum q^(j-m+1) G_j = [b choose m-1]_q - [a choose m-1]_q
+    # by q-Pascal, and H_x = sum q^(j-m+1+m(x-j+m)) G_j is what the levels
+    # gain from x to x+1.  G_j is palindromic of degree (m-2)(j-m+1), so H_x
+    # is D reversed about m(x+1): H_x[i] = D[m(x+1) - i].
+    if m == 1:  # every G_j is 0, and so is every sum
+        return repeat((QPoly.zero(), True))
+    upper, lower = gaussian(b, m - 1).coeffs, gaussian(a, m - 1).coeffs
+    d = [*map(sub, upper, lower), *upper[len(lower):]]
+    low = next(i for i, c in enumerate(d) if c)
+    h = d[low:][::-1]
+    s = m * (n + 1) - len(d) + 1  # the lowest exponent of H_n
+    p = d + [0] * (s + len(h) - len(d))
+    p[s:] = map(sub, p[s:], h)
+    for r in range(m):  # divide by 1 - q^m: a prefix sum with stride m
+        p[r::m] = accumulate(p[r::m])
+    del p[-m:]  # the division is exact, so these are zero
+    return _shift_walk(p, h, s, m)
 
 
 def conjecture_sum(a: int, b: int, m: int) -> QPoly:

@@ -21,7 +21,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import ideals, lattice, partitions, qpoly
 from .ideals import IdealSpec
@@ -162,36 +162,57 @@ def verify_conjecture_u(m: int, k_range: Range, n_range: Range) -> VerificationR
     return _sweep("conjecture-u", "conjecture", cells, notes)
 
 
+def _walk_cells(
+    walk: Iterator[tuple[QPoly, bool]], n_values: list[int], where: Callable[[int], dict]
+) -> Iterator[SweepCell]:
+    """One unimodality cell per n of a window's walk, the walk starting at
+    n_values[0].  A settled sum that passes decides every later n (see
+    qpoly._shift_walk), so they pass as one batch; one that fails still gets
+    a counterexample per n."""
+    passed = 0
+    for i, (n, (poly, settled)) in enumerate(zip(n_values, walk)):
+        if not qpoly.is_unimodal(poly):
+            yield False, {**where(n), "coefficients": poly.to_json_list()}
+        elif settled:
+            passed += len(n_values) - i
+            break
+        else:
+            passed += 1
+    yield Pass(passed)
+
+
 def _conjecture_u_cells(
     m: int, k_range: Range, n_range: Range, notes: list[str]
 ) -> Iterator[SweepCell]:
     boundary = 0
+    n_values = _as_values(n_range)
     for k in _as_values(k_range):
-        for n in _as_values(n_range):
-            r = k % m
-            if k <= m:
-                yield Skip("k <= m")
-            elif n < k - m + 1:
-                yield Skip("n < k-m+1")
-            elif r == 0:
-                yield Skip("k = 0 mod m (no claim)")
-            elif r == m - 1 and n == k - m + 1:
+        if k <= m:
+            yield Skip("k <= m", len(n_values))
+            continue
+        later = [n for n in n_values if n >= k - m + 1]
+        if len(later) < len(n_values):
+            yield Skip("n < k-m+1", len(n_values) - len(later))
+        if not later:
+            continue
+        r = k % m
+        at_first = later[0] == k - m + 1
+        if r == 0:
+            yield Skip("k = 0 mod m (no claim)", len(later))
+            continue
+        if r == m - 1:
+            if at_first:
                 yield Skip("k = -1 mod m at n = k-m+1 (no claim)")
-            else:
-                if r == m - 1:
-                    poly = qpoly.rank_gen_gamma(m, n, k) + qpoly.rank_gen_gamma(m, n, k + 1)
-                    mode = "u_k + u_k+1"
-                else:
-                    poly = qpoly.rank_gen_gamma(m, n, k)
-                    mode = "u_k"
-                    boundary += n == k - m + 1
-                yield qpoly.is_unimodal(poly), {
-                    "m": m,
-                    "k": k,
-                    "n": n,
-                    "mode": mode,
-                    "coefficients": poly.to_json_list(),
-                }
+                later = later[1:]
+            b, mode = k + 1, "u_k + u_k+1"
+        else:
+            b, mode = k, "u_k"
+            boundary += at_first
+        if later:
+            walk = qpoly.strata_walk(m, k - 1, b, later[0])
+            yield from _walk_cells(
+                walk, later, lambda n: {"m": m, "k": k, "n": n, "mode": mode}
+            )
     notes.append(f"boundary n = k-m+1 cells evaluated under the k != -1,0 clause: {boundary}")
 
 
@@ -210,7 +231,6 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
     for m_val in m_values:
         if m_val < 1:
             raise ValueError(f"m must be positive: {m_val}")
-        prefixes: dict[int, list[list[int]]] = {}
         for a_val in a_values:
             if a_val < m_val:
                 yield Skip("a < m", len(b_values) * len(n_values))
@@ -222,20 +242,14 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
                 if not qualifies(a_val, b_val, m_val):
                     yield Skip("endpoint = -1 mod a prime divisor of m", len(n_values))
                     continue
-                for n_val in n_values:
-                    if n_val < b_val - m_val + 1:
-                        yield Skip("n < b-m+1")
-                        continue
-                    if n_val not in prefixes:
-                        prefixes[n_val] = qpoly.stratum_prefixes(m_val, max(b_values), n_val)
-                    poly = qpoly.window_sum(prefixes[n_val], a_val, b_val)
-                    yield qpoly.is_unimodal(poly), {
-                        "m": m_val,
-                        "a": a_val,
-                        "b": b_val,
-                        "n": n_val,
-                        "coefficients": poly.to_json_list(),
-                    }
+                later = [n for n in n_values if n >= b_val - m_val + 1]
+                if len(later) < len(n_values):
+                    yield Skip("n < b-m+1", len(n_values) - len(later))
+                if later:
+                    walk = qpoly.strata_walk(m_val, a_val, b_val, later[0])
+                    yield from _walk_cells(
+                        walk, later, lambda n: {"m": m_val, "a": a_val, "b": b_val, "n": n}
+                    )
 
 
 def verify_sieved(m: Range, a: Range, b: Range, k: Range | None = None) -> VerificationReport:
@@ -285,8 +299,13 @@ def _sieved_cells(
                 sums = [hi[i % m_val] - lo[i % m_val] for i in range(a_val - m_val + 2, a_val + 2)]
                 # the window at q = 1: sum C(j-1, m-2), j = a+1 .. b, by the hockey stick
                 total = math.comb(b_val, m_val - 1) - math.comb(a_val, m_val - 1)
-                cyclo = all(qpoly.vanishes_mod_cyclotomic(sums, d) for d in divisors)
-                yield len(set(sums)) == 1 and sums[0] * m_val == total and cyclo, {
+                # m equal sums c fold mod d to c (m/d) (1 + q + ... + q^(d-1)), that
+                # is c (m/d) (q^d - 1)/(q - 1), which the d-th cyclotomic
+                # polynomial divides for every d > 1: only unequal sums need
+                # the division
+                equal = len(set(sums)) == 1
+                cyclo = equal or all(qpoly.vanishes_mod_cyclotomic(sums, d) for d in divisors)
+                yield equal and sums[0] * m_val == total and cyclo, {
                     "m": m_val,
                     "a": a_val,
                     "b": b_val,

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from kyoung.ideals import IdealSpec, enumerate_ideal, gamma_set, rank_vector
 from kyoung.qpoly import (
     QPoly,
+    _shift_walk,
     conjecture_sum,
     count_Lk,
     cyclotomic_check,
@@ -21,6 +22,7 @@ from kyoung.qpoly import (
     rank_gen_Lk,
     rank_gen_gamma,
     sieved_sums,
+    strata_walk,
     stratum_prefixes,
     times_geometric,
     vanishes_mod_cyclotomic,
@@ -438,6 +440,97 @@ class TestStratumPrefixes:
                     for b in range(a, b_max + 1):  # a = b is the empty window
                         expected = finite_strata_by_addition(m, n, a, b)
                         assert window_sum(prefix, a, b) == expected, (m, n, a, b)
+
+
+def is_period_insertion(before, after, m):
+    """Oracle: whether after is before with one period put in again at the
+    lowest exponent s where they differ, after[s:] == before[s-m:]."""
+    s = next(i for i, c in enumerate((after - before).coeffs) if c)
+    return after.coeffs[s:] == before.coeffs[s - m:]
+
+
+def walk_against(oracle, walk, m, start, steps_past=2, limit=60):
+    """Draw the walk from n = start, checking each sum against oracle(n) and
+    each settled flag against the first period insertion, until steps_past
+    steps past the first settled sum; returns that sum's n."""
+    before, settled_at = None, None
+    for n in range(start, start + limit):
+        poly, settled = next(walk)
+        assert poly == oracle(n), n
+        if before is not None and settled_at is None and is_period_insertion(before, poly, m):
+            settled_at = n
+        assert settled == (settled_at is not None), n
+        if settled_at is not None and n == settled_at + steps_past:
+            return settled_at
+        before = poly
+    raise AssertionError(f"no period insertion within {limit} steps")
+
+
+class TestStrataWalk:
+    """strata_walk against the per-n oracles on both sides of the first
+    period insertion: the step before it, the step itself and the steps after."""
+
+    def test_conjecture_gen_windows_match_repeated_addition(self):
+        offsets = set()
+        for m in range(2, 7):
+            for a in range(m, m + 5):
+                for b in range(a + 1, a + 6):
+                    for start in (b - m + 1, b - m + 3):
+                        oracle = lambda n: finite_strata_by_addition(m, n, a, b)  # noqa: E731
+                        settled_at = walk_against(oracle, strata_walk(m, a, b, start), m, start)
+                        offsets.add(settled_at - start)
+        # windows that settle one step in, and windows that settle many steps in
+        assert 1 in offsets and max(offsets) >= 5
+
+    def test_conjecture_u_windows_match_rank_gen_gamma(self):
+        offsets = set()
+        for m in (2, 3, 5, 7):
+            for k in range(m + 1, m + 13):
+                for b in (k, k + 1):  # u_k, and u_k + u_(k+1)
+                    start = b - m + 1
+
+                    def oracle(n):
+                        total = rank_gen_gamma(m, n, k)
+                        return total + rank_gen_gamma(m, n, k + 1) if b > k else total
+
+                    settled_at = walk_against(oracle, strata_walk(m, k - 1, b, start), m, start)
+                    offsets.add(settled_at - start)
+        assert 1 in offsets and max(offsets) >= 5
+
+    def test_m_one_has_no_strata(self):
+        # G_j = [j-1 choose -1]_q = 0, so H = 0 and every sum is the first one
+        for a, b in ((1, 2), (1, 6), (4, 9)):
+            walk = strata_walk(1, a, b, b)
+            for n in range(b, b + 5):
+                assert next(walk) == (QPoly.zero(), True)
+                assert finite_strata_by_addition(1, n, a, b).is_zero()
+
+    def test_validation(self):
+        for args in ((0, 1, 2, 5), (3, 2, 4, 5), (3, 4, 4, 5), (3, 4, 6, 3)):
+            with pytest.raises(ValueError):
+                strata_walk(*args)
+
+    def test_a_non_constant_block_breaks_unimodality_for_good(self):
+        # P_0 = q + 2q^2 + 2q^3, H = 2 + q + q^2 at s = 4, m = 3: the third
+        # sum inserts the block (2, 1, 1), and each later sum inserts it again
+        p0, h, s, m = [0, 1, 2, 2], [2, 1, 1], 4, 3
+        walk = _shift_walk(list(p0), h, s, m)
+        expected = QPoly(p0)
+        for r in range(8):
+            poly, settled = next(walk)
+            assert poly == expected, r
+            assert settled == (r >= 2), r
+            assert is_unimodal(poly) == (r < 2), r
+            if r >= 2:
+                at = s + (r - 1) * m
+                assert poly.coeffs[at - m:at] == (2, 1, 1), r
+            expected = expected + QPoly(h).shifted(s + r * m)
+
+    def test_shift_walk_validation(self):
+        with pytest.raises(ValueError):
+            next(_shift_walk([1, 1], [1], 1, 2))  # s < m
+        with pytest.raises(ValueError):
+            next(_shift_walk([1, 1], [0, 0], 2, 2))  # H = 0
 
 
 class TestConjectureSum:

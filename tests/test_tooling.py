@@ -32,18 +32,25 @@ def test_traced_launcher_runs_and_reads_gaussian_cache(tmp_path):
     [
         (
             ["verify", "sieved", "--m", "2:6", "--a", "2:9", "--b", "3:10", "--k", "3:12"],
-            {"qpoly.series", "qpoly.predicates", "qpoly.add"},
+            {"qpoly.gaussian", "qpoly.predicates"},
         ),
         (
             ["verify", "conjecture-gen", "--m", "2:4", "--a", "2:6", "--b", "3:7", "--n", "1:6"],
-            {"qpoly.series", "qpoly.predicates"},
+            {"qpoly.gaussian", "qpoly.predicates"},
+        ),
+        (
+            ["rankgen", "--m", "3", "--n", "3", "--k", "4"],
+            {"qpoly.series", "qpoly.add"},
         ),
     ],
-    ids=["sieved", "conjecture-gen"],
+    ids=["sieved", "conjecture-gen", "rankgen"],
 )
 def test_traced_launcher_times_the_qseries_layers(tmp_path, cli_args, expected):
-    # sieved reaches QPoly.__add__ through cyclotomic_polynomial's q^d - 1;
-    # conjecture-gen sums coefficient lists and adds no QPoly
+    # sieved and conjecture-gen read Gaussians and test their sums.  Neither
+    # reaches qpoly.series: sieved divides by no cyclotomic when a window's
+    # residue sums are equal, and conjecture-gen walks each window from two
+    # Gaussians, with no rank_gen_gamma.  rankgen reaches qpoly.series through
+    # rank_gen_Lk, which adds two QPolys (QPoly.__add__)
     layers = run_traced(tmp_path, cli_args)
     assert expected <= set(layers)
     assert all(layers[name]["calls"] > 0 for name in expected)

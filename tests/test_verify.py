@@ -11,8 +11,8 @@ import pytest
 
 from kyoung import ideals, lattice, partitions, qpoly, verify
 from kyoung.lattice import build_ideal
-from kyoung.qpoly import conjecture_sum
-from test_qpoly import finite_strata_by_addition
+from kyoung.qpoly import QPoly, _shift_walk, conjecture_sum
+from test_qpoly import finite_strata_by_addition, is_period_insertion
 from kyoung.verify import (
     Pass,
     Skip,
@@ -132,6 +132,33 @@ class TestConjectureU:
         assert "boundary n = k-m+1 cells evaluated under the k != -1,0 clause: 0" in blob
         assert rep.failed == 0
 
+    def test_counterexamples_past_the_first_insertion_are_the_oracle_sums(self, monkeypatch):
+        """As for conjecture-gen: the two kinds of window, u_k and
+        u_k + u_(k+1), fail exactly from their first period insertion on."""
+        m, k_r, n_r = 3, (4, 14), (1, 30)
+        cells, failing = [], set()
+        for k in verify._as_values(k_r):
+            if k % m == 0:
+                continue
+            pair = k % m == m - 1
+            mode = "u_k + u_k+1" if pair else "u_k"
+            first = k - m + 1 + pair
+            sums = [
+                (n, sum((qpoly.rank_gen_gamma(m, n, j) for j in range(k, k + 1 + pair)), QPoly()))
+                for n in range(first, 31)
+            ]
+            cells += [({"m": m, "k": k, "n": n, "mode": mode}, poly) for n, poly in sums]
+            inserted = [is_period_insertion(x, y, m) for (_, x), (_, y) in zip(sums, sums[1:])]
+            failing.update(poly for _, poly in sums[inserted.index(True) + 1:])
+        monkeypatch.setattr(qpoly, "is_unimodal", lambda p: p not in failing)
+        rep = verify_conjecture_u(m, k_r, n_r)
+        expected = [
+            {**where, "coefficients": list(poly.coeffs)} for where, poly in cells if poly in failing
+        ]
+        assert len(expected) > 50
+        assert rep.counterexamples == expected
+        assert (rep.grid, rep.failed) == (len(cells), len(expected))
+
     def test_counterexamples_recorded_not_raised(self, monkeypatch):
         monkeypatch.setattr(qpoly, "is_unimodal", lambda p: False)
         rep = verify_conjecture_u(3, (4, 6), (4, 8))
@@ -176,6 +203,94 @@ class TestConjectureGen:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             verify_conjecture_gen(0, 3, 4, 5)
+
+    def test_counterexamples_past_the_first_insertion_are_the_oracle_sums(self, monkeypatch):
+        """A predicate that fails exactly from each window's first period
+        insertion on: the walk must still give one counterexample per n,
+        each the sum of the strata added up level by level."""
+        m_r, a_r, b_r, n_r = (2, 5), (2, 8), (3, 9), (1, 24)
+        cells, failing = [], set()
+        for m, a, b in itertools.product(*map(verify._as_values, (m_r, a_r, b_r))):
+            if not m <= a < b or not qualifies(a, b, m):
+                continue
+            sums = [(n, finite_strata_by_addition(m, n, a, b)) for n in range(b - m + 1, 25)]
+            cells += [({"m": m, "a": a, "b": b, "n": n}, poly) for n, poly in sums]
+            inserted = [is_period_insertion(x, y, m) for (_, x), (_, y) in zip(sums, sums[1:])]
+            if True in inserted:
+                failing.update(poly for _, poly in sums[inserted.index(True) + 1:])
+        monkeypatch.setattr(qpoly, "is_unimodal", lambda p: p not in failing)
+        rep = verify_conjecture_gen(m_r, a_r, b_r, n_r)
+        expected = [
+            {**where, "coefficients": list(poly.coeffs)} for where, poly in cells if poly in failing
+        ]
+        assert len(expected) > 100
+        assert rep.counterexamples == expected
+        assert (rep.grid, rep.failed) == (len(cells), len(expected))
+
+    def test_walk_draws_do_not_grow_with_the_n_range(self, monkeypatch):
+        """Each window builds its first-n sum once, and a passing window stops
+        at its first period insertion: the builds and the sums drawn are the
+        same for n up to 40 and up to 400, and no prefix table is built."""
+        real = qpoly.strata_walk
+
+        def unused(*args):
+            raise AssertionError("conjecture-gen built a table of strata")
+
+        def counting(*args):
+            builds.append(args)
+            walk = real(*args)
+
+            def draws():
+                for item in walk:
+                    degrees.append(item[0].degree)
+                    yield item
+
+            return draws()
+
+        monkeypatch.setattr(qpoly, "strata_walk", counting)
+        monkeypatch.setattr(qpoly, "stratum_prefixes", unused)
+        seen = []
+        for n_hi in (40, 400):
+            builds, degrees = [], []
+            rep = verify_conjecture_gen((2, 6), (2, 20), (3, 21), (1, n_hi))
+            assert rep.failed == 0
+            seen.append((rep.grid, builds, degrees))
+        (grid_40, *walked_40), (grid_400, *walked_400) = seen
+        assert walked_40 == walked_400 and len(walked_40[0]) > 0
+        assert grid_400 > grid_40
+
+
+class TestWalkCells:
+    def test_a_non_constant_block_fails_at_every_later_n(self):
+        # the synthetic walk of test_qpoly: the sum at n = 12 is the first
+        # period insertion, of the block (2, 1, 1), and no later n may pass
+        p0, h, s, m = [0, 1, 2, 2], [2, 1, 1], 4, 3
+        n_values = list(range(10, 18))
+        walk = _shift_walk(list(p0), h, s, m)
+        cells = list(verify._walk_cells(walk, n_values, lambda n: {"n": n}))
+        poly, expected = QPoly(p0), []
+        for r, n in enumerate(n_values):
+            if n >= 12:
+                expected.append((False, {"n": n, "coefficients": list(poly.coeffs)}))
+            poly = poly + QPoly(h).shifted(s + r * m)
+        assert cells == [*expected, Pass(2)]
+
+    def test_a_passing_settled_sum_passes_the_rest_at_once(self):
+        # m = 5, window (6, 8]: the sum at n = 7 is the first period insertion
+        walk = qpoly.strata_walk(5, 6, 8, 4)
+        assert list(verify._walk_cells(walk, list(range(4, 100)), lambda n: {"n": n})) == [Pass(96)]
+
+    def test_a_window_that_does_not_qualify_fails_for_good(self):
+        # m = 3, window (3, 5], 5 = -1 mod 3: from n = 5 on each sum inserts
+        # the block (3, 2, 2) again, so every later n fails
+        n_values = list(range(3, 12))
+        walk = qpoly.strata_walk(3, 3, 5, 3)
+        cells = list(verify._walk_cells(walk, n_values, lambda n: {"n": n}))
+        expected = [
+            (False, {"n": n, "coefficients": finite_strata_by_addition(3, n, 3, 5).to_json_list()})
+            for n in range(5, 12)
+        ]
+        assert cells == [*expected, Pass(2)]
 
 
 class TestSieved:
@@ -236,6 +351,36 @@ class TestSieved:
         for cx in rep.counterexamples:
             window = conjecture_sum(cx["a"], cx["b"], cx["m"])
             assert cx["sieved_sums"] == qpoly.sieved_sums(window, cx["m"]), cx
+
+    def test_equal_sums_skip_the_cyclotomic_division(self, monkeypatch):
+        """Compare the cyclotomic clause with the division on every cell.
+        Forcing qualifies makes some windows' sums unequal; padding each
+        Gaussian as above fails every cell on its total, so each cell's sums
+        and clause are recorded.  Only unequal sums reach the division."""
+        divided = []
+
+        def spy(sums, d):
+            divided.append(tuple(sums))
+            return qpoly.vanishes_mod_cyclotomic(sums, d)
+
+        def padded_gaussian(x, j):  # the tally reads [x choose m-1]_q
+            return qpoly.gaussian(x, j) + x * qpoly.QPoly.geometric(1, j + 1)
+
+        names = {"gaussian": padded_gaussian, "vanishes_mod_cyclotomic": spy}
+        monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
+        monkeypatch.setattr(verify, "qualifies", lambda a, b, m: True)
+        rep = verify_sieved((2, 8), (2, 14), (3, 15))
+        assert rep.grid > 0 and rep.failed == rep.grid
+        equal = 0
+        for cx in rep.counterexamples:
+            sums, m = cx["sieved_sums"], cx["m"]
+            divisors = [d for d in range(2, m + 1) if m % d == 0]
+            assert cx["cyclotomic"] == all(
+                qpoly.vanishes_mod_cyclotomic(sums, d) for d in divisors
+            ), cx
+            equal += len(set(sums)) == 1
+        assert 0 < equal < rep.grid
+        assert divided and all(len(set(sums)) > 1 for sums in divided)
 
     def test_windows_need_no_stratum_prefixes(self, monkeypatch):
         """The windows are read from two Gaussians' residue totals, never from
@@ -746,10 +891,13 @@ class TestGoldenReports:
     to a recorded digest: counts, counterexamples, note order and skip-reason
     text are all pinned."""
 
-    # test id: (check, grid, digest).  structure-workload and
-    # sieved-qseries-small are the grids of the benchmark's structure workload
-    # and of its qseries-small sieved run; sieved-large-m takes m past 14, up
-    # to 24 with its seven divisors d > 1.
+    # test id: (check, grid, digest).  structure-workload,
+    # sieved-qseries-small, conjecture-gen-qseries-small and
+    # conjecture-u-qseries-large are the grids of the benchmark's structure,
+    # qseries-small and qseries-large runs; sieved-large-m takes m past 14, up
+    # to 24 with its seven divisors d > 1.  The wide-n and from-n grids run
+    # most windows past their first period insertion, and from-m-1 has m = 1,
+    # where no level has a stratum; their digests predate the walk.
     CASES = {
         "conjecture-u": (
             "conjecture-u",
@@ -780,6 +928,36 @@ class TestGoldenReports:
             "sieved",
             {"m": [2, 14], "a": [2, 32], "b": [3, 33], "k": [3, 55]},
             "5eb63bfab53db8381bf25366655d7b17f338739800fe123733576ecdad2950e0",
+        ),
+        "conjecture-gen-qseries-small": (
+            "conjecture-gen",
+            {"m": [2, 14], "a": [2, 26], "b": [3, 27], "n": [1, 26]},
+            "7c81b240a0137ff6fa233ca63db31bbd6cf6d01a3d3d709df52cd88ad57830ac",
+        ),
+        "conjecture-u-qseries-large": (
+            "conjecture-u",
+            {"m": [[2], [3], [5], [7]], "k": [1, 50], "n": [1, 60]},
+            "5bbb3405cd2f45e7338ea6b09bf3f06861749f09cfccf1f797de7c3ee6fa48ca",
+        ),
+        "conjecture-gen-wide-n": (
+            "conjecture-gen",
+            {"m": [2, 6], "a": [2, 20], "b": [3, 21], "n": [1, 150]},
+            "64150fd68f36c57c3fa44620287b7b343d6041f69ce029d6849fb75e4d78c0d6",
+        ),
+        "conjecture-gen-from-m-1": (
+            "conjecture-gen",
+            {"m": [1, 9], "a": [1, 15], "b": [1, 16], "n": [1, 40]},
+            "6f7310992360ae455303927c4f182d5df95dbcd1fc6bc22a747ae1067c29a522",
+        ),
+        "conjecture-u-wide-n": (
+            "conjecture-u",
+            {"m": [[2], [3], [5], [7], [11], [13]], "k": [1, 40], "n": [1, 120]},
+            "c27cbe1c2d04f732f2acafb4ca2ddecf00b33f4793c634779912ec483e08c448",
+        ),
+        "conjecture-u-from-n-20": (
+            "conjecture-u",
+            {"m": [[2], [3], [5], [7], [11], [13]], "k": [5, 60], "n": [20, 70]},
+            "4e0823f8bf2e804fff1951b0141aac6a71b0d849ccaeb514f7374ccdeae424d1",
         ),
         "sieved-large-m": (
             "sieved",
