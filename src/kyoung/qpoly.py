@@ -281,27 +281,6 @@ def sieved_sums(p: QPoly, m: int) -> list[int]:
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
-def stratum_prefixes(m: int, b_max: int, n: int) -> list[list[int]]:
-    """prefix[x] = coefficients of the sum of rank_gen_gamma(m, n, j) over the
-    levels j = m+1 .. x, for x <= b_max; each list is at least as long as the
-    one before.  Levels past n+m-1, whose strata are empty, add nothing."""
-    prefix: list[list[int]] = [[]] * (b_max + 1)
-    acc: list[int] = []
-    for j in range(m + 1, b_max + 1):
-        # the level-j stratum is empty once j - m + 1 > n
-        cs = rank_gen_gamma(m, n, j).coeffs if j < n + m else ()
-        if cs:
-            acc = [*map(add, acc, cs), *acc[len(cs):], *cs[len(acc):]]
-        prefix[j] = acc
-    return prefix
-
-
-def window_sum(prefix: list[list[int]], a: int, b: int) -> QPoly:
-    """The strata at levels a+1 .. b: prefix[b] - prefix[a]."""
-    upper, lower = prefix[b], prefix[a]
-    return QPoly([*map(sub, upper, lower), *upper[len(lower):]])
-
-
 def _shift_walk(p: list[int], h: list[int], s: int, m: int) -> Iterator[tuple[QPoly, bool]]:
     """Yield P_0 = p, then P_(r+1) = P_r + q^(s+rm) H, each with whether it
     is settled: whether it is its predecessor with one period inserted.

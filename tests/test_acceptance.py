@@ -4,6 +4,8 @@ Lines are printed as the tests run (visible with -s) and replayed in the
 terminal summary. A criterion that exceeds its time budget fails.
 """
 
+import itertools
+import random
 import time
 from contextlib import contextmanager
 from math import comb
@@ -26,6 +28,7 @@ from kyoung.lattice import (
     leq,
 )
 from kyoung.partitions import (
+    Parts,
     all_k_rectangles,
     conjugate,
     contains,
@@ -45,7 +48,6 @@ from kyoung.qpoly import (
 )
 from kyoung.verify import (
     VerificationReport,
-    _sample_triples,
     verify_conjecture_gen,
     verify_conjecture_u,
     verify_sieved,
@@ -163,6 +165,15 @@ def test_c08_order_is_containment_inside_ideals():
             for x in members:
                 for y in members:
                     assert leq(x, y, spec.k) == contains(x, y), (spec, x, y)
+
+
+def _sample_triples(members: list[Parts], limit: int, seed: int) -> list[tuple[Parts, Parts, Parts]]:
+    """All triples, or limit seeded draws of C09's distributive-law checks."""
+    if len(members) ** 3 <= limit:
+        return list(itertools.product(members, repeat=3))
+    rng = random.Random(seed)
+    draws = iter(lambda: rng.choice(members), None)
+    return list(itertools.islice(zip(draws, draws, draws), limit))
 
 
 def test_c09_selfduality_and_lattice_operations():

@@ -23,10 +23,8 @@ from kyoung.qpoly import (
     rank_gen_gamma,
     sieved_sums,
     strata_walk,
-    stratum_prefixes,
     times_geometric,
     vanishes_mod_cyclotomic,
-    window_sum,
 )
 
 
@@ -428,20 +426,6 @@ def limit_strata_by_addition(m, a, b):
     return total
 
 
-class TestStratumPrefixes:
-    def test_finite_windows_match_repeated_addition(self):
-        for m in range(1, 7):
-            for n in range(1, 8):
-                b_max = n + m + 1  # two levels past the last stratum
-                prefix = stratum_prefixes(m, b_max, n)
-                assert len(prefix) == b_max + 1
-                assert all(len(x) <= len(y) for x, y in zip(prefix, prefix[1:]))
-                for a in range(m, b_max + 1):
-                    for b in range(a, b_max + 1):  # a = b is the empty window
-                        expected = finite_strata_by_addition(m, n, a, b)
-                        assert window_sum(prefix, a, b) == expected, (m, n, a, b)
-
-
 def is_period_insertion(before, after, m):
     """Oracle: whether after is before with one period put in again at the
     lowest exponent s where they differ, after[s:] == before[s-m:]."""
@@ -620,6 +604,17 @@ class TestCyclotomic:
                         verdicts.add(folded)
                         assert folded == rem.is_zero(), (m, d, a, b)
         assert verdicts == {True, False}
+
+    def test_equal_sums_are_the_divisions_at_every_divisor(self):
+        """The lemma behind sieved's cyclotomic clause: each m-th root of unity
+        z != 1 is a primitive d-th root for one d | m with d > 1, and
+        sum s_r z^r vanishes at all of them exactly when s is constant.
+        Every s in {0,1,2}^m for m <= 8 and in {0,1}^m for m <= 12."""
+        for m in range(1, 13):
+            divisors = [d for d in range(2, m + 1) if m % d == 0]
+            for sums in itertools.product(range(3 if m <= 8 else 2), repeat=m):
+                divided = all(vanishes_mod_cyclotomic(list(sums), d) for d in divisors)
+                assert divided == (len(set(sums)) == 1), sums
 
     def test_fold_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
-"""The traced benchmark launcher still finds every name it wraps."""
+"""The traced benchmark launcher still finds every name it wraps, and the
+package imports no source of randomness."""
 
+import ast
 import json
 import os
 import subprocess
@@ -47,10 +49,11 @@ def test_traced_launcher_runs_and_reads_gaussian_cache(tmp_path):
 )
 def test_traced_launcher_times_the_qseries_layers(tmp_path, cli_args, expected):
     # sieved and conjecture-gen read Gaussians and test their sums.  Neither
-    # reaches qpoly.series: sieved divides by no cyclotomic when a window's
-    # residue sums are equal, and conjecture-gen walks each window from two
-    # Gaussians, with no rank_gen_gamma.  rankgen reaches qpoly.series through
-    # rank_gen_Lk, which adds two QPolys (QPoly.__add__)
+    # reaches qpoly.series: sieved divides by no cyclotomic, since its
+    # cyclotomic clause is that a window's residue sums are equal, and
+    # conjecture-gen walks each window from two Gaussians, with no
+    # rank_gen_gamma.  rankgen reaches qpoly.series through rank_gen_Lk,
+    # which adds two QPolys (QPoly.__add__)
     layers = run_traced(tmp_path, cli_args)
     assert expected <= set(layers)
     assert all(layers[name]["calls"] > 0 for name in expected)
@@ -81,3 +84,15 @@ def test_traced_launcher_times_the_report_writer(tmp_path):
     layers = run_traced(tmp_path, cli_args)
     assert (tmp_path / "F").exists()
     assert layers["verify.render"]["calls"] > 0
+
+
+def test_no_module_imports_random():
+    # no randomness affects any report (README), so the package draws none
+    for path in sorted((ROOT / "src" / "kyoung").rglob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+        assert "random" not in imported, path

@@ -230,11 +230,8 @@ class TestConjectureGen:
     def test_walk_draws_do_not_grow_with_the_n_range(self, monkeypatch):
         """Each window builds its first-n sum once, and a passing window stops
         at its first period insertion: the builds and the sums drawn are the
-        same for n up to 40 and up to 400, and no prefix table is built."""
+        same for n up to 40 and up to 400."""
         real = qpoly.strata_walk
-
-        def unused(*args):
-            raise AssertionError("conjecture-gen built a table of strata")
 
         def counting(*args):
             builds.append(args)
@@ -248,7 +245,6 @@ class TestConjectureGen:
             return draws()
 
         monkeypatch.setattr(qpoly, "strata_walk", counting)
-        monkeypatch.setattr(qpoly, "stratum_prefixes", unused)
         seen = []
         for n_hi in (40, 400):
             builds, degrees = [], []
@@ -300,9 +296,9 @@ class TestSieved:
         assert rep.status == "theorem"
 
     def test_scalar_rejects_nonqualifying(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^window endpoints .*: m=2 a=3 b=6$"):
             verify_sieved(2, 3, 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need m <= a < b: m=3 a=2 b=6$"):
             verify_sieved(3, 2, 6)
 
     def test_range_skips_instead(self):
@@ -353,20 +349,18 @@ class TestSieved:
             assert cx["sieved_sums"] == qpoly.sieved_sums(window, cx["m"]), cx
 
     def test_equal_sums_skip_the_cyclotomic_division(self, monkeypatch):
-        """Compare the cyclotomic clause with the division on every cell.
-        Forcing qualifies makes some windows' sums unequal; padding each
-        Gaussian as above fails every cell on its total, so each cell's sums
-        and clause are recorded.  Only unequal sums reach the division."""
-        divided = []
+        """No cell divides by a cyclotomic, and on every cell the clause is
+        the division.  Forcing qualifies makes some windows' sums unequal;
+        padding each Gaussian as above fails every cell on its total, so each
+        cell's sums and clause are recorded."""
 
-        def spy(sums, d):
-            divided.append(tuple(sums))
-            return qpoly.vanishes_mod_cyclotomic(sums, d)
+        def unused(*args):
+            raise AssertionError("sieved divided by a cyclotomic")
 
         def padded_gaussian(x, j):  # the tally reads [x choose m-1]_q
             return qpoly.gaussian(x, j) + x * qpoly.QPoly.geometric(1, j + 1)
 
-        names = {"gaussian": padded_gaussian, "vanishes_mod_cyclotomic": spy}
+        names = {"gaussian": padded_gaussian, "vanishes_mod_cyclotomic": unused}
         monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
         monkeypatch.setattr(verify, "qualifies", lambda a, b, m: True)
         rep = verify_sieved((2, 8), (2, 14), (3, 15))
@@ -380,19 +374,32 @@ class TestSieved:
             ), cx
             equal += len(set(sums)) == 1
         assert 0 < equal < rep.grid
-        assert divided and all(len(set(sums)) > 1 for sums in divided)
 
-    def test_windows_need_no_stratum_prefixes(self, monkeypatch):
+    def test_windows_need_no_strata(self, monkeypatch):
         """The windows are read from two Gaussians' residue totals, never from
-        a table of strata."""
+        a sum of strata."""
 
         def unused(*args):
             raise AssertionError("sieved summed strata")
 
-        names = {"window_sum": unused, "stratum_prefixes": unused}
+        names = {"strata_walk": unused, "rank_gen_gamma": unused, "conjecture_sum": unused}
         monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
         rep = verify_sieved((2, 14), (2, 32), (3, 33), (3, 55))
         assert rep.grid > 0 and rep.failed == 0
+
+    def test_skips_come_one_per_m_and_a(self):
+        """One skip per (m, a) for the windows outside m <= a < b, and one per
+        prime m for the single-Gaussian half, each counting its cells."""
+        cells = list(verify._sieved_cells((2, 5), (2, 9), (3, 10), (3, 20), []))
+        skips = [cell for cell in cells if isinstance(cell, Skip)]
+        outside = [s.count for s in skips if s.reason == "window outside m <= a < b"]
+        single = [s.count for s in skips if s.reason.startswith("k <= m")]
+        # every window of (m, a) = (2, 2) is inside; m = 2, 3, 5 are prime
+        assert (len(outside), len(single)) == (4 * 8 - 1, 3)
+        windows = itertools.product(range(2, 6), range(2, 10), range(3, 11))
+        assert sum(outside) == sum(not m <= a < b for m, a, b in windows)
+        levels = itertools.product((2, 3, 5), range(3, 21))
+        assert sum(single) == sum(k <= m or k % m in (0, m - 1) for m, k in levels)
 
 
 class TestStructure:
@@ -666,6 +673,22 @@ class TestStructure:
         assert subposet.counterexamples == [
             {**where, "child": [], "extra": [], "missing": [[1, 1]]} for where in expected
         ]
+        assert {r.failed for r in by_name.values()} == {0}
+
+    def test_decomposition_takes_the_strata_from_their_walk(self, monkeypatch):
+        """Add 1 to every sum of the strata walk on verify's view of qpoly:
+        structure-decomposition alone fails, on exactly its cells with k > m,
+        the ones with strata to sum."""
+
+        def off_by_one(*args):
+            return ((poly + QPoly.one(), settled) for poly, settled in qpoly.strata_walk(*args))
+
+        view = SimpleNamespace(**{**vars(qpoly), "strata_walk": off_by_one})
+        monkeypatch.setattr(verify, "qpoly", view)
+        by_name = {r.check: r for r in verify_structure(3, 4, 5, 6)}
+        decomposition = by_name.pop("structure-decomposition")
+        specs = verify._grid_cells(verify._Grid(3, 4, 5, 6))
+        assert decomposition.counterexamples == [asdict(s) for s in specs if s.k > s.m]
         assert {r.failed for r in by_name.values()} == {0}
 
     def test_upsets_match_containment(self):
