@@ -236,11 +236,10 @@ def count_Lk(m: int, n: int, k: int) -> int:
 
 
 def rank_gen_gamma(m: int, n: int, k: int) -> QPoly:
-    """Rank generating function of the level-k stratum below (m^n).
-
-    q^(k-m+1) times the degree-m geometric sum with n-k+m terms times
-    [k-1 choose m-2]_q; palindromic about mn/2.
-    """
+    """Rank generating function of the level-k stratum below (m^n), in closed
+    form: q^(k-m+1) times the degree-m geometric sum with n-k+m terms times
+    [k-1 choose m-2]_q, palindromic about mn/2.  No sweep calls it: the tests
+    hold the window (k-1, k] of strata_walk to it."""
     if not 1 <= m < k:
         raise ValueError(f"need 1 <= m < k: m={m} k={k}")
     if n < k - m + 1:

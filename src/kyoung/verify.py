@@ -265,36 +265,46 @@ def verify_sieved(m: Range, a: Range, b: Range, k: Range | None = None) -> Verif
     return _sweep("sieved", "theorem", _sieved_cells(m, a, b, k, notes), notes)
 
 
+def _window_sums(tally: list[list[int]], m: int, a: int, b: int) -> list[int]:
+    # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
+    # telescopes conjecture_sum(a, b, m) to ([b choose m-1]_q - [a choose m-1]_q) over
+    # q^(a-m+2), whose residue r is residue r + a - m + 2 of the two Gaussians.
+    return [tally[b][i % m] - tally[a][i % m] for i in range(a - m + 2, a + 2)]
+
+
 def _sieved_cells(
     m: Range, a: Range, b: Range, k: Range | None, notes: list[str]
 ) -> Iterator[SweepCell]:
     scalar = isinstance(m, int) and isinstance(a, int) and isinstance(b, int)
-    b_values = _as_values(b)
-    b_max = max(b_values)
-    for m_val in _as_values(m):
+    m_values, b_values = _as_values(m), _as_values(b)
+    k_values = [] if k is None else _as_values(k)
+    claims = {  # the single-Gaussian cells of each prime m
+        m_val: [x for x in k_values if x > m_val and x % m_val not in (0, m_val - 1)]
+        for m_val in filter(is_prime, m_values)
+    }
+    tallies = {}
+    for m_val in m_values:
         if m_val < 2:
             raise ValueError(f"m must be at least 2: {m_val}")
-        tally = [qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in range(b_max + 1)]
+        top = max(b_values + claims.get(m_val, []))
+        tally = [qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in range(top + 1)]
+        tallies[m_val] = tally
         for a_val in _as_values(a):
             inside = [b_val for b_val in b_values if m_val <= a_val < b_val]
             if len(inside) < len(b_values):
                 if scalar:
                     raise ValueError(f"need m <= a < b: m={m_val} a={a_val} b={b}")
                 yield Skip("window outside m <= a < b", len(b_values) - len(inside))
-            for b_val in inside:
-                if not qualifies(a_val, b_val, m_val):
-                    if scalar:
-                        raise ValueError(
-                            f"window endpoints must avoid -1 mod every prime divisor of m:"
-                            f" m={m_val} a={a_val} b={b_val}"
-                        )
-                    yield Skip("endpoint = -1 mod a prime divisor of m")
-                    continue
-                # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
-                # telescopes conjecture_sum(a, b, m) to ([b choose m-1]_q - [a choose m-1]_q) over
-                # q^(a-m+2), whose residue r is residue r + a - m + 2 of the two Gaussians.
-                lo, hi = tally[a_val], tally[b_val]
-                sums = [hi[i % m_val] - lo[i % m_val] for i in range(a_val - m_val + 2, a_val + 2)]
+            windows = [b_val for b_val in inside if qualifies(a_val, b_val, m_val)]
+            if len(windows) < len(inside):
+                if scalar:
+                    raise ValueError(
+                        f"window endpoints must avoid -1 mod every prime divisor of m:"
+                        f" m={m_val} a={a_val} b={b}"
+                    )
+                yield Skip("endpoint = -1 mod a prime divisor of m", len(inside) - len(windows))
+            for b_val in windows:
+                sums = _window_sums(tally, m_val, a_val, b_val)
                 # the window at q = 1: sum C(j-1, m-2), j = a+1 .. b, by the hockey stick
                 total = math.comb(b_val, m_val - 1) - math.comb(a_val, m_val - 1)
                 # The cyclotomic clause, that the d-th cyclotomic polynomial divides
@@ -313,17 +323,13 @@ def _sieved_cells(
                 }
     if k is None:
         return
-    k_values = _as_values(k)
-    gauss_cells = 0
-    for m_val in filter(is_prime, _as_values(m)):
-        claimed = [x for x in k_values if x > m_val and x % m_val not in (0, m_val - 1)]
+    for m_val, claimed in claims.items():
         if len(claimed) < len(k_values):
             yield Skip(
                 "k <= m or k = -1,0 mod m (no single-gaussian claim)", len(k_values) - len(claimed)
             )
-        gauss_cells += len(claimed)
         for k_val in claimed:
-            sums = qpoly.sieved_sums(qpoly.gaussian(k_val - 1, m_val - 2), m_val)
+            sums = _window_sums(tallies[m_val], m_val, k_val - 1, k_val)  # [k-1 choose m-2]_q
             expected = math.comb(k_val - 1, m_val - 2)
             yield len(set(sums)) == 1 and sums[0] * m_val == expected, {
                 "m": m_val,
@@ -331,7 +337,7 @@ def _sieved_cells(
                 "sieved_sums": sums,
                 "expected_total": expected,
             }
-    notes.append(f"single-gaussian cells for prime m: {gauss_cells}")
+    notes.append(f"single-gaussian cells for prime m: {sum(map(len, claims.values()))}")
 
 
 class _Grid(NamedTuple):
@@ -547,7 +553,7 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
         smaller = previous.pop(IdealSpec(spec.m, spec.n, spec.k - 1))
         gamma = set(ideals.gamma_set(spec))
         ok = members == smaller | gamma and not (smaller & gamma)
-        poly = qpoly.rank_gen_gamma(spec.m, spec.n, spec.k)
+        poly, _ = next(qpoly.strata_walk(spec.m, spec.k - 1, spec.k, spec.n))  # the window (k-1, k]
         expected = tuple(poly.coefficient(i) for i in range(spec.top_rank + 1))
         ok = ok and ideals.rank_vector(gamma, spec.top_rank).counts == expected
         ok = ok and qpoly.is_symmetric(poly, spec.top_rank)

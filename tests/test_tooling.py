@@ -1,5 +1,6 @@
-"""The traced benchmark launcher still finds every name it wraps, and the
-package imports no source of randomness."""
+"""The traced benchmark launcher still finds every name it wraps, the
+package imports no source of randomness, and verify builds its Gaussians in
+one place."""
 
 import ast
 import json
@@ -96,3 +97,28 @@ def test_no_module_imports_random():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
         assert "random" not in imported, path
+
+
+def test_verify_reads_gaussians_only_in_the_sieved_tally():
+    # the level-k stratum comes from qpoly.strata_walk, whose closed form
+    # rank_gen_gamma is the tests' oracle, and sieved reads both of its
+    # halves off one tally of [x choose m-1]_q
+    path = ROOT / "src" / "kyoung" / "verify.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names.update(node.attr for node in nodes if isinstance(node, ast.Attribute))
+    names.update(node.name for node in nodes if isinstance(node, ast.alias))
+    assert "rank_gen_gamma" not in names
+    tallies = [
+        node.value
+        for node in nodes
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["tally"]
+    ]
+    calls = [
+        node
+        for node in nodes
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("gaussian", "qpoly.gaussian")
+    ]
+    assert len(tallies) == 1 and len(calls) == 1
+    assert calls[0] in list(ast.walk(tallies[0]))
+    assert [ast.unparse(arg) for arg in calls[0].args] == ["x", "m_val - 1"]

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -376,28 +377,63 @@ class TestSieved:
         assert 0 < equal < rep.grid
 
     def test_windows_need_no_strata(self, monkeypatch):
-        """The windows are read from two Gaussians' residue totals, never from
-        a sum of strata."""
+        """The windows and the single-Gaussian cells are read from the
+        residue totals of Gaussians [x choose m-1]_q, never from a sum of
+        strata, with x up to the largest b or claimed k of that m.  m = 2
+        claims no k, so however far k runs, no Gaussian past b is built."""
 
         def unused(*args):
             raise AssertionError("sieved summed strata")
 
+        asked = set()
+
+        def recorded_gaussian(x, j):
+            asked.add((x, j))
+            return qpoly.gaussian(x, j)
+
         names = {"strata_walk": unused, "rank_gen_gamma": unused, "conjecture_sum": unused}
+        names["gaussian"] = recorded_gaussian
         monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
-        rep = verify_sieved((2, 14), (2, 32), (3, 33), (3, 55))
-        assert rep.grid > 0 and rep.failed == 0
+        for m, a, b, k in [((2, 14), (2, 32), (3, 33), (3, 55)), (2, (2, 9), (3, 10), (3, 10**6))]:
+            asked.clear()
+            rep = verify_sieved(m, a, b, k)
+            assert rep.grid > 0 and rep.failed == 0
+            m_values, b_values, k_values = map(verify._as_values, (m, b, k))
+            allowed = set()
+            for m_val in m_values:
+                top = max(b_values)
+                if is_prime(m_val):
+                    claimed = [x for x in k_values if x > m_val and x % m_val not in (0, m_val - 1)]
+                    top = max([top, *claimed])
+                allowed.update((x, m_val - 1) for x in range(top + 1))
+            assert asked and asked <= allowed, sorted(asked - allowed)[:5]
+
+    def test_single_gaussian_cells_are_the_windows_one_level_wide(self):
+        """[k choose m-1]_q - [k-1 choose m-1]_q = q^(k-m+1) [k-1 choose m-2]_q,
+        so the window (k-1, k] gives the single Gaussian's residue totals."""
+        cells = verify._sieved_cells((2, 14), (2, 32), (3, 33), (3, 55), [])
+        single = [cell[1] for cell in cells if not isinstance(cell, Skip) and "k" in cell[1]]
+        assert len(single) > 100
+        for cx in single:
+            m, k = cx["m"], cx["k"]
+            assert cx["sieved_sums"] == qpoly.sieved_sums(qpoly.gaussian(k - 1, m - 2), m), cx
+            assert cx["expected_total"] == math.comb(k - 1, m - 2), cx
 
     def test_skips_come_one_per_m_and_a(self):
-        """One skip per (m, a) for the windows outside m <= a < b, and one per
-        prime m for the single-Gaussian half, each counting its cells."""
+        """One skip per (m, a) for the windows outside m <= a < b, one per
+        (m, a) for the non-qualifying windows inside, and one per prime m for
+        the single-Gaussian half, each counting its cells."""
         cells = list(verify._sieved_cells((2, 5), (2, 9), (3, 10), (3, 20), []))
         skips = [cell for cell in cells if isinstance(cell, Skip)]
         outside = [s.count for s in skips if s.reason == "window outside m <= a < b"]
+        endpoint = [s.count for s in skips if s.reason.startswith("endpoint = -1")]
         single = [s.count for s in skips if s.reason.startswith("k <= m")]
         # every window of (m, a) = (2, 2) is inside; m = 2, 3, 5 are prime
         assert (len(outside), len(single)) == (4 * 8 - 1, 3)
-        windows = itertools.product(range(2, 6), range(2, 10), range(3, 11))
+        windows = list(itertools.product(range(2, 6), range(2, 10), range(3, 11)))
         assert sum(outside) == sum(not m <= a < b for m, a, b in windows)
+        refused = [(m, a) for m, a, b in windows if m <= a < b and not qualifies(a, b, m)]
+        assert len(endpoint) == len(set(refused)) and sum(endpoint) == len(refused)
         levels = itertools.product((2, 3, 5), range(3, 21))
         assert sum(single) == sum(k <= m or k % m in (0, m - 1) for m, k in levels)
 
@@ -677,8 +713,10 @@ class TestStructure:
 
     def test_decomposition_takes_the_strata_from_their_walk(self, monkeypatch):
         """Add 1 to every sum of the strata walk on verify's view of qpoly:
-        structure-decomposition alone fails, on exactly its cells with k > m,
-        the ones with strata to sum."""
+        structure-gamma and structure-decomposition each fail, on exactly
+        their cells with k > m, the ones with a stratum to read (gamma's is
+        the window (k-1, k], decomposition's the window (m, k]); every other
+        family passes."""
 
         def off_by_one(*args):
             return ((poly + QPoly.one(), settled) for poly, settled in qpoly.strata_walk(*args))
@@ -686,10 +724,25 @@ class TestStructure:
         view = SimpleNamespace(**{**vars(qpoly), "strata_walk": off_by_one})
         monkeypatch.setattr(verify, "qpoly", view)
         by_name = {r.check: r for r in verify_structure(3, 4, 5, 6)}
-        decomposition = by_name.pop("structure-decomposition")
         specs = verify._grid_cells(verify._Grid(3, 4, 5, 6))
-        assert decomposition.counterexamples == [asdict(s) for s in specs if s.k > s.m]
+        expected = [asdict(s) for s in specs if s.k > s.m]
+        assert len(expected) == 17
+        for name in ("structure-gamma", "structure-decomposition"):
+            assert by_name.pop(name).counterexamples == expected, name
         assert {r.failed for r in by_name.values()} == {0}
+
+    def test_structure_needs_no_rank_gen_gamma(self, monkeypatch):
+        """The closed form of the level-k stratum is the tests' oracle; the
+        sweep reads the stratum off its walk."""
+
+        def unused(*args):
+            raise AssertionError("structure called rank_gen_gamma")
+
+        view = SimpleNamespace(**{**vars(qpoly), "rank_gen_gamma": unused})
+        monkeypatch.setattr(verify, "qpoly", view)
+        reports = verify_structure(4, 5, 7, 10)
+        assert len(reports) == 10
+        assert all(r.grid > 0 and r.failed == 0 for r in reports), [r.check for r in reports]
 
     def test_upsets_match_containment(self):
         """On every ideal of the default grid, bit j of entry x is
