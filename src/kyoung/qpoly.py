@@ -280,12 +280,17 @@ def sieved_sums(p: QPoly, m: int) -> list[int]:
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
-def _shift_walk(p: list[int], h: list[int], s: int, m: int) -> Iterator[tuple[QPoly, bool]]:
+def _shift_walk(
+    p: list[int], h: list[int], s: int, m: int, top: int
+) -> Iterator[tuple[QPoly, bool]]:
     """Yield P_0 = p, then P_(r+1) = P_r + q^(s+rm) H, each with whether it
     is settled: whether it is its predecessor with one period inserted.
 
-    p is extended in place: a step adds len(h) coefficients.  Needs s >= m
-    and H != 0.
+    p is extended in place: a step adds len(h) coefficients.  Needs s >= m.
+    D = (1 - q^m) P_r + q^(s+rm) H is the same for every r, of degree top,
+    and P_(r+1)[i] - P_r[i-m] = D[i], so the step at s+rm inserts exactly
+    when s+rm > top.  In strata_walk D is the window polynomial, so the sum
+    at x is settled exactly when x > n and m x > 2 deg D = 2(m-1)(b-m+1).
 
     Lemma (for non-negative coefficients).  Say the step at s_r = s + rm
     inserts, P_(r+1)[s_r:] == P_r[s_r-m:]: P_(r+1) is P_r with the block
@@ -299,14 +304,6 @@ def _shift_walk(p: list[int], h: list[int], s: int, m: int) -> Iterator[tuple[QP
     unimodal.  If B is constant, a longer run of it changes no outcome.  So
     every P from the first settled one on has that one's outcome.
     """
-    if s < m or not any(h):
-        raise ValueError(f"need s >= m and H != 0: s={s} m={m} H={h}")
-    # Q = (1 - q^m) P_r + q^(s_r) H is the same for every r, and for i >= s_r,
-    # P_(r+1)[i] - P_r[i-m] = Q[i]: the step at s_r inserts exactly when s_r > deg Q.
-    q = p + [0] * (max(m + len(p), s + len(h)) - len(p))
-    q[m:m + len(p)] = map(sub, q[m:m + len(p)], p)
-    q[s:s + len(h)] = map(add, q[s:s + len(h)], h)
-    top = QPoly(q).degree
     settled = False
     while True:
         yield QPoly(p), settled
@@ -345,7 +342,7 @@ def strata_walk(m: int, a: int, b: int, n: int) -> Iterator[tuple[QPoly, bool]]:
     for r in range(m):  # divide by 1 - q^m: a prefix sum with stride m
         p[r::m] = accumulate(p[r::m])
     del p[-m:]  # the division is exact, so these are zero
-    return _shift_walk(p, h, s, m)
+    return _shift_walk(p, h, s, m, len(d) - 1)  # (1 - q^m) P_n + q^s H_n is D
 
 
 def conjecture_sum(a: int, b: int, m: int) -> QPoly:

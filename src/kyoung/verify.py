@@ -165,9 +165,9 @@ def _walk_cells(
     walk: Iterator[tuple[QPoly, bool]], n_values: list[int], where: Callable[[int], dict]
 ) -> Iterator[SweepCell]:
     """One unimodality cell per n of a window's walk, the walk starting at
-    n_values[0].  A settled sum that passes decides every later n (see
-    qpoly._shift_walk), so they pass as one batch; one that fails still gets
-    a counterexample per n."""
+    n_values[0].  A settled sum that passes decides every later n, so they
+    pass as one batch (qpoly._shift_walk: the sum at x > n_values[0] settles
+    once m x > 2 deg D); one that fails still gets a counterexample per n."""
     passed = 0
     for i, (n, (poly, settled)) in enumerate(zip(n_values, walk)):
         if not qpoly.is_unimodal(poly):
@@ -517,7 +517,7 @@ def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
         members = ideals.enumerate_ideal(spec)
         member_set = set(members)
-        duals = [ideals.complement_dual(p, spec) for p in members]
+        dual = {p: ideals.complement_dual(p, spec) for p in members}
         # meet (join) is componentwise, so its length and its number of parts
         # equal to m are the smaller (larger) of its arguments'.  Membership
         # depends on those two numbers alone, so one pair per pair of such
@@ -526,11 +526,8 @@ def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
         # order reversal: x fits inside y exactly when dual(y) fits inside dual(x)
         ok = (
             ideals.rank_vector(members, spec.top_rank).is_palindromic()
-            and all(
-                d in member_set and ideals.complement_dual(d, spec) == p
-                for p, d in zip(members, duals)
-            )
-            and _upsets(members, spec) == _upsets(duals, spec, reverse=True)
+            and all(dual.get(d) == p for p, d in dual.items())
+            and _upsets(members, spec) == _upsets(list(dual.values()), spec, reverse=True)
             and all(
                 ideals.meet(x, y, spec) in member_set and ideals.join(x, y, spec) in member_set
                 for x, y in itertools.combinations_with_replacement(reps, 2)
@@ -558,10 +555,9 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
         ok = ok and ideals.rank_vector(gamma, spec.top_rank).counts == expected
         ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
         # the up-edges are the one-box steps between members: none crosses two strata
+        rows = {x: ideals.short_rows(x, spec.m) for x in diagram.up_edges}
         ok = ok and all(
-            abs(ideals.short_rows(u, spec.m) - ideals.short_rows(x, spec.m)) <= 1
-            for x, ups in diagram.up_edges.items()
-            for u in ups
+            abs(rows[u] - rows[x]) <= 1 for x, ups in diagram.up_edges.items() for u in ups
         )
         yield ok, asdict(spec)
 

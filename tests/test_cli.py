@@ -1,8 +1,11 @@
 """Command line behavior: output shapes, exit codes, file writing."""
 
 import hashlib
+import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -411,3 +414,38 @@ class TestUsageErrors:
     def test_unknown_check_choice(self, capsys):
         assert main(["verify", "bogus"]) == 2
         capsys.readouterr()
+
+
+def readme_examples():
+    """Each `kyoung ...` line of the README followed by `# ...` lines: the
+    command and the output those lines show."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        comments = itertools.takewhile(lambda s: s.startswith("# "), lines[i + 1:])
+        shown = [s[2:] for s in comments]
+        if line.startswith("kyoung ") and shown:
+            examples.append((line, shown))
+    return examples
+
+
+def mask_ms(text):
+    return re.sub(r"\(\d+ ms\)", "(N ms)", text)
+
+
+class TestReadmeExamples:
+    def test_every_example_with_output_is_found(self):
+        assert [command for command, _ in readme_examples()] == [
+            "kyoung kconj 4,3,2,2,1,1 --k 4",
+            "kyoung kskew 4,2,1,1 --k 4",
+            "kyoung covers 4,2,1,1 --k 4 --dir down",
+            "kyoung rankgen --m 3 --n 3 --k 4 --pretty",
+            "kyoung verify sieved --m 2:6 --a 2:9 --b 3:10",
+        ]
+
+    @pytest.mark.parametrize(
+        "command, shown", [pytest.param(c, s, id=c.split()[1]) for c, s in readme_examples()]
+    )
+    def test_example_prints_what_the_readme_shows(self, capsys, command, shown):
+        assert main(shlex.split(command)[1:]) == 0
+        assert mask_ms(capsys.readouterr().out).splitlines() == list(map(mask_ms, shown))

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from kyoung import qpoly
 from kyoung.ideals import IdealSpec, enumerate_ideal, gamma_set, rank_vector
 from kyoung.qpoly import (
     QPoly,
@@ -498,7 +499,8 @@ class TestStrataWalk:
         # P_0 = q + 2q^2 + 2q^3, H = 2 + q + q^2 at s = 4, m = 3: the third
         # sum inserts the block (2, 1, 1), and each later sum inserts it again
         p0, h, s, m = [0, 1, 2, 2], [2, 1, 1], 4, 3
-        walk = _shift_walk(list(p0), h, s, m)
+        top = (QPoly(p0) - QPoly(p0).shifted(m) + QPoly(h).shifted(s)).degree
+        walk = _shift_walk(list(p0), h, s, m, top)
         expected = QPoly(p0)
         for r in range(8):
             poly, settled = next(walk)
@@ -510,11 +512,35 @@ class TestStrataWalk:
                 assert poly.coeffs[at - m:at] == (2, 1, 1), r
             expected = expected + QPoly(h).shifted(s + r * m)
 
-    def test_shift_walk_validation(self):
-        with pytest.raises(ValueError):
-            next(_shift_walk([1, 1], [1], 1, 2))  # s < m
-        with pytest.raises(ValueError):
-            next(_shift_walk([1, 1], [0, 0], 2, 2))  # H = 0
+    def test_settled_flags_follow_the_window_degree(self):
+        # D = [b choose m-1]_q - [a choose m-1]_q has degree (m-1)(b-m+1), and
+        # the sum at x is settled exactly when x > n and m x > 2 deg D
+        for m in range(2, 9):
+            for a in range(m, m + 4):
+                for b in range(a + 1, a + 5):
+                    top = (m - 1) * (b - m + 1)
+                    for n in (b - m + 1, b - m + 4):
+                        walk = strata_walk(m, a, b, n)
+                        for x in range(n, n + 2 * top // m + 3):
+                            _, settled = next(walk)
+                            assert settled == (x > n and m * x > 2 * top), (m, a, b, n, x)
+
+    def test_the_first_sum_is_the_only_polynomial_built(self, monkeypatch):
+        # the walk reads its bound off D, which strata_walk already holds as
+        # a list, so with the Gaussians in their memo the first draw builds
+        # the first sum and nothing else
+        strata_walk(5, 6, 8, 4)  # fills the Gaussian memo
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return QPoly(*args)
+
+        monkeypatch.setattr(qpoly, "QPoly", counting)
+        poly, settled = next(qpoly.strata_walk(5, 6, 8, 4))
+        assert len(built) == 1 and not settled
+        monkeypatch.undo()
+        assert poly == finite_strata_by_addition(5, 4, 6, 8)
 
 
 class TestConjectureSum:

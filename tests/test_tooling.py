@@ -1,6 +1,6 @@
 """The traced benchmark launcher still finds every name it wraps, the
-package imports no source of randomness, and verify builds its Gaussians in
-one place."""
+package imports no source of randomness and no name it leaves unused, and
+verify builds its Gaussians in one place."""
 
 import ast
 import json
@@ -97,6 +97,23 @@ def test_no_module_imports_random():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
         assert "random" not in imported, path
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a deletion can leave an import behind; __init__.py imports to re-export
+    for path in sorted((ROOT / "src" / "kyoung").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]  # import a.b binds a
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
 
 
 def test_verify_reads_gaussians_only_in_the_sieved_tally():

@@ -263,7 +263,8 @@ class TestWalkCells:
         # period insertion, of the block (2, 1, 1), and no later n may pass
         p0, h, s, m = [0, 1, 2, 2], [2, 1, 1], 4, 3
         n_values = list(range(10, 18))
-        walk = _shift_walk(list(p0), h, s, m)
+        top = (QPoly(p0) - QPoly(p0).shifted(m) + QPoly(h).shifted(s)).degree
+        walk = _shift_walk(list(p0), h, s, m, top)
         cells = list(verify._walk_cells(walk, n_values, lambda n: {"n": n}))
         poly, expected = QPoly(p0), []
         for r, n in enumerate(n_values):
@@ -743,6 +744,32 @@ class TestStructure:
         reports = verify_structure(4, 5, 7, 10)
         assert len(reports) == 10
         assert all(r.grid > 0 and r.failed == 0 for r in reports), [r.check for r in reports]
+
+    @pytest.mark.parametrize(
+        "cells, name, strata_only, expected",
+        [
+            (verify._duality_cells, "complement_dual", False, 1127),
+            (verify._gamma_cells, "short_rows", True, 957),
+        ],
+        ids=["duality", "gamma"],
+    )
+    def test_each_member_is_read_once(self, monkeypatch, cells, name, strata_only, expected):
+        """structure-duality computes each member's complement dual once, and
+        structure-gamma each member's short rows once on the ideals with
+        k > m, the ones with strata to compare."""
+        calls = []
+        read = getattr(ideals, name)
+
+        def counted(p, arg):
+            calls.append(p)
+            return read(p, arg)
+
+        view = SimpleNamespace(**{**vars(ideals), name: counted})
+        monkeypatch.setattr(verify, "ideals", view)
+        grid = verify._Grid(4, 5, 7, 10)
+        assert all(ok for ok, _ in cells(grid))
+        specs = [spec for spec in verify._grid_cells(grid) if spec.k > spec.m or not strata_only]
+        assert len(calls) == sum(len(ideals.enumerate_ideal(spec)) for spec in specs) == expected
 
     def test_upsets_match_containment(self):
         """On every ideal of the default grid, bit j of entry x is
