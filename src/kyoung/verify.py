@@ -7,7 +7,7 @@ are those where a statement makes no claim, and are never counted as passes.
 
 Every check is a generator of cells run through one runner, ``_sweep``: a
 cell is a ``Skip``, a ``Pass`` of cells that all hold, or an
-``(ok, counterexample)`` outcome.
+``(ok, counterexample)`` outcome.  ``_sweep`` alone tallies them into a report.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def qualifies(a: int, b: int, m: int) -> bool:
 
 @dataclass
 class VerificationReport:
-    """Outcome of one check over a grid; grid counts evaluated cells only."""
+    """Outcome of one check over a grid, tallied by _sweep; grid counts evaluated cells only."""
 
     check: str
     status: str
@@ -75,19 +75,6 @@ class VerificationReport:
     counterexamples: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     elapsed_ms: int = 0
-    skip_reasons: Counter = field(default_factory=Counter)
-
-    def record(self, ok: bool, counterexample: dict | None = None) -> None:
-        self.grid += 1
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            self.counterexamples.append(counterexample or {})
-
-    def skip(self, reason: str, count: int = 1) -> None:
-        self.skipped += count
-        self.skip_reasons[reason] += count
 
     def all_pass(self) -> bool:
         return self.failed == 0
@@ -132,16 +119,23 @@ def _sweep(
     """
     t0 = time.perf_counter()
     report = VerificationReport(check=check, status=status)
+    skips: Counter = Counter()
     for cell in cells:
         if isinstance(cell, Skip):
-            report.skip(*cell)
+            skips[cell.reason] += cell.count
         elif isinstance(cell, Pass):
-            report.grid += cell.count
             report.passed += cell.count
         else:
-            report.record(*cell)
+            ok, counterexample = cell
+            if ok:
+                report.passed += 1
+            else:
+                report.failed += 1
+                report.counterexamples.append(counterexample)
+    report.grid = report.passed + report.failed
+    report.skipped = sum(skips.values())
     report.notes = list(notes or ())
-    for reason, count in sorted(report.skip_reasons.items()):
+    for reason, count in sorted(skips.items()):
         report.notes.append(f"skipped {count}: {reason}")
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
@@ -258,8 +252,8 @@ def verify_sieved(m: Range, a: Range, b: Range, k: Range | None = None) -> Verif
     single Gaussian binomial [k-1 choose m-2]_q when k is not congruent to
     -1 or 0 mod m.
 
-    Called with all-scalar m, a, b the window must qualify, otherwise
-    ValueError; ranges sweep and skip non-qualifying cells.
+    A window outside m <= a < b, or one that does not qualify, is skipped,
+    whether m, a and b come as ints or as ranges; m < 2 raises ValueError.
     """
     notes: list[str] = []
     return _sweep("sieved", "theorem", _sieved_cells(m, a, b, k, notes), notes)
@@ -275,33 +269,22 @@ def _window_sums(tally: list[list[int]], m: int, a: int, b: int) -> list[int]:
 def _sieved_cells(
     m: Range, a: Range, b: Range, k: Range | None, notes: list[str]
 ) -> Iterator[SweepCell]:
-    scalar = isinstance(m, int) and isinstance(a, int) and isinstance(b, int)
-    m_values, b_values = _as_values(m), _as_values(b)
+    b_values = _as_values(b)
     k_values = [] if k is None else _as_values(k)
-    claims = {  # the single-Gaussian cells of each prime m
-        m_val: [x for x in k_values if x > m_val and x % m_val not in (0, m_val - 1)]
-        for m_val in filter(is_prime, m_values)
-    }
-    tallies = {}
-    for m_val in m_values:
+    single = 0  # the single-Gaussian cells of every prime m
+    for m_val in _as_values(m):
         if m_val < 2:
             raise ValueError(f"m must be at least 2: {m_val}")
-        top = max(b_values + claims.get(m_val, []))
+        levels = k_values if is_prime(m_val) else []  # the single-Gaussian half's k
+        claimed = [x for x in levels if x > m_val and x % m_val not in (0, m_val - 1)]
+        top = max(b_values + claimed)
         tally = [qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in range(top + 1)]
-        tallies[m_val] = tally
         for a_val in _as_values(a):
             inside = [b_val for b_val in b_values if m_val <= a_val < b_val]
             if len(inside) < len(b_values):
-                if scalar:
-                    raise ValueError(f"need m <= a < b: m={m_val} a={a_val} b={b}")
                 yield Skip("window outside m <= a < b", len(b_values) - len(inside))
             windows = [b_val for b_val in inside if qualifies(a_val, b_val, m_val)]
             if len(windows) < len(inside):
-                if scalar:
-                    raise ValueError(
-                        f"window endpoints must avoid -1 mod every prime divisor of m:"
-                        f" m={m_val} a={a_val} b={b}"
-                    )
                 yield Skip("endpoint = -1 mod a prime divisor of m", len(inside) - len(windows))
             for b_val in windows:
                 sums = _window_sums(tally, m_val, a_val, b_val)
@@ -321,15 +304,12 @@ def _sieved_cells(
                     "total": total,
                     "cyclotomic": equal,
                 }
-    if k is None:
-        return
-    for m_val, claimed in claims.items():
-        if len(claimed) < len(k_values):
+        if len(claimed) < len(levels):
             yield Skip(
-                "k <= m or k = -1,0 mod m (no single-gaussian claim)", len(k_values) - len(claimed)
+                "k <= m or k = -1,0 mod m (no single-gaussian claim)", len(levels) - len(claimed)
             )
         for k_val in claimed:
-            sums = _window_sums(tallies[m_val], m_val, k_val - 1, k_val)  # [k-1 choose m-2]_q
+            sums = _window_sums(tally, m_val, k_val - 1, k_val)  # [k-1 choose m-2]_q
             expected = math.comb(k_val - 1, m_val - 2)
             yield len(set(sums)) == 1 and sums[0] * m_val == expected, {
                 "m": m_val,
@@ -337,7 +317,9 @@ def _sieved_cells(
                 "sieved_sums": sums,
                 "expected_total": expected,
             }
-    notes.append(f"single-gaussian cells for prime m: {sum(map(len, claims.values()))}")
+        single += len(claimed)
+    if k is not None:
+        notes.append(f"single-gaussian cells for prime m: {single}")
 
 
 class _Grid(NamedTuple):
@@ -652,6 +634,7 @@ class SweepConfig:
             raise ValueError(f"sweep config 'format' must be 'json': {data['format']!r}")
         if not isinstance(data.get("params", {}), dict):
             raise ValueError("sweep config 'params' must be an object")
+        _known_check(data["check"], data.get("params", {}))
         return cls(
             check=data["check"],
             params=data.get("params", {}),
@@ -729,8 +712,8 @@ _CHECKS = {
 }
 
 
-def run_check(check: str, params: dict) -> list[VerificationReport]:
-    """Dispatch a named check; returns one report per family or m value."""
+def _known_check(check: str, params: dict) -> tuple[Callable, dict]:
+    """The runner and the defaults of check; an unknown check or param is an error."""
     if check not in _CHECKS:
         raise ValueError(
             f"unknown check {check!r}; expected conjecture-u, conjecture-gen, sieved, or structure"
@@ -739,6 +722,12 @@ def run_check(check: str, params: dict) -> list[VerificationReport]:
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown params for {check}: {unknown}; expected {sorted(defaults)}")
+    return runner, defaults
+
+
+def run_check(check: str, params: dict) -> list[VerificationReport]:
+    """Dispatch a named check; returns one report per family or m value."""
+    runner, defaults = _known_check(check, params)
     return runner(**{**defaults, **params})
 
 

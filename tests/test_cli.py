@@ -224,6 +224,11 @@ class TestVerifyCommand:
         assert main(["verify", "structure", "--degree-max", "-1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_verify_sieved_skips_a_window_without_a_claim(self, capsys):
+        # INT flags are ranges of one value: a window that does not qualify is a skip
+        assert main(["verify", "sieved", "--m", "2", "--a", "3", "--b", "6"]) == 0
+        assert capsys.readouterr().out.startswith("sieved: 0 pass, 0 fail, ")
+
     @pytest.mark.parametrize("check", ["conjecture-gen", "sieved"])
     def test_verify_comma_m_names_the_flag(self, capsys, check):
         # only conjecture-u takes a comma list of m
@@ -360,6 +365,26 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "sweep config 'format' must be 'json': 'csv'" in capsys.readouterr().err
+        assert not first.exists()
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ({"check": "sieved", "params": {"zz": 1}}, "unknown params for sieved: ['zz']"),
+            ({"check": "nope"}, "unknown check 'nope'"),
+        ],
+        ids=["unknown-param", "unknown-check"],
+    )
+    def test_unknown_check_or_param_stops_before_any_sweep_runs(
+        self, tmp_path, capsys, second, message
+    ):
+        first = tmp_path / "first.json"
+        entry = {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}, "out": str(first)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweeps": [entry, second]}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
         assert not first.exists()
 
 

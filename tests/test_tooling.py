@@ -1,6 +1,6 @@
 """The traced benchmark launcher still finds every name it wraps, the
 package imports no source of randomness and no name it leaves unused, and
-verify builds its Gaussians in one place."""
+verify builds its Gaussians in one place and tallies its reports in one."""
 
 import ast
 import json
@@ -139,3 +139,30 @@ def test_verify_reads_gaussians_only_in_the_sieved_tally():
     assert len(tallies) == 1 and len(calls) == 1
     assert calls[0] in list(ast.walk(tallies[0]))
     assert [ast.unparse(arg) for arg in calls[0].args] == ["x", "m_val - 1"]
+
+
+def test_only_sweep_tallies_a_report():
+    # every check's cells go through verify._sweep, the one function that
+    # writes a report's counts or adds to its counterexamples
+    path = ROOT / "src" / "kyoung" / "verify.py"
+    tallied = {"grid", "passed", "failed", "skipped", "counterexamples"}
+
+    def writers(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        attributes = [t for target in targets for t in ast.walk(target)]
+        if any(isinstance(t, ast.Attribute) and t.attr in tallied for t in attributes):
+            yield owner
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if ast.unparse(node.func.value).endswith(".counterexamples"):
+                yield owner
+        for child in ast.iter_child_nodes(node):
+            yield from writers(child, owner)
+
+    tree = ast.parse(path.read_text(), str(path))
+    assert set(writers(tree, "<module>")) == {"_sweep"}

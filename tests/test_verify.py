@@ -60,13 +60,11 @@ class TestHelpers:
 
 class TestReport:
     def test_record_and_counts(self):
-        rep = VerificationReport(check="x", status="theorem")
-        rep.record(True)
-        rep.record(False, {"cell": 1})
-        rep.record(False)
-        rep.skip("no claim")
+        cells = [(True, {"cell": 0}), (False, {"cell": 1}), (False, {}), Skip("no claim")]
+        rep = verify._sweep("x", "theorem", cells)
         assert (rep.grid, rep.passed, rep.failed, rep.skipped) == (3, 1, 2, 1)
         assert rep.counterexamples == [{"cell": 1}, {}]
+        assert rep.notes == ["skipped 1: no claim"]
         assert not rep.all_pass()
 
     def test_pass_tallies_as_passing_outcomes(self):
@@ -83,9 +81,7 @@ class TestReport:
         assert report([Pass(5)])["pass"] == report([Pass(5)])["grid"] == 5
 
     def test_json_schema(self):
-        rep = VerificationReport(check="x", status="conjecture")
-        rep.record(True)
-        doc = rep.to_json_dict()
+        doc = verify._sweep("x", "conjecture", [(True, {"cell": 0})]).to_json_dict()
         assert list(doc) == [
             "check",
             "status",
@@ -297,11 +293,23 @@ class TestSieved:
         assert (rep.grid, rep.passed, rep.failed) == (1, 1, 0)
         assert rep.status == "theorem"
 
-    def test_scalar_rejects_nonqualifying(self):
-        with pytest.raises(ValueError, match=r"^window endpoints .*: m=2 a=3 b=6$"):
-            verify_sieved(2, 3, 6)
-        with pytest.raises(ValueError, match=r"^need m <= a < b: m=3 a=2 b=6$"):
-            verify_sieved(3, 2, 6)
+    @pytest.mark.parametrize(
+        "m, a, b, reason",
+        [
+            (2, 3, 6, "endpoint = -1 mod a prime divisor of m"),
+            (3, 2, 6, "window outside m <= a < b"),
+        ],
+        ids=["nonqualifying", "outside"],
+    )
+    def test_scalar_skips_as_a_one_value_range(self, m, a, b, reason):
+        """A window that makes no claim is skipped, as in every check, however
+        m, a and b are given."""
+        scalar = verify_sieved(m, a, b).to_json_dict()
+        ranged = verify_sieved((m, m), (a, a), (b, b)).to_json_dict()
+        del scalar["elapsed_ms"], ranged["elapsed_ms"]
+        assert scalar == ranged
+        assert (scalar["grid"], scalar["skip"]) == (0, 1)
+        assert scalar["notes"] == [f"skipped 1: {reason}"]
 
     def test_range_skips_instead(self):
         rep = verify_sieved(2, (2, 5), (3, 6))
@@ -419,6 +427,23 @@ class TestSieved:
             m, k = cx["m"], cx["k"]
             assert cx["sieved_sums"] == qpoly.sieved_sums(qpoly.gaussian(k - 1, m - 2), m), cx
             assert cx["expected_total"] == math.comb(k - 1, m - 2), cx
+
+    def test_each_m_is_done_before_the_next_tally(self, monkeypatch):
+        """On the benchmark's sieved grid, each m builds its tally of
+        [x choose m-1]_q and yields all its cells, the single-Gaussian half
+        included, before the next m builds anything."""
+        seen = []
+
+        def recorded_gaussian(x, j):
+            seen.append(j + 1)
+            return qpoly.gaussian(x, j)
+
+        names = {**vars(qpoly), "gaussian": recorded_gaussian}
+        monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**names))
+        for cell in verify._sieved_cells((2, 14), (2, 32), (3, 33), (3, 55), []):
+            if not isinstance(cell, Skip):
+                seen.append(cell[1]["m"])
+        assert len(set(seen)) == 13 and seen == sorted(seen)
 
     def test_skips_come_one_per_m_and_a(self):
         """One skip per (m, a) for the windows outside m <= a < b, one per
@@ -878,17 +903,22 @@ class TestExport:
     def test_render_matches_the_json_module(self):
         """render writes what json.dumps(payload, indent=2) writes."""
         report = verify_sieved(2, 2, 4)
-        odd = VerificationReport(check="odd", status="conjecture", notes=["é \"q\"\n"])
-        odd.record(
-            False,
-            {
-                "empty": [],
-                "nested": [[], [1, [2, []]], {"a": [], "b": {}}, (3, -4)],
-                "flags": [True, False],
-                "mixed": [1, None, 0.5, "x"],
-            },
+        odd = VerificationReport(
+            check="odd",
+            status="conjecture",
+            grid=2,
+            failed=2,
+            counterexamples=[
+                {
+                    "empty": [],
+                    "nested": [[], [1, [2, []]], {"a": [], "b": {}}, (3, -4)],
+                    "flags": [True, False],
+                    "mixed": [1, None, 0.5, "x"],
+                },
+                {},
+            ],
+            notes=["é \"q\"\n"],
         )
-        odd.record(False)
         cases = [
             build_ideal((3, 3, 2), 4),
             ideals.hasse_diagram(ideals.IdealSpec(2, 3, 3)),
