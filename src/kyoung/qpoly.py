@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, islice, repeat, starmap
-from operator import add, ge, gt, index, sub
-from typing import Iterable, Iterator
+from itertools import accumulate, islice, starmap
+from operator import ge, gt, index, sub
+from typing import Iterable
 
 
 class QPoly:
@@ -239,7 +239,7 @@ def rank_gen_gamma(m: int, n: int, k: int) -> QPoly:
     """Rank generating function of the level-k stratum below (m^n), in closed
     form: q^(k-m+1) times the degree-m geometric sum with n-k+m terms times
     [k-1 choose m-2]_q, palindromic about mn/2.  No sweep calls it: the tests
-    hold the window (k-1, k] of strata_walk to it."""
+    hold window_sum(m, k-1, k, n) to it."""
     if not 1 <= m < k:
         raise ValueError(f"need 1 <= m < k: m={m} k={k}")
     if n < k - m + 1:
@@ -280,69 +280,73 @@ def sieved_sums(p: QPoly, m: int) -> list[int]:
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
-def _shift_walk(
-    p: list[int], h: list[int], s: int, m: int, top: int
-) -> Iterator[tuple[QPoly, bool]]:
-    """Yield P_0 = p, then P_(r+1) = P_r + q^(s+rm) H, each with whether it
-    is settled: whether it is its predecessor with one period inserted.
-
-    p is extended in place: a step adds len(h) coefficients.  Needs s >= m.
-    D = (1 - q^m) P_r + q^(s+rm) H is the same for every r, of degree top,
-    and P_(r+1)[i] - P_r[i-m] = D[i], so the step at s+rm inserts exactly
-    when s+rm > top.  In strata_walk D is the window polynomial, so the sum
-    at x is settled exactly when x > n and m x > 2 deg D = 2(m-1)(b-m+1).
-
-    Lemma (for non-negative coefficients).  Say the step at s_r = s + rm
-    inserts, P_(r+1)[s_r:] == P_r[s_r-m:]: P_(r+1) is P_r with the block
-    B = P_r[s_r-m:s_r] put in again at s_r.  For i >= s_r + m,
-    P_(r+2)[i] = P_(r+1)[i] + H[i-s_r-m] = P_r[i-m] + H[i-m-s_r] = P_(r+1)[i-m],
-    so the next step inserts too, and its block P_(r+1)[s_r:s_r+m] is B.
-    Every later P is then P_(r+1) with more copies of B beside the BB it
-    holds.  If B is not constant, its cyclic differences hold a fall and a
-    rise, and BB shows a fall before a rise; a fall needs a positive
-    coefficient, so both lie past the leading zeros, and no such P is
-    unimodal.  If B is constant, a longer run of it changes no outcome.  So
-    every P from the first settled one on has that one's outcome.
-    """
-    settled = False
-    while True:
-        yield QPoly(p), settled
-        p += [0] * (s + len(h) - len(p))
-        p[s:s + len(h)] = map(add, p[s:s + len(h)], h)
-        settled = s > top
-        s += m
-
-
-def strata_walk(m: int, a: int, b: int, n: int) -> Iterator[tuple[QPoly, bool]]:
-    """The sum of the strata at levels a+1 .. b below (m^x) for x = n, n+1,
-    ..., each with whether it is settled: from the first settled one on,
-    every sum has its outcome under is_unimodal (see _shift_walk).
-
-    Needs m <= a < b and n >= b-m+1, where every level has a stratum.
-    """
+def _check_window(m: int, a: int, b: int, x: int) -> None:
     if not 1 <= m <= a < b:
         raise ValueError(f"need 1 <= m <= a < b: m={m} a={a} b={b}")
-    if n < b - m + 1:
-        raise ValueError(f"need n >= b - m + 1: m={m} n={n} b={b}")
-    # Level j's stratum is q^(j-m+1) G_j (1 - q^(m(x-j+m))) / (1 - q^m), with
-    # G_j = [j-1 choose m-2]_q.  Summed over the levels, (1 - q^m) P_x =
-    # D - H_x, where D = sum q^(j-m+1) G_j = [b choose m-1]_q - [a choose m-1]_q
-    # by q-Pascal, and H_x = sum q^(j-m+1+m(x-j+m)) G_j is what the levels
-    # gain from x to x+1.  G_j is palindromic of degree (m-2)(j-m+1), so H_x
-    # is D reversed about m(x+1): H_x[i] = D[m(x+1) - i].
-    if m == 1:  # every G_j is 0, and so is every sum
-        return repeat((QPoly.zero(), True))
+    if x < b - m + 1:
+        raise ValueError(f"need x >= b - m + 1: m={m} x={x} b={b}")
+
+
+def _window_series(m: int, a: int, b: int, size: int) -> tuple[list[int], list[int]]:
+    """S = D / (1 - q^m) and T = H / (1 - q^m) to size >= deg D + 1 terms.
+
+    Level j's stratum below (m^x) is q^(j-m+1) G_j (1 - q^(m(x-j+m))) / (1 - q^m),
+    with G_j = [j-1 choose m-2]_q.  Summed over the levels a+1 .. b,
+    (1 - q^m) P_x = D - q^s H with s = m(x+1) - deg D, where
+    D = sum q^(j-m+1) G_j = [b choose m-1]_q - [a choose m-1]_q by q-Pascal,
+    and H is D reversed from its lowest term q^(a-m+2), as G_j is palindromic
+    of degree (m-2)(j-m+1).  So P_x = S - q^s T.  At m = 1, D = 0.
+    """
     upper, lower = gaussian(b, m - 1).coeffs, gaussian(a, m - 1).coeffs
     d = [*map(sub, upper, lower), *upper[len(lower):]]
-    low = next(i for i, c in enumerate(d) if c)
-    h = d[low:][::-1]
-    s = m * (n + 1) - len(d) + 1  # the lowest exponent of H_n
-    p = d + [0] * (s + len(h) - len(d))
-    p[s:] = map(sub, p[s:], h)
-    for r in range(m):  # divide by 1 - q^m: a prefix sum with stride m
-        p[r::m] = accumulate(p[r::m])
-    del p[-m:]  # the division is exact, so these are zero
-    return _shift_walk(p, h, s, m, len(d) - 1)  # (1 - q^m) P_n + q^s H_n is D
+    series = []
+    for p in (d, d[a - m + 2:][::-1]):
+        p = p + [0] * (size - len(p))
+        for r in range(m):  # divide by 1 - q^m: a prefix sum with stride m
+            p[r::m] = accumulate(p[r::m])
+        series.append(p)
+    return series[0], series[1]
+
+
+def window_sum(m: int, a: int, b: int, x: int) -> QPoly:
+    """P_x, the sum of the strata at levels a+1 .. b below (m^x).
+
+    Needs m <= a < b and x >= b-m+1, where every level has a stratum.
+    """
+    _check_window(m, a, b, x)
+    p, t = _window_series(m, a, b, m * x - a + m - 1)  # deg P_x = m x - (a-m+2)
+    s = m * (x + 1) - (m - 1) * (b - m + 1)
+    p[s:] = map(sub, p[s:], t)
+    return QPoly(p)
+
+
+def window_failures(m: int, a: int, b: int, xs: Iterable[int]) -> list[int]:
+    """The x of xs, drawn in ascending order, at which window_sum(m, a, b, x)
+    is not unimodal.
+
+    Every stratum below (m^x) is palindromic about m x / 2, so P_x is too, and
+    it is unimodal exactly when it weakly rises from its lowest term
+    q^(a-m+2) up to c = floor(m x / 2).  P_x is S below s = m(x+1) - deg D
+    and S - q^s T from s on (see _window_series).  So x passes when S does
+    not fall on [a-m+2, min(c, s-1)] and S - q^s T does not fall on [s-1, c].
+    """
+    _check_window(m, a, b, b - m + 1)  # the window; each x is checked as it is drawn
+    top = (m - 1) * (b - m + 1)  # deg D
+    p, t = _window_series(m, a, b, top + m + 1)
+    dp = list(map(sub, p, [0, *p]))  # dp[i] = S[i] - S[i-1]
+    dt = list(map(sub, t, [0, *t]))
+    # past deg D, S repeats with period m, so its first fall, if any, is by deg D + m
+    fall = next((i for i in range(a - m + 3, top + m + 1) if dp[i] < 0), math.inf)
+    failures = []
+    for x in xs:
+        _check_window(m, a, b, x)
+        s, c = m * (x + 1) - top, m * x // 2
+        if s > c and fall == math.inf:  # s - c grows with x: every later x passes
+            break
+        # the stretch [s, c] is empty when s > c, and inside dp when s <= c: then c <= deg D - m
+        if fall <= min(c, s - 1) or not all(map(ge, dp[s:c + 1], dt)):
+            failures.append(x)
+    return failures
 
 
 def conjecture_sum(a: int, b: int, m: int) -> QPoly:

@@ -155,23 +155,14 @@ def verify_conjecture_u(m: int, k_range: Range, n_range: Range) -> VerificationR
     return _sweep("conjecture-u", "conjecture", cells, notes)
 
 
-def _walk_cells(
-    walk: Iterator[tuple[QPoly, bool]], n_values: list[int], where: Callable[[int], dict]
+def _window_cells(
+    m: int, a: int, b: int, n_values: list[int], where: Callable[[int], dict]
 ) -> Iterator[SweepCell]:
-    """One unimodality cell per n of a window's walk, the walk starting at
-    n_values[0].  A settled sum that passes decides every later n, so they
-    pass as one batch (qpoly._shift_walk: the sum at x > n_values[0] settles
-    once m x > 2 deg D); one that fails still gets a counterexample per n."""
-    passed = 0
-    for i, (n, (poly, settled)) in enumerate(zip(n_values, walk)):
-        if not qpoly.is_unimodal(poly):
-            yield False, {**where(n), "coefficients": poly.to_json_list()}
-        elif settled:
-            passed += len(n_values) - i
-            break
-        else:
-            passed += 1
-    yield Pass(passed)
+    """One unimodality cell per n of the window (a, b], n_values ascending."""
+    failures = qpoly.window_failures(m, a, b, n_values)
+    for n in failures:
+        yield False, {**where(n), "coefficients": qpoly.window_sum(m, a, b, n).to_json_list()}
+    yield Pass(len(n_values) - len(failures))
 
 
 def _conjecture_u_cells(
@@ -202,9 +193,8 @@ def _conjecture_u_cells(
             b, mode = k, "u_k"
             boundary += at_first
         if later:
-            walk = qpoly.strata_walk(m, k - 1, b, later[0])
-            yield from _walk_cells(
-                walk, later, lambda n: {"m": m, "k": k, "n": n, "mode": mode}
+            yield from _window_cells(
+                m, k - 1, b, later, lambda n: {"m": m, "k": k, "n": n, "mode": mode}
             )
     notes.append(f"boundary n = k-m+1 cells evaluated under the k != -1,0 clause: {boundary}")
 
@@ -239,9 +229,9 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
                 if len(later) < len(n_values):
                     yield Skip("n < b-m+1", len(n_values) - len(later))
                 if later:
-                    walk = qpoly.strata_walk(m_val, a_val, b_val, later[0])
-                    yield from _walk_cells(
-                        walk, later, lambda n: {"m": m_val, "a": a_val, "b": b_val, "n": n}
+                    where = {"m": m_val, "a": a_val, "b": b_val}
+                    yield from _window_cells(
+                        m_val, a_val, b_val, later, lambda n: {**where, "n": n}
                     )
 
 
@@ -269,7 +259,7 @@ def _window_sums(tally: list[list[int]], m: int, a: int, b: int) -> list[int]:
 def _sieved_cells(
     m: Range, a: Range, b: Range, k: Range | None, notes: list[str]
 ) -> Iterator[SweepCell]:
-    b_values = _as_values(b)
+    a_values, b_values = _as_values(a), _as_values(b)
     k_values = [] if k is None else _as_values(k)
     single = 0  # the single-Gaussian cells of every prime m
     for m_val in _as_values(m):
@@ -277,9 +267,11 @@ def _sieved_cells(
             raise ValueError(f"m must be at least 2: {m_val}")
         levels = k_values if is_prime(m_val) else []  # the single-Gaussian half's k
         claimed = [x for x in levels if x > m_val and x % m_val not in (0, m_val - 1)]
-        top = max(b_values + claimed)
+        # the windows read the tally to max(b) only if some a puts a b inside m <= a < b
+        reads_b = any(m_val <= a_val < b_values[-1] for a_val in a_values)
+        top = max(b_values[-1:] * reads_b + claimed, default=-1)
         tally = [qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in range(top + 1)]
-        for a_val in _as_values(a):
+        for a_val in a_values:
             inside = [b_val for b_val in b_values if m_val <= a_val < b_val]
             if len(inside) < len(b_values):
                 yield Skip("window outside m <= a < b", len(b_values) - len(inside))
@@ -532,7 +524,7 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
         smaller = previous.pop(IdealSpec(spec.m, spec.n, spec.k - 1))
         gamma = set(ideals.gamma_set(spec))
         ok = members == smaller | gamma and not (smaller & gamma)
-        poly, _ = next(qpoly.strata_walk(spec.m, spec.k - 1, spec.k, spec.n))  # the window (k-1, k]
+        poly = qpoly.window_sum(spec.m, spec.k - 1, spec.k, spec.n)  # the window (k-1, k]
         expected = tuple(poly.coefficient(i) for i in range(spec.top_rank + 1))
         ok = ok and ideals.rank_vector(gamma, spec.top_rank).counts == expected
         ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
@@ -547,8 +539,8 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
 def _decomposition_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
         strata = QPoly.zero()
-        if spec.k > spec.m:  # the strata at levels m+1 .. k: the first sum of their walk
-            strata, _ = next(qpoly.strata_walk(spec.m, spec.m, spec.k, spec.n))
+        if spec.k > spec.m:  # the strata at levels m+1 .. k
+            strata = qpoly.window_sum(spec.m, spec.m, spec.k, spec.n)
         total = QPoly.geometric(1, spec.top_rank + 1) + strata
         yield total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k), asdict(spec)
 

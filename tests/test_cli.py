@@ -15,6 +15,11 @@ import pytest
 from kyoung import qpoly, verify
 from kyoung.cli import main, parse_m_values, parse_parts, parse_span
 
+# perfbench/digests.json: the benchmark's output digests, by CLI invocation
+RECORDED_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
+
 
 class TestParsers:
     def test_parse_parts(self):
@@ -95,14 +100,26 @@ class TestCommands:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["name"] == "ideal [2,2]"
 
-    @pytest.mark.parametrize("fmt", [(), ("--dot",)], ids=["json", "dot"])
-    def test_ideal_export_matches_the_recorded_digests(self, capsys, fmt):
-        # the digests were recorded from the export of the k-cover diagram
-        args = ["ideal", "--m", "4", "--n", "45", "--k", "14", *fmt]
-        digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-        expected = json.loads(digests.read_text())[" ".join(args)]
-        assert main(args) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+    @pytest.mark.parametrize(
+        "key", sorted(RECORDED_DIGESTS), ids=lambda key: re.sub(r"\W+", "-", key)
+    )
+    def test_output_matches_the_recorded_digest(self, tmp_path, capsys, key):
+        # every benchmark output: a report's digest is of the reports without
+        # elapsed_ms, as a list, keys sorted; any other output's, of its bytes
+        args = key.split()
+        if args[0] != "verify":
+            assert main(args) == 0
+            text = capsys.readouterr().out
+        else:
+            target = tmp_path / "report.json"
+            assert main([*args, "--out", str(target)]) == 0
+            capsys.readouterr()
+            reports = json.loads(target.read_text())
+            reports = reports if isinstance(reports, list) else [reports]
+            for rep in reports:
+                del rep["elapsed_ms"]
+            text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_DIGESTS[key]
 
     def test_ideal_invalid_spec(self, capsys):
         assert main(["ideal", "--m", "3", "--n", "3", "--k", "2"]) == 2
@@ -202,7 +219,7 @@ class TestVerifyCommand:
         assert "unknown params for structure: ['k']" in capsys.readouterr().err
 
     def test_verify_counterexample_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(qpoly, "is_unimodal", lambda p: False)
+        monkeypatch.setattr(qpoly, "window_failures", lambda m, a, b, xs: list(xs))
         code = main(["verify", "conjecture-u", "--m", "3", "--k", "4:6", "--n", "4:8"])
         out = capsys.readouterr().out
         assert code == 1
@@ -236,20 +253,6 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert f"error: verify {check} takes --m as INT or LO:HI" in err
         assert err.rstrip().endswith("--m 2,3")
-
-    def test_verify_structure_matches_the_recorded_digest(self, tmp_path, capsys):
-        # the digest is of the reports without elapsed_ms, keys sorted
-        args = ["verify", "structure", "--n-max", "5"]
-        digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-        expected = json.loads(digests.read_text())[" ".join(args)]
-        target = tmp_path / "structure.json"
-        assert main([*args, "--out", str(target)]) == 0
-        capsys.readouterr()
-        reports = json.loads(target.read_text())
-        for rep in reports:
-            del rep["elapsed_ms"]
-        text = json.dumps(reports, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 class TestSweepCommand:

@@ -12,7 +12,6 @@ from kyoung import qpoly
 from kyoung.ideals import IdealSpec, enumerate_ideal, gamma_set, rank_vector
 from kyoung.qpoly import (
     QPoly,
-    _shift_walk,
     conjecture_sum,
     count_Lk,
     cyclotomic_check,
@@ -23,9 +22,10 @@ from kyoung.qpoly import (
     rank_gen_Lk,
     rank_gen_gamma,
     sieved_sums,
-    strata_walk,
     times_geometric,
     vanishes_mod_cyclotomic,
+    window_failures,
+    window_sum,
 )
 
 
@@ -434,102 +434,87 @@ def is_period_insertion(before, after, m):
     return after.coeffs[s:] == before.coeffs[s - m:]
 
 
-def walk_against(oracle, walk, m, start, steps_past=2, limit=60):
-    """Draw the walk from n = start, checking each sum against oracle(n) and
-    each settled flag against the first period insertion, until steps_past
-    steps past the first settled sum; returns that sum's n."""
-    before, settled_at = None, None
-    for n in range(start, start + limit):
-        poly, settled = next(walk)
-        assert poly == oracle(n), n
-        if before is not None and settled_at is None and is_period_insertion(before, poly, m):
-            settled_at = n
-        assert settled == (settled_at is not None), n
-        if settled_at is not None and n == settled_at + steps_past:
-            return settled_at
-        before = poly
-    raise AssertionError(f"no period insertion within {limit} steps")
+def decided_at(m, a, b):
+    """The first x of the window (a, b] with s = m(x+1) - deg D above
+    c = floor(m x / 2): from there on P_x is the stride-m prefix sums of D up
+    to its center, and window_failures decides x by one comparison."""
+    top = (m - 1) * (b - m + 1)
+    return next(x for x in itertools.count(b - m + 1) if m * (x + 1) - top > m * x // 2)
+
+
+def check_window(m, a, b, oracle, xs):
+    """window_sum against oracle(x) at each x of xs, and window_failures
+    against is_unimodal of the oracle, over xs and one x at a time; returns
+    the x at which the oracle is not unimodal."""
+    failing = []
+    for x in xs:
+        poly = oracle(x)
+        assert window_sum(m, a, b, x) == poly, (m, a, b, x)
+        expected = [] if is_unimodal(poly) else [x]
+        assert window_failures(m, a, b, [x]) == expected, (m, a, b, x)
+        failing += expected
+    assert window_failures(m, a, b, xs) == failing, (m, a, b)
+    return failing
 
 
 class TestStrataWalk:
-    """strata_walk against the per-n oracles on both sides of the first
-    period insertion: the step before it, the step itself and the steps after."""
+    """The stratum windows walked over x: window_sum and window_failures
+    against the per-x oracles at each window's first x, and on both sides of
+    the first x that window_failures decides in closed form."""
 
     def test_conjecture_gen_windows_match_repeated_addition(self):
-        offsets = set()
+        outcomes = set()
         for m in range(2, 7):
             for a in range(m, m + 5):
                 for b in range(a + 1, a + 6):
-                    for start in (b - m + 1, b - m + 3):
-                        oracle = lambda n: finite_strata_by_addition(m, n, a, b)  # noqa: E731
-                        settled_at = walk_against(oracle, strata_walk(m, a, b, start), m, start)
-                        offsets.add(settled_at - start)
-        # windows that settle one step in, and windows that settle many steps in
-        assert 1 in offsets and max(offsets) >= 5
+                    oracle = lambda x: finite_strata_by_addition(m, x, a, b)  # noqa: E731
+                    first, decided = b - m + 1, decided_at(m, a, b)
+                    xs = sorted({first, first + 2, decided - 1, decided, decided + 1})
+                    outcomes.add(bool(check_window(m, a, b, oracle, [x for x in xs if x >= first])))
+        # windows that pass, and windows that do not qualify and fail
+        assert outcomes == {True, False}
 
     def test_conjecture_u_windows_match_rank_gen_gamma(self):
-        offsets = set()
+        outcomes, offsets = set(), set()
         for m in (2, 3, 5, 7):
             for k in range(m + 1, m + 13):
                 for b in (k, k + 1):  # u_k, and u_k + u_(k+1)
-                    start = b - m + 1
+                    first, decided = b - m + 1, decided_at(m, k - 1, b)
 
-                    def oracle(n):
-                        total = rank_gen_gamma(m, n, k)
-                        return total + rank_gen_gamma(m, n, k + 1) if b > k else total
+                    def oracle(x):
+                        total = rank_gen_gamma(m, x, k)
+                        return total + rank_gen_gamma(m, x, k + 1) if b > k else total
 
-                    settled_at = walk_against(oracle, strata_walk(m, k - 1, b, start), m, start)
-                    offsets.add(settled_at - start)
-        assert 1 in offsets and max(offsets) >= 5
+                    xs = range(first, decided + 3)
+                    outcomes.add(bool(check_window(m, k - 1, b, oracle, list(xs))))
+                    offsets.add(decided - first)
+        # windows decided at their first x, and windows decided many x in
+        assert outcomes == {True, False}
+        assert 0 in offsets and max(offsets) >= 5
 
     def test_m_one_has_no_strata(self):
-        # G_j = [j-1 choose -1]_q = 0, so H = 0 and every sum is the first one
+        # G_j = [j-1 choose -1]_q = 0, so D = 0 and every sum is 0
         for a, b in ((1, 2), (1, 6), (4, 9)):
-            walk = strata_walk(1, a, b, b)
-            for n in range(b, b + 5):
-                assert next(walk) == (QPoly.zero(), True)
-                assert finite_strata_by_addition(1, n, a, b).is_zero()
+            for x in range(b, b + 5):
+                assert window_sum(1, a, b, x).is_zero()
+                assert finite_strata_by_addition(1, x, a, b).is_zero()
+            assert window_failures(1, a, b, range(b, b + 5)) == []
 
     def test_validation(self):
         for args in ((0, 1, 2, 5), (3, 2, 4, 5), (3, 4, 4, 5), (3, 4, 6, 3)):
             with pytest.raises(ValueError):
-                strata_walk(*args)
-
-    def test_a_non_constant_block_breaks_unimodality_for_good(self):
-        # P_0 = q + 2q^2 + 2q^3, H = 2 + q + q^2 at s = 4, m = 3: the third
-        # sum inserts the block (2, 1, 1), and each later sum inserts it again
-        p0, h, s, m = [0, 1, 2, 2], [2, 1, 1], 4, 3
-        top = (QPoly(p0) - QPoly(p0).shifted(m) + QPoly(h).shifted(s)).degree
-        walk = _shift_walk(list(p0), h, s, m, top)
-        expected = QPoly(p0)
-        for r in range(8):
-            poly, settled = next(walk)
-            assert poly == expected, r
-            assert settled == (r >= 2), r
-            assert is_unimodal(poly) == (r < 2), r
-            if r >= 2:
-                at = s + (r - 1) * m
-                assert poly.coeffs[at - m:at] == (2, 1, 1), r
-            expected = expected + QPoly(h).shifted(s + r * m)
-
-    def test_settled_flags_follow_the_window_degree(self):
-        # D = [b choose m-1]_q - [a choose m-1]_q has degree (m-1)(b-m+1), and
-        # the sum at x is settled exactly when x > n and m x > 2 deg D
-        for m in range(2, 9):
-            for a in range(m, m + 4):
-                for b in range(a + 1, a + 5):
-                    top = (m - 1) * (b - m + 1)
-                    for n in (b - m + 1, b - m + 4):
-                        walk = strata_walk(m, a, b, n)
-                        for x in range(n, n + 2 * top // m + 3):
-                            _, settled = next(walk)
-                            assert settled == (x > n and m * x > 2 * top), (m, a, b, n, x)
+                window_sum(*args)
+            with pytest.raises(ValueError):
+                window_failures(*args[:3], [args[3]])
+        with pytest.raises(ValueError):  # a bad window raises before any x is drawn
+            window_failures(3, 4, 4, [])
+        with pytest.raises(ValueError):  # an x drawn below b-m+1 raises: (3, 5] never stops
+            window_failures(3, 3, 5, [3, 4, 2])
 
     def test_the_first_sum_is_the_only_polynomial_built(self, monkeypatch):
-        # the walk reads its bound off D, which strata_walk already holds as
-        # a list, so with the Gaussians in their memo the first draw builds
-        # the first sum and nothing else
-        strata_walk(5, 6, 8, 4)  # fills the Gaussian memo
+        # window_sum builds the sum at the window's first x and nothing else;
+        # window_failures builds no polynomial at all
+        window_sum(5, 6, 8, 4)  # fills the Gaussian memo
         built = []
 
         def counting(*args):
@@ -537,8 +522,9 @@ class TestStrataWalk:
             return QPoly(*args)
 
         monkeypatch.setattr(qpoly, "QPoly", counting)
-        poly, settled = next(qpoly.strata_walk(5, 6, 8, 4))
-        assert len(built) == 1 and not settled
+        poly = qpoly.window_sum(5, 6, 8, 4)
+        assert len(built) == 1
+        assert qpoly.window_failures(5, 6, 8, range(4, 40)) == [] and len(built) == 1
         monkeypatch.undo()
         assert poly == finite_strata_by_addition(5, 4, 6, 8)
 

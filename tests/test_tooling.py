@@ -39,7 +39,7 @@ def test_traced_launcher_runs_and_reads_gaussian_cache(tmp_path):
         ),
         (
             ["verify", "conjecture-gen", "--m", "2:4", "--a", "2:6", "--b", "3:7", "--n", "1:6"],
-            {"qpoly.gaussian", "qpoly.predicates"},
+            {"qpoly.gaussian"},
         ),
         (
             ["rankgen", "--m", "3", "--n", "3", "--k", "4"],
@@ -49,12 +49,13 @@ def test_traced_launcher_runs_and_reads_gaussian_cache(tmp_path):
     ids=["sieved", "conjecture-gen", "rankgen"],
 )
 def test_traced_launcher_times_the_qseries_layers(tmp_path, cli_args, expected):
-    # sieved and conjecture-gen read Gaussians and test their sums.  Neither
+    # sieved and conjecture-gen read Gaussians.  sieved tests its residue
+    # sums (qpoly.predicates); conjecture-gen decides each window in
+    # window_failures from two Gaussians, with no is_unimodal.  Neither
     # reaches qpoly.series: sieved divides by no cyclotomic, since its
     # cyclotomic clause is that a window's residue sums are equal, and
-    # conjecture-gen walks each window from two Gaussians, with no
-    # rank_gen_gamma.  rankgen reaches qpoly.series through rank_gen_Lk,
-    # which adds two QPolys (QPoly.__add__)
+    # conjecture-gen needs no rank_gen_gamma.  rankgen reaches qpoly.series
+    # through rank_gen_Lk, which adds two QPolys (QPoly.__add__)
     layers = run_traced(tmp_path, cli_args)
     assert expected <= set(layers)
     assert all(layers[name]["calls"] > 0 for name in expected)
@@ -117,7 +118,7 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_verify_reads_gaussians_only_in_the_sieved_tally():
-    # the level-k stratum comes from qpoly.strata_walk, whose closed form
+    # the level-k stratum comes from qpoly.window_sum, whose closed form
     # rank_gen_gamma is the tests' oracle, and sieved reads both of its
     # halves off one tally of [x choose m-1]_q
     path = ROOT / "src" / "kyoung" / "verify.py"

@@ -12,7 +12,7 @@ import pytest
 
 from kyoung import ideals, lattice, partitions, qpoly, verify
 from kyoung.lattice import build_ideal
-from kyoung.qpoly import QPoly, _shift_walk, conjecture_sum
+from kyoung.qpoly import QPoly, conjecture_sum
 from test_qpoly import finite_strata_by_addition, is_period_insertion
 from kyoung.verify import (
     Pass,
@@ -133,7 +133,7 @@ class TestConjectureU:
         """As for conjecture-gen: the two kinds of window, u_k and
         u_k + u_(k+1), fail exactly from their first period insertion on."""
         m, k_r, n_r = 3, (4, 14), (1, 30)
-        cells, failing = [], set()
+        cells, failing = [], set()  # failing holds (k, n)
         for k in verify._as_values(k_r):
             if k % m == 0:
                 continue
@@ -146,18 +146,23 @@ class TestConjectureU:
             ]
             cells += [({"m": m, "k": k, "n": n, "mode": mode}, poly) for n, poly in sums]
             inserted = [is_period_insertion(x, y, m) for (_, x), (_, y) in zip(sums, sums[1:])]
-            failing.update(poly for _, poly in sums[inserted.index(True) + 1:])
-        monkeypatch.setattr(qpoly, "is_unimodal", lambda p: p not in failing)
+            failing.update((k, n) for n, _ in sums[inserted.index(True) + 1:])
+        # the window of level k is (k-1, k] or (k-1, k+1]
+        monkeypatch.setattr(
+            qpoly, "window_failures", lambda m, a, b, xs: [x for x in xs if (a + 1, x) in failing]
+        )
         rep = verify_conjecture_u(m, k_r, n_r)
         expected = [
-            {**where, "coefficients": list(poly.coeffs)} for where, poly in cells if poly in failing
+            {**where, "coefficients": list(poly.coeffs)}
+            for where, poly in cells
+            if (where["k"], where["n"]) in failing
         ]
         assert len(expected) > 50
         assert rep.counterexamples == expected
         assert (rep.grid, rep.failed) == (len(cells), len(expected))
 
     def test_counterexamples_recorded_not_raised(self, monkeypatch):
-        monkeypatch.setattr(qpoly, "is_unimodal", lambda p: False)
+        monkeypatch.setattr(qpoly, "window_failures", lambda m, a, b, xs: list(xs))
         rep = verify_conjecture_u(3, (4, 6), (4, 8))
         assert rep.failed == rep.grid > 0
         assert not rep.all_pass()
@@ -202,11 +207,11 @@ class TestConjectureGen:
             verify_conjecture_gen(0, 3, 4, 5)
 
     def test_counterexamples_past_the_first_insertion_are_the_oracle_sums(self, monkeypatch):
-        """A predicate that fails exactly from each window's first period
-        insertion on: the walk must still give one counterexample per n,
-        each the sum of the strata added up level by level."""
+        """A window_failures that fails exactly from each window's first
+        period insertion on: each failing n must get one counterexample,
+        the sum of the strata added up level by level."""
         m_r, a_r, b_r, n_r = (2, 5), (2, 8), (3, 9), (1, 24)
-        cells, failing = [], set()
+        cells, failing = [], set()  # failing holds (m, a, b, n)
         for m, a, b in itertools.product(*map(verify._as_values, (m_r, a_r, b_r))):
             if not m <= a < b or not qualifies(a, b, m):
                 continue
@@ -214,72 +219,61 @@ class TestConjectureGen:
             cells += [({"m": m, "a": a, "b": b, "n": n}, poly) for n, poly in sums]
             inserted = [is_period_insertion(x, y, m) for (_, x), (_, y) in zip(sums, sums[1:])]
             if True in inserted:
-                failing.update(poly for _, poly in sums[inserted.index(True) + 1:])
-        monkeypatch.setattr(qpoly, "is_unimodal", lambda p: p not in failing)
+                failing.update((m, a, b, n) for n, _ in sums[inserted.index(True) + 1:])
+        monkeypatch.setattr(
+            qpoly, "window_failures", lambda m, a, b, xs: [x for x in xs if (m, a, b, x) in failing]
+        )
         rep = verify_conjecture_gen(m_r, a_r, b_r, n_r)
         expected = [
-            {**where, "coefficients": list(poly.coeffs)} for where, poly in cells if poly in failing
+            {**where, "coefficients": list(poly.coeffs)}
+            for where, poly in cells
+            if tuple(where.values()) in failing
         ]
         assert len(expected) > 100
         assert rep.counterexamples == expected
         assert (rep.grid, rep.failed) == (len(cells), len(expected))
 
     def test_walk_draws_do_not_grow_with_the_n_range(self, monkeypatch):
-        """Each window builds its first-n sum once, and a passing window stops
-        at its first period insertion: the builds and the sums drawn are the
-        same for n up to 40 and up to 400."""
-        real = qpoly.strata_walk
+        """A passing window builds no sum, and window_failures draws its n
+        only up to the first one decided in closed form: the sums built and
+        the n drawn are the same for n up to 40 and up to 400."""
+        real = qpoly.window_failures
 
-        def counting(*args):
-            builds.append(args)
-            walk = real(*args)
-
+        def counting(m, a, b, xs):
             def draws():
-                for item in walk:
-                    degrees.append(item[0].degree)
-                    yield item
+                for x in xs:
+                    drawn.append((m, a, b, x))
+                    yield x
 
-            return draws()
+            return real(m, a, b, draws())
 
-        monkeypatch.setattr(qpoly, "strata_walk", counting)
+        monkeypatch.setattr(qpoly, "window_failures", counting)
+        monkeypatch.setattr(qpoly, "window_sum", lambda *args: built.append(args))
         seen = []
         for n_hi in (40, 400):
-            builds, degrees = [], []
+            built, drawn = [], []
             rep = verify_conjecture_gen((2, 6), (2, 20), (3, 21), (1, n_hi))
             assert rep.failed == 0
-            seen.append((rep.grid, builds, degrees))
+            seen.append((rep.grid, built, drawn))
         (grid_40, *walked_40), (grid_400, *walked_400) = seen
-        assert walked_40 == walked_400 and len(walked_40[0]) > 0
+        assert walked_40 == walked_400 and walked_40[0] == [] and len(walked_40[1]) > 0
         assert grid_400 > grid_40
 
 
 class TestWalkCells:
-    def test_a_non_constant_block_fails_at_every_later_n(self):
-        # the synthetic walk of test_qpoly: the sum at n = 12 is the first
-        # period insertion, of the block (2, 1, 1), and no later n may pass
-        p0, h, s, m = [0, 1, 2, 2], [2, 1, 1], 4, 3
-        n_values = list(range(10, 18))
-        top = (QPoly(p0) - QPoly(p0).shifted(m) + QPoly(h).shifted(s)).degree
-        walk = _shift_walk(list(p0), h, s, m, top)
-        cells = list(verify._walk_cells(walk, n_values, lambda n: {"n": n}))
-        poly, expected = QPoly(p0), []
-        for r, n in enumerate(n_values):
-            if n >= 12:
-                expected.append((False, {"n": n, "coefficients": list(poly.coeffs)}))
-            poly = poly + QPoly(h).shifted(s + r * m)
-        assert cells == [*expected, Pass(2)]
+    """_window_cells walks a window's n: one counterexample per failing n,
+    then one Pass for the rest."""
 
-    def test_a_passing_settled_sum_passes_the_rest_at_once(self):
-        # m = 5, window (6, 8]: the sum at n = 7 is the first period insertion
-        walk = qpoly.strata_walk(5, 6, 8, 4)
-        assert list(verify._walk_cells(walk, list(range(4, 100)), lambda n: {"n": n})) == [Pass(96)]
+    def test_a_passing_window_passes_in_one_batch(self):
+        # m = 5, window (6, 8]: every n passes, as one batch
+        cells = verify._window_cells(5, 6, 8, list(range(4, 100)), lambda n: {"n": n})
+        assert list(cells) == [Pass(96)]
 
     def test_a_window_that_does_not_qualify_fails_for_good(self):
         # m = 3, window (3, 5], 5 = -1 mod 3: from n = 5 on each sum inserts
         # the block (3, 2, 2) again, so every later n fails
         n_values = list(range(3, 12))
-        walk = qpoly.strata_walk(3, 3, 5, 3)
-        cells = list(verify._walk_cells(walk, n_values, lambda n: {"n": n}))
+        cells = list(verify._window_cells(3, 3, 5, n_values, lambda n: {"n": n}))
         expected = [
             (False, {"n": n, "coefficients": finite_strata_by_addition(3, n, 3, 5).to_json_list()})
             for n in range(5, 12)
@@ -400,7 +394,7 @@ class TestSieved:
             asked.add((x, j))
             return qpoly.gaussian(x, j)
 
-        names = {"strata_walk": unused, "rank_gen_gamma": unused, "conjecture_sum": unused}
+        names = {"window_sum": unused, "rank_gen_gamma": unused, "conjecture_sum": unused}
         names["gaussian"] = recorded_gaussian
         monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
         for m, a, b, k in [((2, 14), (2, 32), (3, 33), (3, 55)), (2, (2, 9), (3, 10), (3, 10**6))]:
@@ -416,6 +410,24 @@ class TestSieved:
                     top = max([top, *claimed])
                 allowed.update((x, m_val - 1) for x in range(top + 1))
             assert asked and asked <= allowed, sorted(asked - allowed)[:5]
+
+    def test_tally_stops_at_the_largest_b_or_k_read(self, monkeypatch):
+        """An m whose windows all lie outside m <= a < b builds no Gaussian
+        for them: with no k, none at all, and with k, none past its largest
+        claimed k, however far b runs."""
+        asked = []
+
+        def recorded_gaussian(x, j):
+            asked.append(x)
+            return qpoly.gaussian(x, j)
+
+        view = SimpleNamespace(**{**vars(qpoly), "gaussian": recorded_gaussian})
+        monkeypatch.setattr(verify, "qpoly", view)
+        rep = verify_sieved((20, 40), (2, 19), (3, 200))
+        assert (rep.grid, rep.skipped, asked) == (0, 21 * 18 * 198, [])
+        rep = verify_sieved((20, 23), (2, 19), (3, 200), (3, 50))
+        # only 23 is prime: k = 24 .. 50, but for 45 = -1 and 46 = 0 mod 23
+        assert rep.grid == 25 and max(asked) == 50
 
     def test_single_gaussian_cells_are_the_windows_one_level_wide(self):
         """[k choose m-1]_q - [k-1 choose m-1]_q = q^(k-m+1) [k-1 choose m-2]_q,
@@ -738,16 +750,16 @@ class TestStructure:
         assert {r.failed for r in by_name.values()} == {0}
 
     def test_decomposition_takes_the_strata_from_their_walk(self, monkeypatch):
-        """Add 1 to every sum of the strata walk on verify's view of qpoly:
+        """Add 1 to every window_sum on verify's view of qpoly:
         structure-gamma and structure-decomposition each fail, on exactly
         their cells with k > m, the ones with a stratum to read (gamma's is
         the window (k-1, k], decomposition's the window (m, k]); every other
         family passes."""
 
         def off_by_one(*args):
-            return ((poly + QPoly.one(), settled) for poly, settled in qpoly.strata_walk(*args))
+            return qpoly.window_sum(*args) + QPoly.one()
 
-        view = SimpleNamespace(**{**vars(qpoly), "strata_walk": off_by_one})
+        view = SimpleNamespace(**{**vars(qpoly), "window_sum": off_by_one})
         monkeypatch.setattr(verify, "qpoly", view)
         by_name = {r.check: r for r in verify_structure(3, 4, 5, 6)}
         specs = verify._grid_cells(verify._Grid(3, 4, 5, 6))
