@@ -13,6 +13,7 @@ import operator
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 from .lattice import HasseDiagram
 from .partitions import Parts, partitions_in_box
@@ -62,44 +63,74 @@ def is_member(p: Parts, spec: IdealSpec) -> bool:
     )
 
 
+def _ranks(spec: IdealSpec) -> tuple[list[Parts], list[list[tuple[int, int]]]]:
+    """The box of the members with no row equal to m, the partitions in the
+    (m - 1) x min(n, k - m + 1) box, by size, then lexicographically; and
+    the members (m^j) over box[t] as pairs (j, t), degree by degree.
+
+    Of two members of one degree, the one with more rows equal to m is the
+    lexicographically greater, so degree d lists j ascending, then the box
+    partitions of size d - mj with at most n - j parts in their order.
+    """
+    m, n = spec.m, spec.n
+    box = sorted(partitions_in_box(m - 1, min(n, spec.k - m + 1)), key=sum)  # stable: lex
+    top = sum(box[-1])  # the largest size in the box
+    by_size: list[list[int]] = [[] for _ in range(top + 1)]
+    for t, b in enumerate(box):
+        by_size[sum(b)].append(t)
+    return box, [
+        [
+            (j, t)
+            for j in range(max(0, -((top - d) // m)), min(n, d // m) + 1)  # d - mj <= top
+            for t in by_size[d - m * j]
+            if len(box[t]) <= n - j
+        ]
+        for d in range(m * n + 1)
+    ]
+
+
 def enumerate_ideal(spec: IdealSpec) -> list[Parts]:
     """All members, ordered by degree then lexicographically.  Each is (m^j)
     over a partition in the (m - 1) x min(n - j, k - m + 1) box, j = 0 .. n."""
-    m, width = spec.m, spec.k - spec.m + 1
-    members = [
-        (m,) * j + rest
-        for j in range(spec.n + 1)
-        for rest in partitions_in_box(m - 1, min(spec.n - j, width))
-    ]
-    members.sort(key=lambda p: (sum(p), p))
-    return members
+    box, ranks = _ranks(spec)
+    return [(spec.m,) * j + box[t] for rank in ranks for j, t in rank]
 
 
 def hasse_diagram(spec: IdealSpec) -> HasseDiagram:
     """The Hasse diagram of the ideal, the one lattice.build_ideal finds by
     k-covers, read from the characterization instead.
 
-    The order is containment, so p is covered by the members with one box
-    more: a box at the first row of each part v < m, and a new row of 1 while
-    p has fewer than n rows.  Only that new row can leave the ideal, as one
-    short row too many.
+    The order is containment, so (m^j) over a box partition b is covered by
+    the members with one box more: b with a box at the first row of each
+    distinct part, or with a new row of 1.  The step stays in the box, becomes
+    (m^(j + 1)) over the rest when the first row reaches m, or leaves the
+    box by one row too many.  The steps of each box partition are found
+    once and lifted to every j as positions; a step to no position leaves
+    the rectangle.
     """
-    m, width = spec.m, spec.k - spec.m + 1
-    ranks: list[list[Parts]] = [[] for _ in range(spec.top_rank + 1)]
-    up_edges: dict[Parts, tuple[Parts, ...]] = {}
-    for p in enumerate_ideal(spec):  # by degree, then lexicographically
-        ranks[sum(p)].append(p)
-        j = p.count(m)  # the rows below the first j are the short rows
-        up = [
-            p[:i] + (p[i] + 1,) + p[i + 1:]
-            for i in range(j, len(p))
-            if i == j or p[i - 1] > p[i]
-        ]
-        if len(p) < spec.n and len(p) - j < width:
-            up.append(p + (1,))
-        up_edges[p] = tuple(sorted(up))
+    m = spec.m
+    box, ranks = _ranks(spec)
+    index = {b: t for t, b in enumerate(box)}
+    steps = []  # steps[t]: (dj, s), the step of box[t] to (m^(j + dj)) over box[s]
+    for b in box:
+        rows = [i for i in range(len(b)) if i == 0 or b[i - 1] > b[i]]
+        raised = [b[:i] + (b[i] + 1,) + b[i + 1:] for i in rows] + [b + (1,)]
+        lifted = ((1, index[c[1:]]) if c[0] == m else (0, index.get(c)) for c in raised)
+        steps.append(sorted(step for step in lifted if step[1] is not None))
+    members = list(chain.from_iterable(ranks))
+    position = [[-1] * len(box) for _ in range(spec.n + 2)]  # no member has j > n
+    for i, (j, t) in enumerate(members):
+        position[j][t] = i
+    # members and steps are both in position order, so the edges come sorted
+    edges = [
+        (i, u)
+        for i, (j, t) in enumerate(members)
+        for u in [position[j + dj][s] for dj, s in steps[t]]
+        if u >= 0
+    ]
     name = "ideal [" + ",".join(map(str, spec.rectangle)) + "]"
-    return HasseDiagram(k=spec.k, name=name, ranks=ranks, up_edges=up_edges)
+    vertices = [[(m,) * j + box[t] for j, t in rank] for rank in ranks]
+    return HasseDiagram(k=spec.k, name=name, ranks=vertices, edges=edges)
 
 
 def gamma_set(spec: IdealSpec) -> list[Parts]:

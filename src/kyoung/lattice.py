@@ -119,12 +119,14 @@ def leq(a: Parts, b: Parts, k: int) -> bool:
 
 @dataclass
 class HasseDiagram:
-    """Graded cover graph: ranks[d] lists the degree-d vertices in lex order."""
+    """Graded cover graph.  ranks[d] lists the degree-d vertices in lex order,
+    and edges holds each cover once as a (position, position) pair along
+    vertices(), lower end first, the pairs sorted."""
 
     k: int
     name: str
     ranks: list[list[Parts]]
-    up_edges: dict[Parts, tuple[Parts, ...]] = field(default_factory=dict)
+    edges: list[tuple[int, int]] = field(default_factory=list)
 
     def vertices(self) -> list[Parts]:
         return [v for rank in self.ranks for v in rank]
@@ -132,21 +134,12 @@ class HasseDiagram:
     def vertex_count(self) -> int:
         return sum(len(rank) for rank in self.ranks)
 
-    def edge_positions(self) -> list[tuple[int, int]]:
-        """Up-edges as (position, position) pairs along vertices(), sorted."""
-        position = {v: i for i, v in enumerate(self.vertices())}
-        return [
-            (i, j)
-            for v, i in position.items()
-            for j in sorted(map(position.__getitem__, self.up_edges.get(v, ())))
-        ]
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
             "name": self.name,
             "ranks": [[list(v) for v in rank] for rank in self.ranks],
-            "edges": [[i, j] for i, j in self.edge_positions()],
+            "edges": list(map(list, self.edges)),
         }
 
     def to_dot(self) -> str:
@@ -156,7 +149,7 @@ class HasseDiagram:
             row = (f'v{i} [label="[{",".join(map(str, v))}]"];' for i, v in enumerate(rank, start))
             lines.append("  { rank=same; " + " ".join(row) + " }")
             start += len(rank)
-        lines.extend(f"  v{i} -> v{j};" for i, j in self.edge_positions())
+        lines.extend(f"  v{i} -> v{j};" for i, j in self.edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -168,19 +161,20 @@ def build_ideal(generator: Parts, k: int) -> HasseDiagram:
     top = sum(generator)
     levels: list[list[Parts]] = [[] for _ in range(top + 1)]
     levels[top] = [generator]
-    up: dict[Parts, list[Parts]] = {generator: []}
+    covered: list[tuple[Parts, Parts]] = []
     for d in range(top, 0, -1):
         children = set()
         for v in levels[d]:
             for c in _covers(v, k, "down"):
                 children.add(c)
-                up.setdefault(c, []).append(v)
+                covered.append((c, v))
         levels[d - 1] = sorted(children)
+    position = {v: i for i, v in enumerate(v for level in levels for v in level)}
     return HasseDiagram(
         k=k,
         name="ideal [" + ",".join(map(str, generator)) + "]",
         ranks=levels,
-        up_edges={v: tuple(sorted(parents)) for v, parents in up.items()},
+        edges=sorted((position[c], position[v]) for c, v in covered),
     )
 
 

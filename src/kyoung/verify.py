@@ -431,6 +431,14 @@ def _upsets(rows: list[Parts], spec: IdealSpec, reverse: bool = False) -> list[i
     return [functools.reduce(operator.and_, map(list.__getitem__, tables, x)) for x in padded]
 
 
+def _up_positions(diagram: lattice.HasseDiagram, count: int) -> list[list[int]]:
+    """The upper ends of each of count vertices' edges, in edge order."""
+    ups: list[list[int]] = [[] for _ in range(count)]
+    for v, u in diagram.edges:
+        ups[v].append(u)
+    return ups
+
+
 def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
         where = asdict(spec)
@@ -444,23 +452,24 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
             missing = [list(p) for p in members if p not in vertex_set]
             yield False, {**where, "extra": extra, "missing": missing}
             continue
-        # the k-covers must be the one-box steps; both edge lists are sorted
-        x = next((x for x in members if diagram.up_edges.get(x, ()) != steps.up_edges[x]), None)
+        # the k-covers must be the one-box steps: the first member whose
+        # up-edges differ is the counterexample
+        covers, ones = _up_positions(diagram, len(members)), _up_positions(steps, len(members))
+        x = next((x for x, (c, o) in enumerate(zip(covers, ones)) if c != o), None)
         if x is not None:
-            covers, ones = diagram.up_edges.get(x, ()), steps.up_edges[x]
-            extra = [list(u) for u in covers if u not in ones]
-            missing = [list(u) for u in ones if u not in covers]
-            yield False, {**where, "child": list(x), "extra": extra, "missing": missing}
+            extra = [list(members[u]) for u in covers[x] if u not in ones[x]]
+            missing = [list(members[u]) for u in ones[x] if u not in covers[x]]
+            yield False, {**where, "child": list(members[x]), "extra": extra, "missing": missing}
             continue
         # the ideal is downward closed, so every saturated chain between two
         # members stays in it: the k-order there is reachability in the
         # diagram.  above[v] holds the members reachable from v, as bits.
-        above: dict[Parts, int] = {}
-        for j, v in reversed(list(enumerate(members))):
-            reach = (above[u] for u in steps.up_edges[v])
-            above[v] = functools.reduce(operator.or_, reach, 1 << j)
-        for x, up in zip(members, _upsets(members, spec)):
-            wrong = above[x] ^ up
+        above = [1 << v for v in range(len(members))]
+        for v in reversed(range(len(members))):
+            for u in ones[v]:
+                above[v] |= above[u]
+        for x, reach, up in zip(members, above, _upsets(members, spec)):
+            wrong = reach ^ up
             if not wrong:
                 yield Pass(len(members))
                 continue
@@ -470,7 +479,7 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
         # above: the edges are the one-box steps, so each adds one box, and
         # reachability is containment, so a member y one box above a member
         # x is reached from x by a path of exactly one edge.
-        yield Pass(sum(map(len, steps.up_edges.values())))
+        yield Pass(len(steps.edges))
 
 
 def _counts_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -517,7 +526,8 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
     previous: dict[IdealSpec, set[Parts]] = {}
     for spec in _grid_cells(g):
         diagram = ideals.hasse_diagram(spec)
-        members = previous[spec] = set(diagram.vertices())
+        vertices = diagram.vertices()
+        members = previous[spec] = set(vertices)
         if spec.k == spec.m:  # a chain: one member per degree
             yield [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1), asdict(spec)
             continue
@@ -529,10 +539,8 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
         ok = ok and ideals.rank_vector(gamma, spec.top_rank).counts == expected
         ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
         # the up-edges are the one-box steps between members: none crosses two strata
-        rows = {x: ideals.short_rows(x, spec.m) for x in diagram.up_edges}
-        ok = ok and all(
-            abs(rows[u] - rows[x]) <= 1 for x, ups in diagram.up_edges.items() for u in ups
-        )
+        rows = [ideals.short_rows(x, spec.m) for x in vertices]
+        ok = ok and all(abs(rows[u] - rows[x]) <= 1 for x, u in diagram.edges)
         yield ok, asdict(spec)
 
 
@@ -570,16 +578,23 @@ def verify_structure(
 def _indented(value: Any, indent: str) -> str:
     """The text json.dumps(value, indent=2) gives, for dicts with string keys,
     lists, tuples and scalars, nested at indent.  A list of ints is one join,
-    so the diagram's vertices and edges skip the pure-Python encoder that
-    json.dumps falls back to when indenting."""
+    and a list of int sequences one join per sequence, written at the list
+    itself: the diagram's vertices and edges skip the pure-Python encoder
+    that json.dumps falls back to when indenting."""
     inner = indent + "  "
     if isinstance(value, dict):
         opening, closing = "{", "}"
         items = (f"{json.dumps(key)}: {_indented(v, inner)}" for key, v in value.items())
     elif isinstance(value, (list, tuple)):
         opening, closing = "[", "]"
-        if all(type(v) is int for v in value):  # not bool, which json writes as true
+        # type, not isinstance: a bool is an int that json writes as true
+        if all(type(v) is int for v in value):
             items = map(str, value)
+        elif {*map(type, value)} <= {list, tuple} and {
+            *map(type, itertools.chain.from_iterable(value))
+        } <= {int}:
+            start, comma, end = f"[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
+            items = (start + comma.join(map(str, v)) + end if v else "[]" for v in value)
         else:
             items = (_indented(v, inner) for v in value)
     else:

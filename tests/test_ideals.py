@@ -1,6 +1,7 @@
 """Rectangle ideals: membership, gamma strata, duality, lattice operations."""
 
 import itertools
+import json
 
 import pytest
 
@@ -19,6 +20,7 @@ from kyoung.ideals import (
 )
 from kyoung.lattice import build_ideal, leq
 from kyoung.partitions import contains, part_at, partitions_in_box
+from kyoung.verify import render
 
 
 def sum_parts(a, b):
@@ -183,18 +185,25 @@ class TestMembership:
         "m, n, k", [(3, 3, 3), (1, 4, 2), (2, 5, 3), (4, 7, 6), (3, 2, 8), (5, 6, 5)]
     )
     def test_draws_one_partition_per_member(self, m, n, k, monkeypatch):
-        """The enumeration is output-sensitive: every partition it draws from
-        a box becomes a member, none is filtered out."""
-        drawn = 0
+        """The enumeration and the diagram are output-sensitive: every
+        partition they draw from a box becomes a member, none is filtered
+        out.  Each draws the members with no row equal to m once, and finds
+        the others by lifting those."""
+        drawn = []
 
         def counting(width, height):
-            nonlocal drawn
             for p in partitions_in_box(width, height):
-                drawn += 1
+                drawn.append(p)
                 yield p
 
         monkeypatch.setattr("kyoung.ideals.partitions_in_box", counting)
-        assert len(enumerate_ideal(IdealSpec(m, n, k))) == drawn
+        spec = IdealSpec(m, n, k)
+        members = enumerate_ideal(spec)
+        unlifted = sorted(p for p in members if m not in p)
+        assert sorted(drawn) == unlifted
+        drawn.clear()
+        assert hasse_diagram(spec).vertices() == members
+        assert sorted(drawn) == unlifted
 
 
     @pytest.mark.parametrize("m, n, k", [(1, 2, 1), (1, 3, 2), (2, 2, 2), (2, 2, 3), (3, 2, 4)])
@@ -314,17 +323,51 @@ class TestGamma:
                     assert set(gamma_set(spec)) == expected, spec
 
 
-class TestHasseDiagram:
-    def test_matches_the_k_cover_diagram(self):
-        # 350 ideals, among them m = 1, m = k, and n < k - m + 1, where every
-        # partition in the box is a member
-        specs = [
-            IdealSpec(m, n, k) for m in range(1, 6) for k in range(m, 10) for n in range(1, 11)
+def edges_by_slicing(spec):
+    """Oracle: each member's one-box steps, sliced out of its tuple: a box at
+    the first row of each part below m, and a new row of 1 while there are
+    fewer than n rows and fewer than k - m + 1 short rows.  The members come
+    from the box filter, and the edges as sorted position pairs."""
+    m, width = spec.m, spec.k - spec.m + 1
+    members = members_by_box_filter(spec)
+    position = {p: i for i, p in enumerate(members)}
+    edges = []
+    for p in members:
+        j = p.count(m)  # the rows below the first j are the short rows
+        up = [
+            p[:i] + (p[i] + 1,) + p[i + 1:]
+            for i in range(j, len(p))
+            if i == j or p[i - 1] > p[i]
         ]
-        for spec in specs:
+        if len(p) < spec.n and len(p) - j < width:
+            up.append(p + (1,))
+        edges.extend((position[p], position[u]) for u in up)
+    return members, sorted(edges)
+
+
+class TestHasseDiagram:
+    # 350 ideals, among them m = 1, m = k, and n < k - m + 1, where every
+    # partition in the box is a member
+    SPECS = [IdealSpec(m, n, k) for m in range(1, 6) for k in range(m, 10) for n in range(1, 11)]
+
+    def test_matches_the_k_cover_diagram(self):
+        for spec in self.SPECS:
             got, expected = hasse_diagram(spec), build_ideal(spec.rectangle, spec.k)
             assert (got.k, got.name, got.ranks) == (expected.k, expected.name, expected.ranks), spec
-            assert got.up_edges == expected.up_edges, spec
+            assert got.edges == expected.edges, spec
+
+    def test_matches_the_sliced_one_box_steps(self):
+        for spec in self.SPECS:
+            got = hasse_diagram(spec)
+            assert (got.vertices(), got.edges) == edges_by_slicing(spec), spec
+
+    def test_exports_the_bytes_of_the_k_cover_diagram(self):
+        for spec in self.SPECS:
+            got = hasse_diagram(spec)
+            assert render(got) == json.dumps(got.to_json_dict(), indent=2) + "\n", spec
+            expected = build_ideal(spec.rectangle, spec.k)
+            assert render(got) == render(expected), spec
+            assert got.to_dot() == expected.to_dot(), spec
 
 
 class TestDuality:

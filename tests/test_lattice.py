@@ -133,10 +133,10 @@ class TestLeq:
         for k in (2, 3):
             top = (k,) * 3
             diagram = build_ideal(top, k)
-            below = {v: set() for v in diagram.vertices()}
-            for p, ups in diagram.up_edges.items():
-                for q in ups:
-                    below[q].add(p)
+            vertices = diagram.vertices()
+            below = {v: set() for v in vertices}
+            for i, j in diagram.edges:
+                below[vertices[j]].add(vertices[i])
             reach = {}
 
             def reachable(v):
@@ -183,7 +183,7 @@ class TestHasseDiagram:
     def test_build_ideal_chain(self):
         d = build_ideal((3, 3, 3), 3)
         assert d.vertex_count() == 10
-        assert len(d.edge_positions()) == 9
+        assert len(d.edges) == 9
         assert [len(r) for r in d.ranks] == [1] * 10
 
     def test_build_ideal_counts(self):
@@ -199,17 +199,17 @@ class TestHasseDiagram:
 
     def test_edges_match_covers_within_ideal(self):
         d = build_ideal((3, 2), 3)
-        verts = set(d.vertices())
-        for p in verts:
-            expected = tuple(q for q in covers(p, 3, "up") if q in verts)
-            assert d.up_edges[p] == expected
+        vertices = d.vertices()
+        for i, p in enumerate(vertices):
+            expected = [q for q in covers(p, 3, "up") if q in vertices]
+            assert [vertices[j] for v, j in d.edges if v == i] == expected
 
     def test_edge_positions(self):
         d = build_ideal((1, 1, 1), 1)
         vertices = d.vertices()
         assert vertices.index((1, 1)) == 2
-        assert d.edge_positions() == [(0, 1), (1, 2), (2, 3)]
-        assert [(vertices[i], vertices[j]) for i, j in d.edge_positions()] == [
+        assert d.edges == [(0, 1), (1, 2), (2, 3)]
+        assert [(vertices[i], vertices[j]) for i, j in d.edges] == [
             ((), (1,)),
             ((1,), (1, 1)),
             ((1, 1), (1, 1, 1)),
@@ -217,14 +217,14 @@ class TestHasseDiagram:
         assert d.to_json_dict()["edges"] == [[0, 1], [1, 2], [2, 3]]
 
     def test_edge_positions_sort_every_edge(self):
-        """The pairs come sorted whatever the order of each vertex's
-        up-edges: the sorted positions of every up-edge of every vertex."""
+        """build_ideal's edges come sorted, one pair per down-cover of every
+        vertex, lower end first."""
         d = build_ideal((3, 3, 3), 4)
-        d.up_edges = {v: ups[::-1] for v, ups in d.up_edges.items()}
-        position = {v: i for i, v in enumerate(d.vertices())}
-        every = [(position[v], position[u]) for v in d.vertices() for u in d.up_edges[v]]
-        assert any(len(ups) > 1 for ups in d.up_edges.values())
-        assert d.edge_positions() == sorted(every)
+        vertices = d.vertices()
+        position = {v: i for i, v in enumerate(vertices)}
+        every = [(position[c], position[v]) for v in vertices for c in covers(v, 4, "down")]
+        assert len({i for i, _ in every}) < len(every)  # some vertex has two up-edges
+        assert d.edges == sorted(every)
 
     def test_ideal_validates(self):
         with pytest.raises(ValueError):
@@ -261,7 +261,7 @@ class TestHasseDiagram:
         dot = d.to_dot()
         for i, v in enumerate(d.vertices()):
             assert f'v{i} [label="[{",".join(map(str, v))}]"];' in dot
-        for i, j in d.edge_positions():
+        for i, j in d.edges:
             assert f"v{i} -> v{j};" in dot
 
 

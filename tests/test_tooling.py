@@ -74,10 +74,17 @@ def test_traced_launcher_times_the_structure_layers(tmp_path):
 
 
 def test_traced_launcher_times_the_ideal_json_writer(tmp_path):
-    # cli writes the diagram through verify.render, which reads HasseDiagram.to_json_dict
-    layers = run_traced(tmp_path, ["ideal", "--m", "3", "--n", "4", "--k", "4", "--out", "F"])
+    # cli writes the diagram through verify.render, which reads
+    # HasseDiagram.to_json_dict, and its --dot form through HasseDiagram.to_dot;
+    # traced.py binds both methods by name
+    cli_args = ["ideal", "--m", "3", "--n", "4", "--k", "4", "--out", "F"]
+    layers = run_traced(tmp_path, cli_args)
     assert (tmp_path / "F").exists()
     assert all(layers[name]["calls"] > 0 for name in ("verify.render", "lattice.render"))
+    layers = run_traced(tmp_path, [*cli_args[:-1], "G", "--dot"])
+    assert (tmp_path / "G").read_text().startswith("digraph kyoung {")
+    assert layers["lattice.render"]["calls"] > 0
+    assert "verify.render" not in layers
 
 
 def test_traced_launcher_times_the_report_writer(tmp_path):

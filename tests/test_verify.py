@@ -594,12 +594,12 @@ class TestStructure:
         build_ideal drops it, and extra when hasse_diagram does."""
 
         def first_edge(d):
-            v = next(v for v in d.vertices() if d.up_edges.get(v))
-            return v, d.up_edges[v][0]
+            i, j = d.edges[0]  # the edges come sorted
+            vertices = d.vertices()
+            return vertices[i], vertices[j]
 
         def dropped_edge(d):
-            v, _ = first_edge(d)
-            d.up_edges[v] = d.up_edges[v][1:]
+            del d.edges[0]
 
         report = self.damaged_diagrams(monkeypatch, dropped_edge, **source)
         side = "extra" if source else "missing"
@@ -623,8 +623,9 @@ class TestStructure:
         every other member still reaches each member containing it."""
 
         def bottom_edge_dropped(d):
-            assert d.up_edges[()] == ((1,),)
-            d.up_edges[()] = ()
+            assert d.vertices()[:2] == [(), (1,)]
+            assert [(i, j) for i, j in d.edges if i == 0] == [(0, 1)]
+            d.edges.remove((0, 1))
 
         self.damage(monkeypatch, bottom_edge_dropped, source=ideals, builder="hasse_diagram")
         report = self.damaged_diagrams(monkeypatch, bottom_edge_dropped)
@@ -643,8 +644,8 @@ class TestStructure:
         def extra_edge(d):
             added.append(pick(d))
             if added[-1]:
-                v, u = added[-1]
-                d.up_edges[v] = d.up_edges.get(v, ()) + (u,)
+                vertices = d.vertices()
+                d.edges.append(tuple(map(vertices.index, added[-1])))
 
         report = self.damaged_diagrams(monkeypatch, extra_edge)
         specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
@@ -704,20 +705,26 @@ class TestStructure:
         ]
 
     def test_gamma_takes_the_level_below_from_the_pass_before(self, monkeypatch):
-        # each ideal is enumerated once, for its diagram; gamma_set draws the
-        # stratum from its own box, and the level below is the pass before's
+        # each ideal's members are read once, off its diagram, which draws
+        # them from its own box; gamma_set draws the stratum from its own
+        # box, and the level below is the pass before's
         calls = Counter()
-        enumerate_ideal = ideals.enumerate_ideal
 
-        def counted(spec):
-            calls[spec] += 1
-            return enumerate_ideal(spec)
+        def counted(name):
+            fn = getattr(ideals, name)
 
-        monkeypatch.setattr(ideals, "enumerate_ideal", counted)
+            def wrapper(spec):
+                calls[name, spec] += 1
+                return fn(spec)
+
+            monkeypatch.setattr(ideals, name, wrapper)
+
+        counted("enumerate_ideal")
+        counted("hasse_diagram")
         grid = verify._Grid(4, 5, 7, 10)
         verdicts = [ok for ok, _ in verify._gamma_cells(grid)]
         specs = list(verify._grid_cells(grid))
-        assert calls == Counter(specs)
+        assert calls == Counter(("hasse_diagram", spec) for spec in specs)
         assert sum(calls.values()) == len(specs) == 59
         assert verdicts == [True] * len(specs)
 
@@ -732,7 +739,7 @@ class TestStructure:
         def two_strata(spec):
             d = ideals.hasse_diagram(spec)
             if spec.m >= 2 and (1, 1) in d.vertices():
-                d.up_edges[()] += ((1, 1),)
+                d.edges.insert(1, (0, d.vertices().index((1, 1))))  # after () -> (1,)
             return d
 
         view = SimpleNamespace(**{**vars(ideals), "hasse_diagram": two_strata})
@@ -931,6 +938,17 @@ class TestExport:
             ],
             notes=["é \"q\"\n"],
         )
+        leaves = VerificationReport(
+            check="leaves",
+            status="conjecture",
+            grid=4,
+            failed=4,
+            counterexamples=[
+                {"bool": [[1, True], [2, 3]], "empty": [[], [1]]},
+                {"tuples": ((1, 2), (3,), ()), "strings": [[1, 2], ["a", "b"]]},
+                {"dict": [[1], {"2": [3]}], "nested": [[1], [[2]]], "float": [[1], [2.0]]},
+            ],
+        )
         cases = [
             build_ideal((3, 3, 2), 4),
             ideals.hasse_diagram(ideals.IdealSpec(2, 3, 3)),
@@ -938,6 +956,7 @@ class TestExport:
             build_ideal((), 2),  # one vertex, no edge
             report,
             odd,
+            leaves,
             [report, odd],
             [],
         ]
