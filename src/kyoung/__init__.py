@@ -41,6 +41,7 @@ from .ideals import (
     complement_dual,
     enumerate_ideal,
     gamma_set,
+    ideal_rank_vector,
     is_member,
     join,
     meet,

@@ -204,10 +204,12 @@ def _main(argv) -> int:
         if args.command == "ideal":
             spec = ideals.IdealSpec(args.m, args.n, args.k)
             if args.csv:
-                text = ideals.rank_vector(ideals.enumerate_ideal(spec), spec.top_rank).to_csv()
+                text = ideals.ideal_rank_vector(spec).to_csv()
+            # no name holds the diagram, so it is freed before the text is written
+            elif args.dot:
+                text = ideals.hasse_diagram(spec).to_dot()
             else:
-                diagram = ideals.hasse_diagram(spec)
-                text = diagram.to_dot() if args.dot else verify.render(diagram)
+                text = verify.render(ideals.hasse_diagram(spec))
             _print_or_write(text, args.out)
             return 0
         if args.command == "rankgen":

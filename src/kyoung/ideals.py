@@ -207,3 +207,9 @@ def rank_vector(members: Iterable[Parts], top_rank: int) -> RankVector:
             raise ValueError(f"degree {d} exceeds top rank {top_rank}")
         counts[d] += 1
     return RankVector(tuple(counts))
+
+
+def ideal_rank_vector(spec: IdealSpec) -> RankVector:
+    """Members by degree, counted from the ranks of (j, t) pairs without
+    building a member."""
+    return RankVector(tuple(map(len, _ranks(spec)[1])))

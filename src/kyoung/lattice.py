@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 from .partitions import (
     Parts,
@@ -143,15 +144,18 @@ class HasseDiagram:
         }
 
     def to_dot(self) -> str:
-        lines = ["digraph kyoung {", "  rankdir=BT;", "  node [shape=box];"]
+        """DOT text: one %-format of a template per rank for the vertices,
+        with a %d slot per part, and one for all the edges."""
+        pieces = ["digraph kyoung {\n  rankdir=BT;\n  node [shape=box];\n"]
         start = 0  # the position of the rank's first vertex
         for rank in filter(None, self.ranks):
-            row = (f'v{i} [label="[{",".join(map(str, v))}]"];' for i, v in enumerate(rank, start))
-            lines.append("  { rank=same; " + " ".join(row) + " }")
+            shapes = {size: ",".join(["%d"] * size) for size in {*map(len, rank)}}
+            row = " ".join(f'v{i} [label="[{shapes[len(v)]}]"];' for i, v in enumerate(rank, start))
+            pieces.append(f"  {{ rank=same; {row} }}\n" % tuple(chain.from_iterable(rank)))
             start += len(rank)
-        lines.extend(f"  v{i} -> v{j};" for i, j in self.edges)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        pieces.append("  v%d -> v%d;\n" * len(self.edges) % tuple(chain.from_iterable(self.edges)))
+        pieces.append("}\n")
+        return "".join(pieces)
 
 
 def build_ideal(generator: Parts, k: int) -> HasseDiagram:

@@ -575,39 +575,59 @@ def verify_structure(
     return [_sweep(name, "theorem", cells(g)) for name, cells in _STRUCTURE_FAMILIES]
 
 
-def _indented(value: Any, indent: str) -> str:
-    """The text json.dumps(value, indent=2) gives, for dicts with string keys,
-    lists, tuples and scalars, nested at indent.  A list of ints is one join,
-    and a list of int sequences one join per sequence, written at the list
-    itself: the diagram's vertices and edges skip the pure-Python encoder
-    that json.dumps falls back to when indenting."""
+def _indented(value: Any, indent: str, out: list[str]) -> None:
+    """Append to out the text json.dumps(value, indent=2) gives, for dicts
+    with string keys, lists, tuples and scalars, nested at indent.  A list of
+    ints is one join, and a list of int sequences one %-format of a template
+    with a %d slot per int, applied to all the ints at once: the diagram's
+    vertices and edges skip the pure-Python encoder that json.dumps falls
+    back to when indenting."""
     inner = indent + "  "
-    if isinstance(value, dict):
-        opening, closing = "{", "}"
-        items = (f"{json.dumps(key)}: {_indented(v, inner)}" for key, v in value.items())
-    elif isinstance(value, (list, tuple)):
-        opening, closing = "[", "]"
-        # type, not isinstance: a bool is an int that json writes as true
-        if all(type(v) is int for v in value):
-            items = map(str, value)
-        elif {*map(type, value)} <= {list, tuple} and {
-            *map(type, itertools.chain.from_iterable(value))
-        } <= {int}:
-            start, comma, end = f"[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
-            items = (start + comma.join(map(str, v)) + end if v else "[]" for v in value)
-        else:
-            items = (_indented(v, inner) for v in value)
+    if not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        opening = "{\n" + inner
+        for key, v in value.items():
+            out.append(f"{opening}{json.dumps(key)}: ")
+            _indented(v, inner, out)
+            opening = ",\n" + inner
+        out.append(f"\n{indent}}}")
+    # type, not isinstance: a bool is an int that json writes as true, and
+    # %d would write a float as an int
+    elif all(type(v) is int for v in value):
+        out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{indent}]")
+    elif {*map(type, value)} <= {list, tuple} and {
+        *map(type, itertools.chain.from_iterable(value))
+    } <= {int}:
+        comma = f",\n{inner}  "
+        shapes = {
+            size: f"[\n{inner}  " + comma.join(["%d"] * size) + f"\n{inner}]" if size else "[]"
+            for size in {*map(len, value)}
+        }
+        template = f",\n{inner}".join(map(shapes.__getitem__, map(len, value)))
+        out.append(f"[\n{inner}")
+        out.append(template % tuple(itertools.chain.from_iterable(value)))
+        out.append(f"\n{indent}]")
     else:
-        return json.dumps(value)
-    if not value:
-        return opening + closing
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+        opening = "[\n" + inner
+        for v in value:
+            out.append(opening)
+            _indented(v, inner, out)
+            opening = ",\n" + inner
+        out.append(f"\n{indent}]")
 
 
 def render(obj: Any) -> str:
     """JSON text of a diagram, a report, or a list of reports."""
-    payload = [r.to_json_dict() for r in obj] if isinstance(obj, list) else obj.to_json_dict()
-    return _indented(payload, "") + "\n"
+    pieces: list[str] = []
+    # no name holds the payload, so it is freed before the pieces are joined
+    _indented(
+        [r.to_json_dict() for r in obj] if isinstance(obj, list) else obj.to_json_dict(), "", pieces
+    )
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def export(obj: Any, path: str) -> None:

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -91,6 +92,31 @@ class TestCommands:
         assert lines[0] == "i,count"
         assert len(lines) == 11
         assert all(line.endswith(",1") for line in lines[1:])
+
+    def test_ideal_csv_counts_without_building_members(self):
+        """At n = 100000 the members hold about 1.5e10 parts, far beyond the
+        512 MB address space the child gets; the counts need none of them."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        limit = 512 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        args = ["ideal", "--m", "3", "--n", "100000", "--k", "3", "--csv"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kyoung", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "i,count" and len(lines) == 300_002
+        assert sum(int(line.split(",")[1]) for line in lines[1:]) == 300_001
 
     def test_ideal_out_file(self, tmp_path, capsys):
         target = tmp_path / "ideal.json"

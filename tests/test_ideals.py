@@ -12,6 +12,7 @@ from kyoung.ideals import (
     enumerate_ideal,
     gamma_set,
     hasse_diagram,
+    ideal_rank_vector,
     is_member,
     join,
     meet,
@@ -20,6 +21,7 @@ from kyoung.ideals import (
 )
 from kyoung.lattice import build_ideal, leq
 from kyoung.partitions import contains, part_at, partitions_in_box
+from kyoung.qpoly import gaussian, rank_gen_Lk
 from kyoung.verify import render
 
 
@@ -456,6 +458,20 @@ class TestRankVector:
         spec = IdealSpec(3, 3, 3)
         rv = rank_vector(enumerate_ideal(spec), spec.top_rank)
         assert rv.counts == (1,) * 10
+
+    def test_counted_from_the_ranks(self):
+        """ideal_rank_vector counts no member, yet agrees with the tally of
+        the members and with the coefficients of the rank generating
+        function on the 240 specs with m 1-5, k m-8 and n 1-8 (below
+        n = k - m + 1 the ideal is the whole box, counted by [m+n choose m]_q)."""
+        for m in range(1, 6):
+            for k in range(m, 9):
+                for n in range(1, 9):
+                    spec = IdealSpec(m, n, k)
+                    rv = ideal_rank_vector(spec)
+                    assert rv == rank_vector(enumerate_ideal(spec), spec.top_rank), spec
+                    poly = rank_gen_Lk(m, n, k) if n >= k - m + 1 else gaussian(m + n, m)
+                    assert rv.counts == tuple(map(poly.coefficient, range(spec.top_rank + 1))), spec
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from kyoung.ideals import IdealSpec, hasse_diagram
 from kyoung.lattice import (
     HasseDiagram,
     build_ideal,
@@ -20,6 +21,21 @@ from kyoung.partitions import (
     k_conjugate,
     union,
 )
+
+
+def dot_by_fstrings(d):
+    """Oracle: the DOT text written with one f-string per vertex and per
+    edge, each line joined on its own."""
+    lines = ["digraph kyoung {", "  rankdir=BT;", "  node [shape=box];"]
+    start = 0  # the position of the rank's first vertex
+    for rank in filter(None, d.ranks):
+        row = (f'v{i} [label="[{",".join(map(str, v))}]"];' for i, v in enumerate(rank, start))
+        lines.append("  { rank=same; " + " ".join(row) + " }")
+        start += len(rank)
+    lines.extend(f"  v{i} -> v{j};" for i, j in d.edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
 
 k_and_partition = st.integers(1, 4).flatmap(
     lambda k: st.tuples(
@@ -255,6 +271,24 @@ class TestHasseDiagram:
             ]
         )
         assert d.to_dot() == expected + "\n"
+
+    def test_dot_matches_the_fstring_oracle(self):
+        """The ideals of the m 1-5, k m-9, n 1-10 grid by their
+        characterization, k-cover ideals (one edge-free), and a diagram
+        with an empty rank, which writes no rank line."""
+        diagrams = [
+            hasse_diagram(IdealSpec(m, n, k))
+            for m in range(1, 6)
+            for k in range(m, 10)
+            for n in range(1, 11)
+        ]
+        generators = [((), 3), ((1, 1), 1), ((2, 2, 1), 2), ((3, 3, 2), 4)]
+        diagrams += [build_ideal(g, k) for g, k in generators]
+        gap = HasseDiagram(k=2, name="gap", ranks=[[()], [], [(2,), (1, 1)]], edges=[(0, 2)])
+        diagrams.append(gap)
+        assert len(diagrams) == 355
+        for d in diagrams:
+            assert d.to_dot() == dot_by_fstrings(d), d.name
 
     def test_dot_contains_all_edges(self):
         d = build_ideal((2, 2, 1), 2)

@@ -949,6 +949,20 @@ class TestExport:
                 {"dict": [[1], {"2": [3]}], "nested": [[1], [[2]]], "float": [[1], [2.0]]},
             ],
         )
+        # what a %d slot per int could get wrong: a float it would truncate,
+        # ints past 64 bits and below 0, inner lengths that differ
+        numbers = VerificationReport(
+            check="numbers",
+            status="conjecture",
+            grid=3,
+            failed=3,
+            counterexamples=[
+                {"float": [[1, 2.0]], "half": [[0.5, 1]], "flat": [3, 2.0]},
+                {"big": [[2**70, -(2**70)], [-1, 0]], "flat": [2**70, -5]},
+                {"ragged": [[], [1], [2, 3, 4], [], (5, 6)], "empties": [[], ()]},
+                {"empty_dict": {}, "empty_list": [], "inside": [{}, []]},
+            ],
+        )
         cases = [
             build_ideal((3, 3, 2), 4),
             ideals.hasse_diagram(ideals.IdealSpec(2, 3, 3)),
@@ -957,7 +971,9 @@ class TestExport:
             report,
             odd,
             leaves,
+            numbers,
             [report, odd],
+            [leaves, numbers, report],
             [],
         ]
         for obj in cases:
