@@ -37,11 +37,9 @@ from .lattice import (
 )
 from .ideals import (
     IdealSpec,
-    RankVector,
     complement_dual,
     enumerate_ideal,
     gamma_set,
-    ideal_rank_vector,
     is_member,
     join,
     meet,

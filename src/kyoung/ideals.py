@@ -17,6 +17,7 @@ from itertools import chain
 
 from .lattice import HasseDiagram
 from .partitions import Parts, partitions_in_box
+from .qpoly import QPoly
 
 
 @dataclass(frozen=True)
@@ -179,37 +180,13 @@ def join(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
     return (*map(max, a, b), *a[len(b):], *b[len(a):])
 
 
-@dataclass(frozen=True)
-class RankVector:
-    """Counts by degree, indexed 0 .. top_rank."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def top_rank(self) -> int:
-        return len(self.counts) - 1
-
-    def is_palindromic(self) -> bool:
-        return self.counts == self.counts[::-1]
-
-    def to_csv(self) -> str:
-        lines = ["i,count"]
-        lines.extend(f"{i},{c}" for i, c in enumerate(self.counts))
-        return "\n".join(lines) + "\n"
-
-
-def rank_vector(members: Iterable[Parts], top_rank: int) -> RankVector:
-    """Tally degrees; any member beyond top_rank is an error."""
+def rank_vector(members: Iterable[Parts], top_rank: int) -> QPoly:
+    """Tally degrees: coefficient i counts the members of degree i.  Any
+    member beyond top_rank is an error."""
     counts = [0] * (top_rank + 1)
     for p in members:
         d = sum(p)
         if d > top_rank:
             raise ValueError(f"degree {d} exceeds top rank {top_rank}")
         counts[d] += 1
-    return RankVector(tuple(counts))
-
-
-def ideal_rank_vector(spec: IdealSpec) -> RankVector:
-    """Members by degree, counted from the ranks of (j, t) pairs without
-    building a member."""
-    return RankVector(tuple(map(len, _ranks(spec)[1])))
+    return QPoly(counts)

@@ -139,8 +139,8 @@ class HasseDiagram:
         return {
             "k": self.k,
             "name": self.name,
-            "ranks": [[list(v) for v in rank] for rank in self.ranks],
-            "edges": list(map(list, self.edges)),
+            "ranks": self.ranks,
+            "edges": self.edges,
         }
 
     def to_dot(self) -> str:

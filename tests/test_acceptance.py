@@ -149,10 +149,7 @@ def test_c07_ideal_counts_and_rank_vectors():
             poly = rank_gen_Lk(spec.m, spec.n, spec.k)
             assert len(members) == count_Lk(spec.m, spec.n, spec.k), spec
             assert len(members) == poly(1), spec
-            rv = rank_vector(members, spec.top_rank)
-            assert rv.counts == tuple(
-                poly.coefficient(i) for i in range(spec.top_rank + 1)
-            ), spec
+            assert rank_vector(members, spec.top_rank) == poly, spec
         assert len(enumerate_ideal(IdealSpec(3, 3, 3))) == 10
         assert len(enumerate_ideal(IdealSpec(3, 3, 4))) == 16
         assert len(enumerate_ideal(IdealSpec(3, 3, 5))) == 20
@@ -181,7 +178,7 @@ def test_c09_selfduality_and_lattice_operations():
         for spec in grid_specs():
             members = enumerate_ideal(spec)
             member_set = set(members)
-            assert rank_vector(members, spec.top_rank).is_palindromic(), spec
+            assert is_symmetric(rank_vector(members, spec.top_rank), spec.top_rank), spec
             for p in members:
                 d = complement_dual(p, spec)
                 assert d in member_set, (spec, p)
@@ -206,7 +203,7 @@ def test_c09_selfduality_and_lattice_operations():
                 gamma_poly = rank_gen_gamma(spec.m, spec.n, spec.k)
                 assert is_symmetric(gamma_poly, spec.top_rank), spec
                 grv = rank_vector(gamma_set(spec), spec.top_rank)
-                assert grv.counts == grv.counts[::-1], spec
+                assert is_symmetric(grv, spec.top_rank), spec
 
 
 def test_c10_stratified_decomposition():

@@ -93,9 +93,9 @@ class TestCommands:
         assert len(lines) == 11
         assert all(line.endswith(",1") for line in lines[1:])
 
-    def test_ideal_csv_counts_without_building_members(self):
-        """At n = 100000 the members hold about 1.5e10 parts, far beyond the
-        512 MB address space the child gets; the counts need none of them."""
+    @staticmethod
+    def run_capped(args):
+        """Run kyoung as a subprocess with 512 MB of address space."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -104,8 +104,7 @@ class TestCommands:
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        args = ["ideal", "--m", "3", "--n", "100000", "--k", "3", "--csv"]
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "kyoung", *args],
             capture_output=True,
             text=True,
@@ -113,10 +112,26 @@ class TestCommands:
             preexec_fn=cap_address_space,
             timeout=120,
         )
+
+    def test_ideal_csv_counts_without_building_members(self):
+        """At n = 100000 the members hold about 1.5e10 parts, far beyond the
+        512 MB address space the child gets; the counts need none of them."""
+        proc = self.run_capped(["ideal", "--m", "3", "--n", "100000", "--k", "3", "--csv"])
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "i,count" and len(lines) == 300_002
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 300_001
+
+    def test_ideal_csv_is_the_closed_form(self):
+        """L^40(30,30) has about 4.7e10 members, so a tally of its members, or
+        of its ranks, does not fit in the 512 MB the child gets."""
+        proc = self.run_capped(["ideal", "--m", "30", "--n", "30", "--k", "40", "--csv"])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "i,count" and len(lines) == 902
+        rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+        assert sum(c for _, c in rows) == qpoly.count_Lk(30, 30, 40)
+        assert rows == list(enumerate(qpoly.rank_gen_Lk(30, 30, 40).coeffs))
 
     def test_ideal_out_file(self, tmp_path, capsys):
         target = tmp_path / "ideal.json"

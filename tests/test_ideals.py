@@ -5,14 +5,13 @@ import json
 
 import pytest
 
+from kyoung.cli import main
 from kyoung.ideals import (
     IdealSpec,
-    RankVector,
     complement_dual,
     enumerate_ideal,
     gamma_set,
     hasse_diagram,
-    ideal_rank_vector,
     is_member,
     join,
     meet,
@@ -21,7 +20,7 @@ from kyoung.ideals import (
 )
 from kyoung.lattice import build_ideal, leq
 from kyoung.partitions import contains, part_at, partitions_in_box
-from kyoung.qpoly import gaussian, rank_gen_Lk
+from kyoung.qpoly import QPoly, is_symmetric
 from kyoung.verify import render
 
 
@@ -449,37 +448,37 @@ class TestRankVector:
     def test_golden(self):
         spec = IdealSpec(3, 3, 4)
         rv = rank_vector(enumerate_ideal(spec), spec.top_rank)
-        assert rv.counts == (1, 1, 2, 2, 2, 2, 2, 2, 1, 1)
-        assert sum(rv.counts) == 16
-        assert rv.top_rank == 9
-        assert rv.is_palindromic()
+        assert rv == QPoly((1, 1, 2, 2, 2, 2, 2, 2, 1, 1))
+        assert rv(1) == 16
+        assert rv.degree == 9
+        assert is_symmetric(rv, spec.top_rank)
 
     def test_chain_case(self):
         spec = IdealSpec(3, 3, 3)
         rv = rank_vector(enumerate_ideal(spec), spec.top_rank)
-        assert rv.counts == (1,) * 10
+        assert rv == QPoly((1,) * 10)
 
-    def test_counted_from_the_ranks(self):
-        """ideal_rank_vector counts no member, yet agrees with the tally of
-        the members and with the coefficients of the rank generating
-        function on the 240 specs with m 1-5, k m-8 and n 1-8 (below
+    def test_counted_from_the_ranks(self, capsys):
+        """ideal --csv prints the closed form, and it agrees with the tally of
+        the members on the 240 specs with m 1-5, k m-8 and n 1-8 (below
         n = k - m + 1 the ideal is the whole box, counted by [m+n choose m]_q)."""
         for m in range(1, 6):
             for k in range(m, 9):
                 for n in range(1, 9):
                     spec = IdealSpec(m, n, k)
-                    rv = ideal_rank_vector(spec)
-                    assert rv == rank_vector(enumerate_ideal(spec), spec.top_rank), spec
-                    poly = rank_gen_Lk(m, n, k) if n >= k - m + 1 else gaussian(m + n, m)
-                    assert rv.counts == tuple(map(poly.coefficient, range(spec.top_rank + 1))), spec
+                    rv = rank_vector(enumerate_ideal(spec), spec.top_rank)
+                    rows = [f"{i},{rv.coefficient(i)}\n" for i in range(spec.top_rank + 1)]
+                    assert main(["ideal", "--m", str(m), "--n", str(n), "--k", str(k), "--csv"]) == 0
+                    assert capsys.readouterr().out == "".join(["i,count\n", *rows]), spec
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
             rank_vector([(3, 3)], 5)
 
-    def test_serialization(self):
-        rv = RankVector((1, 2, 1))
-        assert rv.to_csv() == "i,count\n0,1\n1,2\n2,1\n"
+    def test_serialization(self, capsys):
+        # L^3(2,2) is the whole 2 x 2 box
+        assert main(["ideal", "--m", "2", "--n", "2", "--k", "3", "--csv"]) == 0
+        assert capsys.readouterr().out == "i,count\n0,1\n1,1\n2,2\n3,1\n4,1\n"
 
     def test_palindromic_sweep(self):
         for m in range(1, 4):
@@ -487,4 +486,4 @@ class TestRankVector:
                 for n in range(max(1, k - m + 1), 6):
                     spec = IdealSpec(m, n, k)
                     rv = rank_vector(enumerate_ideal(spec), spec.top_rank)
-                    assert rv.is_palindromic(), spec
+                    assert is_symmetric(rv, spec.top_rank), spec
