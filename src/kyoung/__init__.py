@@ -28,7 +28,6 @@ from .partitions import (
 )
 from .lattice import (
     HasseDiagram,
-    RectangleTranslationWitness,
     build_ideal,
     check_rectangle_translation,
     covers,

@@ -204,11 +204,8 @@ def _main(argv) -> int:
         if args.command == "ideal":
             spec = ideals.IdealSpec(args.m, args.n, args.k)
             if args.csv:
-                # the closed form; below n = k - m + 1 the ideal is the whole box
-                if args.n < args.k - args.m + 1:
-                    poly = qpoly.gaussian(args.m + args.n, args.m)
-                else:
-                    poly = qpoly.rank_gen_Lk(args.m, args.n, args.k)
+                # the closed form; from k = m + n - 1 on the ideal is the whole box
+                poly = qpoly.rank_gen_Lk(args.m, args.n, min(args.k, args.m + args.n - 1))
                 rows = (f"{i},{poly.coefficient(i)}\n" for i in range(spec.top_rank + 1))
                 text = "".join(["i,count\n", *rows])
             # no name holds the diagram, so it is freed before the text is written

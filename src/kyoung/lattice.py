@@ -182,27 +182,15 @@ def build_ideal(generator: Parts, k: int) -> HasseDiagram:
     )
 
 
-@dataclass(frozen=True)
-class RectangleTranslationWitness:
-    """Both sides of the rectangle translation of covers above lam."""
-
-    lam: Parts
-    rect: KRectangle
-    k: int
-    lhs: tuple[Parts, ...]
-    rhs: tuple[Parts, ...]
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def check_rectangle_translation(lam: Parts, rect: KRectangle, k: int) -> RectangleTranslationWitness:
-    """Covers above lam-union-rectangle vs translated covers above lam."""
+def check_rectangle_translation(
+    lam: Parts, rect: KRectangle, k: int
+) -> tuple[tuple[Parts, ...], tuple[Parts, ...]]:
+    """Covers above lam-union-rectangle and translated covers above lam, both
+    sorted: the translation holds when the two are equal."""
     if rect.k != k:
         raise ValueError(f"rectangle {rect} is not a {k}-rectangle")
     if not is_k_bounded(lam, k):
         raise ValueError(f"partition {lam} is not {k}-bounded")
     lhs = _covers(union(lam, rect.parts), k, "up")
     rhs = tuple(sorted(union(mu, rect.parts) for mu in _covers(lam, k, "up")))
-    return RectangleTranslationWitness(lam=lam, rect=rect, k=k, lhs=lhs, rhs=rhs)
+    return lhs, rhs

@@ -11,10 +11,10 @@ each such division is exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import accumulate, islice, starmap
 from operator import ge, gt, index, sub
-from typing import Iterable
 
 
 class QPoly:
@@ -321,8 +321,10 @@ def window_sum(m: int, a: int, b: int, x: int) -> QPoly:
 
 
 def window_failures(m: int, a: int, b: int, xs: Iterable[int]) -> list[int]:
-    """The x of xs, drawn in ascending order, at which window_sum(m, a, b, x)
-    is not unimodal.
+    """The x of xs, which must ascend, at which window_sum(m, a, b, x) is not
+    unimodal.  A descent raises ValueError.  xs is drawn only up to the first
+    x from which every larger x passes; the rest of a sequence is read for a
+    descent, the rest of an iterator is left undrawn.
 
     Every stratum below (m^x) is palindromic about m x / 2, so P_x is too, and
     it is unimodal exactly when it weakly rises from its lowest term
@@ -337,11 +339,16 @@ def window_failures(m: int, a: int, b: int, xs: Iterable[int]) -> list[int]:
     dt = list(map(sub, t, [0, *t]))
     # past deg D, S repeats with period m, so its first fall, if any, is by deg D + m
     fall = next((i for i in range(a - m + 3, top + m + 1) if dp[i] < 0), math.inf)
-    failures = []
+    failures, last = [], -math.inf
     for x in xs:
         _check_window(m, a, b, x)
+        if x < last:
+            raise ValueError(f"xs must ascend: {x} after {last}")
+        last = x
         s, c = m * (x + 1) - top, m * x // 2
         if s > c and fall == math.inf:  # s - c grows with x: every later x passes
+            if isinstance(xs, Sequence) and any(map(gt, xs, xs[1:])):
+                raise ValueError("xs must ascend")
             break
         # the stretch [s, c] is empty when s > c, and inside dp when s <= c: then c <= deg D - m
         if fall <= min(c, s - 1) or not all(map(ge, dp[s:c + 1], dt)):

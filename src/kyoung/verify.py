@@ -400,13 +400,13 @@ def _rectangle_translation_cells(g: _Grid) -> Iterator[SweepCell]:
     for k in range(1, g.k_max + 1):
         for rect in partitions.all_k_rectangles(k):
             for p in partitions.k_bounded_partitions(k, g.degree_max):
-                witness = lattice.check_rectangle_translation(p, rect, k)
-                yield witness.equal, {
+                lhs, rhs = lattice.check_rectangle_translation(p, rect, k)
+                yield lhs == rhs, {
                     "k": k,
                     "width": rect.width,
                     "partition": list(p),
-                    "lhs": [list(x) for x in witness.lhs],
-                    "rhs": [list(x) for x in witness.rhs],
+                    "lhs": [list(x) for x in lhs],
+                    "rhs": [list(x) for x in rhs],
                 }
 
 
@@ -431,14 +431,6 @@ def _upsets(rows: list[Parts], spec: IdealSpec, reverse: bool = False) -> list[i
     return [functools.reduce(operator.and_, map(list.__getitem__, tables, x)) for x in padded]
 
 
-def _up_positions(diagram: lattice.HasseDiagram, count: int) -> list[list[int]]:
-    """The upper ends of each of count vertices' edges, in edge order."""
-    ups: list[list[int]] = [[] for _ in range(count)]
-    for v, u in diagram.edges:
-        ups[v].append(u)
-    return ups
-
-
 def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
         where = asdict(spec)
@@ -452,22 +444,24 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
             missing = [list(p) for p in members if p not in vertex_set]
             yield False, {**where, "extra": extra, "missing": missing}
             continue
-        # the k-covers must be the one-box steps: the first member whose
-        # up-edges differ is the counterexample
-        covers, ones = _up_positions(diagram, len(members)), _up_positions(steps, len(members))
-        x = next((x for x, (c, o) in enumerate(zip(covers, ones)) if c != o), None)
-        if x is not None:
-            extra = [list(members[u]) for u in covers[x] if u not in ones[x]]
-            missing = [list(members[u]) for u in ones[x] if u not in covers[x]]
+        # the k-covers must be the one-box steps, both sorted (lower, upper)
+        # position pairs: the lowest lower end among the pairs on one side
+        # only is the counterexample
+        if diagram.edges != steps.edges:
+            diff = set(diagram.edges) ^ set(steps.edges)
+            x = min(diff)[0]
+            extra = [list(members[u]) for v, u in diagram.edges if v == x and (v, u) in diff]
+            missing = [list(members[u]) for v, u in steps.edges if v == x and (v, u) in diff]
             yield False, {**where, "child": list(members[x]), "extra": extra, "missing": missing}
             continue
         # the ideal is downward closed, so every saturated chain between two
         # members stays in it: the k-order there is reachability in the
-        # diagram.  above[v] holds the members reachable from v, as bits.
+        # diagram.  above[v] holds the members reachable from v, as bits; an
+        # edge's upper end has the later position, so walking the sorted
+        # edges backwards reads each above[u] once it is final.
         above = [1 << v for v in range(len(members))]
-        for v in reversed(range(len(members))):
-            for u in ones[v]:
-                above[v] |= above[u]
+        for v, u in reversed(steps.edges):
+            above[v] |= above[u]
         for x, reach, up in zip(members, above, _upsets(members, spec)):
             wrong = reach ^ up
             if not wrong:

@@ -138,8 +138,8 @@ def test_c06_rectangle_translation_of_covers():
         for k in range(1, 5):
             for rect in all_k_rectangles(k):
                 for p in k_bounded_partitions(k, 6):
-                    w = check_rectangle_translation(p, rect, k)
-                    assert w.equal, (p, rect.parts, k)
+                    lhs, rhs = check_rectangle_translation(p, rect, k)
+                    assert lhs == rhs, (p, rect.parts, k)
 
 
 def test_c07_ideal_counts_and_rank_vectors():

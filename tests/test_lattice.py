@@ -300,16 +300,16 @@ class TestHasseDiagram:
 
 class TestRectangleTranslation:
     def test_single_witness(self):
-        w = check_rectangle_translation((1,), all_k_rectangles(2)[0], 2)
-        assert w.equal
-        assert w.lhs == tuple(sorted(w.rhs))
+        # (1,) joined with the 2-rectangle (1, 1): both sides, sorted
+        lhs, rhs = check_rectangle_translation((1,), all_k_rectangles(2)[0], 2)
+        assert lhs == rhs == ((1, 1, 1, 1), (2, 1, 1))
 
     def test_sweep_small(self):
         for k in (2, 3):
             for rect in all_k_rectangles(k):
                 for lam in k_bounded_partitions(k, 6):
-                    w = check_rectangle_translation(lam, rect, k)
-                    assert w.equal, (lam, rect.parts, k)
+                    lhs, rhs = check_rectangle_translation(lam, rect, k)
+                    assert lhs == rhs, (lam, rect.parts, k)
 
     def test_rejects_unbounded(self):
         with pytest.raises(ValueError):

@@ -487,6 +487,21 @@ class TestStrataWalk:
         assert outcomes == {True, False}
         assert 0 in offsets and max(offsets) >= 5
 
+    def test_a_descent_in_xs_raises(self):
+        # (5, 8] at m = 3 fails at x = 6 and is decided as passing from x = 7
+        # up, where an ascending xs stops being drawn
+        assert window_failures(3, 5, 8, [6]) == [6]
+        assert window_failures(3, 5, 8, [6, 45, 46]) == [6]
+        for xs in ([45, 6], [7, 6], [6, 45, 46, 6], (45, 47, 46), range(9, 6, -1)):
+            with pytest.raises(ValueError, match="xs must ascend"):
+                window_failures(3, 5, 8, xs)
+        # (5, 9] at m = 3 fails from x = 10 up and is never decided: every x is drawn
+        assert window_failures(3, 5, 9, iter([8, 10, 11])) == [10, 11]
+        with pytest.raises(ValueError, match="xs must ascend"):
+            window_failures(3, 5, 9, iter([8, 11, 10]))
+        # the undrawn rest of an iterator cannot be read
+        assert window_failures(3, 5, 8, iter([45, 6])) == []
+
     def test_m_one_has_no_strata(self):
         # G_j = [j-1 choose -1]_q = 0, so D = 0 and every sum is 0
         for a, b in ((1, 2), (1, 6), (4, 9)):

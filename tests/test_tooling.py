@@ -107,6 +107,15 @@ def test_no_module_imports_random():
         assert "random" not in imported, path
 
 
+@pytest.mark.parametrize("tree", ["src", "tests", "perfbench"])
+def test_every_file_parses_as_python_3_10(tree):
+    # the grammar only: a library API newer than 3.10 still parses
+    paths = sorted((ROOT / tree).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # a deletion can leave an import behind; __init__.py imports to re-export
     for path in sorted((ROOT / "src" / "kyoung").rglob("*.py")):

@@ -616,6 +616,52 @@ class TestStructure:
     def test_subposet_checks_the_one_box_steps(self, monkeypatch):
         self.check_dropped_edge(monkeypatch, source=ideals, builder="hasse_diagram")
 
+    @staticmethod
+    def subposet_counterexamples():
+        cells = verify._subposet_cells(verify._Grid(3, 3, 4, 4))
+        return verify._sweep("structure-subposet", "theorem", cells).counterexamples
+
+    def test_subposet_names_the_lower_of_two_damaged_vertices(self, monkeypatch):
+        """build_ideal drops its first edge, () -> (1,), and hasse_diagram its
+        last, whose lower end is higher, in every ideal with more than one
+        edge: the child is (), with the step (1,) missing, and the higher
+        vertex's extra edge is not listed."""
+
+        def drop(position):
+            def damaged(d):
+                if len(d.edges) > 1:
+                    del d.edges[position]
+
+            return damaged
+
+        self.damage(monkeypatch, drop(0))
+        self.damage(monkeypatch, drop(-1), source=ideals, builder="hasse_diagram")
+        specs = [s for s in verify._grid_cells(verify._Grid(3, 3, 4, 4)) if s.top_rank > 1]
+        assert specs
+        assert self.subposet_counterexamples() == [
+            {**asdict(spec), "child": [], "extra": [], "missing": [[1]]} for spec in specs
+        ]
+
+    def test_subposet_lists_an_extra_and_a_missing_edge_at_one_vertex(self, monkeypatch):
+        """build_ideal's () -> (1,) is bent to () -> (1, 1) wherever (1, 1) is
+        a member: () is the child, with (1, 1) extra and (1,) missing."""
+
+        def bent(d):
+            vertices = d.vertices()
+            if (1, 1) in vertices:
+                assert d.edges[0] == (0, 1)
+                d.edges[0] = (0, vertices.index((1, 1)))
+
+        self.damage(monkeypatch, bent)
+        specs = verify._grid_cells(verify._Grid(3, 3, 4, 4))
+        expected = [
+            {**asdict(spec), "child": [], "extra": [[1, 1]], "missing": [[1]]}
+            for spec in specs
+            if ideals.is_member((1, 1), spec)
+        ]
+        assert expected
+        assert self.subposet_counterexamples() == expected
+
     def test_subposet_checks_reachability_against_containment(self, monkeypatch):
         """Drop () -> (1,), the one up-edge of (), from both the one-box
         steps and the k-cover diagram.  The two still agree, so only the
