@@ -125,7 +125,7 @@ def _file_access():
 
 
 def _print_or_write(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with _file_access(), open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -198,7 +198,9 @@ class SkewShape(NamedTuple):
 
 
 def skew_shape(outer: Sequence[int], inner: Sequence[int] = ()) -> SkewShape:
-    """Validated skew shape; inner must fit inside outer."""
+    """Validated skew shape; inner must fit inside outer.  The public
+    constructor of the exported SkewShape: k_skew builds only shapes that are
+    valid by construction, so it calls SkewShape itself."""
     o, i = partition(outer), partition(inner)
     if not contains(i, o):
         raise ValueError(f"inner {i} not contained in outer {o}")

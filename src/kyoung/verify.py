@@ -566,58 +566,35 @@ def verify_structure(
     return [_sweep(name, "theorem", cells(g)) for name, cells in _STRUCTURE_FAMILIES]
 
 
-def _indented(value: Any, indent: str, out: list[str]) -> None:
-    """Append to out the text json.dumps(value, indent=2) gives, for dicts
-    with string keys, lists, tuples and scalars, nested at indent.  A list of
-    ints is one join, and a list of int sequences one %-format of a template
-    with a %d slot per int, applied to all the ints at once: the diagram's
-    vertices and edges skip the pure-Python encoder that json.dumps falls
-    back to when indenting."""
-    inner = indent + "  "
-    if not isinstance(value, (dict, list, tuple)):
-        out.append(json.dumps(value))
-    elif not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, dict):
-        opening = "{\n" + inner
-        for key, v in value.items():
-            out.append(f"{opening}{json.dumps(key)}: ")
-            _indented(v, inner, out)
-            opening = ",\n" + inner
-        out.append(f"\n{indent}}}")
-    # type, not isinstance: a bool is an int that json writes as true, and
-    # %d would write a float as an int
-    elif all(type(v) is int for v in value):
-        out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{indent}]")
-    elif {*map(type, value)} <= {list, tuple} and {
-        *map(type, itertools.chain.from_iterable(value))
-    } <= {int}:
-        comma = f",\n{inner}  "
-        shapes = {
-            size: f"[\n{inner}  " + comma.join(["%d"] * size) + f"\n{inner}]" if size else "[]"
-            for size in {*map(len, value)}
-        }
-        template = f",\n{inner}".join(map(shapes.__getitem__, map(len, value)))
-        out.append(f"[\n{inner}")
-        out.append(template % tuple(itertools.chain.from_iterable(value)))
-        out.append(f"\n{indent}]")
-    else:
-        opening = "[\n" + inner
-        for v in value:
-            out.append(opening)
-            _indented(v, inner, out)
-            opening = ",\n" + inner
-        out.append(f"\n{indent}]")
-
-
 def render(obj: Any) -> str:
-    """JSON text of a diagram, a report, or a list of reports."""
-    pieces: list[str] = []
-    # no name holds the payload, so it is freed before the pieces are joined
-    _indented(
-        [r.to_json_dict() for r in obj] if isinstance(obj, list) else obj.to_json_dict(), "", pieces
-    )
-    pieces.append("\n")
+    """JSON text of a diagram, a report, or a list of reports: what
+    json.dumps(payload, indent=2) writes, and a newline.  A diagram, the one
+    large document, has the fixed shape {"k", "name", "ranks", "edges"}.  Each
+    of its ranks is one %-format of a template with a %d slot per part, and
+    its edges one %-format of a pair template: they skip the pure-Python
+    encoder that json.dumps falls back to when indenting."""
+    if not isinstance(obj, lattice.HasseDiagram):
+        payload = [r.to_json_dict() for r in obj] if isinstance(obj, list) else obj.to_json_dict()
+        return json.dumps(payload, indent=2) + "\n"
+    doc = obj.to_json_dict()
+    k, name = json.dumps(doc["k"]), json.dumps(doc["name"])
+    pieces = [f'{{\n  "k": {k},\n  "name": {name},\n  "ranks": [']
+    shapes = {0: "[]"}  # the template of a vertex of each length
+    opening = "\n    "
+    # a template is rebound to its text, and the brackets are pieces of their
+    # own, so that no large string is copied
+    for rank in doc["ranks"]:
+        for size in {*map(len, rank)} - shapes.keys():
+            shapes[size] = "[\n        " + ",\n        ".join(["%d"] * size) + "\n      ]"
+        text = ",\n      ".join(map(shapes.__getitem__, map(len, rank)))
+        text %= tuple(itertools.chain.from_iterable(rank))
+        pieces += [opening, "[\n      ", text, "\n    ]"] if rank else [opening, "[]"]
+        opening = ",\n    "
+    pieces.append("\n  ]" if doc["ranks"] else "]")
+    edges = doc["edges"]
+    text = ",\n    ".join(["[\n      %d,\n      %d\n    ]"] * len(edges))
+    text %= tuple(itertools.chain.from_iterable(edges))
+    pieces += [',\n  "edges": [\n    ', text, "\n  ]\n}\n"] if edges else [',\n  "edges": []\n}\n']
     return "".join(pieces)
 
 
@@ -751,6 +728,6 @@ def run_check(check: str, params: dict) -> list[VerificationReport]:
 
 def run_sweep(config: SweepConfig) -> list[VerificationReport]:
     reports = run_check(config.check, config.params)
-    if config.out:
+    if config.out is not None:
         export(reports if len(reports) > 1 else reports[0], config.out)
     return reports

@@ -141,6 +141,13 @@ class TestCommands:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["name"] == "ideal [2,2]"
 
+    def test_ideal_empty_out_is_usage_error(self, capsys):
+        # an empty path names no file: it is not stdout
+        assert main(["ideal", "--m", "2", "--n", "2", "--k", "2", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     @pytest.mark.parametrize(
         "key", sorted(RECORDED_DIGESTS), ids=lambda key: re.sub(r"\W+", "-", key)
     )
@@ -230,6 +237,10 @@ class TestVerifyCommand:
         doc = json.loads(target.read_text())
         assert doc["check"] == "conjecture-u"
         assert doc["fail"] == 0
+
+    def test_verify_empty_out_is_usage_error(self, capsys):
+        assert main(["verify", "sieved", "--m", "2", "--a", "2", "--b", "4", "--out", ""]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_verify_multiple_m_writes_list(self, tmp_path, capsys):
         target = tmp_path / "reports.json"
@@ -327,6 +338,13 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    def test_empty_out_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        config = {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}, "out": ""}
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2

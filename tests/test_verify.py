@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from kyoung import ideals, lattice, partitions, qpoly, verify
-from kyoung.lattice import build_ideal
+from kyoung.lattice import HasseDiagram, build_ideal
 from kyoung.qpoly import QPoly, conjecture_sum
 from test_qpoly import finite_strata_by_addition, is_period_insertion
 from kyoung.verify import (
@@ -1014,6 +1014,16 @@ class TestExport:
             ideals.hasse_diagram(ideals.IdealSpec(2, 3, 3)),
             build_ideal((3, 3), 3),  # a chain
             build_ideal((), 2),  # one vertex, no edge
+            # the diagram writer's fixed shape at its edges
+            HasseDiagram(k=2, name="no ranks", ranks=[]),
+            HasseDiagram(k=2, name="an empty rank", ranks=[[], [(1,)]], edges=[]),
+            HasseDiagram(k=2, name="the empty vertex", ranks=[[()]]),
+            HasseDiagram(
+                k=3,
+                name='mixed "lengths" é',
+                ranks=[[()], [(1,)], [(3,), (2, 1), (1, 1, 1)]],
+                edges=[(0, 1), (1, 2), (1, 3), (1, 4)],
+            ),
             report,
             odd,
             leaves,
