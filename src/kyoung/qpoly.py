@@ -11,7 +11,7 @@ each such division is exact.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate, islice, starmap
 from operator import ge, gt, index, sub
@@ -320,11 +320,10 @@ def window_sum(m: int, a: int, b: int, x: int) -> QPoly:
     return QPoly(p)
 
 
-def window_failures(m: int, a: int, b: int, xs: Iterable[int]) -> list[int]:
-    """The x of xs, which must ascend, at which window_sum(m, a, b, x) is not
-    unimodal.  A descent raises ValueError.  xs is drawn only up to the first
-    x from which every larger x passes; the rest of a sequence is read for a
-    descent, the rest of an iterator is left undrawn.
+def window_failures(m: int, a: int, b: int, xs: range) -> list[int]:
+    """The x of xs, an ascending range, at which window_sum(m, a, b, x) is
+    not unimodal.  xs is read only up to the first x from which every larger
+    x passes.
 
     Every stratum below (m^x) is palindromic about m x / 2, so P_x is too, and
     it is unimodal exactly when it weakly rises from its lowest term
@@ -332,23 +331,19 @@ def window_failures(m: int, a: int, b: int, xs: Iterable[int]) -> list[int]:
     and S - q^s T from s on (see _window_series).  So x passes when S does
     not fall on [a-m+2, min(c, s-1)] and S - q^s T does not fall on [s-1, c].
     """
-    _check_window(m, a, b, b - m + 1)  # the window; each x is checked as it is drawn
+    if not isinstance(xs, range) or xs.step < 1:
+        raise ValueError(f"xs must be an ascending range: {xs!r}")
+    _check_window(m, a, b, xs[0] if xs else b - m + 1)  # every later x is larger
     top = (m - 1) * (b - m + 1)  # deg D
     p, t = _window_series(m, a, b, top + m + 1)
     dp = list(map(sub, p, [0, *p]))  # dp[i] = S[i] - S[i-1]
     dt = list(map(sub, t, [0, *t]))
     # past deg D, S repeats with period m, so its first fall, if any, is by deg D + m
     fall = next((i for i in range(a - m + 3, top + m + 1) if dp[i] < 0), math.inf)
-    failures, last = [], -math.inf
+    failures = []
     for x in xs:
-        _check_window(m, a, b, x)
-        if x < last:
-            raise ValueError(f"xs must ascend: {x} after {last}")
-        last = x
         s, c = m * (x + 1) - top, m * x // 2
         if s > c and fall == math.inf:  # s - c grows with x: every later x passes
-            if isinstance(xs, Sequence) and any(map(gt, xs, xs[1:])):
-                raise ValueError("xs must ascend")
             break
         # the stretch [s, c] is empty when s > c, and inside dp when s <= c: then c <= deg D - m
         if fall <= min(c, s - 1) or not all(map(ge, dp[s:c + 1], dt)):

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -30,13 +31,13 @@ from .qpoly import QPoly
 Range = int | tuple[int, int]
 
 
-def _as_values(r: Range) -> list[int]:
-    if isinstance(r, int):
-        return [r]
-    lo, hi = r
+def _as_values(r: Range) -> range:
+    lo, hi = (r, r) if isinstance(r, int) else r
     if lo > hi:
         raise ValueError(f"empty range: {r}")
-    return list(range(lo, hi + 1))
+    if hi - lo >= sys.maxsize:  # len() of a longer range overflows
+        raise ValueError(f"range too long: {lo}:{hi} has more than {sys.maxsize} values")
+    return range(lo, hi + 1)  # never expanded: a window reads n up to the first it decides
 
 
 def is_prime(n: int) -> bool:
@@ -156,9 +157,9 @@ def verify_conjecture_u(m: int, k_range: Range, n_range: Range) -> VerificationR
 
 
 def _window_cells(
-    m: int, a: int, b: int, n_values: list[int], where: Callable[[int], dict]
+    m: int, a: int, b: int, n_values: range, where: Callable[[int], dict]
 ) -> Iterator[SweepCell]:
-    """One unimodality cell per n of the window (a, b], n_values ascending."""
+    """One unimodality cell per n in the range n_values of the window (a, b]."""
     failures = qpoly.window_failures(m, a, b, n_values)
     for n in failures:
         yield False, {**where(n), "coefficients": qpoly.window_sum(m, a, b, n).to_json_list()}
@@ -174,7 +175,7 @@ def _conjecture_u_cells(
         if k <= m:
             yield Skip("k <= m", len(n_values))
             continue
-        later = [n for n in n_values if n >= k - m + 1]
+        later = range(max(n_values.start, k - m + 1), n_values.stop)
         if len(later) < len(n_values):
             yield Skip("n < k-m+1", len(n_values) - len(later))
         if not later:
@@ -225,7 +226,7 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
                 if not qualifies(a_val, b_val, m_val):
                     yield Skip("endpoint = -1 mod a prime divisor of m", len(n_values))
                     continue
-                later = [n for n in n_values if n >= b_val - m_val + 1]
+                later = range(max(n_values.start, b_val - m_val + 1), n_values.stop)
                 if len(later) < len(n_values):
                     yield Skip("n < b-m+1", len(n_values) - len(later))
                 if later:
@@ -269,7 +270,7 @@ def _sieved_cells(
         claimed = [x for x in levels if x > m_val and x % m_val not in (0, m_val - 1)]
         # the windows read the tally to max(b) only if some a puts a b inside m <= a < b
         reads_b = any(m_val <= a_val < b_values[-1] for a_val in a_values)
-        top = max(b_values[-1:] * reads_b + claimed, default=-1)
+        top = max([b_values[-1]] * reads_b + claimed, default=-1)
         tally = [qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in range(top + 1)]
         for a_val in a_values:
             inside = [b_val for b_val in b_values if m_val <= a_val < b_val]

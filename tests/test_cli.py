@@ -22,6 +22,26 @@ RECORDED_DIGESTS = json.loads(
 )
 
 
+def run_capped(args):
+    """Run kyoung as a subprocess with 512 MB of address space."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "kyoung", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=120,
+    )
+
+
 class TestParsers:
     def test_parse_parts(self):
         assert parse_parts("4,2,1,1") == (4, 2, 1, 1)
@@ -93,30 +113,10 @@ class TestCommands:
         assert len(lines) == 11
         assert all(line.endswith(",1") for line in lines[1:])
 
-    @staticmethod
-    def run_capped(args):
-        """Run kyoung as a subprocess with 512 MB of address space."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        limit = 512 * 2**20
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        return subprocess.run(
-            [sys.executable, "-m", "kyoung", *args],
-            capture_output=True,
-            text=True,
-            env=env,
-            preexec_fn=cap_address_space,
-            timeout=120,
-        )
-
     def test_ideal_csv_counts_without_building_members(self):
         """At n = 100000 the members hold about 1.5e10 parts, far beyond the
         512 MB address space the child gets; the counts need none of them."""
-        proc = self.run_capped(["ideal", "--m", "3", "--n", "100000", "--k", "3", "--csv"])
+        proc = run_capped(["ideal", "--m", "3", "--n", "100000", "--k", "3", "--csv"])
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "i,count" and len(lines) == 300_002
@@ -125,7 +125,7 @@ class TestCommands:
     def test_ideal_csv_is_the_closed_form(self):
         """L^40(30,30) has about 4.7e10 members, so a tally of its members, or
         of its ranks, does not fit in the 512 MB the child gets."""
-        proc = self.run_capped(["ideal", "--m", "30", "--n", "30", "--k", "40", "--csv"])
+        proc = run_capped(["ideal", "--m", "30", "--n", "30", "--k", "40", "--csv"])
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "i,count" and len(lines) == 902
@@ -284,6 +284,43 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "verify_conjecture_u", exhausted)
         assert main(["verify", "conjecture-u", "--m", "3", "--k", "4:6", "--n", "4:8"]) == 2
         assert "error: input too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, summaries",
+        [
+            (
+                ["conjecture-u", "--m", "2,3", "--k", "1:20"],
+                [
+                    "conjecture-u: 8999999999910 pass, 0 fail, 11000000000090 skip (N ms)",
+                    "conjecture-u: 11999999999886 pass, 0 fail, 8000000000114 skip (N ms)",
+                ],
+            ),
+            (
+                ["conjecture-gen", "--m", "2:4", "--a", "2:10", "--b", "3:11"],
+                ["conjecture-gen: 30999999999834 pass, 0 fail, 212000000000166 skip (N ms)"],
+            ),
+        ],
+        ids=["conjecture-u", "conjecture-gen"],
+    )
+    def test_verify_a_trillion_n_fit_in_bounded_memory(self, args, summaries):
+        """Each window reads its range of n only up to the first n decided in
+        closed form, so 10**12 n need no more than the 512 MB the child gets."""
+        proc = run_capped(["verify", *args, "--n", "1:1000000000000"])
+        assert proc.returncode == 0, proc.stderr
+        assert mask_ms(proc.stdout).splitlines() == summaries
+
+    def test_verify_range_too_long_is_usage_error(self, tmp_path, capsys):
+        # a range of more than sys.maxsize values has no len()
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"check": "conjecture-gen", "params": {"n": [1, 10**19]}}))
+        for args in (
+            ["verify", "conjecture-u", "--m", "2", "--n", f"1:{10**19}"],
+            ["sweep", "--config", str(config)],
+        ):
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: range too long: 1:{10**19} ")
 
     def test_verify_nonprime_m_is_error(self, capsys):
         assert main(["verify", "conjecture-u", "--m", "4"]) == 2
@@ -516,6 +553,16 @@ def readme_examples():
     return examples
 
 
+def example_params():
+    """The README examples, each named by its subcommand, and a later
+    example of the same subcommand by its subcommand and its first argument."""
+    seen = set()
+    for command, shown in readme_examples():
+        words = command.split()
+        yield pytest.param(command, shown, id="-".join(words[1:3 if words[1] in seen else 2]))
+        seen.add(words[1])
+
+
 def mask_ms(text):
     return re.sub(r"\(\d+ ms\)", "(N ms)", text)
 
@@ -528,11 +575,10 @@ class TestReadmeExamples:
             "kyoung covers 4,2,1,1 --k 4 --dir down",
             "kyoung rankgen --m 3 --n 3 --k 4 --pretty",
             "kyoung verify sieved --m 2:6 --a 2:9 --b 3:10",
+            "kyoung verify conjecture-u --m 2,3 --k 1:20 --n 1:1000000000000",
         ]
 
-    @pytest.mark.parametrize(
-        "command, shown", [pytest.param(c, s, id=c.split()[1]) for c, s in readme_examples()]
-    )
+    @pytest.mark.parametrize("command, shown", example_params())
     def test_example_prints_what_the_readme_shows(self, capsys, command, shown):
         assert main(shlex.split(command)[1:]) == 0
         assert mask_ms(capsys.readouterr().out).splitlines() == list(map(mask_ms, shown))

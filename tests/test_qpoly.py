@@ -438,15 +438,15 @@ def decided_at(m, a, b):
 
 
 def check_window(m, a, b, oracle, xs):
-    """window_sum against oracle(x) at each x of xs, and window_failures
-    against is_unimodal of the oracle, over xs and one x at a time; returns
-    the x at which the oracle is not unimodal."""
+    """window_sum against oracle(x) at each x of the range xs, and
+    window_failures against is_unimodal of the oracle, over xs and one x at a
+    time; returns the x at which the oracle is not unimodal."""
     failing = []
     for x in xs:
         poly = oracle(x)
         assert window_sum(m, a, b, x) == poly, (m, a, b, x)
         expected = [] if is_unimodal(poly) else [x]
-        assert window_failures(m, a, b, [x]) == expected, (m, a, b, x)
+        assert window_failures(m, a, b, range(x, x + 1)) == expected, (m, a, b, x)
         failing += expected
     assert window_failures(m, a, b, xs) == failing, (m, a, b)
     return failing
@@ -464,8 +464,8 @@ class TestStrataWalk:
                 for b in range(a + 1, a + 6):
                     oracle = lambda x: finite_strata_by_addition(m, x, a, b)  # noqa: E731
                     first, decided = b - m + 1, decided_at(m, a, b)
-                    xs = sorted({first, first + 2, decided - 1, decided, decided + 1})
-                    outcomes.add(bool(check_window(m, a, b, oracle, [x for x in xs if x >= first])))
+                    xs = range(first, max(first + 2, decided + 1) + 1)
+                    outcomes.add(bool(check_window(m, a, b, oracle, xs)))
         # windows that pass, and windows that do not qualify and fail
         assert outcomes == {True, False}
 
@@ -481,7 +481,7 @@ class TestStrataWalk:
                         return total + rank_gen_gamma(m, x, k + 1) if b > k else total
 
                     xs = range(first, decided + 3)
-                    outcomes.add(bool(check_window(m, k - 1, b, oracle, list(xs))))
+                    outcomes.add(bool(check_window(m, k - 1, b, oracle, xs)))
                     offsets.add(decided - first)
         # windows decided at their first x, and windows decided many x in
         assert outcomes == {True, False}
@@ -489,18 +489,18 @@ class TestStrataWalk:
 
     def test_a_descent_in_xs_raises(self):
         # (5, 8] at m = 3 fails at x = 6 and is decided as passing from x = 7
-        # up, where an ascending xs stops being drawn
-        assert window_failures(3, 5, 8, [6]) == [6]
-        assert window_failures(3, 5, 8, [6, 45, 46]) == [6]
-        for xs in ([45, 6], [7, 6], [6, 45, 46, 6], (45, 47, 46), range(9, 6, -1)):
-            with pytest.raises(ValueError, match="xs must ascend"):
+        # up, where the range stops being read
+        assert window_failures(3, 5, 8, range(6, 7)) == [6]
+        assert window_failures(3, 5, 8, range(6, 10**30)) == [6]
+        assert window_failures(3, 5, 8, range(6, 47, 39)) == [6]
+        # only an ascending range carries its ascent: a list, a tuple or an
+        # iterator does not, even when its values ascend
+        for xs in ([6], (6, 45), iter([6, 45]), [45, 6], range(9, 6, -1), range(9, 6)[::-1]):
+            with pytest.raises(ValueError, match="xs must be an ascending range"):
                 window_failures(3, 5, 8, xs)
-        # (5, 9] at m = 3 fails from x = 10 up and is never decided: every x is drawn
-        assert window_failures(3, 5, 9, iter([8, 10, 11])) == [10, 11]
-        with pytest.raises(ValueError, match="xs must ascend"):
-            window_failures(3, 5, 9, iter([8, 11, 10]))
-        # the undrawn rest of an iterator cannot be read
-        assert window_failures(3, 5, 8, iter([45, 6])) == []
+        # (5, 9] at m = 3 fails from x = 10 up and is never decided: every x is read
+        assert window_failures(3, 5, 9, range(8, 12)) == [10, 11]
+        assert window_failures(3, 5, 9, range(8, 15, 3)) == [11, 14]
 
     def test_m_one_has_no_strata(self):
         # G_j = [j-1 choose -1]_q = 0, so D = 0 and every sum is 0
@@ -514,12 +514,13 @@ class TestStrataWalk:
         for args in ((0, 1, 2, 5), (3, 2, 4, 5), (3, 4, 4, 5), (3, 4, 6, 3)):
             with pytest.raises(ValueError):
                 window_sum(*args)
-            with pytest.raises(ValueError):
-                window_failures(*args[:3], [args[3]])
-        with pytest.raises(ValueError):  # a bad window raises before any x is drawn
-            window_failures(3, 4, 4, [])
-        with pytest.raises(ValueError):  # an x drawn below b-m+1 raises: (3, 5] never stops
-            window_failures(3, 3, 5, [3, 4, 2])
+            with pytest.raises(ValueError, match="need"):
+                window_failures(*args[:3], range(args[3], args[3] + 1))
+        with pytest.raises(ValueError, match="need"):  # a bad window raises with no x
+            window_failures(3, 4, 4, range(5, 5))
+        assert window_failures(3, 4, 5, range(5, 5)) == []
+        with pytest.raises(ValueError, match="need x"):  # its first x is below b-m+1
+            window_failures(3, 3, 5, range(2, 10**30))
 
     def test_the_first_sum_is_the_only_polynomial_built(self, monkeypatch):
         # window_sum builds the sum at the window's first x and nothing else;

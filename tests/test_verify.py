@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -35,11 +36,16 @@ from kyoung.verify import (
 
 class TestHelpers:
     def test_as_values(self):
-        assert verify._as_values(5) == [5]
-        assert verify._as_values((2, 5)) == [2, 3, 4, 5]
-        assert verify._as_values((3, 3)) == [3]
-        with pytest.raises(ValueError):
+        assert verify._as_values(5) == range(5, 6)
+        assert verify._as_values((2, 5)) == range(2, 6)
+        assert verify._as_values((3, 3)) == range(3, 4)
+        assert verify._as_values((1, 10**12)) == range(1, 10**12 + 1)  # never expanded
+        assert len(verify._as_values((1, sys.maxsize))) == sys.maxsize
+        with pytest.raises(ValueError, match="empty range"):
             verify._as_values((5, 2))
+        for r in ((0, sys.maxsize), (1, 10**19)):
+            with pytest.raises(ValueError, match="range too long"):
+                verify._as_values(r)
 
     def test_is_prime(self):
         assert [n for n in range(14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
@@ -233,31 +239,29 @@ class TestConjectureGen:
         assert rep.counterexamples == expected
         assert (rep.grid, rep.failed) == (len(cells), len(expected))
 
-    def test_walk_draws_do_not_grow_with_the_n_range(self, monkeypatch):
-        """A passing window builds no sum, and window_failures draws its n
-        only up to the first one decided in closed form: the sums built and
-        the n drawn are the same for n up to 40 and up to 400."""
+    def test_walk_does_not_grow_with_the_n_range(self, monkeypatch):
+        """A passing window builds no sum, and window_failures reads its range
+        of n only up to the first n decided in closed form: for n up to 40 and
+        up to 10**12 the same windows are walked and the same sums built, and
+        the grid grows by exactly the added n of each window."""
         real = qpoly.window_failures
 
         def counting(m, a, b, xs):
-            def draws():
-                for x in xs:
-                    drawn.append((m, a, b, x))
-                    yield x
-
-            return real(m, a, b, draws())
+            walked.append((m, a, b, xs.start))
+            return real(m, a, b, xs)
 
         monkeypatch.setattr(qpoly, "window_failures", counting)
         monkeypatch.setattr(qpoly, "window_sum", lambda *args: built.append(args))
         seen = []
-        for n_hi in (40, 400):
-            built, drawn = [], []
+        for n_hi in (40, 10**12):
+            built, walked = [], []
             rep = verify_conjecture_gen((2, 6), (2, 20), (3, 21), (1, n_hi))
             assert rep.failed == 0
-            seen.append((rep.grid, built, drawn))
-        (grid_40, *walked_40), (grid_400, *walked_400) = seen
-        assert walked_40 == walked_400 and walked_40[0] == [] and len(walked_40[1]) > 0
-        assert grid_400 > grid_40
+            seen.append((rep.grid, built, walked))
+        (grid_40, *walked_40), (grid_big, *walked_big) = seen
+        assert walked_40 == walked_big and walked_40[0] == [] and len(walked_40[1]) > 0
+        # every window's first n is at most 21 - 2 + 1, so each adds 41 .. 10**12
+        assert grid_big - grid_40 == len(walked_40[1]) * (10**12 - 40)
 
 
 class TestWalkCells:
@@ -266,14 +270,13 @@ class TestWalkCells:
 
     def test_a_passing_window_passes_in_one_batch(self):
         # m = 5, window (6, 8]: every n passes, as one batch
-        cells = verify._window_cells(5, 6, 8, list(range(4, 100)), lambda n: {"n": n})
+        cells = verify._window_cells(5, 6, 8, range(4, 100), lambda n: {"n": n})
         assert list(cells) == [Pass(96)]
 
     def test_a_window_that_does_not_qualify_fails_for_good(self):
         # m = 3, window (3, 5], 5 = -1 mod 3: from n = 5 on each sum inserts
         # the block (3, 2, 2) again, so every later n fails
-        n_values = list(range(3, 12))
-        cells = list(verify._window_cells(3, 3, 5, n_values, lambda n: {"n": n}))
+        cells = list(verify._window_cells(3, 3, 5, range(3, 12), lambda n: {"n": n}))
         expected = [
             (False, {"n": n, "coefficients": finite_strata_by_addition(3, n, 3, 5).to_json_list()})
             for n in range(5, 12)
