@@ -19,7 +19,6 @@ from .partitions import (
     k_conjugate,
     k_skew,
     part_at,
-    residue,
     union,
     KRectangle,
 )
@@ -41,13 +40,26 @@ def _remove_box(p: Parts, row: int) -> Parts:
 def _covers(p: Parts, k: int, direction: str) -> tuple[Parts, ...]:
     """Covers of p: add (up) or remove (down) a box at the topmost addable or
     removable corner of each residue of the k-skew diagram, and keep the
-    results that are k-bounded partitions."""
-    corners = k_skew(p, k).corners("addable" if direction == "up" else "removable")
-    step = _add_box if direction == "up" else _remove_box
-    # corners come by increasing row, so each residue keeps its topmost one
-    rows = {residue(cell, k + 1): cell[0] for cell in corners}.values()
-    out = (step(p, r) for r in rows)
-    out = [q for q in out if is_k_bounded(q, k) and list(q) == sorted(q, reverse=True)]
+    results that are k-bounded partitions.
+
+    Corners come by increasing row, so each residue (col - row) mod (k+1)
+    keeps its topmost one.  One step changes one part of p, so the result
+    is a k-bounded partition exactly when that part stays within its
+    neighbours: a box goes on row r when row r-1 is longer (at r = 1, when
+    p_1 < k), and comes off row r when r is the last row or row r+1 is
+    shorter.
+    """
+    up = direction == "up"
+    corners = k_skew(p, k).corners("addable" if up else "removable")
+    rows = {(col - row) % (k + 1): row for row, col in corners}.values()
+    if up:
+        out = [
+            _add_box(p, r)
+            for r in rows
+            if (p[r - 2] > part_at(p, r) if r > 1 else not p or p[0] < k)
+        ]
+    else:
+        out = [_remove_box(p, r) for r in rows if r == len(p) or p[r] < p[r - 1]]
     return tuple(sorted(out))
 
 
@@ -191,6 +203,7 @@ def check_rectangle_translation(
         raise ValueError(f"rectangle {rect} is not a {k}-rectangle")
     if not is_k_bounded(lam, k):
         raise ValueError(f"partition {lam} is not {k}-bounded")
-    lhs = _covers(union(lam, rect.parts), k, "up")
-    rhs = tuple(sorted(union(mu, rect.parts) for mu in _covers(lam, k, "up")))
+    box = rect.parts
+    lhs = _covers(union(lam, box), k, "up")
+    rhs = tuple(sorted(union(mu, box) for mu in _covers(lam, k, "up")))
     return lhs, rhs

@@ -8,9 +8,10 @@ a diagram has length equal to part i.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 Parts = tuple[int, ...]
@@ -39,10 +40,18 @@ def is_k_bounded(p: Parts, k: int) -> bool:
 
 
 def conjugate(p: Parts) -> Parts:
-    """Ordinary conjugate: column lengths of the diagram."""
+    """Ordinary conjugate: column lengths of the diagram.
+
+    One pass tallies the parts by value; column j holds the parts of value
+    at least j, the suffix sum of the tally from j, so the whole conjugate
+    takes O(len(p) + p[0]).
+    """
     if not p:
         return ()
-    return tuple(sum(1 for v in p if v >= j) for j in range(1, p[0] + 1))
+    tally = [0] * p[0]
+    for v in p:
+        tally[v - 1] += 1
+    return tuple(accumulate(reversed(tally)))[::-1]
 
 
 def _column_height(p: Parts, j: int) -> int:
@@ -137,12 +146,9 @@ class SkewShape(NamedTuple):
         return tuple(o - self.inner_at(i + 1) for i, o in enumerate(self.outer))
 
     def column_heights(self) -> tuple[int, ...]:
-        if not self.outer:
-            return ()
-        return tuple(
-            _column_height(self.outer, c) - _column_height(self.inner, c)
-            for c in range(1, self.outer[0] + 1)
-        )
+        """conjugate(outer) - conjugate(inner), componentwise."""
+        outer, inner = conjugate(self.outer), conjugate(self.inner)
+        return tuple(map(operator.sub, outer, inner + (0,) * (len(outer) - len(inner))))
 
     def cells(self) -> Iterator[Cell]:
         for i, o in enumerate(self.outer, start=1):
@@ -235,11 +241,9 @@ def k_skew(p: Parts, k: int) -> SkewShape:
             start = max(start, ends[t - 1])
         starts.append(start)
         ends.append(start + length)
-    outer = tuple(reversed(ends))
-    inner = tuple(reversed(starts))
-    while inner and inner[-1] == 0:
-        inner = inner[:-1]
-    return SkewShape(outer, inner)
+    # the starts ascend from 0; inner drops the rows starting at 0, its zero parts
+    inner = starts[bisect_right(starts, 0) :]
+    return SkewShape(tuple(reversed(ends)), tuple(reversed(inner)))
 
 
 @lru_cache(maxsize=None)

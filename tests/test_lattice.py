@@ -102,6 +102,22 @@ class TestCovers:
                         direction,
                     )
 
+    def test_matches_oracle_wide_sweep(self):
+        """Both directions for k <= 9 and degree <= 13.  The cases include
+        additions to a first row of length k, where no box may go on row 1,
+        and removals from a last row of length 1, which drop the row."""
+        cases = [
+            (p, k, direction)
+            for k in range(1, 10)
+            for p in k_bounded_partitions(k, 13)
+            for direction in ("up", "down")
+        ]
+        assert len(cases) == 3946
+        assert any(p and p[0] == k and direction == "up" for p, k, direction in cases)
+        assert any(p and p[-1] == 1 and direction == "down" for p, k, direction in cases)
+        for p, k, direction in cases:
+            assert covers(p, k, direction) == covers_oracle(p, k, direction), (p, k, direction)
+
     @given(k_and_partition)
     def test_matches_oracle_random(self, pair):
         k, p = pair

@@ -1,6 +1,10 @@
 """Partition core: conjugation, skew diagrams, hooks, corners, rectangles."""
 
+import os
+import subprocess
+import sys
 from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +98,18 @@ class TestBasics:
     @given(small_partitions)
     def test_conjugate_degree(self, p):
         assert sum(conjugate(p)) == sum(p)
+
+    def test_conjugate_matches_counting_definition(self):
+        """Part j of the conjugate counts the parts of value at least j."""
+
+        def counted(p):
+            return tuple(sum(1 for v in p if v >= j) for j in range(1, (p[0] if p else 0) + 1))
+
+        for n in range(17):
+            for p in partitions_of(n):
+                assert conjugate(p) == counted(p), p
+        for n in (1, 2, 7, 40, 300):
+            assert conjugate((n,) * n) == counted((n,) * n) == (n,) * n, n
 
     def test_column_height_is_conjugate_part(self):
         for p in partitions_in_box(6, 6):
@@ -192,6 +208,29 @@ class TestSkewShape:
         s = skew_shape((5, 5, 4, 1), (4, 2))
         assert s.column_heights() == (2, 1, 2, 2, 2)
         assert sum(s.column_heights()) == sum(s.row_lengths())
+
+    @staticmethod
+    def per_column_heights(s):
+        """Oracle: each column's height, one column at a time."""
+        columns = range(1, (s.outer[0] if s.outer else 0) + 1)
+        return tuple(pc._column_height(s.outer, c) - pc._column_height(s.inner, c) for c in columns)
+
+    def test_column_heights_match_per_column_oracle(self):
+        hand_built = [
+            skew_shape(()),
+            skew_shape((1,)),
+            skew_shape((3, 3, 3), (3, 3)),
+            skew_shape((4, 4), (4,)),
+            skew_shape((6, 2, 2, 1), (5, 1)),
+            skew_shape((5, 5, 4, 1), (4, 2)),
+            skew_shape((7, 7, 7, 7), (7, 6, 1)),
+        ]
+        for s in hand_built + list(box_skew_shapes(5, 5)):
+            assert s.column_heights() == self.per_column_heights(s), s
+        for k in range(1, 9):
+            for p in k_bounded_partitions(k, 12):
+                s = k_skew(p, k)
+                assert s.column_heights() == self.per_column_heights(s), (p, k)
 
     def test_hook_lengths_worked_example(self):
         s = skew_shape((5, 5, 4, 1), (4, 2))
@@ -293,6 +332,25 @@ class TestKSkew:
     def test_rejects_unbounded(self):
         with pytest.raises(ValueError):
             k_skew((4, 1), 3)
+
+    def test_long_column_is_linear(self):
+        """(1^200000) at k = 200000: one column, every row starting at 0.
+        Run in a child with a deadline; the partition is built there, as a
+        command line this long would pass the limit on one argument."""
+        code = (
+            "from kyoung.partitions import k_conjugate, k_skew\n"
+            "p = (1,) * 200000\n"
+            "s = k_skew(p, 200000)\n"
+            "assert s.outer == p and s.inner == (), s.inner[:5]\n"
+            "assert k_conjugate(p, 200000) == (200000,)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

@@ -953,6 +953,112 @@ class TestStructure:
         assert {r.failed for r in by_name.values()} == {0}
 
 
+class TestPerItemCounterexamples:
+    """One fault per per-item structure family, injected through verify's view
+    of partitions or lattice only, and the exact counterexamples it records.
+    The cells that hold carry none."""
+
+    @staticmethod
+    def report(monkeypatch, source, name, fault, family, grid=verify._Grid(2, 2, 5, 4)):
+        """The counterexamples of structure-family with source.name replaced
+        by fault(original) in verify's view."""
+        view = SimpleNamespace(**{**vars(source), name: fault(getattr(source, name))})
+        monkeypatch.setattr(verify, source.__name__.rpartition(".")[2], view)
+        cells = dict(verify._STRUCTURE_FAMILIES)["structure-" + family]
+        report = verify._sweep(family, "theorem", cells(grid))
+        assert report.failed == len(report.counterexamples) > 0
+        return report.counterexamples
+
+    @pytest.mark.parametrize(
+        "family", ["involution", "kskew", "covering", "rectangle-conjugate", "rectangle-translation"]
+    )
+    def test_a_cell_that_holds_carries_no_counterexample(self, family):
+        cells = dict(verify._STRUCTURE_FAMILIES)["structure-" + family]
+        outcomes = list(cells(verify._Grid(2, 2, 5, 4)))
+        assert outcomes and all(cell == (True, None) for cell in outcomes)
+
+    def test_involution(self, monkeypatch):
+        # (2) is the k-conjugate of (1, 1) for every k >= 2
+        def fault(is_k_bounded):
+            return lambda p, k: p != (2,) and is_k_bounded(p, k)
+
+        found = self.report(monkeypatch, partitions, "is_k_bounded", fault, "involution")
+        assert found == [{"k": k, "partition": [1, 1]} for k in range(2, 6)]
+
+    def test_kskew(self, monkeypatch):
+        def fault(k_skew):
+            def moved(p, k):
+                if (p, k) == ((2, 1), 3):  # the true diagram is the straight shape
+                    return partitions.skew_shape((3, 1), (1,))
+                return k_skew(p, k)
+
+            return moved
+
+        found = self.report(monkeypatch, partitions, "k_skew", fault, "kskew")
+        assert found == [{"k": 3, "partition": [2, 1]}]
+
+    def test_covering(self, monkeypatch):
+        def fault(covers_oracle):
+            def dropped(p, k, direction):
+                out = covers_oracle(p, k, direction)
+                return out[1:] if (p, k, direction) == ((1,), 2, "down") else out
+
+            return dropped
+
+        found = self.report(monkeypatch, lattice, "covers_oracle", fault, "covering")
+        assert found == [{"k": 2, "partition": [1], "dir": "down"}]
+
+    def test_rectangle_conjugate_union(self, monkeypatch):
+        # (1) joined with (2) is read on the left at k = 2, width 2 (p = (1)),
+        # and on the right at k = 2, width 1 (p = (1), box conjugate (2))
+        def fault(union):
+            return lambda a, b: union(a, b) + (1,) * ((a, b) == ((1,), (2,)))
+
+        found = self.report(monkeypatch, partitions, "union", fault, "rectangle-conjugate")
+        assert found == [
+            {"k": 2, "width": 1, "partition": [1]},
+            {"k": 2, "width": 2, "partition": [1]},
+        ]
+
+    def test_rectangle_conjugate_closed_form(self, monkeypatch):
+        def fault(closed_form):
+            return lambda m, n, k: closed_form(m, n, k) + ((1,) if (m, n, k) == (1, 2, 3) else ())
+
+        found = self.report(
+            monkeypatch, partitions, "rectangle_k_conjugate", fault, "rectangle-conjugate"
+        )
+        assert found == [{"m": 1, "n": 2, "k": 3}]
+
+    def test_rectangle_conjugate_small_partition(self, monkeypatch):
+        # mu = (2, 1) fits under the rectangle only at width 3, k = 5
+        def fault(conjugate):
+            return lambda p: conjugate(p) + ((1,) if p == (2, 1) else ())
+
+        found = self.report(monkeypatch, partitions, "conjugate", fault, "rectangle-conjugate")
+        assert found == [{"k": 5, "width": 3, "mu": [2, 1]}]
+
+    def test_rectangle_translation(self, monkeypatch):
+        def fault(translation):
+            def damaged(lam, rect, k):
+                lhs, rhs = translation(lam, rect, k)
+                return (lhs, rhs[1:]) if (lam, rect.width, k) == ((1,), 1, 2) else (lhs, rhs)
+
+            return damaged
+
+        found = self.report(
+            monkeypatch, lattice, "check_rectangle_translation", fault, "rectangle-translation"
+        )
+        assert found == [
+            {
+                "k": 2,
+                "width": 1,
+                "partition": [1],
+                "lhs": [[1, 1, 1, 1], [2, 1, 1]],
+                "rhs": [[2, 1, 1]],
+            }
+        ]
+
+
 class TestExport:
     def test_diagram_json(self, tmp_path):
         path = tmp_path / "d.json"
