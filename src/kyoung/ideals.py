@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 
-from .lattice import HasseDiagram
+from .lattice import HasseDiagram, ideal_name
 from .partitions import Parts, partitions_in_box
 from .qpoly import QPoly
 
@@ -129,9 +129,8 @@ def hasse_diagram(spec: IdealSpec) -> HasseDiagram:
         for u in [position[j + dj][s] for dj, s in steps[t]]
         if u >= 0
     ]
-    name = "ideal [" + ",".join(map(str, spec.rectangle)) + "]"
     vertices = [[(m,) * j + box[t] for j, t in rank] for rank in ranks]
-    return HasseDiagram(k=spec.k, name=name, ranks=vertices, edges=edges)
+    return HasseDiagram(k=spec.k, name=ideal_name(spec.rectangle), ranks=vertices, edges=edges)
 
 
 def gamma_set(spec: IdealSpec) -> list[Parts]:

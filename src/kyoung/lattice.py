@@ -15,10 +15,10 @@ from itertools import chain
 from .partitions import (
     Parts,
     contains,
-    is_k_bounded,
     k_conjugate,
     k_skew,
     part_at,
+    require_k_bounded,
     union,
     KRectangle,
 )
@@ -65,8 +65,7 @@ def _covers(p: Parts, k: int, direction: str) -> tuple[Parts, ...]:
 
 def covers(p: Parts, k: int, direction: str = "up") -> list[Parts]:
     """Partitions covering p (up) or covered by p (down) in the k-Young order."""
-    if not is_k_bounded(p, k):
-        raise ValueError(f"partition {p} is not {k}-bounded")
+    require_k_bounded(k, p)
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down': {direction!r}")
     return list(_covers(p, k, direction))
@@ -74,8 +73,7 @@ def covers(p: Parts, k: int, direction: str = "up") -> list[Parts]:
 
 def covers_oracle(p: Parts, k: int, direction: str = "up") -> list[Parts]:
     """Definitional covers: one-box steps with containment of both k-conjugates."""
-    if not is_k_bounded(p, k):
-        raise ValueError(f"partition {p} is not {k}-bounded")
+    require_k_bounded(k, p)
     pk = k_conjugate(p, k)
     out = []
     if direction == "up":
@@ -106,10 +104,7 @@ def leq(a: Parts, b: Parts, k: int) -> bool:
     whose parts or k-conjugate parts leave b's; containment both ways is
     necessary for comparability, so no witness chain is lost.
     """
-    if not is_k_bounded(a, k):
-        raise ValueError(f"partition {a} is not {k}-bounded")
-    if not is_k_bounded(b, k):
-        raise ValueError(f"partition {b} is not {k}-bounded")
+    require_k_bounded(k, a, b)
     if a == b:
         return True
     if sum(a) >= sum(b) or not contains(a, b):
@@ -170,10 +165,14 @@ class HasseDiagram:
         return "".join(pieces)
 
 
+def ideal_name(generator: Parts) -> str:
+    """The name of the diagram of the ideal below generator."""
+    return "ideal [" + ",".join(map(str, generator)) + "]"
+
+
 def build_ideal(generator: Parts, k: int) -> HasseDiagram:
     """Hasse diagram of the principal order ideal below generator."""
-    if not is_k_bounded(generator, k):
-        raise ValueError(f"partition {generator} is not {k}-bounded")
+    require_k_bounded(k, generator)
     top = sum(generator)
     levels: list[list[Parts]] = [[] for _ in range(top + 1)]
     levels[top] = [generator]
@@ -188,7 +187,7 @@ def build_ideal(generator: Parts, k: int) -> HasseDiagram:
     position = {v: i for i, v in enumerate(v for level in levels for v in level)}
     return HasseDiagram(
         k=k,
-        name="ideal [" + ",".join(map(str, generator)) + "]",
+        name=ideal_name(generator),
         ranks=levels,
         edges=sorted((position[c], position[v]) for c, v in covered),
     )
@@ -201,8 +200,7 @@ def check_rectangle_translation(
     sorted: the translation holds when the two are equal."""
     if rect.k != k:
         raise ValueError(f"rectangle {rect} is not a {k}-rectangle")
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"partition {lam} is not {k}-bounded")
+    require_k_bounded(k, lam)
     box = rect.parts
     lhs = _covers(union(lam, box), k, "up")
     rhs = tuple(sorted(union(mu, box) for mu in _covers(lam, k, "up")))

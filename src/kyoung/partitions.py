@@ -21,8 +21,10 @@ Cell = tuple[int, int]
 def partition(parts: Sequence[int]) -> Parts:
     """Canonicalize a part sequence: drop trailing zeros, validate monotonicity."""
     out = tuple(map(operator.index, parts))
-    while out and out[-1] == 0:
-        out = out[:-1]
+    end = len(out)
+    while end and out[end - 1] == 0:
+        end -= 1
+    out = out[:end]  # one copy, however many trailing zeros
     if any(p <= 0 for p in out):
         raise ValueError(f"parts must be positive: {parts!r}")
     if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
@@ -37,6 +39,15 @@ def part_at(p: Parts, i: int) -> int:
 
 def is_k_bounded(p: Parts, k: int) -> bool:
     return not p or p[0] <= k
+
+
+def require_k_bounded(k: int, *ps: Parts) -> None:
+    """The check of every k-Young entry point: k >= 1 and each of ps k-bounded."""
+    if k < 1:
+        raise ValueError(f"k must be positive: {k}")
+    for p in ps:
+        if not is_k_bounded(p, k):
+            raise ValueError(f"partition {p} is not {k}-bounded")
 
 
 def conjugate(p: Parts) -> Parts:
@@ -228,10 +239,7 @@ def k_skew(p: Parts, k: int) -> SkewShape:
     so the row starts at max(s, ends[t-1]) with t = len(ends) - (k - length),
     or at s when t < 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive: {k}")
-    if not is_k_bounded(p, k):
-        raise ValueError(f"partition {p} is not {k}-bounded")
+    require_k_bounded(k, p)
     starts: list[int] = []
     ends: list[int] = []
     start = 0

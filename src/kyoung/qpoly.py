@@ -48,14 +48,7 @@ class QPoly:
     @classmethod
     def geometric(cls, step: int, terms: int) -> "QPoly":
         """1 + q^step + ... + q^(step*(terms-1)), expanded."""
-        if step < 1:
-            raise ValueError(f"step must be positive: {step}")
-        if terms < 0:
-            raise ValueError(f"terms must be non-negative: {terms}")
-        cs = [0] * (step * max(terms - 1, 0) + 1)
-        for t in range(terms):
-            cs[step * t] = 1
-        return cls(cs if terms else ())
+        return times_geometric(cls.one(), step, terms)
 
     @property
     def degree(self) -> int:
@@ -212,26 +205,27 @@ def gaussian(a: int, b: int) -> QPoly:
     return QPoly(cs)
 
 
+def _check_level(m: int, n: int, k: int) -> None:
+    if not 1 <= m <= k:
+        raise ValueError(f"need 1 <= m <= k: m={m} k={k}")
+    if n < k - m + 1:
+        raise ValueError(f"need n >= k - m + 1: m={m} n={n} k={k}")
+
+
 def rank_gen_Lk(m: int, n: int, k: int) -> QPoly:
     """Rank generating function of the ideal below (m^n) at level k.
 
     [k+1 choose m]_q plus q^(k+1) times the degree-m geometric sum with
     n-k+m-1 terms times [k choose m-1]_q.
     """
-    if not 1 <= m <= k:
-        raise ValueError(f"need 1 <= m <= k: m={m} k={k}")
-    if n < k - m + 1:
-        raise ValueError(f"need n >= k - m + 1: m={m} n={n} k={k}")
+    _check_level(m, n, k)
     tail = times_geometric(gaussian(k, m - 1), m, n - k + m - 1)
     return gaussian(k + 1, m) + tail.shifted(k + 1)
 
 
 def count_Lk(m: int, n: int, k: int) -> int:
     """Member count of the ideal below (m^n) at level k."""
-    if not 1 <= m <= k:
-        raise ValueError(f"need 1 <= m <= k: m={m} k={k}")
-    if n < k - m + 1:
-        raise ValueError(f"need n >= k - m + 1: m={m} n={n} k={k}")
+    _check_level(m, n, k)
     return math.comb(k + 1, m) + (n - k + m - 1) * math.comb(k, m - 1)
 
 

@@ -641,12 +641,8 @@ class SweepConfig:
             raise ValueError(f"sweep config 'format' must be 'json': {data['format']!r}")
         if not isinstance(data.get("params", {}), dict):
             raise ValueError("sweep config 'params' must be an object")
-        _known_check(data["check"], data.get("params", {}))
-        return cls(
-            check=data["check"],
-            params=data.get("params", {}),
-            out=data.get("out"),
-        )
+        _parse_params(data["check"], data.get("params", {}))
+        return cls(data["check"], data.get("params", {}), data.get("out"))
 
 
 def _is_int(value) -> bool:
@@ -659,10 +655,12 @@ def _is_pair(value) -> bool:
 
 
 def _param_range(value) -> Range:
-    """An int, or a [lo, hi] pair of ints for the inclusive range lo..hi."""
+    """An int, or a [lo, hi] pair of ints for the inclusive range lo..hi,
+    neither empty nor too long."""
     if _is_int(value):
         return value
     if _is_pair(value):
+        _as_values(tuple(value))
         return tuple(value)
     raise ValueError(f"expected int or [lo, hi]: {value!r}")
 
@@ -694,48 +692,50 @@ def _prime_values(value) -> list[int]:
     raise ValueError(f"expected m as int, [lo, hi], or a list of those: {value!r}")
 
 
-# check -> (runner, {param: default}); a param outside the map is an error.
-# The runners look each verify_* up at call time, so a wrapper set on the
-# module attribute (a tracer, a test double) is the one that runs.
+# check -> (runner, {param: (parser, default)}); a param outside the map is an
+# error.  The runners take parsed values and look each verify_* up at call
+# time, so a wrapper set on the module attribute (a tracer) is the one that runs.
 _CHECKS = {
     "conjecture-u": (
-        lambda m, k, n: [
-            verify_conjecture_u(p, _param_range(k), _param_range(n)) for p in _prime_values(m)
-        ],
-        {"m": (2, 7), "k": (1, 25), "n": (1, 30)},
+        lambda m, k, n: [verify_conjecture_u(p, k, n) for p in m],
+        {"m": (_prime_values, (2, 7)), "k": (_param_range, (1, 25)), "n": (_param_range, (1, 30))},
     ),
     "conjecture-gen": (
-        lambda m, a, b, n: [verify_conjecture_gen(*map(_param_range, (m, a, b, n)))],
-        {"m": (2, 12), "a": (2, 19), "b": (3, 20), "n": (1, 25)},
+        lambda m, a, b, n: [verify_conjecture_gen(m, a, b, n)],
+        {"m": (_param_range, (2, 12)), "a": (_param_range, (2, 19)),
+         "b": (_param_range, (3, 20)), "n": (_param_range, (1, 25))},
     ),
     "sieved": (
-        lambda m, a, b, k: [verify_sieved(*map(_param_range, (m, a, b, k)))],
-        {"m": (2, 12), "a": (2, 19), "b": (3, 20), "k": (3, 30)},
+        lambda m, a, b, k: [verify_sieved(m, a, b, k)],
+        {"m": (_param_range, (2, 12)), "a": (_param_range, (2, 19)),
+         "b": (_param_range, (3, 20)), "k": (_param_range, (3, 30))},
     ),
     "structure": (
-        lambda **bounds: verify_structure(**{name: _param_int(v) for name, v in bounds.items()}),
-        {"m_max": 4, "n_max": 6, "k_max": 7, "degree_max": 10},
+        lambda **bounds: verify_structure(**bounds),
+        {"m_max": (_param_int, 4), "n_max": (_param_int, 6),
+         "k_max": (_param_int, 7), "degree_max": (_param_int, 10)},
     ),
 }
 
 
-def _known_check(check: str, params: dict) -> tuple[Callable, dict]:
-    """The runner and the defaults of check; an unknown check or param is an error."""
+def _parse_params(check: str, params: dict) -> tuple[Callable, dict]:
+    """The runner of check and all its params parsed, defaults included; an
+    unknown check or param, or a malformed value, is an error."""
     if check not in _CHECKS:
         raise ValueError(
             f"unknown check {check!r}; expected conjecture-u, conjecture-gen, sieved, or structure"
         )
-    runner, defaults = _CHECKS[check]
-    unknown = sorted(set(params) - set(defaults))
+    runner, spec = _CHECKS[check]
+    unknown = sorted(set(params) - set(spec))
     if unknown:
-        raise ValueError(f"unknown params for {check}: {unknown}; expected {sorted(defaults)}")
-    return runner, defaults
+        raise ValueError(f"unknown params for {check}: {unknown}; expected {sorted(spec)}")
+    return runner, {name: parse(params.get(name, d)) for name, (parse, d) in spec.items()}
 
 
 def run_check(check: str, params: dict) -> list[VerificationReport]:
     """Dispatch a named check; returns one report per family or m value."""
-    runner, defaults = _known_check(check, params)
-    return runner(**{**defaults, **params})
+    runner, values = _parse_params(check, params)
+    return runner(**values)
 
 
 def run_sweep(config: SweepConfig) -> list[VerificationReport]:

@@ -93,6 +93,11 @@ class TestCommands:
         assert main(["kconj", "4,1", "--k", "3"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_k_below_one_is_error(self, capsys):
+        for command in ("covers", "kconj", "kskew"):
+            assert main([command, "1", "--k", "-1"]) == 2
+            assert capsys.readouterr().err == "error: k must be positive: -1\n"
+
     def test_ideal_json_default(self, capsys):
         assert main(["ideal", "--m", "3", "--n", "3", "--k", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -471,8 +476,20 @@ class TestSweepCommand:
         [
             ({"check": "sieved", "params": {"zz": 1}}, "unknown params for sieved: ['zz']"),
             ({"check": "nope"}, "unknown check 'nope'"),
+            # a malformed value is found when the file loads, not when its sweep runs
+            ({"check": "sieved", "params": {"m": "x"}}, "expected int or [lo, hi]: 'x'"),
+            ({"check": "sieved", "params": {"k": [5, 3]}}, "empty range: (5, 3)"),
+            ({"check": "structure", "params": {"k_max": True}}, "expected int: True"),
+            ({"check": "conjecture-u", "params": {"m": [4, 4]}}, "no prime m in 4:4"),
         ],
-        ids=["unknown-param", "unknown-check"],
+        ids=[
+            "unknown-param",
+            "unknown-check",
+            "malformed-value",
+            "empty-range",
+            "bool-bound",
+            "no-prime",
+        ],
     )
     def test_unknown_check_or_param_stops_before_any_sweep_runs(
         self, tmp_path, capsys, second, message

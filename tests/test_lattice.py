@@ -19,6 +19,7 @@ from kyoung.partitions import (
     contains,
     k_bounded_partitions,
     k_conjugate,
+    k_skew,
     union,
 )
 
@@ -330,3 +331,42 @@ class TestRectangleTranslation:
     def test_rejects_unbounded(self):
         with pytest.raises(ValueError):
             check_rectangle_translation((3,), all_k_rectangles(2)[0], 2)
+
+
+class TestOneKBoundedCheck:
+    """Every k-Young entry point rejects k < 1 first, then a partition that
+    is not k-bounded, each with one message."""
+
+    @pytest.mark.parametrize(
+        "call, k",
+        [
+            (lambda: build_ideal((), 0), 0),
+            (lambda: build_ideal((), -3), -3),
+            (lambda: leq((), (), 0), 0),
+            (lambda: covers((1,), -1), -1),
+            (lambda: covers_oracle((1,), -1), -1),
+            (lambda: covers((), 0, "down"), 0),
+            (lambda: k_skew((2,), 0), 0),
+        ],
+        ids=["build_ideal-0", "build_ideal-neg", "leq", "covers", "covers_oracle", "down", "k_skew"],
+    )
+    def test_k_below_one(self, call, k):
+        with pytest.raises(ValueError, match=f"^k must be positive: {k}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: build_ideal((3,), 2),
+            lambda: leq((3,), (3,), 2),
+            lambda: leq((1,), (3,), 2),
+            lambda: covers((3,), 2, "down"),
+            lambda: covers_oracle((3,), 2),
+            lambda: check_rectangle_translation((3,), all_k_rectangles(2)[0], 2),
+            lambda: k_skew((3,), 2),
+        ],
+        ids=["build_ideal", "leq-a", "leq-b", "covers", "covers_oracle", "translation", "k_skew"],
+    )
+    def test_not_k_bounded(self, call):
+        with pytest.raises(ValueError, match=r"^partition \(3,\) is not 2-bounded$"):
+            call()

@@ -1,5 +1,6 @@
 """Partition core: conjugation, skew diagrams, hooks, corners, rectangles."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -86,6 +87,45 @@ class TestBasics:
         # int() would truncate 1.7 to 1 and accept (1, 1)
         with pytest.raises(TypeError):
             partition([1.7, 1])
+
+    def test_partition_matches_the_zero_stripping_loop(self):
+        """Every sequence over -1..2 of length at most 6 gives the value or
+        the message that stripping one trailing zero at a time gives."""
+
+        def stripped(parts):
+            out = tuple(parts)
+            while out and out[-1] == 0:
+                out = out[:-1]
+            if any(p <= 0 for p in out):
+                return f"parts must be positive: {parts!r}"
+            if any(a < b for a, b in zip(out, out[1:])):
+                return f"parts must be weakly decreasing: {parts!r}"
+            return out
+
+        for size in range(7):
+            for parts in itertools.product(range(-1, 3), repeat=size):
+                try:
+                    got = partition(list(parts))
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == stripped(list(parts)), parts
+
+    def test_partition_drops_many_trailing_zeros_at_once(self):
+        """(1, 0^200000): one slice, not one copy per zero.  Run in a child
+        with a deadline; the list is built there, as a command line this
+        long would pass the limit on one argument."""
+        code = (
+            "from kyoung.partitions import partition\n"
+            "assert partition([1] + [0] * 200000) == (1,)\n"
+            "assert partition([0] * 200000) == ()\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_conjugate(self):
         assert conjugate((4, 2, 1)) == (3, 2, 1, 1)

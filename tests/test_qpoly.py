@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from functools import lru_cache
 from math import comb
 
@@ -198,6 +199,21 @@ class TestQPoly:
         with pytest.raises(ValueError):
             times_geometric(QPoly.one(), 2, -1)
 
+    def test_geometric_is_one_times_geometric(self):
+        # QPoly.geometric has no route of its own: the expanded sum, and the
+        # same two messages
+        for step in range(1, 6):
+            for terms in range(6):
+                expanded = [int(i % step == 0) for i in range(step * (terms - 1) + 1)]
+                assert QPoly.geometric(step, terms) == QPoly(expanded)
+        for step, terms, message in (
+            (0, 3, "step must be positive: 0"),
+            (2, -1, "terms must be non-negative: -1"),
+        ):
+            for build in (QPoly.geometric, lambda s, t: times_geometric(QPoly.one(), s, t)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    build(step, terms)
+
     def test_str(self):
         assert str(QPoly.zero()) == "0"
         assert str(QPoly([1, 1, 2])) == "1 + q + 2q^2"
@@ -290,6 +306,20 @@ class TestRankGen:
             count_Lk(4, 3, 3)
         with pytest.raises(ValueError):
             count_Lk(3, 1, 5)
+
+    @pytest.mark.parametrize(
+        "m, n, k, message",
+        [
+            (4, 3, 3, "need 1 <= m <= k: m=4 k=3"),
+            (0, 3, 3, "need 1 <= m <= k: m=0 k=3"),
+            (3, 1, 5, "need n >= k - m + 1: m=3 n=1 k=5"),
+        ],
+        ids=["m-above-k", "m-zero", "n-short"],
+    )
+    def test_rank_gen_and_count_share_one_range(self, m, n, k, message):
+        for f in (rank_gen_Lk, count_Lk):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                f(m, n, k)
 
     def test_saturation_gives_full_box(self):
         # once k >= m + n - 1 everything in the box is a member

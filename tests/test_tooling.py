@@ -183,3 +183,55 @@ def test_only_sweep_tallies_a_report():
 
     tree = ast.parse(path.read_text(), str(path))
     assert set(writers(tree, "<module>")) == {"_sweep"}
+
+
+def test_the_k_rules_are_stated_once():
+    # k >= 1 and k-boundedness are raised from one f-string each, in
+    # partitions.require_k_bounded, which every k-Young entry point calls
+    fstrings = [
+        ast.unparse(node)
+        for path in sorted((ROOT / "src" / "kyoung").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.JoinedStr)
+    ]
+    for rule in ("is not {k}-bounded", "k must be positive"):
+        assert len([text for text in fstrings if rule in text]) == 1, rule
+
+
+def test_sweep_params_are_parsed_only_by_the_checks_table():
+    # every param value is parsed once, through its _CHECKS entry, before any
+    # sweep runs: no runner lambda, nor any other function, parses a value
+    parsers = {"_param_range", "_param_int", "_prime_values"}
+
+    def references(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_CHECKS"]:
+            owner = "_CHECKS"
+        elif isinstance(node, ast.Lambda):
+            owner = f"a lambda in {owner}"
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in parsers:
+            yield owner, name
+        for child in ast.iter_child_nodes(node):
+            yield from references(child, owner)
+
+    found = set()
+    for path in sorted((ROOT / "src" / "kyoung").rglob("*.py")):
+        found |= set(references(ast.parse(path.read_text(), str(path)), "<module>"))
+    assert {owner for owner, _ in found} <= parsers | {"_CHECKS"}, sorted(found)
+    assert {name for owner, name in found if owner == "_CHECKS"} == parsers
+
+
+def test_target_grids_parse_as_sweep_entries():
+    # sweeps/check_targets.py runs them (minutes, 2 GB for the ideal); here
+    # every entry only has to load, each param value parsed, and every
+    # target has a recorded digest
+    from kyoung.verify import SweepConfig
+
+    entries = json.loads((ROOT / "sweeps" / "targets.json").read_text())["sweeps"]
+    configs = [SweepConfig.from_json_dict(entry) for entry in entries]
+    assert [c.check for c in configs] == ["structure", "conjecture-u", "conjecture-gen", "sieved"]
+    assert len({c.out for c in configs}) == len(configs)
+    digests = json.loads((ROOT / "sweeps" / "digests.json").read_text())
+    assert set(digests) == {c.check for c in configs} | {"ideal"}
