@@ -6,10 +6,11 @@ conjecture-status checks record counterexamples as findings.  Skipped cells
 are those where a statement makes no claim, and are never counted as passes.
 
 Every check is a generator of cells run through one runner, ``_sweep``: a
-cell is a ``Skip``, a ``Pass`` of cells that all hold, or an
-``(ok, counterexample)`` outcome.  ``_sweep`` alone tallies them into a report.
-A cell that holds may carry None for its counterexample, so that one is built
-only for a cell that fails.
+cell is a ``Pass`` of cells that all hold, a ``Skip`` of cells where no claim
+is made, a ``Note`` of the check's own findings, or the counterexample dict of
+one cell that fails.  ``_sweep`` alone tallies them into a report.  A cell
+that holds is a ``Pass``, so a counterexample is built only for a cell that
+fails.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ Range = int | tuple[int, int]
 def _as_values(r: Range) -> range:
     lo, hi = (r, r) if isinstance(r, int) else r
     if lo > hi:
-        raise ValueError(f"empty range: {r}")
+        raise ValueError(f"empty range: {lo}:{hi}")
     if hi - lo >= sys.maxsize:  # len() of a longer range overflows
         raise ValueError(f"range too long: {lo}:{hi} has more than {sys.maxsize} values")
     return range(lo, hi + 1)  # never expanded: a window reads n up to the first it decides
@@ -44,6 +45,16 @@ def _as_values(r: Range) -> range:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+def _primes_in(values: range) -> list[int]:
+    """The primes in values, a range of step 1, from one sieve of it."""
+    lo, hi = max(values.start, 2), max(values.stop - 1, 1)
+    sieve = bytearray(b"\x01") * max(hi - lo + 1, 0)  # sieve[i]: lo + i is not yet struck out
+    for p in range(2, math.isqrt(hi) + 1):
+        start = max(p * p, -(-lo // p) * p) - lo
+        sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    return list(itertools.compress(range(lo, hi + 1), sieve))
 
 
 def prime_factors(n: int) -> list[int]:
@@ -109,39 +120,38 @@ class Pass(NamedTuple):
     count: int
 
 
-SweepCell = Skip | Pass | tuple[bool, dict | None]
+class Note(NamedTuple):
+    """A finding of the check itself, reported in the order it is yielded."""
 
-_HOLDS = (True, None)  # the outcome of every per-item cell that holds
+    text: str
 
 
-def _sweep(
-    check: str, status: str, cells: Iterable[SweepCell], notes: list[str] | None = None
-) -> VerificationReport:
+SweepCell = Pass | Skip | Note | dict  # a dict is the counterexample of one failing cell
+
+_HOLDS = Pass(1)  # one cell that holds, shared by every family
+
+
+def _sweep(check: str, status: str, cells: Iterable[SweepCell]) -> VerificationReport:
     """Tally every cell into one timed report.
 
-    notes are the check's own findings; the cell generator may append to the
-    list until it is exhausted.  They come before one note per skip reason.
+    The notes are the check's own, in the order its cells yield them, then one
+    note per skip reason.
     """
     t0 = time.perf_counter()
     report = VerificationReport(check=check, status=status)
     skips: Counter = Counter()
     for cell in cells:
-        if cell is _HOLDS:
-            report.passed += 1
+        if isinstance(cell, Pass):
+            report.passed += cell.count
         elif isinstance(cell, Skip):
             skips[cell.reason] += cell.count
-        elif isinstance(cell, Pass):
-            report.passed += cell.count
+        elif isinstance(cell, Note):
+            report.notes.append(cell.text)
         else:
-            ok, counterexample = cell
-            if ok:
-                report.passed += 1
-            else:
-                report.failed += 1
-                report.counterexamples.append(counterexample)
+            report.failed += 1
+            report.counterexamples.append(cell)
     report.grid = report.passed + report.failed
     report.skipped = sum(skips.values())
-    report.notes = list(notes or ())
     for reason, count in sorted(skips.items()):
         report.notes.append(f"skipped {count}: {reason}")
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -157,9 +167,7 @@ def verify_conjecture_u(m: int, k_range: Range, n_range: Range) -> VerificationR
     """
     if not is_prime(m):
         raise ValueError(f"m must be prime: {m}")
-    notes = [f"m={m}"]
-    cells = _conjecture_u_cells(m, k_range, n_range, notes)
-    return _sweep("conjecture-u", "conjecture", cells, notes)
+    return _sweep("conjecture-u", "conjecture", _conjecture_u_cells(m, k_range, n_range))
 
 
 def _window_cells(
@@ -168,13 +176,12 @@ def _window_cells(
     """One unimodality cell per n in the range n_values of the window (a, b]."""
     failures = qpoly.window_failures(m, a, b, n_values)
     for n in failures:
-        yield False, {**where(n), "coefficients": qpoly.window_sum(m, a, b, n).to_json_list()}
+        yield {**where(n), "coefficients": qpoly.window_sum(m, a, b, n).to_json_list()}
     yield Pass(len(n_values) - len(failures))
 
 
-def _conjecture_u_cells(
-    m: int, k_range: Range, n_range: Range, notes: list[str]
-) -> Iterator[SweepCell]:
+def _conjecture_u_cells(m: int, k_range: Range, n_range: Range) -> Iterator[SweepCell]:
+    yield Note(f"m={m}")
     boundary = 0
     n_values = _as_values(n_range)
     for k in _as_values(k_range):
@@ -203,7 +210,7 @@ def _conjecture_u_cells(
             yield from _window_cells(
                 m, k - 1, b, later, lambda n: {"m": m, "k": k, "n": n, "mode": mode}
             )
-    notes.append(f"boundary n = k-m+1 cells evaluated under the k != -1,0 clause: {boundary}")
+    yield Note(f"boundary n = k-m+1 cells evaluated under the k != -1,0 clause: {boundary}")
 
 
 def verify_conjecture_gen(m: Range, a: Range, b: Range, n: Range) -> VerificationReport:
@@ -236,9 +243,8 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
                 if len(later) < len(n_values):
                     yield Skip("n < b-m+1", len(n_values) - len(later))
                 if later:
-                    where = {"m": m_val, "a": a_val, "b": b_val}
                     yield from _window_cells(
-                        m_val, a_val, b_val, later, lambda n: {**where, "n": n}
+                        m_val, a_val, b_val, later, lambda n: dict(m=m_val, a=a_val, b=b_val, n=n)
                     )
 
 
@@ -252,8 +258,7 @@ def verify_sieved(m: Range, a: Range, b: Range, k: Range | None = None) -> Verif
     A window outside m <= a < b, or one that does not qualify, is skipped,
     whether m, a and b come as ints or as ranges; m < 2 raises ValueError.
     """
-    notes: list[str] = []
-    return _sweep("sieved", "theorem", _sieved_cells(m, a, b, k, notes), notes)
+    return _sweep("sieved", "theorem", _sieved_cells(m, a, b, k))
 
 
 def _window_sums(tally: list[list[int]], m: int, a: int, b: int) -> list[int]:
@@ -263,9 +268,7 @@ def _window_sums(tally: list[list[int]], m: int, a: int, b: int) -> list[int]:
     return [tally[b][i % m] - tally[a][i % m] for i in range(a - m + 2, a + 2)]
 
 
-def _sieved_cells(
-    m: Range, a: Range, b: Range, k: Range | None, notes: list[str]
-) -> Iterator[SweepCell]:
+def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[SweepCell]:
     a_values, b_values = _as_values(a), _as_values(b)
     k_values = [] if k is None else _as_values(k)
     single = 0  # the single-Gaussian cells of every prime m
@@ -295,7 +298,7 @@ def _sieved_cells(
                 # such d.  So the discrete Fourier transform of the sums vanishes away
                 # from 0: the sums are equal.  The tests check this against the division.
                 equal = len(set(sums)) == 1
-                yield equal and sums[0] * m_val == total, {
+                yield _HOLDS if equal and sums[0] * m_val == total else {
                     "m": m_val,
                     "a": a_val,
                     "b": b_val,
@@ -310,7 +313,7 @@ def _sieved_cells(
         for k_val in claimed:
             sums = _window_sums(tally, m_val, k_val - 1, k_val)  # [k-1 choose m-2]_q
             expected = math.comb(k_val - 1, m_val - 2)
-            yield len(set(sums)) == 1 and sums[0] * m_val == expected, {
+            yield _HOLDS if len(set(sums)) == 1 and sums[0] * m_val == expected else {
                 "m": m_val,
                 "k": k_val,
                 "sieved_sums": sums,
@@ -318,7 +321,7 @@ def _sieved_cells(
             }
         single += len(claimed)
     if k is not None:
-        notes.append(f"single-gaussian cells for prime m: {single}")
+        yield Note(f"single-gaussian cells for prime m: {single}")
 
 
 class _Grid(NamedTuple):
@@ -346,7 +349,7 @@ def _involution_cells(g: _Grid) -> Iterator[SweepCell]:
                 and sum(kc) == sum(p)
                 and partitions.is_k_bounded(kc, k)
             )
-            yield _HOLDS if ok else (False, {"k": k, "partition": list(p)})
+            yield _HOLDS if ok else {"k": k, "partition": list(p)}
 
 
 def _kskew_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -366,7 +369,7 @@ def _kskew_cells(g: _Grid) -> Iterator[SweepCell]:
                 s.hook_length((i, a + 1)) <= k and least[a] > k - length
                 for i, (length, a) in enumerate(zip(p, inner), 1)
             )
-            yield _HOLDS if ok else (False, {"k": k, "partition": list(p)})
+            yield _HOLDS if ok else {"k": k, "partition": list(p)}
 
 
 def _covering_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -374,7 +377,7 @@ def _covering_cells(g: _Grid) -> Iterator[SweepCell]:
         for p in partitions.k_bounded_partitions(k, g.degree_max):
             for direction in ("up", "down"):
                 ok = lattice.covers(p, k, direction) == lattice.covers_oracle(p, k, direction)
-                yield _HOLDS if ok else (False, {"k": k, "partition": list(p), "dir": direction})
+                yield _HOLDS if ok else {"k": k, "partition": list(p), "dir": direction}
 
 
 def _rectangle_conjugate_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -387,21 +390,21 @@ def _rectangle_conjugate_cells(g: _Grid) -> Iterator[SweepCell]:
                 ok = partitions.k_conjugate(partitions.union(p, box), k) == partitions.union(
                     partitions.k_conjugate(p, k), box_conj
                 )
-                yield _HOLDS if ok else (False, {"k": k, "width": rect.width, "partition": list(p)})
+                yield _HOLDS if ok else {"k": k, "width": rect.width, "partition": list(p)}
     for m in range(1, g.m_max + 1):
         for k in range(m, g.k_max + 1):
             for n in range(0, g.n_max + 1):
                 ok = partitions.rectangle_k_conjugate(m, n, k) == partitions.k_conjugate(
                     (m,) * n, k
                 )
-                yield _HOLDS if ok else (False, {"m": m, "n": n, "k": k})
+                yield _HOLDS if ok else {"m": m, "n": n, "k": k}
     for k in range(1, g.k_max + 1):
         for rect in partitions.all_k_rectangles(k):
             w, box = rect.width, rect.parts
             box_conj = partitions.conjugate(box)
             for mu in partitions.partitions_in_box(max(w - 1, 0), k - w):
                 ok = partitions.k_conjugate(box + mu, k) == box_conj + partitions.conjugate(mu)
-                yield _HOLDS if ok else (False, {"k": k, "width": w, "mu": list(mu)})
+                yield _HOLDS if ok else {"k": k, "width": w, "mu": list(mu)}
 
 
 def _rectangle_translation_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -413,7 +416,7 @@ def _rectangle_translation_cells(g: _Grid) -> Iterator[SweepCell]:
                 if lhs == rhs:
                     yield _HOLDS
                     continue
-                yield False, {
+                yield {
                     "k": k,
                     "width": rect.width,
                     "partition": list(p),
@@ -445,7 +448,6 @@ def _upsets(rows: list[Parts], spec: IdealSpec, reverse: bool = False) -> list[i
 
 def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
-        where = asdict(spec)
         steps = ideals.hasse_diagram(spec)  # the members and their one-box steps
         members = steps.vertices()
         diagram = lattice.build_ideal(spec.rectangle, spec.k)
@@ -454,7 +456,7 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
             vertex_set, member_set = set(vertices), set(members)
             extra = [list(v) for v in vertices if v not in member_set]
             missing = [list(p) for p in members if p not in vertex_set]
-            yield False, {**where, "extra": extra, "missing": missing}
+            yield {**asdict(spec), "extra": extra, "missing": missing}
             continue
         # the k-covers must be the one-box steps, both sorted (lower, upper)
         # position pairs: the lowest lower end among the pairs on one side
@@ -464,7 +466,7 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
             x = min(diff)[0]
             extra = [list(members[u]) for v, u in diagram.edges if v == x and (v, u) in diff]
             missing = [list(members[u]) for v, u in steps.edges if v == x and (v, u) in diff]
-            yield False, {**where, "child": list(members[x]), "extra": extra, "missing": missing}
+            yield {**asdict(spec), "child": list(members[x]), "extra": extra, "missing": missing}
             continue
         # the ideal is downward closed, so every saturated chain between two
         # members stays in it: the k-order there is reachability in the
@@ -480,7 +482,7 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
                 yield Pass(len(members))
                 continue
             for j, y in enumerate(members):
-                yield not wrong >> j & 1, {**where, "a": list(x), "b": list(y)}
+                yield {**asdict(spec), "a": list(x), "b": list(y)} if wrong >> j & 1 else _HOLDS
         # One cover cell per one-box step, which follows from the checks
         # above: the edges are the one-box steps, so each adds one box, and
         # reachability is containment, so a member y one box above a member
@@ -497,7 +499,7 @@ def _counts_cells(g: _Grid) -> Iterator[SweepCell]:
             and len(members) == poly(1)
             and ideals.rank_vector(members, spec.top_rank) == poly
         )
-        yield ok, asdict(spec)
+        yield _HOLDS if ok else asdict(spec)
 
 
 def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -520,7 +522,7 @@ def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
                 for x, y in itertools.combinations_with_replacement(reps, 2)
             )
         )
-        yield ok, asdict(spec)
+        yield _HOLDS if ok else asdict(spec)
 
 
 def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -533,7 +535,8 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
         vertices = diagram.vertices()
         members = previous[spec] = set(vertices)
         if spec.k == spec.m:  # a chain: one member per degree
-            yield [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1), asdict(spec)
+            chain = [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1)
+            yield _HOLDS if chain else asdict(spec)
             continue
         smaller = previous.pop(IdealSpec(spec.m, spec.n, spec.k - 1))
         gamma = set(ideals.gamma_set(spec))
@@ -544,7 +547,7 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
         # the up-edges are the one-box steps between members: none crosses two strata
         rows = [ideals.short_rows(x, spec.m) for x in vertices]
         ok = ok and all(abs(rows[u] - rows[x]) <= 1 for x, u in diagram.edges)
-        yield ok, asdict(spec)
+        yield _HOLDS if ok else asdict(spec)
 
 
 def _decomposition_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -553,7 +556,7 @@ def _decomposition_cells(g: _Grid) -> Iterator[SweepCell]:
         if spec.k > spec.m:  # the strata at levels m+1 .. k
             strata = qpoly.window_sum(spec.m, spec.m, spec.k, spec.n)
         total = QPoly.geometric(1, spec.top_rank + 1) + strata
-        yield total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k), asdict(spec)
+        yield _HOLDS if total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k) else asdict(spec)
 
 
 _STRUCTURE_FAMILIES = (
@@ -619,11 +622,15 @@ def export(obj: Any, path: str) -> None:
 
 @dataclass
 class SweepConfig:
-    """One named check with its parameter grid and output destination."""
+    """One named check with its parameter grid and output destination.  The
+    params are parsed once, defaults included, when the config is made."""
 
     check: str
     params: dict
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        self._runner, self._values = _parse_params(self.check, self.params)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
@@ -641,7 +648,6 @@ class SweepConfig:
             raise ValueError(f"sweep config 'format' must be 'json': {data['format']!r}")
         if not isinstance(data.get("params", {}), dict):
             raise ValueError("sweep config 'params' must be an object")
-        _parse_params(data["check"], data.get("params", {}))
         return cls(data["check"], data.get("params", {}), data.get("out"))
 
 
@@ -683,7 +689,7 @@ def _prime_values(value) -> list[int]:
     if _is_int(value):
         return [value]
     if _is_pair(value):
-        primes = [p for p in _as_values(value) if is_prime(p)]
+        primes = _primes_in(_as_values(value))
         if not primes:
             raise ValueError(f"no prime m in {value[0]}:{value[1]}")
         return primes
@@ -734,12 +740,12 @@ def _parse_params(check: str, params: dict) -> tuple[Callable, dict]:
 
 def run_check(check: str, params: dict) -> list[VerificationReport]:
     """Dispatch a named check; returns one report per family or m value."""
-    runner, values = _parse_params(check, params)
-    return runner(**values)
+    return run_sweep(SweepConfig(check, params))
 
 
 def run_sweep(config: SweepConfig) -> list[VerificationReport]:
-    reports = run_check(config.check, config.params)
+    """Run the parsed check of config and write its reports to config.out, if set."""
+    reports = config._runner(**config._values)
     if config.out is not None:
         export(reports if len(reports) > 1 else reports[0], config.out)
     return reports

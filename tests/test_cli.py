@@ -22,7 +22,7 @@ RECORDED_DIGESTS = json.loads(
 )
 
 
-def run_capped(args):
+def run_capped(args, timeout=120):
     """Run kyoung as a subprocess with 512 MB of address space."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
@@ -38,7 +38,7 @@ def run_capped(args):
         text=True,
         env=env,
         preexec_fn=cap_address_space,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -478,7 +478,7 @@ class TestSweepCommand:
             ({"check": "nope"}, "unknown check 'nope'"),
             # a malformed value is found when the file loads, not when its sweep runs
             ({"check": "sieved", "params": {"m": "x"}}, "expected int or [lo, hi]: 'x'"),
-            ({"check": "sieved", "params": {"k": [5, 3]}}, "empty range: (5, 3)"),
+            ({"check": "sieved", "params": {"k": [5, 3]}}, "empty range: 5:3"),
             ({"check": "structure", "params": {"k_max": True}}, "expected int: True"),
             ({"check": "conjecture-u", "params": {"m": [4, 4]}}, "no prime m in 4:4"),
         ],
@@ -502,6 +502,39 @@ class TestSweepCommand:
         out, err = capsys.readouterr()
         assert message in err and out == ""
         assert not first.exists()
+
+
+    def test_each_entry_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        parsed = []
+        parse = verify._parse_params
+
+        def counted(check, params):
+            parsed.append(check)
+            return parse(check, params)
+
+        monkeypatch.setattr(verify, "_parse_params", counted)
+        entries = [
+            {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}},
+            {"check": "conjecture-u", "params": {"m": [2, 5], "k": [1, 6], "n": [1, 6]}},
+        ]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweeps": entries}))
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert parsed == ["sieved", "conjecture-u"]
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_a_long_prime_range_loads_from_one_sieve(self, tmp_path):
+        """The primes of six million conjecture-u m values are listed in well
+        under the timeout, so the malformed entry after them stops the file."""
+        entries = [
+            {"check": "conjecture-u", "params": {"m": [2, 6000000]}},
+            {"check": "sieved", "params": {"m": "x"}},
+        ]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweeps": entries}))
+        proc = run_capped(["sweep", "--config", str(cfg)], timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: expected int or [lo, hi]: 'x'\n"
 
 
 class TestClosedStdout:

@@ -185,6 +185,49 @@ def test_only_sweep_tallies_a_report():
     assert set(writers(tree, "<module>")) == {"_sweep"}
 
 
+def test_cells_follow_one_protocol():
+    # a cell is a Pass, Skip or Note or a counterexample dict, never an
+    # (ok, counterexample) tuple; _sweep reads nothing but the cells, and
+    # notes reach it as Note cells, not through a list a generator appends to
+    path = ROOT / "src" / "kyoung" / "verify.py"
+    tree = ast.parse(path.read_text(), str(path))
+
+    def outcomes(node):
+        if isinstance(node, ast.IfExp):
+            yield from outcomes(node.body)
+            yield from outcomes(node.orelse)
+        else:
+            yield node
+
+    yields = [node for node in ast.walk(tree) if isinstance(node, ast.Yield)]
+    assert yields
+    for node in yields:
+        assert not any(isinstance(v, ast.Tuple) for v in outcomes(node.value)), ast.unparse(node)
+
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    (sweep,) = [f for f in functions if f.name == "_sweep"]
+    args = sweep.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["check", "status", "cells"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg)
+
+    generators = [
+        f for f in functions if any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(f))
+    ]
+    assert len(generators) > 10
+    for f in generators:
+        params = {a.arg for a in f.args.args}
+        lists = [a.arg for a in f.args.args if a.annotation and "list" in ast.unparse(a.annotation)]
+        appended = [
+            ast.unparse(n)
+            for n in ast.walk(f)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("append", "extend")
+            and ast.unparse(n.func.value) in params
+        ]
+        assert not lists and not appended, (f.name, lists, appended)
+
+
 def test_the_k_rules_are_stated_once():
     # k >= 1 and k-boundedness are raised from one f-string each, in
     # partitions.require_k_bounded, which every k-Young entry point calls

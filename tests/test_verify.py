@@ -16,6 +16,7 @@ from kyoung.lattice import HasseDiagram, build_ideal
 from kyoung.qpoly import QPoly, conjecture_sum
 from test_qpoly import finite_strata_by_addition, is_period_insertion
 from kyoung.verify import (
+    Note,
     Pass,
     Skip,
     SweepConfig,
@@ -50,6 +51,12 @@ class TestHelpers:
     def test_is_prime(self):
         assert [n for n in range(14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
 
+    def test_range_sieve_matches_is_prime(self):
+        for lo in range(-3, 40):
+            for hi in range(lo, 130):
+                expected = [p for p in range(lo, hi + 1) if is_prime(p)]
+                assert verify._primes_in(range(lo, hi + 1)) == expected, (lo, hi)
+
     def test_prime_factors(self):
         assert prime_factors(12) == [2, 3]
         assert prime_factors(7) == [7]
@@ -64,9 +71,21 @@ class TestHelpers:
         assert not qualifies(4, 5, 6)
 
 
+# every family's cells on a grid where each cell holds, by check name
+HOLDING_GRIDS = {
+    **{
+        name: (lambda cells=cells: cells(verify._Grid(3, 4, 5, 6)))
+        for name, cells in verify._STRUCTURE_FAMILIES
+    },
+    "sieved": lambda: verify._sieved_cells((2, 8), (2, 12), (3, 13), (3, 20)),
+    "conjecture-gen": lambda: verify._conjecture_gen_cells((2, 6), (2, 9), (3, 10), (1, 15)),
+    "conjecture-u": lambda: verify._conjecture_u_cells(3, (1, 12), (1, 14)),
+}
+
+
 class TestReport:
     def test_record_and_counts(self):
-        cells = [(True, {"cell": 0}), (False, {"cell": 1}), (False, {}), Skip("no claim")]
+        cells = [Pass(1), {"cell": 1}, {}, Skip("no claim")]
         rep = verify._sweep("x", "theorem", cells)
         assert (rep.grid, rep.passed, rep.failed, rep.skipped) == (3, 1, 2, 1)
         assert rep.counterexamples == [{"cell": 1}, {}]
@@ -75,19 +94,32 @@ class TestReport:
 
     def test_pass_tallies_as_passing_outcomes(self):
         def report(cells):
-            doc = verify._sweep("x", "theorem", cells, ["note"]).to_json_dict()
+            doc = verify._sweep("x", "theorem", [Note("note"), *cells]).to_json_dict()
             del doc["elapsed_ms"]
             return doc
 
-        ok = (True, {"cell": 0})
-        bad = (False, {"cell": 1})
+        ok = Pass(1)
+        bad = {"cell": 1}
         assert report([Skip("no claim", 2), Pass(3), bad, Pass(0), Pass(1)]) == report(
             [Skip("no claim", 2), ok, ok, ok, bad, ok]
         )
         assert report([Pass(5)])["pass"] == report([Pass(5)])["grid"] == 5
 
+    @pytest.mark.parametrize("check", list(HOLDING_GRIDS))
+    def test_a_cell_that_holds_is_a_pass(self, monkeypatch, check):
+        """Where every cell holds, a family yields only Pass, Skip and Note
+        cells, and builds no counterexample dict for a spec."""
+
+        def unused(spec):
+            raise AssertionError("a cell that holds built its counterexample")
+
+        monkeypatch.setattr(verify, "asdict", unused)
+        cells = list(HOLDING_GRIDS[check]())
+        assert all(isinstance(cell, (Pass, Skip, Note)) for cell in cells)
+        assert sum(cell.count for cell in cells if isinstance(cell, Pass)) > 0
+
     def test_json_schema(self):
-        doc = verify._sweep("x", "conjecture", [(True, {"cell": 0})]).to_json_dict()
+        doc = verify._sweep("x", "conjecture", [Pass(1)]).to_json_dict()
         assert list(doc) == [
             "check",
             "status",
@@ -278,7 +310,7 @@ class TestWalkCells:
         # the block (3, 2, 2) again, so every later n fails
         cells = list(verify._window_cells(3, 3, 5, range(3, 12), lambda n: {"n": n}))
         expected = [
-            (False, {"n": n, "coefficients": finite_strata_by_addition(3, n, 3, 5).to_json_list()})
+            {"n": n, "coefficients": finite_strata_by_addition(3, n, 3, 5).to_json_list()}
             for n in range(5, 12)
         ]
         assert cells == [*expected, Pass(2)]
@@ -432,39 +464,57 @@ class TestSieved:
         # only 23 is prime: k = 24 .. 50, but for 45 = -1 and 46 = 0 mod 23
         assert rep.grid == 25 and max(asked) == 50
 
-    def test_single_gaussian_cells_are_the_windows_one_level_wide(self):
+    @staticmethod
+    def fail_every_cell(monkeypatch):
+        """Add x (1 + q + ... + q^(m-1)) to each [x choose m-1]_q in verify's
+        view of qpoly: each residue total of the window (a, b] rises by
+        b - a, so every cell fails on its total and yields its counterexample."""
+
+        def padded_gaussian(x, j):
+            return qpoly.gaussian(x, j) + x * qpoly.QPoly.geometric(1, j + 1)
+
+        view = SimpleNamespace(**{**vars(qpoly), "gaussian": padded_gaussian})
+        monkeypatch.setattr(verify, "qpoly", view)
+
+    def test_single_gaussian_cells_are_the_windows_one_level_wide(self, monkeypatch):
         """[k choose m-1]_q - [k-1 choose m-1]_q = q^(k-m+1) [k-1 choose m-2]_q,
-        so the window (k-1, k] gives the single Gaussian's residue totals."""
-        cells = verify._sieved_cells((2, 14), (2, 32), (3, 33), (3, 55), [])
-        single = [cell[1] for cell in cells if not isinstance(cell, Skip) and "k" in cell[1]]
+        so the window (k-1, k] gives the single Gaussian's residue totals,
+        each one more here, where every cell fails."""
+        self.fail_every_cell(monkeypatch)
+        cells = verify._sieved_cells((2, 14), (2, 32), (3, 33), (3, 55))
+        single = [cell for cell in cells if isinstance(cell, dict) and "k" in cell]
         assert len(single) > 100
         for cx in single:
             m, k = cx["m"], cx["k"]
-            assert cx["sieved_sums"] == qpoly.sieved_sums(qpoly.gaussian(k - 1, m - 2), m), cx
+            sums = qpoly.sieved_sums(qpoly.gaussian(k - 1, m - 2), m)
+            assert cx["sieved_sums"] == [s + 1 for s in sums], cx
             assert cx["expected_total"] == math.comb(k - 1, m - 2), cx
 
     def test_each_m_is_done_before_the_next_tally(self, monkeypatch):
         """On the benchmark's sieved grid, each m builds its tally of
         [x choose m-1]_q and yields all its cells, the single-Gaussian half
-        included, before the next m builds anything."""
+        included, before the next m builds anything.  Every cell fails, so
+        each names its m."""
         seen = []
+        self.fail_every_cell(monkeypatch)
+        padded = verify.qpoly.gaussian
 
         def recorded_gaussian(x, j):
             seen.append(j + 1)
-            return qpoly.gaussian(x, j)
+            return padded(x, j)
 
-        names = {**vars(qpoly), "gaussian": recorded_gaussian}
-        monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**names))
-        for cell in verify._sieved_cells((2, 14), (2, 32), (3, 33), (3, 55), []):
-            if not isinstance(cell, Skip):
-                seen.append(cell[1]["m"])
+        monkeypatch.setattr(verify.qpoly, "gaussian", recorded_gaussian)
+        for cell in verify._sieved_cells((2, 14), (2, 32), (3, 33), (3, 55)):
+            assert not isinstance(cell, Pass)
+            if isinstance(cell, dict):
+                seen.append(cell["m"])
         assert len(set(seen)) == 13 and seen == sorted(seen)
 
     def test_skips_come_one_per_m_and_a(self):
         """One skip per (m, a) for the windows outside m <= a < b, one per
         (m, a) for the non-qualifying windows inside, and one per prime m for
         the single-Gaussian half, each counting its cells."""
-        cells = list(verify._sieved_cells((2, 5), (2, 9), (3, 10), (3, 20), []))
+        cells = list(verify._sieved_cells((2, 5), (2, 9), (3, 10), (3, 20)))
         skips = [cell for cell in cells if isinstance(cell, Skip)]
         outside = [s.count for s in skips if s.reason == "window outside m <= a < b"]
         endpoint = [s.count for s in skips if s.reason.startswith("endpoint = -1")]
@@ -559,7 +609,7 @@ class TestStructure:
             shapes = {(p, k): moved(partitions.k_skew(p, k), row, shift) for k, p in cases}
             view = SimpleNamespace(**{**vars(partitions), "k_skew": lambda p, k: shapes[p, k]})
             monkeypatch.setattr(verify, "partitions", view)
-            verdicts = [ok for ok, _ in verify._kskew_cells(grid)]
+            verdicts = [isinstance(cell, Pass) for cell in verify._kskew_cells(grid)]
             scans = [scan(shapes[p, k], p, k) for k, p in cases]
             assert verdicts == [all(clauses) for clauses in scans], (row, shift)
             inner_clause_failures += scans.count((True, False))
@@ -771,7 +821,7 @@ class TestStructure:
         counted("enumerate_ideal")
         counted("hasse_diagram")
         grid = verify._Grid(4, 5, 7, 10)
-        verdicts = [ok for ok, _ in verify._gamma_cells(grid)]
+        verdicts = [isinstance(cell, Pass) for cell in verify._gamma_cells(grid)]
         specs = list(verify._grid_cells(grid))
         assert calls == Counter(("hasse_diagram", spec) for spec in specs)
         assert sum(calls.values()) == len(specs) == 59
@@ -860,7 +910,7 @@ class TestStructure:
         view = SimpleNamespace(**{**vars(ideals), name: counted})
         monkeypatch.setattr(verify, "ideals", view)
         grid = verify._Grid(4, 5, 7, 10)
-        assert all(ok for ok, _ in cells(grid))
+        assert all(isinstance(cell, Pass) for cell in cells(grid))
         specs = [spec for spec in verify._grid_cells(grid) if spec.k > spec.m or not strata_only]
         assert len(calls) == sum(len(ideals.enumerate_ideal(spec)) for spec in specs) == expected
 
@@ -975,7 +1025,7 @@ class TestPerItemCounterexamples:
     def test_a_cell_that_holds_carries_no_counterexample(self, family):
         cells = dict(verify._STRUCTURE_FAMILIES)["structure-" + family]
         outcomes = list(cells(verify._Grid(2, 2, 5, 4)))
-        assert outcomes and all(cell == (True, None) for cell in outcomes)
+        assert outcomes and all(cell is verify._HOLDS for cell in outcomes)
 
     def test_involution(self, monkeypatch):
         # (2) is the k-conjugate of (1, 1) for every k >= 2
