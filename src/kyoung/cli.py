@@ -124,12 +124,14 @@ def _file_access():
         raise ValueError(exc) from exc
 
 
-def _print_or_write(text: str, out: str | None) -> None:
-    if out is not None:
-        with _file_access(), open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+@contextlib.contextmanager
+def _output(out: str | None):
+    """stdout, or the --out file, opened as a usage error if it cannot be."""
+    if out is None:
+        yield sys.stdout
     else:
-        sys.stdout.write(text)
+        with _file_access(), open(out, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _verify_params(args) -> dict:
@@ -208,12 +210,14 @@ def _main(argv) -> int:
                 poly = qpoly.rank_gen_Lk(args.m, args.n, min(args.k, args.m + args.n - 1))
                 rows = (f"{i},{poly.coefficient(i)}\n" for i in range(spec.top_rank + 1))
                 text = "".join(["i,count\n", *rows])
-            # no name holds the diagram, so it is freed before the text is written
-            elif args.dot:
-                text = ideals.hasse_diagram(spec).to_dot()
-            else:
-                text = verify.render(ideals.hasse_diagram(spec))
-            _print_or_write(text, args.out)
+                with _output(args.out) as fh:
+                    fh.write(text)
+                return 0
+            # the whole layout is built before --out is opened, and the text
+            # is written one rank at a time
+            layout = ideals.IdealLayout(spec)
+            with _output(args.out) as fh:
+                (lattice.write_dot if args.dot else lattice.write_json)(fh.write, layout)
             return 0
         if args.command == "rankgen":
             poly = qpoly.rank_gen_Lk(args.m, args.n, args.k)

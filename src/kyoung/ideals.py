@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -97,9 +97,12 @@ def enumerate_ideal(spec: IdealSpec) -> list[Parts]:
     return [(spec.m,) * j + box[t] for rank in ranks for j, t in rank]
 
 
-def hasse_diagram(spec: IdealSpec) -> HasseDiagram:
-    """The Hasse diagram of the ideal, the one lattice.build_ideal finds by
-    k-covers, read from the characterization instead.
+class IdealLayout:
+    """The ideal's Hasse diagram as tables: the members as (j, t) pairs,
+    (m^j) over box[t], rank by rank as _ranks lists them, the one-box steps
+    of each box partition, and the position of each member.  It writes
+    through lattice.write_json and lattice.write_dot as a HasseDiagram does,
+    rank by rank, and holds no vertex tuple and no edge list.
 
     The order is containment, so (m^j) over a box partition b is covered by
     the members with one box more: b with a box at the first row of each
@@ -109,28 +112,62 @@ def hasse_diagram(spec: IdealSpec) -> HasseDiagram:
     once and lifted to every j as positions; a step to no position leaves
     the rectangle.
     """
-    m = spec.m
-    box, ranks = _ranks(spec)
-    index = {b: t for t, b in enumerate(box)}
-    steps = []  # steps[t]: (dj, s), the step of box[t] to (m^(j + dj)) over box[s]
-    for b in box:
-        rows = [i for i in range(len(b)) if i == 0 or b[i - 1] > b[i]]
-        raised = [b[:i] + (b[i] + 1,) + b[i + 1:] for i in rows] + [b + (1,)]
-        lifted = ((1, index[c[1:]]) if c[0] == m else (0, index.get(c)) for c in raised)
-        steps.append(sorted(step for step in lifted if step[1] is not None))
-    members = list(chain.from_iterable(ranks))
-    position = [[-1] * len(box) for _ in range(spec.n + 2)]  # no member has j > n
-    for i, (j, t) in enumerate(members):
-        position[j][t] = i
-    # members and steps are both in position order, so the edges come sorted
-    edges = [
-        (i, u)
-        for i, (j, t) in enumerate(members)
-        for u in [position[j + dj][s] for dj, s in steps[t]]
-        if u >= 0
-    ]
-    vertices = [[(m,) * j + box[t] for j, t in rank] for rank in ranks]
-    return HasseDiagram(k=spec.k, name=ideal_name(spec.rectangle), ranks=vertices, edges=edges)
+
+    def __init__(self, spec: IdealSpec):
+        m = spec.m
+        self.k, self.name, self.m = spec.k, ideal_name(spec.rectangle), m
+        self.box, self.ranks = box, ranks = _ranks(spec)
+        index = {b: t for t, b in enumerate(box)}
+        # steps[t]: (dj, s), the step of box[t] to (m^(j + dj)) over box[s].
+        # A new row of 1 is lexicographically least, and a box on a higher row
+        # gives a greater partition, so the steps come in (dj, s) order: only
+        # the top row can reach m, and at m = 1 the box holds () alone.
+        self.steps = steps = []
+        for b in box:
+            rows = [i for i in range(len(b) - 1, -1, -1) if i == 0 or b[i - 1] > b[i]]
+            raised = [b + (1,)] + [b[:i] + (b[i] + 1,) + b[i + 1:] for i in rows]
+            lifted = [(1, index[c[1:]]) if c[0] == m else (0, index.get(c)) for c in raised]
+            steps.append([step for step in lifted if step[1] is not None])
+        self.position = position = [[-1] * len(box) for _ in range(spec.n + 2)]  # no j > n
+        for i, (j, t) in enumerate(chain.from_iterable(ranks)):
+            position[j][t] = i
+
+    def rank_texts(self, opening: str, sep: str, closing: str) -> Iterator[list[str]]:
+        """Rank by rank, the text of each member as HasseDiagram.rank_texts
+        writes it: the text of (m^j), built once per j in the rank, joined
+        with that of box[t], built once per box partition."""
+        m = str(self.m)
+        # box[0] is (); alone[t] is box[t] with no row m, tails[t] follows a head
+        alone = ["[]"] + [opening + sep.join(map(str, b)) + closing for b in self.box[1:]]
+        tails = [closing] + [sep + text[len(opening):] for text in alone[1:]]
+        for rank in self.ranks:
+            heads = {j: opening + sep.join([m] * j) for j in {j for j, _ in rank} if j}
+            yield [heads[j] + tails[t] if j else alone[t] for j, t in rank]
+
+    def edge_chunks(self) -> Iterator[list[tuple[int, int]]]:
+        """The edges up from each rank as (position, position) pairs, lower
+        end first.  Members and steps are both in position order, so the
+        edges come sorted."""
+        position, steps = self.position, self.steps
+        start = 0
+        for rank in self.ranks:
+            yield [
+                (i, u)
+                for i, (j, t) in enumerate(rank, start)
+                for dj, s in steps[t]
+                if (u := position[j + dj][s]) >= 0
+            ]
+            start += len(rank)
+
+
+def hasse_diagram(spec: IdealSpec) -> HasseDiagram:
+    """The Hasse diagram of the ideal, the one lattice.build_ideal finds by
+    k-covers, read from its IdealLayout instead."""
+    layout = IdealLayout(spec)
+    m, box = spec.m, layout.box
+    vertices = [[(m,) * j + box[t] for j, t in rank] for rank in layout.ranks]
+    edges = list(chain.from_iterable(layout.edge_chunks()))
+    return HasseDiagram(k=spec.k, name=layout.name, ranks=vertices, edges=edges)
 
 
 def gamma_set(spec: IdealSpec) -> list[Parts]:

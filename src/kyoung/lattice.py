@@ -8,6 +8,8 @@ diagram; the definitional test lives in covers_oracle.
 
 from __future__ import annotations
 
+import json
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -150,19 +152,65 @@ class HasseDiagram:
             "edges": self.edges,
         }
 
+    def rank_texts(self, opening: str, sep: str, closing: str) -> Iterator[list[str]]:
+        """Rank by rank, the text of each vertex: its parts joined by sep
+        between opening and closing, and "[]" for the empty partition."""
+        for rank in self.ranks:
+            yield [opening + sep.join(map(str, v)) + closing if v else "[]" for v in rank]
+
+    def edge_chunks(self) -> Iterator[list[tuple[int, int]]]:
+        """The edges, all in one chunk."""
+        yield self.edges
+
     def to_dot(self) -> str:
-        """DOT text: one %-format of a template per rank for the vertices,
-        with a %d slot per part, and one for all the edges."""
-        pieces = ["digraph kyoung {\n  rankdir=BT;\n  node [shape=box];\n"]
-        start = 0  # the position of the rank's first vertex
-        for rank in filter(None, self.ranks):
-            shapes = {size: ",".join(["%d"] * size) for size in {*map(len, rank)}}
-            row = " ".join(f'v{i} [label="[{shapes[len(v)]}]"];' for i, v in enumerate(rank, start))
-            pieces.append(f"  {{ rank=same; {row} }}\n" % tuple(chain.from_iterable(rank)))
-            start += len(rank)
-        pieces.append("  v%d -> v%d;\n" * len(self.edges) % tuple(chain.from_iterable(self.edges)))
-        pieces.append("}\n")
+        pieces: list[str] = []
+        write_dot(pieces.append, self)
         return "".join(pieces)
+
+
+# The writers read a diagram through k, name, rank_texts and edge_chunks
+# alone, so that HasseDiagram and ideals.IdealLayout, which holds no vertex
+# and no edge list, share them.  A vertex's text holds only digits, commas,
+# brackets and whitespace, so it is safe inside a %-format template.
+
+def write_json(write: Callable[[str], object], diagram) -> None:
+    """Write through write, rank by rank and then chunk by chunk, what
+    json.dumps(diagram.to_json_dict(), indent=2) writes, and a newline."""
+    k, name = json.dumps(diagram.k), json.dumps(diagram.name)
+    write(f'{{\n  "k": {k},\n  "name": {name},\n  "ranks": [')
+    opening = "\n    "
+    for texts in diagram.rank_texts("[\n        ", ",\n        ", "\n      ]"):
+        if texts:
+            write(opening + "[\n      ")
+            write(",\n      ".join(texts))
+            write("\n    ]")
+        else:
+            write(opening + "[]")
+        opening = ",\n    "
+    write('],\n  "edges": [' if opening == "\n    " else '\n  ],\n  "edges": [')
+    opening = "\n    "
+    for chunk in diagram.edge_chunks():
+        if chunk:
+            write(opening)
+            text = ",\n    ".join(["[\n      %d,\n      %d\n    ]"] * len(chunk))
+            write(text % tuple(chain.from_iterable(chunk)))
+            opening = ",\n    "
+    write("]\n}\n" if opening == "\n    " else "\n  ]\n}\n")
+
+
+def write_dot(write: Callable[[str], object], diagram) -> None:
+    """Write the DOT text of diagram through write: a line of the vertices
+    of each rank that has any, then the edges, chunk by chunk."""
+    write("digraph kyoung {\n  rankdir=BT;\n  node [shape=box];\n")
+    start = 0  # the position of the rank's first vertex
+    for texts in diagram.rank_texts("[", ",", "]"):
+        if texts:
+            row = '"]; v%d [label="'.join(texts)
+            write(f'  {{ rank=same; v%d [label="{row}"]; }}\n' % tuple(range(start, start + len(texts))))
+            start += len(texts)
+    for chunk in diagram.edge_chunks():
+        write("  v%d -> v%d;\n" * len(chunk) % tuple(chain.from_iterable(chunk)))
+    write("}\n")
 
 
 def ideal_name(generator: Parts) -> str:

@@ -43,15 +43,55 @@ def _as_values(r: Range) -> range:
     return range(lo, hi + 1)  # never expanded: a window reads n up to the first it decides
 
 
+# Miller-Rabin with the first 13 prime bases is exact below the least
+# composite that passes all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017); no primality is decided from there on.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _require_below_prime_limit(n: int) -> None:
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {_PRIME_LIMIT}: {n}")
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin with the first 13 prime bases; n at or past
+    _PRIME_LIMIT is an error, since no probable prime is taken for prime."""
+    _require_below_prime_limit(n)
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _primes_in(values: range) -> list[int]:
-    """The primes in values, a range of step 1, from one sieve of it."""
-    lo, hi = max(values.start, 2), max(values.stop - 1, 1)
-    sieve = bytearray(b"\x01") * max(hi - lo + 1, 0)  # sieve[i]: lo + i is not yet struck out
-    for p in range(2, math.isqrt(hi) + 1):
+    """The primes in values, a range of step 1.  A range narrower than a
+    thirty-second of the square root of its end has each value tested by
+    is_prime; any other is one sieve, struck by the primes up to that root."""
+    lo, hi = max(values.start, 2), values.stop - 1
+    if hi < lo:
+        return []
+    _require_below_prime_limit(hi)
+    root = math.isqrt(hi)
+    if 32 * (hi - lo + 1) < root:  # about where the two cost the same, 10^10 <= hi <= 10^16
+        return list(filter(is_prime, range(lo, hi + 1)))
+    sieve = bytearray(b"\x01") * (hi - lo + 1)  # sieve[i]: lo + i is not yet struck out
+    for p in _primes_in(range(2, root + 1)):
         start = max(p * p, -(-lo // p) * p) - lo
         sieve[start::p] = bytes(len(range(start, len(sieve), p)))
     return list(itertools.compress(range(lo, hi + 1), sieve))
@@ -584,33 +624,15 @@ def verify_structure(
 def render(obj: Any) -> str:
     """JSON text of a diagram, a report, or a list of reports: what
     json.dumps(payload, indent=2) writes, and a newline.  A diagram, the one
-    large document, has the fixed shape {"k", "name", "ranks", "edges"}.  Each
-    of its ranks is one %-format of a template with a %d slot per part, and
-    its edges one %-format of a pair template: they skip the pure-Python
-    encoder that json.dumps falls back to when indenting."""
-    if not isinstance(obj, lattice.HasseDiagram):
-        payload = [r.to_json_dict() for r in obj] if isinstance(obj, list) else obj.to_json_dict()
-        return json.dumps(payload, indent=2) + "\n"
-    doc = obj.to_json_dict()
-    k, name = json.dumps(doc["k"]), json.dumps(doc["name"])
-    pieces = [f'{{\n  "k": {k},\n  "name": {name},\n  "ranks": [']
-    shapes = {0: "[]"}  # the template of a vertex of each length
-    opening = "\n    "
-    # a template is rebound to its text, and the brackets are pieces of their
-    # own, so that no large string is copied
-    for rank in doc["ranks"]:
-        for size in {*map(len, rank)} - shapes.keys():
-            shapes[size] = "[\n        " + ",\n        ".join(["%d"] * size) + "\n      ]"
-        text = ",\n      ".join(map(shapes.__getitem__, map(len, rank)))
-        text %= tuple(itertools.chain.from_iterable(rank))
-        pieces += [opening, "[\n      ", text, "\n    ]"] if rank else [opening, "[]"]
-        opening = ",\n    "
-    pieces.append("\n  ]" if doc["ranks"] else "]")
-    edges = doc["edges"]
-    text = ",\n    ".join(["[\n      %d,\n      %d\n    ]"] * len(edges))
-    text %= tuple(itertools.chain.from_iterable(edges))
-    pieces += [',\n  "edges": [\n    ', text, "\n  ]\n}\n"] if edges else [',\n  "edges": []\n}\n']
-    return "".join(pieces)
+    large document, goes through lattice.write_json, the writer that
+    `kyoung ideal` streams, which skips the pure-Python encoder json.dumps
+    falls back to when indenting."""
+    if isinstance(obj, lattice.HasseDiagram):
+        pieces: list[str] = []
+        lattice.write_json(pieces.append, obj)
+        return "".join(pieces)
+    payload = [r.to_json_dict() for r in obj] if isinstance(obj, list) else obj.to_json_dict()
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def export(obj: Any, path: str) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from kyoung import qpoly, verify
+from kyoung import ideals, qpoly, verify
 from kyoung.cli import main, parse_m_values, parse_parts, parse_span
 
 # perfbench/digests.json: the benchmark's output digests, by CLI invocation
@@ -22,12 +22,12 @@ RECORDED_DIGESTS = json.loads(
 )
 
 
-def run_capped(args, timeout=120):
-    """Run kyoung as a subprocess with 512 MB of address space."""
+def run_capped(args, timeout=120, cap_mib=512):
+    """Run kyoung as a subprocess with cap_mib MiB of address space."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    limit = 512 * 2**20
+    limit = cap_mib * 2**20
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -145,6 +145,33 @@ class TestCommands:
         ) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["name"] == "ideal [2,2]"
+
+    @pytest.mark.parametrize("flags", [[], ["--dot"]], ids=["json", "dot"])
+    def test_ideal_export_fits_in_bounded_memory(self, flags):
+        """The 61 MB JSON, and the 21 MB DOT, of L^16(6,40) stream out of a
+        child with 128 MiB of address space, one rank at a time, and are
+        the bytes of the diagram written in memory."""
+        proc = run_capped(["ideal", "--m", "6", "--n", "40", "--k", "16", *flags], cap_mib=128)
+        assert proc.returncode == 0, proc.stderr
+        diagram = ideals.hasse_diagram(ideals.IdealSpec(6, 40, 16))
+        expected = diagram.to_dot() if flags else verify.render(diagram)
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == hashlib.sha256(expected.encode()).hexdigest()
+
+    def test_ideal_error_creates_no_file(self, tmp_path, capsys):
+        # the spec and the layout are checked before --out is opened
+        target = tmp_path / "F"
+        assert main(["ideal", "--m", "3", "--n", "3", "--k", "2", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not target.exists()
+
+    def test_ideal_out_in_a_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "F"
+        assert main(["ideal", "--m", "3", "--n", "3", "--k", "4", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert not target.parent.exists()
 
     def test_ideal_empty_out_is_usage_error(self, capsys):
         # an empty path names no file: it is not stdout
@@ -537,6 +564,29 @@ class TestSweepCommand:
         assert proc.stderr == "error: expected int or [lo, hi]: 'x'\n"
 
 
+    def test_a_narrow_prime_range_far_from_zero_loads_quickly(self, tmp_path):
+        """The 1,001 values near 10^18 are tested one by one by Miller-Rabin,
+        not sieved by the primes up to 10^9, so the malformed entry after
+        them stops the file well under the timeout."""
+        entries = [
+            {"check": "conjecture-u", "params": {"m": [10**18, 10**18 + 1000]}},
+            {"check": "sieved", "params": {"m": "x"}},
+        ]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweeps": entries}))
+        proc = run_capped(["sweep", "--config", str(cfg)], timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: expected int or [lo, hi]: 'x'\n"
+
+    def test_a_prime_range_past_the_exact_bound_is_usage_error(self, tmp_path, capsys):
+        bound = verify._PRIME_LIMIT
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"check": "conjecture-u", "params": {"m": [bound - 5, bound]}}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: primality is decided only below {bound}: {bound}\n"
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize(
         "args",
@@ -544,8 +594,12 @@ class TestClosedStdout:
             ["verify", "structure", "--n-max", "3", "--k-max", "4", "--m-max", "2"]
             + ["--degree-max", "6"],
             ["rankgen", "--m", "3", "--n", "3", "--k", "4"],
+            # a 5.8 MB JSON export, whose first ranks are written before the
+            # document is complete
+            ["ideal", "--m", "4", "--n", "45", "--k", "14"],
+            ["ideal", "--m", "4", "--n", "45", "--k", "14", "--dot"],
         ],
-        ids=["verify", "rankgen"],
+        ids=["verify", "rankgen", "ideal", "ideal-dot"],
     )
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_reader_gone_exits_141_silently(self, args, unbuffered):

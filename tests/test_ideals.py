@@ -7,6 +7,7 @@ import pytest
 
 from kyoung.cli import main
 from kyoung.ideals import (
+    IdealLayout,
     IdealSpec,
     complement_dual,
     enumerate_ideal,
@@ -18,10 +19,11 @@ from kyoung.ideals import (
     rank_vector,
     short_rows,
 )
-from kyoung.lattice import build_ideal, leq
+from kyoung.lattice import build_ideal, leq, write_dot, write_json
 from kyoung.partitions import contains, part_at, partitions_in_box
 from kyoung.qpoly import QPoly, is_symmetric
 from kyoung.verify import render
+from test_lattice import dot_by_fstrings
 
 
 def sum_parts(a, b):
@@ -369,6 +371,19 @@ class TestHasseDiagram:
             expected = build_ideal(spec.rectangle, spec.k)
             assert render(got) == render(expected), spec
             assert got.to_dot() == expected.to_dot(), spec
+
+    def test_streams_the_bytes_of_the_diagram(self):
+        # what `kyoung ideal` writes, rank by rank from the layout, is the
+        # JSON module's text and the f-string DOT of the diagram in memory
+        for spec in self.SPECS:
+            diagram, layout = hasse_diagram(spec), IdealLayout(spec)
+            for writer, expected in (
+                (write_json, json.dumps(diagram.to_json_dict(), indent=2) + "\n"),
+                (write_dot, dot_by_fstrings(diagram)),
+            ):
+                pieces = []
+                writer(pieces.append, layout)
+                assert "".join(pieces) == expected, (spec, writer.__name__)
 
 
 class TestDuality:

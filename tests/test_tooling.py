@@ -74,17 +74,18 @@ def test_traced_launcher_times_the_structure_layers(tmp_path):
 
 
 def test_traced_launcher_times_the_ideal_json_writer(tmp_path):
-    # cli writes the diagram through verify.render, which reads
-    # HasseDiagram.to_json_dict, and its --dot form through HasseDiagram.to_dot;
-    # traced.py binds both methods by name
+    # cli streams the export through lattice.write_json and write_dot, which
+    # no span wraps, so their time is cli's self time: neither verify.render
+    # nor the HasseDiagram methods traced.py binds (lattice.render) is called
+    from kyoung import ideals, verify
+
     cli_args = ["ideal", "--m", "3", "--n", "4", "--k", "4", "--out", "F"]
-    layers = run_traced(tmp_path, cli_args)
-    assert (tmp_path / "F").exists()
-    assert all(layers[name]["calls"] > 0 for name in ("verify.render", "lattice.render"))
-    layers = run_traced(tmp_path, [*cli_args[:-1], "G", "--dot"])
-    assert (tmp_path / "G").read_text().startswith("digraph kyoung {")
-    assert layers["lattice.render"]["calls"] > 0
-    assert "verify.render" not in layers
+    diagram = ideals.hasse_diagram(ideals.IdealSpec(3, 4, 4))
+    for out, flags, text in (("F", [], verify.render(diagram)), ("G", ["--dot"], diagram.to_dot())):
+        layers = run_traced(tmp_path, [*cli_args[:-1], out, *flags])
+        assert (tmp_path / out).read_text() == text
+        assert layers["cli"]["calls"] == 1
+        assert "verify.render" not in layers and "lattice.render" not in layers
 
 
 def test_traced_launcher_times_the_report_writer(tmp_path):

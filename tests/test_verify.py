@@ -50,6 +50,32 @@ class TestHelpers:
 
     def test_is_prime(self):
         assert [n for n in range(14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
+        # strong pseudoprimes to the first 4, 9 and 12 prime bases, then the
+        # Mersenne numbers 2^31 - 1 and 2^61 - 1 (prime) and 2^67 - 1 (not)
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461, 2**67 - 1):
+            assert not is_prime(n), n
+        assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+        assert not is_prime(verify._PRIME_LIMIT - 1)  # even
+
+    def test_is_prime_refuses_past_the_exact_bound(self):
+        # the least strong pseudoprime to the first 13 prime bases
+        for n in (verify._PRIME_LIMIT, 2**89 - 1):
+            with pytest.raises(ValueError, match="primality is decided only below"):
+                is_prime(n)
+            with pytest.raises(ValueError, match="primality is decided only below"):
+                verify._primes_in(range(n - 10, n + 1))
+
+    def test_is_prime_matches_the_sieve_below_a_million(self):
+        assert list(filter(is_prime, range(10**6))) == verify._primes_in(range(10**6))
+
+    def test_narrow_ranges_far_from_zero_match_the_sieve(self):
+        # each range here is narrow enough to be tested value by value, and
+        # so is compared with the primes a sieve of a wider range gives
+        for lo in (10**6, 10**8 - 10, 10**10 + 7):
+            narrow = range(lo, lo + 25)
+            assert 32 * len(narrow) < math.isqrt(lo + 24)
+            wide = range(lo - 10**5, lo + 10**5)
+            assert verify._primes_in(narrow) == [p for p in verify._primes_in(wide) if p in narrow]
 
     def test_range_sieve_matches_is_prime(self):
         for lo in range(-3, 40):
