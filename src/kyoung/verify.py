@@ -622,15 +622,8 @@ def verify_structure(
 
 
 def render(obj: Any) -> str:
-    """JSON text of a diagram, a report, or a list of reports: what
-    json.dumps(payload, indent=2) writes, and a newline.  A diagram, the one
-    large document, goes through lattice.write_json, the writer that
-    `kyoung ideal` streams, which skips the pure-Python encoder json.dumps
-    falls back to when indenting."""
-    if isinstance(obj, lattice.HasseDiagram):
-        pieces: list[str] = []
-        lattice.write_json(pieces.append, obj)
-        return "".join(pieces)
+    """JSON text of a report or a list of reports: what
+    json.dumps(payload, indent=2) writes, and a newline."""
     payload = [r.to_json_dict() for r in obj] if isinstance(obj, list) else obj.to_json_dict()
     return json.dumps(payload, indent=2) + "\n"
 

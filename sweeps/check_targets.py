@@ -5,14 +5,15 @@ file that holds that entry alone, so that each grid gets a wall time and a
 peak RSS of its own; ``kyoung ideal --m 7 --n 60 --k 18`` is the export
 target.  Every run is a ``python -m kyoung`` child in one temporary
 directory, on the package under ``src/`` of this checkout.  A report is
-digested as perfbench/workloads.canonical digests it: the sha256 of
-``json.dumps(reports, sort_keys=True)``, the reports as a list and each
-without ``elapsed_ms``.  The ideal's JSON is digested byte for byte.
+digested by report_digest, which the tests share for sweeps/goldens.json;
+the ideal's JSON byte for byte.
 
     python3 sweeps/check_targets.py            # check every target
     python3 sweeps/check_targets.py --record   # write sweeps/digests.json
 
-Exit 0 when every digest matches, 1 on a mismatch or a failed run.
+Exit 0 when every digest matches, 1 on a mismatch or a failed run.  A run
+that exits non-zero or writes no report reads FAILED, and then --record
+writes nothing.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ def run(argv: list[str], cwd: str) -> tuple[int, float, float, str]:
     return proc.returncode, wall, usage.ru_maxrss / 1024, digest.hexdigest()
 
 
-def report_digest(path: Path) -> str:
-    reports = json.loads(path.read_text())
-    if isinstance(reports, dict):
-        reports = [reports]
+def report_digest(reports: dict | list[dict]) -> str:
+    """The one report digest outside perfbench/, in the form of its own
+    workloads.canonical: the sha256 of json.dumps(reports, sort_keys=True)
+    over the reports as a list, each without elapsed_ms."""
+    reports = [dict(rep) for rep in (reports if isinstance(reports, list) else [reports])]
     for rep in reports:
         del rep["elapsed_ms"]
     return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
@@ -81,14 +83,20 @@ def main(argv=None) -> int:
                 config.write_text(json.dumps({"sweeps": [target]}))
                 code, wall, rss, _ = run(["sweep", "--config", str(config)], tmp)
                 out = Path(tmp, target["out"])
-                digest = report_digest(out) if out.exists() else None
+                digest = report_digest(json.loads(out.read_text())) if out.exists() else None
             found[name] = digest
-            match = args.record or digest == recorded.get(name)
-            ok = ok and code == 0 and match
-            verdict = "recorded" if args.record else ("match" if match else "MISMATCH")
+            if code != 0 or digest is None:
+                verdict = "FAILED"
+            elif args.record:
+                verdict = f"digest {digest[:12]}"
+            else:
+                verdict = "match" if digest == recorded.get(name) else "MISMATCH"
+            ok = ok and verdict not in ("FAILED", "MISMATCH")
             print(f"{name}: exit {code}, {wall:.1f} s, peak RSS {rss:.0f} MiB, {verdict}")
-    if args.record and ok:
-        recorded_path.write_text(json.dumps(found, indent=1) + "\n")
+    if args.record:
+        if ok:
+            recorded_path.write_text(json.dumps(found, indent=1) + "\n")
+        print(f"recorded {recorded_path.name}" if ok else "recorded nothing: a run failed")
     return 0 if ok else 1
 
 

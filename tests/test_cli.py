@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from check_targets import report_digest
 from kyoung import ideals, qpoly, verify
 from kyoung.cli import main, parse_m_values, parse_parts, parse_span
 
@@ -154,9 +155,14 @@ class TestCommands:
         proc = run_capped(["ideal", "--m", "6", "--n", "40", "--k", "16", *flags], cap_mib=128)
         assert proc.returncode == 0, proc.stderr
         diagram = ideals.hasse_diagram(ideals.IdealSpec(6, 40, 16))
-        expected = diagram.to_dot() if flags else verify.render(diagram)
-        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-        assert digest == hashlib.sha256(expected.encode()).hexdigest()
+        # the JSON is json.dumps(indent=2)'s, read off its encoder in
+        # batches: the whole text at once would take about 400 MB more
+        encoded = json.JSONEncoder(indent=2).iterencode(diagram.to_json_dict())
+        pieces, pos = iter([diagram.to_dot()]) if flags else itertools.chain(encoded, ["\n"]), 0
+        while batch := "".join(itertools.islice(pieces, 1 << 16)):
+            assert proc.stdout.startswith(batch, pos), pos
+            pos += len(batch)
+        assert pos == len(proc.stdout)
 
     def test_ideal_error_creates_no_file(self, tmp_path, capsys):
         # the spec and the layout are checked before --out is opened
@@ -184,22 +190,18 @@ class TestCommands:
         "key", sorted(RECORDED_DIGESTS), ids=lambda key: re.sub(r"\W+", "-", key)
     )
     def test_output_matches_the_recorded_digest(self, tmp_path, capsys, key):
-        # every benchmark output: a report's digest is of the reports without
-        # elapsed_ms, as a list, keys sorted; any other output's, of its bytes
+        # every benchmark output: a report's digest is report_digest's, any
+        # other output's that of its bytes
         args = key.split()
         if args[0] != "verify":
             assert main(args) == 0
-            text = capsys.readouterr().out
+            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         else:
             target = tmp_path / "report.json"
             assert main([*args, "--out", str(target)]) == 0
             capsys.readouterr()
-            reports = json.loads(target.read_text())
-            reports = reports if isinstance(reports, list) else [reports]
-            for rep in reports:
-                del rep["elapsed_ms"]
-            text = json.dumps(reports, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_DIGESTS[key]
+            digest = report_digest(json.loads(target.read_text()))
+        assert digest == RECORDED_DIGESTS[key]
 
     def test_ideal_invalid_spec(self, capsys):
         assert main(["ideal", "--m", "3", "--n", "3", "--k", "2"]) == 2

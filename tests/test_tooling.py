@@ -5,6 +5,7 @@ verify builds its Gaussians in one place and tallies its reports in one."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,11 +78,12 @@ def test_traced_launcher_times_the_ideal_json_writer(tmp_path):
     # cli streams the export through lattice.write_json and write_dot, which
     # no span wraps, so their time is cli's self time: neither verify.render
     # nor the HasseDiagram methods traced.py binds (lattice.render) is called
-    from kyoung import ideals, verify
+    from kyoung import ideals
 
     cli_args = ["ideal", "--m", "3", "--n", "4", "--k", "4", "--out", "F"]
     diagram = ideals.hasse_diagram(ideals.IdealSpec(3, 4, 4))
-    for out, flags, text in (("F", [], verify.render(diagram)), ("G", ["--dot"], diagram.to_dot())):
+    json_text = json.dumps(diagram.to_json_dict(), indent=2) + "\n"
+    for out, flags, text in (("F", [], json_text), ("G", ["--dot"], diagram.to_dot())):
         layers = run_traced(tmp_path, [*cli_args[:-1], out, *flags])
         assert (tmp_path / out).read_text() == text
         assert layers["cli"]["calls"] == 1
@@ -108,7 +110,7 @@ def test_no_module_imports_random():
         assert "random" not in imported, path
 
 
-@pytest.mark.parametrize("tree", ["src", "tests", "perfbench"])
+@pytest.mark.parametrize("tree", ["src", "tests", "sweeps", "perfbench"])
 def test_every_file_parses_as_python_3_10(tree):
     # the grammar only: a library API newer than 3.10 still parses
     paths = sorted((ROOT / tree).rglob("*.py"))
@@ -268,9 +270,9 @@ def test_sweep_params_are_parsed_only_by_the_checks_table():
 
 
 def test_target_grids_parse_as_sweep_entries():
-    # sweeps/check_targets.py runs them (minutes, 2 GB for the ideal); here
-    # every entry only has to load, each param value parsed, and every
-    # target has a recorded digest
+    # sweeps/check_targets.py runs the targets (minutes, up to about 750 MiB)
+    # and tests/test_verify.py the goldens; here every entry only has to
+    # load, each param value parsed, and have a recorded digest
     from kyoung.verify import SweepConfig
 
     entries = json.loads((ROOT / "sweeps" / "targets.json").read_text())["sweeps"]
@@ -279,3 +281,65 @@ def test_target_grids_parse_as_sweep_entries():
     assert len({c.out for c in configs}) == len(configs)
     digests = json.loads((ROOT / "sweeps" / "digests.json").read_text())
     assert set(digests) == {c.check for c in configs} | {"ideal"}
+    goldens = json.loads((ROOT / "sweeps" / "goldens.json").read_text())
+    assert "structure-5-10-9-12" in goldens
+    for name, entry in goldens.items():
+        assert re.fullmatch("[0-9a-f]{64}", entry.pop("digest")), name
+        SweepConfig.from_json_dict(entry)
+
+
+def test_one_function_digests_a_report():
+    # sweeps/check_targets.report_digest is the one report digest outside
+    # perfbench/, which keeps its own as the benchmark's outside check: no
+    # other function under tests/ or sweeps/ calls both json.dumps and
+    # sha256, and CI holds no digest inline
+    def scopes(node):
+        """The names node calls outside its functions, after each function's."""
+        calls, stack = set(), list(ast.iter_child_nodes(node))
+        while stack:
+            child = stack.pop()
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from scopes(child)
+                continue
+            if isinstance(child, ast.Call):
+                calls.add(getattr(child.func, "attr", getattr(child.func, "id", None)))
+            stack.extend(ast.iter_child_nodes(child))
+        yield getattr(node, "name", "<module>"), calls
+
+    found = [
+        (path.relative_to(ROOT).as_posix(), name)
+        for path in sorted([*(ROOT / "tests").rglob("*.py"), *(ROOT / "sweeps").rglob("*.py")])
+        for name, calls in scopes(ast.parse(path.read_text(), str(path)))
+        if {"dumps", "sha256"} <= calls
+    ]
+    assert found == [("sweeps/check_targets.py", "report_digest")]
+    ci = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert not re.search("[0-9a-f]{64}", ci) and "sha256" not in ci
+
+
+def test_check_targets_records_nothing_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    # a run that exits non-zero with no report reads FAILED, no entry reads
+    # recorded, and sweeps/digests.json is left as it was
+    import check_targets
+
+    for name in ("targets.json", "digests.json"):
+        (tmp_path / name).write_text((ROOT / "sweeps" / name).read_text())
+    before = (tmp_path / "digests.json").read_text()
+
+    def run(argv, cwd):
+        if argv[0] == "ideal":
+            return 0, 0.0, 1.0, "0" * 64
+        entry = json.loads(Path(argv[2]).read_text())["sweeps"][0]
+        if entry["check"] == "sieved":
+            return 1, 0.0, 1.0, ""
+        Path(cwd, entry["out"]).write_text(json.dumps({"check": entry["check"], "elapsed_ms": 1}))
+        return 0, 0.0, 1.0, ""
+
+    monkeypatch.setattr(check_targets, "HERE", tmp_path)
+    monkeypatch.setattr(check_targets, "run", run)
+    assert check_targets.main(["--record"]) == 1
+    *lines, last = capsys.readouterr().out.splitlines()
+    verdicts = [line.rpartition(", ")[2].split()[0] for line in lines]
+    assert verdicts == ["digest", "digest", "digest", "FAILED", "digest"]
+    assert last == "recorded nothing: a run failed"
+    assert (tmp_path / "digests.json").read_text() == before

@@ -1,16 +1,17 @@
 """Report plumbing, sweep runners, exports, and configuration parsing."""
 
-import hashlib
 import itertools
 import json
 import math
 import sys
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from check_targets import report_digest
 from kyoung import ideals, lattice, partitions, qpoly, verify
 from kyoung.lattice import HasseDiagram, build_ideal
 from kyoung.qpoly import QPoly, conjecture_sum
@@ -1135,11 +1136,16 @@ class TestPerItemCounterexamples:
         ]
 
 
+def written_json(diagram) -> str:
+    """The text lattice.write_json writes of diagram."""
+    pieces = []
+    lattice.write_json(pieces.append, diagram)
+    return "".join(pieces)
+
+
 class TestExport:
-    def test_diagram_json(self, tmp_path):
-        path = tmp_path / "d.json"
-        export(build_ideal((2, 1), 2), str(path))
-        doc = json.loads(path.read_text())
+    def test_diagram_json(self):
+        doc = json.loads(written_json(build_ideal((2, 1), 2)))
         assert doc["k"] == 2 and doc["name"] == "ideal [2,1]"
 
     def test_report_and_list(self, tmp_path):
@@ -1194,6 +1200,17 @@ class TestExport:
                 {"empty_dict": {}, "empty_list": [], "inside": [{}, []]},
             ],
         )
+        cases = [report, odd, leaves, numbers, [report, odd], [leaves, numbers, report], []]
+        for obj in cases:
+            if isinstance(obj, list):
+                payload = [r.to_json_dict() for r in obj]
+            else:
+                payload = obj.to_json_dict()
+            assert render(obj) == json.dumps(payload, indent=2) + "\n"
+
+    def test_diagram_writer_matches_the_json_module(self):
+        """lattice.write_json writes what json.dumps(diagram.to_json_dict(),
+        indent=2) writes."""
         cases = [
             build_ideal((3, 3, 2), 4),
             ideals.hasse_diagram(ideals.IdealSpec(2, 3, 3)),
@@ -1209,25 +1226,13 @@ class TestExport:
                 ranks=[[()], [(1,)], [(3,), (2, 1), (1, 1, 1)]],
                 edges=[(0, 1), (1, 2), (1, 3), (1, 4)],
             ),
-            report,
-            odd,
-            leaves,
-            numbers,
-            [report, odd],
-            [leaves, numbers, report],
-            [],
         ]
-        for obj in cases:
-            if isinstance(obj, list):
-                payload = [r.to_json_dict() for r in obj]
-            else:
-                payload = obj.to_json_dict()
-            assert render(obj) == json.dumps(payload, indent=2) + "\n"
+        for diagram in cases:
+            expected = json.dumps(diagram.to_json_dict(), indent=2) + "\n"
+            assert written_json(diagram) == expected, diagram.name
 
-    def test_byte_identical_reruns(self, tmp_path):
-        a = render(build_ideal((2, 2), 2))
-        b = render(build_ideal((2, 2), 2))
-        assert a == b
+    def test_byte_identical_reruns(self):
+        assert written_json(build_ideal((2, 2), 2)) == written_json(build_ideal((2, 2), 2))
 
 
 class TestSweepConfig:
@@ -1308,89 +1313,25 @@ class TestRunners:
 
 
 class TestGoldenReports:
-    """Each check's reports on a small grid, as JSON without elapsed_ms, hash
-    to a recorded digest: counts, counterexamples, note order and skip-reason
-    text are all pinned."""
+    """Each check's reports on a small grid hash to the digest recorded in
+    sweeps/goldens.json: counts, counterexamples, note order and skip-reason
+    text are all pinned.
 
-    # test id: (check, grid, digest).  structure-workload,
-    # sieved-qseries-small, conjecture-gen-qseries-small and
-    # conjecture-u-qseries-large are the grids of the benchmark's structure,
-    # qseries-small and qseries-large runs; sieved-large-m takes m past 14, up
-    # to 24 with its seven divisors d > 1.  The wide-n and from-n grids run
-    # most windows past their first period insertion, and from-m-1 has m = 1,
-    # where no level has a stratum; their digests predate the walk.
-    CASES = {
-        "conjecture-u": (
-            "conjecture-u",
-            {"m": [2, 3], "k": [1, 12], "n": [1, 14]},
-            "adadb2e99c42b77afc95c07b865011b9b3269a9ecbd2b9a73e2e8f9362ef30bc",
-        ),
-        "conjecture-gen": (
-            "conjecture-gen",
-            {"m": [2, 6], "a": [2, 9], "b": [3, 10], "n": [1, 12]},
-            "1bde6b2144cc4b1f1d996e71054e43221f0c3081375f367d65a0b89b597c0294",
-        ),
-        "sieved": (
-            "sieved",
-            {"m": [2, 6], "a": [2, 9], "b": [3, 10], "k": [3, 20]},
-            "8a59c0324c194c5106cc7b93f0f51f1b78431ef709ff326ac0cf36c534248c52",
-        ),
-        "structure": (
-            "structure",
-            {"m_max": 2, "n_max": 3, "k_max": 4, "degree_max": 6},
-            "c7a8b225b3ffe594f527030932fe04df68266fee57e79ee609218a26817a7256",
-        ),
-        "structure-workload": (
-            "structure",
-            {"m_max": 4, "n_max": 5, "k_max": 7, "degree_max": 10},
-            "75f74d81955668f80e9d30f0f9fddb8a3506d616e570d0aec08a93f9312ab2f5",
-        ),
-        "sieved-qseries-small": (
-            "sieved",
-            {"m": [2, 14], "a": [2, 32], "b": [3, 33], "k": [3, 55]},
-            "5eb63bfab53db8381bf25366655d7b17f338739800fe123733576ecdad2950e0",
-        ),
-        "conjecture-gen-qseries-small": (
-            "conjecture-gen",
-            {"m": [2, 14], "a": [2, 26], "b": [3, 27], "n": [1, 26]},
-            "7c81b240a0137ff6fa233ca63db31bbd6cf6d01a3d3d709df52cd88ad57830ac",
-        ),
-        "conjecture-u-qseries-large": (
-            "conjecture-u",
-            {"m": [[2], [3], [5], [7]], "k": [1, 50], "n": [1, 60]},
-            "5bbb3405cd2f45e7338ea6b09bf3f06861749f09cfccf1f797de7c3ee6fa48ca",
-        ),
-        "conjecture-gen-wide-n": (
-            "conjecture-gen",
-            {"m": [2, 6], "a": [2, 20], "b": [3, 21], "n": [1, 150]},
-            "64150fd68f36c57c3fa44620287b7b343d6041f69ce029d6849fb75e4d78c0d6",
-        ),
-        "conjecture-gen-from-m-1": (
-            "conjecture-gen",
-            {"m": [1, 9], "a": [1, 15], "b": [1, 16], "n": [1, 40]},
-            "6f7310992360ae455303927c4f182d5df95dbcd1fc6bc22a747ae1067c29a522",
-        ),
-        "conjecture-u-wide-n": (
-            "conjecture-u",
-            {"m": [[2], [3], [5], [7], [11], [13]], "k": [1, 40], "n": [1, 120]},
-            "c27cbe1c2d04f732f2acafb4ca2ddecf00b33f4793c634779912ec483e08c448",
-        ),
-        "conjecture-u-from-n-20": (
-            "conjecture-u",
-            {"m": [[2], [3], [5], [7], [11], [13]], "k": [5, 60], "n": [20, 70]},
-            "4e0823f8bf2e804fff1951b0141aac6a71b0d849ccaeb514f7374ccdeae424d1",
-        ),
-        "sieved-large-m": (
-            "sieved",
-            {"m": [15, 24], "a": [15, 48], "b": [16, 49], "k": [16, 60]},
-            "a737c469b3ce378d3fe64603e845a6ad796d80a38b8f4f74dec9cca026128199",
-        ),
-    }
+    structure-workload, sieved-qseries-small, conjecture-gen-qseries-small
+    and conjecture-u-qseries-large are the grids of the benchmark's
+    structure, qseries-small and qseries-large runs; sieved-large-m takes m
+    past 14, up to 24 with its seven divisors d > 1.  The wide-n and from-n
+    grids run most windows past their first period insertion, and from-m-1
+    has m = 1, where no level has a stratum.  structure-5-10-9-12 runs
+    every structure family on a grid past the workload's."""
 
-    @pytest.mark.parametrize("check, grid, digest", CASES.values(), ids=CASES.keys())
-    def test_report_digest(self, check, grid, digest):
-        docs = [r.to_json_dict() for r in run_check(check, grid)]
-        for doc in docs:
-            del doc["elapsed_ms"]
-        text = json.dumps(docs, indent=2)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    GOLDENS = json.loads(
+        (Path(__file__).resolve().parents[1] / "sweeps" / "goldens.json").read_text()
+    )
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_report_digest(self, name):
+        entry = dict(self.GOLDENS[name])
+        recorded = entry.pop("digest")
+        reports = run_sweep(SweepConfig.from_json_dict(entry))
+        assert report_digest([r.to_json_dict() for r in reports]) == recorded
