@@ -151,6 +151,24 @@ def _verify_params(args) -> dict:
     return params
 
 
+def _load_sweeps(path: str) -> list[verify.SweepConfig]:
+    """The parsed entries of a sweep config file.  One nested past the
+    interpreter's recursion limit, which the JSON decoder or an error
+    message's repr meets, is a usage error; no sweep has run yet."""
+    try:
+        with _file_access(), open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        wrapped = isinstance(data, dict) and "sweeps" in data
+        if wrapped and len(data) > 1:
+            raise ValueError(f"unknown sweep config keys: {sorted(set(data) - {'sweeps'})}")
+        entries = data["sweeps"] if wrapped else [data]
+        if not isinstance(entries, list):
+            raise ValueError(f"sweep config 'sweeps' must be a list of objects: {entries!r}")
+        return [verify.SweepConfig.from_json_dict(entry) for entry in entries]
+    except RecursionError:
+        raise ValueError(f"sweep config nested too deeply: {path}") from None
+
+
 def _summarize(reports) -> None:
     for rep in reports:
         line = (
@@ -226,15 +244,7 @@ def _main(argv) -> int:
         if args.command == "verify":
             return _run_sweeps([verify.SweepConfig(args.check, _verify_params(args), args.out)])
         if args.command == "sweep":
-            with _file_access(), open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
-            wrapped = isinstance(data, dict) and "sweeps" in data
-            if wrapped and len(data) > 1:
-                raise ValueError(f"unknown sweep config keys: {sorted(set(data) - {'sweeps'})}")
-            entries = data["sweeps"] if wrapped else [data]
-            if not isinstance(entries, list):
-                raise ValueError(f"sweep config 'sweeps' must be a list of objects: {entries!r}")
-            return _run_sweeps([verify.SweepConfig.from_json_dict(entry) for entry in entries])
+            return _run_sweeps(_load_sweeps(args.config))
     except (ValueError, OverflowError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ fails.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -41,6 +42,15 @@ def _as_values(r: Range) -> range:
     if hi - lo >= sys.maxsize:  # len() of a longer range overflows
         raise ValueError(f"range too long: {lo}:{hi} has more than {sys.maxsize} values")
     return range(lo, hi + 1)  # never expanded: a window reads n up to the first it decides
+
+
+def _require_m(m: Range, least: int) -> Range:
+    """m, an int or a range, when none of its values is below least: the
+    rule of conjecture-gen (least 1) and of sieved (least 2)."""
+    lo = _as_values(m).start
+    if lo < least:
+        raise ValueError(f"m must be at least {least}: {lo}")
+    return m
 
 
 # Miller-Rabin with the first 13 prime bases is exact below the least
@@ -77,6 +87,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _require_prime(m: int) -> int:
+    """m, when it is prime: the rule of conjecture-u."""
+    if not is_prime(m):
+        raise ValueError(f"m must be prime: {m}")
+    return m
 
 
 def _primes_in(values: range) -> list[int]:
@@ -205,8 +222,7 @@ def verify_conjecture_u(m: int, k_range: Range, n_range: Range) -> VerificationR
     be unimodal; for k congruent to -1 and n > k - m + 1 the sum with the
     next stratum must be.  Cells where no claim is made are skipped.
     """
-    if not is_prime(m):
-        raise ValueError(f"m must be prime: {m}")
+    _require_prime(m)
     return _sweep("conjecture-u", "conjecture", _conjecture_u_cells(m, k_range, n_range))
 
 
@@ -258,16 +274,15 @@ def verify_conjecture_gen(m: Range, a: Range, b: Range, n: Range) -> Verificatio
 
     A window (a, b) qualifies when neither endpoint is congruent to -1 modulo
     any prime divisor of m; non-qualifying windows and cells where the finite
-    form is undefined (n < b - m + 1) are skipped.
+    form is undefined (n < b - m + 1) are skipped; m < 1 raises ValueError.
     """
+    _require_m(m, 1)
     return _sweep("conjecture-gen", "conjecture", _conjecture_gen_cells(m, a, b, n))
 
 
 def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[SweepCell]:
     m_values, a_values, b_values, n_values = map(_as_values, (m, a, b, n))
     for m_val in m_values:
-        if m_val < 1:
-            raise ValueError(f"m must be positive: {m_val}")
         for a_val in a_values:
             if a_val < m_val:
                 yield Skip("a < m", len(b_values) * len(n_values))
@@ -298,10 +313,11 @@ def verify_sieved(m: Range, a: Range, b: Range, k: Range | None = None) -> Verif
     A window outside m <= a < b, or one that does not qualify, is skipped,
     whether m, a and b come as ints or as ranges; m < 2 raises ValueError.
     """
+    _require_m(m, 2)
     return _sweep("sieved", "theorem", _sieved_cells(m, a, b, k))
 
 
-def _window_sums(tally: list[list[int]], m: int, a: int, b: int) -> list[int]:
+def _window_sums(tally: dict[int, list[int]], m: int, a: int, b: int) -> list[int]:
     # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
     # telescopes conjecture_sum(a, b, m) to ([b choose m-1]_q - [a choose m-1]_q) over
     # q^(a-m+2), whose residue r is residue r + a - m + 2 of the two Gaussians.
@@ -313,14 +329,13 @@ def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[Swe
     k_values = [] if k is None else _as_values(k)
     single = 0  # the single-Gaussian cells of every prime m
     for m_val in _as_values(m):
-        if m_val < 2:
-            raise ValueError(f"m must be at least 2: {m_val}")
         levels = k_values if is_prime(m_val) else []  # the single-Gaussian half's k
         claimed = [x for x in levels if x > m_val and x % m_val not in (0, m_val - 1)]
         # the windows read the tally to max(b) only if some a puts a b inside m <= a < b
         reads_b = any(m_val <= a_val < b_values[-1] for a_val in a_values)
         top = max([b_values[-1]] * reads_b + claimed, default=-1)
-        tally = [qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in range(top + 1)]
+        reads = range(m_val, top + 1)  # a window's a and a claimed k - 1 are at least m
+        tally = {x: qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in reads}
         for a_val in a_values:
             inside = [b_val for b_val in b_values if m_val <= a_val < b_val]
             if len(inside) < len(b_values):
@@ -695,27 +710,35 @@ def _param_int(value) -> int:
     return value
 
 
-def _prime_values(value) -> list[int]:
-    """conjecture-u's m: an int, the primes of a [lo, hi] range, or a list of those.
+def _m_range(value, least: int) -> Range:
+    """conjecture-gen's and sieved's m: a range, none of whose values is below least."""
+    return _require_m(_param_range(value), least)
 
-    Two ints read as [lo, hi], as in every check.  An int that is not prime
-    is left for verify_conjecture_u to reject.
+
+def _prime_values(value, depth: int = 2) -> list[int]:
+    """conjecture-u's m: a prime int, the primes of a [lo, hi] range, or a
+    list of those or of lists of those, no deeper.
+
+    Two ints read as [lo, hi], as in every check, so [[2], [7]] is 2 and 7.
     """
     if _is_int(value):
-        return [value]
+        return [_require_prime(value)]
     if _is_pair(value):
         primes = _primes_in(_as_values(value))
         if not primes:
             raise ValueError(f"no prime m in {value[0]}:{value[1]}")
         return primes
-    if isinstance(value, (list, tuple)) and value:
-        return [p for item in value for p in _prime_values(item)]
+    if depth and isinstance(value, (list, tuple)) and value:
+        return [p for item in value for p in _prime_values(item, depth - 1)]
     raise ValueError(f"expected m as int, [lo, hi], or a list of those: {value!r}")
 
 
 # check -> (runner, {param: (parser, default)}); a param outside the map is an
-# error.  The runners take parsed values and look each verify_* up at call
-# time, so a wrapper set on the module attribute (a tracer) is the one that runs.
+# error.  A parser judges the whole value, its check's rule on m included,
+# through the same _require_* that the verify_* call, so a sweep file is
+# judged before any of its sweeps runs.  The runners take parsed values and
+# look each verify_* up at call time, so a wrapper set on the module
+# attribute (a tracer) is the one that runs.
 _CHECKS = {
     "conjecture-u": (
         lambda m, k, n: [verify_conjecture_u(p, k, n) for p in m],
@@ -723,18 +746,18 @@ _CHECKS = {
     ),
     "conjecture-gen": (
         lambda m, a, b, n: [verify_conjecture_gen(m, a, b, n)],
-        {"m": (_param_range, (2, 12)), "a": (_param_range, (2, 19)),
+        {"m": (functools.partial(_m_range, least=1), (2, 12)), "a": (_param_range, (2, 19)),
          "b": (_param_range, (3, 20)), "n": (_param_range, (1, 25))},
     ),
     "sieved": (
         lambda m, a, b, k: [verify_sieved(m, a, b, k)],
-        {"m": (_param_range, (2, 12)), "a": (_param_range, (2, 19)),
+        {"m": (functools.partial(_m_range, least=2), (2, 12)), "a": (_param_range, (2, 19)),
          "b": (_param_range, (3, 20)), "k": (_param_range, (3, 30))},
     ),
     "structure": (
         lambda **bounds: verify_structure(**bounds),
-        {"m_max": (_param_int, 4), "n_max": (_param_int, 6),
-         "k_max": (_param_int, 7), "degree_max": (_param_int, 10)},
+        {name: (_param_int, bound.default)  # verify_structure's own defaults
+         for name, bound in inspect.signature(verify_structure).parameters.items()},
     ),
 }
 

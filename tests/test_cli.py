@@ -101,9 +101,12 @@ class TestCommands:
 
     def test_ideal_json_default(self, capsys):
         assert main(["ideal", "--m", "3", "--n", "3", "--k", "4"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert doc["k"] == 4
         assert sum(len(r) for r in doc["ranks"]) == 16
+        # exactly what json.dumps(indent=2) writes of it
+        assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_ideal_dot(self, capsys):
         assert main(["ideal", "--m", "1", "--n", "2", "--k", "1", "--dot"]) == 0
@@ -113,11 +116,13 @@ class TestCommands:
         assert "v0 -> v1;" in out
 
     def test_ideal_csv(self, capsys):
-        assert main(["ideal", "--m", "3", "--n", "3", "--k", "3", "--csv"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "i,count"
-        assert len(lines) == 11
-        assert all(line.endswith(",1") for line in lines[1:])
+        for n, k, counts in (
+            (3, 3, [1] * 10),  # a chain
+            (2, 9, [1, 1, 2, 2, 2, 1, 1]),  # k >= m + n - 1: the whole 3 x 2 box, [5 choose 3]_q
+        ):
+            assert main(["ideal", "--m", "3", "--n", str(n), "--k", str(k), "--csv"]) == 0
+            rows = "".join(f"{i},{c}\n" for i, c in enumerate(counts))
+            assert capsys.readouterr().out == "i,count\n" + rows
 
     def test_ideal_csv_counts_without_building_members(self):
         """At n = 100000 the members hold about 1.5e10 parts, far beyond the
@@ -240,32 +245,16 @@ class TestVerifyCommand:
         assert " fail, " in out
 
     def test_verify_structure_small(self, capsys):
-        code = main(
-            [
-                "verify",
-                "structure",
-                "--m-max", "1",
-                "--n-max", "2",
-                "--k-max", "2",
-                "--degree-max", "3",
-            ]
-        )
+        code = main(["verify", "structure", "--m-max", "1", "--n-max", "2", "--k-max", "2"]
+                    + ["--degree-max", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.strip().splitlines()) == 10
 
     def test_verify_writes_report(self, tmp_path, capsys):
         target = tmp_path / "report.json"
-        code = main(
-            [
-                "verify",
-                "conjecture-u",
-                "--m", "3",
-                "--k", "1:8",
-                "--n", "1:8",
-                "--out", str(target),
-            ]
-        )
+        argv = ["verify", "conjecture-u", "--m", "3", "--k", "1:8", "--n", "1:8"]
+        code = main([*argv, "--out", str(target)])
         capsys.readouterr()
         assert code == 0
         doc = json.loads(target.read_text())
@@ -278,16 +267,8 @@ class TestVerifyCommand:
 
     def test_verify_multiple_m_writes_list(self, tmp_path, capsys):
         target = tmp_path / "reports.json"
-        code = main(
-            [
-                "verify",
-                "conjecture-u",
-                "--m", "2,3",
-                "--k", "1:6",
-                "--n", "1:6",
-                "--out", str(target),
-            ]
-        )
+        argv = ["verify", "conjecture-u", "--m", "2,3", "--k", "1:6", "--n", "1:6"]
+        code = main([*argv, "--out", str(target)])
         capsys.readouterr()
         assert code == 0
         assert len(json.loads(target.read_text())) == 2
@@ -345,11 +326,9 @@ class TestVerifyCommand:
 
     def test_verify_range_too_long_is_usage_error(self, tmp_path, capsys):
         # a range of more than sys.maxsize values has no len()
-        config = tmp_path / "sweep.json"
-        config.write_text(json.dumps({"check": "conjecture-gen", "params": {"n": [1, 10**19]}}))
         for args in (
             ["verify", "conjecture-u", "--m", "2", "--n", f"1:{10**19}"],
-            ["sweep", "--config", str(config)],
+            sweep_argv(tmp_path, {"check": "conjecture-gen", "params": {"n": [1, 10**19]}}),
         ):
             assert main(args) == 2
             captured = capsys.readouterr()
@@ -378,43 +357,32 @@ class TestVerifyCommand:
         assert err.rstrip().endswith("--m 2,3")
 
 
+def sweep_argv(tmp_path, config):
+    """The argv of kyoung sweep on a file in tmp_path holding config, a JSON
+    value or, as it is, a JSON text."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    return ["sweep", "--config", str(cfg)]
+
+
+SIEVED_2_4 = {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}}
+
+
 class TestSweepCommand:
     def test_single_config(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}, "out": str(out)}
-            )
-        )
-        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert main(sweep_argv(tmp_path, {**SIEVED_2_4, "out": str(out)})) == 0
         assert json.loads(out.read_text())["pass"] == 1
         assert capsys.readouterr().out.startswith("sieved: 1 pass")
 
     def test_sweep_list(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "sweeps": [
-                        {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}},
-                        {
-                            "check": "conjecture-u",
-                            "params": {"m": 3, "k": [1, 6], "n": [1, 6]},
-                        },
-                    ]
-                }
-            )
-        )
-        assert main(["sweep", "--config", str(cfg)]) == 0
+        second = {"check": "conjecture-u", "params": {"m": 3, "k": [1, 6], "n": [1, 6]}}
+        assert main(sweep_argv(tmp_path, {"sweeps": [SIEVED_2_4, second]})) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
 
     def test_empty_out_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        config = {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}, "out": ""}
-        cfg.write_text(json.dumps(config))
-        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert main(sweep_argv(tmp_path, {**SIEVED_2_4, "out": ""})) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -422,21 +390,15 @@ class TestSweepCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert main(sweep_argv(tmp_path, "{not json")) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"check": "sieved", "typo": True}))
-        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert main(sweep_argv(tmp_path, {"check": "sieved", "typo": True})) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_param_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"check": "structure", "params": {"k_mx": 2}}))
-        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert main(sweep_argv(tmp_path, {"check": "structure", "params": {"k_mx": 2}})) == 2
         assert "unknown params for structure: ['k_mx']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -446,14 +408,8 @@ class TestSweepCommand:
             ({"check": ["x"]}, "sweep config 'check' must be a string"),
             ({"sweeps": {"check": "sieved"}}, "sweep config 'sweeps' must be a list"),
             # a large int, which open() would take for a file descriptor
-            (
-                {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}, "out": 987654},
-                "sweep config 'out' must be a string",
-            ),
-            (
-                {"sweeps": [{"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}}], "bogus": 1},
-                "unknown sweep config keys: ['bogus']",
-            ),
+            ({**SIEVED_2_4, "out": 987654}, "sweep config 'out' must be a string"),
+            ({"sweeps": [SIEVED_2_4], "bogus": 1}, "unknown sweep config keys: ['bogus']"),
             ({"check": "structure", "params": {"k_max": True}}, "expected int: True"),
             (
                 {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4, "k": False}},
@@ -476,27 +432,16 @@ class TestSweepCommand:
         ],
     )
     def test_malformed_sweep_entries(self, tmp_path, capsys, config, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert main(sweep_argv(tmp_path, config)) == 2
         assert message in capsys.readouterr().err
-
 
     def test_unsupported_format_stops_before_any_sweep_runs(self, tmp_path, capsys):
         first = tmp_path / "first.json"
-        entry = {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}}
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "sweeps": [
-                        {**entry, "out": str(first), "format": "json"},
-                        {**entry, "out": str(tmp_path / "second.csv"), "format": "csv"},
-                    ]
-                }
-            )
-        )
-        assert main(["sweep", "--config", str(cfg)]) == 2
+        entries = [
+            {**SIEVED_2_4, "out": str(first), "format": "json"},
+            {**SIEVED_2_4, "out": str(tmp_path / "second.csv"), "format": "csv"},
+        ]
+        assert main(sweep_argv(tmp_path, {"sweeps": entries})) == 2
         assert "sweep config 'format' must be 'json': 'csv'" in capsys.readouterr().err
         assert not first.exists()
 
@@ -510,6 +455,10 @@ class TestSweepCommand:
             ({"check": "sieved", "params": {"k": [5, 3]}}, "empty range: 5:3"),
             ({"check": "structure", "params": {"k_max": True}}, "expected int: True"),
             ({"check": "conjecture-u", "params": {"m": [4, 4]}}, "no prime m in 4:4"),
+            # so is a value outside its check's domain
+            ({"check": "sieved", "params": {"m": 1}}, "m must be at least 2: 1"),
+            ({"check": "conjecture-gen", "params": {"m": [0, 3]}}, "m must be at least 1: 0"),
+            ({"check": "conjecture-u", "params": {"m": [[2], [4]]}}, "m must be prime: 4"),
         ],
         ids=[
             "unknown-param",
@@ -518,20 +467,41 @@ class TestSweepCommand:
             "empty-range",
             "bool-bound",
             "no-prime",
+            "sieved-m-below-2",
+            "conjecture-gen-m-below-1",
+            "nonprime-m",
         ],
     )
     def test_unknown_check_or_param_stops_before_any_sweep_runs(
         self, tmp_path, capsys, second, message
     ):
         first = tmp_path / "first.json"
-        entry = {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}, "out": str(first)}
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweeps": [entry, second]}))
-        assert main(["sweep", "--config", str(cfg)]) == 2
+        config = {"sweeps": [{**SIEVED_2_4, "out": str(first)}, second]}
+        assert main(sweep_argv(tmp_path, config)) == 2
         out, err = capsys.readouterr()
         assert message in err and out == ""
         assert not first.exists()
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            # m takes at most two list levels, here 900
+            (
+                '{"check": "conjecture-u", "params": {"m": ' + "[" * 900 + "2" + "]" * 900 + "}}",
+                "error: expected m as int, [lo, hi], or a list of those: [[[",
+            ),
+            # past the JSON decoder's recursion limit
+            ("[" * 100_000 + "]" * 100_000, "error: sweep config nested too deeply: "),
+        ],
+        ids=["deep-m", "deep-entry"],
+    )
+    def test_a_deeply_nested_config_is_usage_error(self, tmp_path, second, message):
+        first = tmp_path / "first.json"
+        text = '{"sweeps": [' + json.dumps({**SIEVED_2_4, "out": str(first)}) + ", " + second + "]}"
+        proc = run_capped(sweep_argv(tmp_path, text))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1
+        assert not first.exists()
 
     def test_each_entry_is_parsed_once(self, tmp_path, monkeypatch, capsys):
         parsed = []
@@ -542,49 +512,34 @@ class TestSweepCommand:
             return parse(check, params)
 
         monkeypatch.setattr(verify, "_parse_params", counted)
-        entries = [
-            {"check": "sieved", "params": {"m": 2, "a": 2, "b": 4}},
-            {"check": "conjecture-u", "params": {"m": [2, 5], "k": [1, 6], "n": [1, 6]}},
-        ]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweeps": entries}))
-        assert main(["sweep", "--config", str(cfg)]) == 0
+        second = {"check": "conjecture-u", "params": {"m": [2, 5], "k": [1, 6], "n": [1, 6]}}
+        assert main(sweep_argv(tmp_path, {"sweeps": [SIEVED_2_4, second]})) == 0
         assert parsed == ["sieved", "conjecture-u"]
         assert len(capsys.readouterr().out.splitlines()) == 4
 
-    def test_a_long_prime_range_loads_from_one_sieve(self, tmp_path):
-        """The primes of six million conjecture-u m values are listed in well
-        under the timeout, so the malformed entry after them stops the file."""
-        entries = [
-            {"check": "conjecture-u", "params": {"m": [2, 6000000]}},
-            {"check": "sieved", "params": {"m": "x"}},
-        ]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweeps": entries}))
-        proc = run_capped(["sweep", "--config", str(cfg)], timeout=20)
+    @staticmethod
+    def assert_loads_quickly(tmp_path, m):
+        """The conjecture-u m values load well under the timeout, so the
+        malformed entry after them stops the file."""
+        entries = [{"check": "conjecture-u", "params": {"m": m}}]
+        entries.append({"check": "sieved", "params": {"m": "x"}})
+        proc = run_capped(sweep_argv(tmp_path, {"sweeps": entries}), timeout=20)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: expected int or [lo, hi]: 'x'\n"
 
+    def test_a_long_prime_range_loads_from_one_sieve(self, tmp_path):
+        # six million m values, listed by one sieve
+        self.assert_loads_quickly(tmp_path, [2, 6000000])
 
     def test_a_narrow_prime_range_far_from_zero_loads_quickly(self, tmp_path):
-        """The 1,001 values near 10^18 are tested one by one by Miller-Rabin,
-        not sieved by the primes up to 10^9, so the malformed entry after
-        them stops the file well under the timeout."""
-        entries = [
-            {"check": "conjecture-u", "params": {"m": [10**18, 10**18 + 1000]}},
-            {"check": "sieved", "params": {"m": "x"}},
-        ]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweeps": entries}))
-        proc = run_capped(["sweep", "--config", str(cfg)], timeout=20)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == "error: expected int or [lo, hi]: 'x'\n"
+        # the 1,001 values near 10^18 are tested one by one by Miller-Rabin,
+        # not sieved by the primes up to 10^9
+        self.assert_loads_quickly(tmp_path, [10**18, 10**18 + 1000])
 
     def test_a_prime_range_past_the_exact_bound_is_usage_error(self, tmp_path, capsys):
         bound = verify._PRIME_LIMIT
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"check": "conjecture-u", "params": {"m": [bound - 5, bound]}}))
-        assert main(["sweep", "--config", str(cfg)]) == 2
+        config = {"check": "conjecture-u", "params": {"m": [bound - 5, bound]}}
+        assert main(sweep_argv(tmp_path, config)) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: primality is decided only below {bound}: {bound}\n"
 

@@ -191,7 +191,8 @@ def test_only_sweep_tallies_a_report():
 def test_cells_follow_one_protocol():
     # a cell is a Pass, Skip or Note or a counterexample dict, never an
     # (ok, counterexample) tuple; _sweep reads nothing but the cells, and
-    # notes reach it as Note cells, not through a list a generator appends to
+    # notes reach it as Note cells, not through a list a generator appends to.
+    # No generator raises: a check's input is judged before _sweep starts
     path = ROOT / "src" / "kyoung" / "verify.py"
     tree = ast.parse(path.read_text(), str(path))
 
@@ -229,25 +230,30 @@ def test_cells_follow_one_protocol():
             and ast.unparse(n.func.value) in params
         ]
         assert not lists and not appended, (f.name, lists, appended)
+        assert not any(isinstance(n, ast.Raise) for n in ast.walk(f)), f.name
 
 
 def test_the_k_rules_are_stated_once():
     # k >= 1 and k-boundedness are raised from one f-string each, in
-    # partitions.require_k_bounded, which every k-Young entry point calls
+    # partitions.require_k_bounded, which every k-Young entry point calls.
+    # So are the sweeps' rules on m: sieved's m >= 2 and conjecture-gen's
+    # m >= 1 in verify._require_m, conjecture-u's prime m in
+    # verify._require_prime, which the sweep parsers and the verify_* call
     fstrings = [
         ast.unparse(node)
         for path in sorted((ROOT / "src" / "kyoung").rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.JoinedStr)
     ]
-    for rule in ("is not {k}-bounded", "k must be positive"):
+    rules = ("is not {k}-bounded", "k must be positive", "m must be at least {least}", "m must be prime")
+    for rule in rules:
         assert len([text for text in fstrings if rule in text]) == 1, rule
 
 
 def test_sweep_params_are_parsed_only_by_the_checks_table():
     # every param value is parsed once, through its _CHECKS entry, before any
     # sweep runs: no runner lambda, nor any other function, parses a value
-    parsers = {"_param_range", "_param_int", "_prime_values"}
+    parsers = {"_param_range", "_param_int", "_prime_values", "_m_range"}
 
     def references(node, owner):
         if isinstance(node, ast.FunctionDef):

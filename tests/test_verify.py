@@ -444,8 +444,9 @@ class TestSieved:
     def test_windows_need_no_strata(self, monkeypatch):
         """The windows and the single-Gaussian cells are read from the
         residue totals of Gaussians [x choose m-1]_q, never from a sum of
-        strata, with x up to the largest b or claimed k of that m.  m = 2
-        claims no k, so however far k runs, no Gaussian past b is built."""
+        strata, with x from m up to the largest b or claimed k of that m.
+        m = 2 claims no k, so however far k runs, no Gaussian past b is
+        built, and the one window (2003, 2004] reads no Gaussian below 2003."""
 
         def unused(*args):
             raise AssertionError("sieved summed strata")
@@ -459,7 +460,8 @@ class TestSieved:
         names = {"window_sum": unused, "rank_gen_gamma": unused, "conjecture_sum": unused}
         names["gaussian"] = recorded_gaussian
         monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
-        for m, a, b, k in [((2, 14), (2, 32), (3, 33), (3, 55)), (2, (2, 9), (3, 10), (3, 10**6))]:
+        cases = [((2, 14), (2, 32), (3, 33), (3, 55)), (2, (2, 9), (3, 10), (3, 10**6))]
+        for m, a, b, k in [*cases, (2003, 2003, 2004, 3)]:
             asked.clear()
             rep = verify_sieved(m, a, b, k)
             assert rep.grid > 0 and rep.failed == 0
@@ -470,7 +472,7 @@ class TestSieved:
                 if is_prime(m_val):
                     claimed = [x for x in k_values if x > m_val and x % m_val not in (0, m_val - 1)]
                     top = max([top, *claimed])
-                allowed.update((x, m_val - 1) for x in range(top + 1))
+                allowed.update((x, m_val - 1) for x in range(m_val, top + 1))
             assert asked and asked <= allowed, sorted(asked - allowed)[:5]
 
     def test_tally_stops_at_the_largest_b_or_k_read(self, monkeypatch):
@@ -1285,6 +1287,8 @@ class TestRunners:
             ("conjecture-gen", {"n": [True, 5]}),
             ("conjecture-u", {"m": True}),
             ("conjecture-u", {"m": [[3], [False]]}),
+            # m is an int or a range, a list of those, or a list of lists of those
+            ("conjecture-u", {"m": [[[3]]]}),
             # null is no value, not the default
             ("sieved", {"m": 2, "a": 2, "b": 4, "k": None}),
         ):
