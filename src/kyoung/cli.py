@@ -1,11 +1,9 @@
 """Command line interface.
 
 Partitions are written as comma-separated parts ("4,2,1,1"; "" or "-" for
-the empty partition).  Range flags accept "lo:hi" or a single integer.
-For ``verify conjecture-u``, ``--m LO:HI`` runs every prime in the range and
-``--m A,B,...`` runs exactly the values given, each of which must be prime.
-A flag the chosen check does not read, like a sweep-config param it does not
-know, is a usage error.
+the empty partition).  A verify grid flag takes "LO:HI", "A,B,..." or "A",
+read as a sweep-config param's [lo, hi], [[A], [B], ...] or int; on both
+routes ``verify._CHECKS`` alone judges the check, its params and their values.
 Exit codes: 0 all checks passed, 1 a counterexample was found, 2 usage or
 validation error, 141 stdout was closed by its reader (128 + SIGPIPE).
 """
@@ -31,22 +29,15 @@ def parse_parts(text: str) -> partitions.Parts:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def parse_span(text: str):
+def parse_values(text: str):
+    """A grid flag: "LO:HI" as a pair, "A,B,..." as [[A], [B], ...], "A" as an int."""
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
             return (int(lo), int(hi))
+        if "," in text:  # each value apart, so that two never read as [lo, hi]
+            return [[int(x)] for x in text.split(",")]
         return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected INT or LO:HI, got {text!r}")
-
-
-def parse_m_values(text: str):
-    try:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            return (int(lo), int(hi))
-        return [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected INT, INT,INT,..., or LO:HI, got {text!r}")
 
@@ -91,21 +82,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run a named check over a parameter grid",
         description=(
-            "Checks: conjecture-u, conjecture-gen, sieved, structure.  Default"
+            f"Checks: {', '.join(verify._CHECKS)}.  Default"
             " grids mirror the package's acceptance sweeps and are otherwise"
             " arbitrary; override with the range flags."
         ),
     )
-    p.add_argument("check", choices=("conjecture-u", "conjecture-gen", "sieved", "structure"))
-    p.add_argument("--m", type=parse_m_values, help="INT, INT,INT,..., or LO:HI")
-    p.add_argument("--k", type=parse_span, help="INT or LO:HI")
-    p.add_argument("--n", type=parse_span, help="INT or LO:HI")
-    p.add_argument("--a", type=parse_span, help="INT or LO:HI")
-    p.add_argument("--b", type=parse_span, help="INT or LO:HI")
-    p.add_argument("--m-max", type=int, help="structure: rectangle width bound")
-    p.add_argument("--n-max", type=int, help="structure: rectangle height bound")
-    p.add_argument("--k-max", type=int, help="structure: level bound")
-    p.add_argument("--degree-max", type=int, help="structure: partition degree bound")
+    p.add_argument("check", choices=tuple(verify._CHECKS))
+    grid = (
+        p.add_argument("--m", type=parse_values, help="INT, INT,INT,..., or LO:HI"),
+        p.add_argument("--k", type=parse_values, help="INT or LO:HI"),
+        p.add_argument("--n", type=parse_values, help="INT or LO:HI"),
+        p.add_argument("--a", type=parse_values, help="INT or LO:HI"),
+        p.add_argument("--b", type=parse_values, help="INT or LO:HI"),
+        p.add_argument("--m-max", type=int, help="structure: rectangle width bound"),
+        p.add_argument("--n-max", type=int, help="structure: rectangle height bound"),
+        p.add_argument("--k-max", type=int, help="structure: level bound"),
+        p.add_argument("--degree-max", type=int, help="structure: partition degree bound"),
+    )
+    p.set_defaults(grid=[action.dest for action in grid])
     p.add_argument("--out", help="write the JSON report(s) to a file")
 
     p = sub.add_parser("sweep", help="run checks from a JSON config file")
@@ -135,47 +129,20 @@ def _output(out: str | None):
 
 
 def _verify_params(args) -> dict:
-    names = ("m", "k", "n", "a", "b", "m_max", "n_max", "k_max", "degree_max")
-    params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    values = params.get("m")
-    if isinstance(values, list) and len(values) == 1:
-        params["m"] = values[0]
-    elif isinstance(values, list):
-        if args.check in ("conjecture-gen", "sieved"):
-            given = ",".join(map(str, values))
-            raise ValueError(
-                f"verify {args.check} takes --m as INT or LO:HI, not a comma list: --m {given}"
-            )
-        # Each comma-list value stays apart, so that two of them do not read as [lo, hi].
-        params["m"] = [[v] for v in values]
-    return params
+    """Every grid flag that was given, by its param name."""
+    return {name: getattr(args, name) for name in args.grid if getattr(args, name) is not None}
 
 
 def _load_sweeps(path: str) -> list[verify.SweepConfig]:
     """The parsed entries of a sweep config file.  One nested past the
-    interpreter's recursion limit, which the JSON decoder or an error
-    message's repr meets, is a usage error; no sweep has run yet."""
+    interpreter's recursion limit, which the JSON decoder meets, is a usage
+    error; no sweep has run yet."""
     try:
         with _file_access(), open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        wrapped = isinstance(data, dict) and "sweeps" in data
-        if wrapped and len(data) > 1:
-            raise ValueError(f"unknown sweep config keys: {sorted(set(data) - {'sweeps'})}")
-        entries = data["sweeps"] if wrapped else [data]
-        if not isinstance(entries, list):
-            raise ValueError(f"sweep config 'sweeps' must be a list of objects: {entries!r}")
-        return [verify.SweepConfig.from_json_dict(entry) for entry in entries]
+        return verify.SweepConfig.list_from_json(data)
     except RecursionError:
         raise ValueError(f"sweep config nested too deeply: {path}") from None
-
-
-def _summarize(reports) -> None:
-    for rep in reports:
-        line = (
-            f"{rep.check}: {rep.passed} pass, {rep.failed} fail, {rep.skipped} skip"
-            f" ({rep.elapsed_ms} ms)"
-        )
-        print(line)
 
 
 def _run_sweeps(configs) -> int:
@@ -183,7 +150,9 @@ def _run_sweeps(configs) -> int:
     for config in configs:
         with _file_access():  # run_sweep writes config.out
             reports = verify.run_sweep(config)
-        _summarize(reports)
+        for r in reports:
+            print(f"{r.check}: {r.passed} pass, {r.failed} fail, {r.skipped} skip"
+                  f" ({r.elapsed_ms} ms)")
         passed = passed and all(r.all_pass() for r in reports)
     return 0 if passed else 1
 
@@ -224,8 +193,7 @@ def _main(argv) -> int:
         if args.command == "ideal":
             spec = ideals.IdealSpec(args.m, args.n, args.k)
             if args.csv:
-                # the closed form; from k = m + n - 1 on the ideal is the whole box
-                poly = qpoly.rank_gen_Lk(args.m, args.n, min(args.k, args.m + args.n - 1))
+                poly = qpoly.rank_gen_Lk(args.m, args.n, args.k)  # the closed form
                 rows = (f"{i},{poly.coefficient(i)}\n" for i in range(spec.top_rank + 1))
                 text = "".join(["i,count\n", *rows])
                 with _output(args.out) as fh:

@@ -205,27 +205,29 @@ def gaussian(a: int, b: int) -> QPoly:
     return QPoly(cs)
 
 
-def _check_level(m: int, n: int, k: int) -> None:
+def _level(m: int, n: int, k: int) -> int:
+    """min(k, m + n - 1): from level m + n - 1 on, the ideal below (m^n) is the whole box."""
     if not 1 <= m <= k:
         raise ValueError(f"need 1 <= m <= k: m={m} k={k}")
-    if n < k - m + 1:
-        raise ValueError(f"need n >= k - m + 1: m={m} n={n} k={k}")
+    if n < 1:
+        raise ValueError(f"need n >= 1: n={n}")
+    return min(k, m + n - 1)
 
 
 def rank_gen_Lk(m: int, n: int, k: int) -> QPoly:
     """Rank generating function of the ideal below (m^n) at level k.
 
     [k+1 choose m]_q plus q^(k+1) times the degree-m geometric sum with
-    n-k+m-1 terms times [k choose m-1]_q.
+    n-k+m-1 terms times [k choose m-1]_q, at k no larger than m + n - 1.
     """
-    _check_level(m, n, k)
+    k = _level(m, n, k)
     tail = times_geometric(gaussian(k, m - 1), m, n - k + m - 1)
     return gaussian(k + 1, m) + tail.shifted(k + 1)
 
 
 def count_Lk(m: int, n: int, k: int) -> int:
     """Member count of the ideal below (m^n) at level k."""
-    _check_level(m, n, k)
+    k = _level(m, n, k)
     return math.comb(k + 1, m) + (n - k + m - 1) * math.comb(k, m - 1)
 
 

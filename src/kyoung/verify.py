@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import operator
+import reprlib
 import sys
 import time
 from collections import Counter
@@ -34,13 +35,27 @@ from .qpoly import QPoly
 
 Range = int | tuple[int, int]
 
+# An error shows an input value by its repr, cut by reprlib and then to at most
+# _ECHO_CHARS characters: a small value in full, a huge or deep one briefly.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxother = 3, 80, 80
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = _ECHO.maxset = 8
+_ECHO_CHARS = 200
+
+
+def _echo(value) -> str:
+    text = _ECHO.repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
+
 
 def _as_values(r: Range) -> range:
     lo, hi = (r, r) if isinstance(r, int) else r
     if lo > hi:
-        raise ValueError(f"empty range: {lo}:{hi}")
+        raise ValueError(f"empty range: {_echo(lo)}:{_echo(hi)}")
     if hi - lo >= sys.maxsize:  # len() of a longer range overflows
-        raise ValueError(f"range too long: {lo}:{hi} has more than {sys.maxsize} values")
+        raise ValueError(
+            f"range too long: {_echo(lo)}:{_echo(hi)} has more than {sys.maxsize} values"
+        )
     return range(lo, hi + 1)  # never expanded: a window reads n up to the first it decides
 
 
@@ -49,7 +64,7 @@ def _require_m(m: Range, least: int) -> Range:
     rule of conjecture-gen (least 1) and of sieved (least 2)."""
     lo = _as_values(m).start
     if lo < least:
-        raise ValueError(f"m must be at least {least}: {lo}")
+        raise ValueError(f"m must be at least {least}: {_echo(lo)}")
     return m
 
 
@@ -62,7 +77,7 @@ _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 def _require_below_prime_limit(n: int) -> None:
     if n >= _PRIME_LIMIT:
-        raise ValueError(f"primality is decided only below {_PRIME_LIMIT}: {n}")
+        raise ValueError(f"primality is decided only below {_PRIME_LIMIT}: {_echo(n)}")
 
 
 def is_prime(n: int) -> bool:
@@ -92,7 +107,7 @@ def is_prime(n: int) -> bool:
 def _require_prime(m: int) -> int:
     """m, when it is prime: the rule of conjecture-u."""
     if not is_prime(m):
-        raise ValueError(f"m must be prime: {m}")
+        raise ValueError(f"m must be prime: {_echo(m)}")
     return m
 
 
@@ -665,20 +680,35 @@ class SweepConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
-            raise ValueError(f"sweep config entry must be an object: {data!r}")
-        unknown = set(data) - {"check", "params", "out", "format"}
-        if unknown:
-            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
+            raise ValueError(f"sweep config entry must be an object: {_echo(data)}")
+        _require_keys(data, {"check", "params", "out", "format"})
         if "check" not in data:
             raise ValueError("sweep config needs a 'check' name")
         for key in ("check", "out"):
             if key in data and not isinstance(data[key], str):
-                raise ValueError(f"sweep config {key!r} must be a string: {data[key]!r}")
+                raise ValueError(f"sweep config {key!r} must be a string: {_echo(data[key])}")
         if data.get("format", "json") != "json":
-            raise ValueError(f"sweep config 'format' must be 'json': {data['format']!r}")
+            raise ValueError(f"sweep config 'format' must be 'json': {_echo(data['format'])}")
         if not isinstance(data.get("params", {}), dict):
             raise ValueError("sweep config 'params' must be an object")
         return cls(data["check"], data.get("params", {}), data.get("out"))
+
+    @classmethod
+    def list_from_json(cls, data) -> list["SweepConfig"]:
+        """The entries of a sweep config document, {"sweeps": [...]} or one entry."""
+        if not (isinstance(data, dict) and "sweeps" in data):
+            return [cls.from_json_dict(data)]
+        _require_keys(data, {"sweeps"})
+        entries = data["sweeps"]
+        if not isinstance(entries, list):
+            raise ValueError(f"sweep config 'sweeps' must be a list of objects: {_echo(entries)}")
+        return [cls.from_json_dict(entry) for entry in entries]
+
+
+def _require_keys(data: dict, known: set[str]) -> None:
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown sweep config keys: {_echo(unknown)}")
 
 
 def _is_int(value) -> bool:
@@ -698,15 +728,15 @@ def _param_range(value) -> Range:
     if _is_pair(value):
         _as_values(tuple(value))
         return tuple(value)
-    raise ValueError(f"expected int or [lo, hi]: {value!r}")
+    raise ValueError(f"expected int or [lo, hi]: {_echo(value)}")
 
 
 def _param_int(value) -> int:
     """A structure bound: an int >= 0, where 0 leaves a family empty."""
     if not _is_int(value):
-        raise ValueError(f"expected int: {value!r}")
+        raise ValueError(f"expected int: {_echo(value)}")
     if value < 0:
-        raise ValueError(f"expected int >= 0: {value!r}")
+        raise ValueError(f"expected int >= 0: {_echo(value)}")
     return value
 
 
@@ -726,11 +756,11 @@ def _prime_values(value, depth: int = 2) -> list[int]:
     if _is_pair(value):
         primes = _primes_in(_as_values(value))
         if not primes:
-            raise ValueError(f"no prime m in {value[0]}:{value[1]}")
+            raise ValueError(f"no prime m in {_echo(value[0])}:{_echo(value[1])}")
         return primes
     if depth and isinstance(value, (list, tuple)) and value:
         return [p for item in value for p in _prime_values(item, depth - 1)]
-    raise ValueError(f"expected m as int, [lo, hi], or a list of those: {value!r}")
+    raise ValueError(f"expected m as int, [lo, hi], or a list of those: {_echo(value)}")
 
 
 # check -> (runner, {param: (parser, default)}); a param outside the map is an
@@ -766,13 +796,12 @@ def _parse_params(check: str, params: dict) -> tuple[Callable, dict]:
     """The runner of check and all its params parsed, defaults included; an
     unknown check or param, or a malformed value, is an error."""
     if check not in _CHECKS:
-        raise ValueError(
-            f"unknown check {check!r}; expected conjecture-u, conjecture-gen, sieved, or structure"
-        )
+        *others, last = _CHECKS
+        raise ValueError(f"unknown check {_echo(check)}; expected {', '.join(others)}, or {last}")
     runner, spec = _CHECKS[check]
     unknown = sorted(set(params) - set(spec))
     if unknown:
-        raise ValueError(f"unknown params for {check}: {unknown}; expected {sorted(spec)}")
+        raise ValueError(f"unknown params for {check}: {_echo(unknown)}; expected {sorted(spec)}")
     return runner, {name: parse(params.get(name, d)) for name, (parse, d) in spec.items()}
 
 

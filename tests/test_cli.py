@@ -15,7 +15,7 @@ import pytest
 
 from check_targets import report_digest
 from kyoung import ideals, qpoly, verify
-from kyoung.cli import main, parse_m_values, parse_parts, parse_span
+from kyoung.cli import main, parse_parts, parse_values
 
 # perfbench/digests.json: the benchmark's output digests, by CLI invocation
 RECORDED_DIGESTS = json.loads(
@@ -58,14 +58,24 @@ class TestParsers:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_parts("1,2")
 
+    # parse_values is the one parser for every grid flag; the next two tests
+    # hold it to the inputs of the span and m-list parsers it replaced
     def test_parse_span(self):
-        assert parse_span("5") == 5
-        assert parse_span("2:7") == (2, 7)
+        assert parse_values("5") == 5
+        assert parse_values("2:7") == (2, 7)
+        assert parse_values("-1:0") == (-1, 0)
 
     def test_parse_m_values(self):
-        assert parse_m_values("3") == [3]
-        assert parse_m_values("2,3,5") == [2, 3, 5]
-        assert parse_m_values("2:5") == (2, 5)
+        assert parse_values("3") == 3
+        assert parse_values("2,3,5") == [[2], [3], [5]]
+        assert parse_values("2:5") == (2, 5)
+
+    @pytest.mark.parametrize("text", ["x", "x:y", "2:", "2,", "2:3,4", "", "1.5"])
+    def test_parse_values_rejects(self, text):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError, match="expected INT, INT,INT,..., or LO:HI"):
+            parse_values(text)
 
 
 class TestCommands:
@@ -232,8 +242,18 @@ class TestCommands:
         assert out.endswith("q^9")
 
     def test_rankgen_invalid(self, capsys):
-        assert main(["rankgen", "--m", "3", "--n", "1", "--k", "5"]) == 2
+        assert main(["rankgen", "--m", "3", "--n", "0", "--k", "5"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_rankgen_past_the_box_level_is_ideal_csv(self, capsys):
+        # from k = m + n - 1 on the ideal is the whole 3 x 2 box, [5 choose 3]_q
+        assert main(["rankgen", "--m", "3", "--n", "2", "--k", "9"]) == 0
+        counts = json.loads(capsys.readouterr().out)
+        assert counts == [1, 1, 2, 2, 2, 1, 1]
+        assert main(["ideal", "--m", "3", "--n", "2", "--k", "9", "--csv"]) == 0
+        assert capsys.readouterr().out == "i,count\n" + "".join(
+            f"{i},{c}\n" for i, c in enumerate(counts)
+        )
 
 
 class TestVerifyCommand:
@@ -350,11 +370,19 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("check", ["conjecture-gen", "sieved"])
     def test_verify_comma_m_names_the_flag(self, capsys, check):
-        # only conjecture-u takes a comma list of m
+        # only conjecture-u takes a comma list of m: the checks table says so,
+        # in the words it uses for the same list in a sweep file
         assert main(["verify", check, "--m", "2,3"]) == 2
-        err = capsys.readouterr().err
-        assert f"error: verify {check} takes --m as INT or LO:HI" in err
-        assert err.rstrip().endswith("--m 2,3")
+        assert capsys.readouterr() == ("", "error: expected int or [lo, hi]: [[2], [3]]\n")
+
+    def test_a_check_added_only_to_the_table_runs(self, monkeypatch, capsys):
+        monkeypatch.setitem(verify._CHECKS, "sieved-again", verify._CHECKS["sieved"])
+        assert main(["verify", "--help"]) == 0
+        assert "sieved, structure, sieved-again." in " ".join(capsys.readouterr().out.split())
+        assert main(["verify", "sieved-again", "--m", "2", "--a", "2", "--b", "4"]) == 0
+        assert capsys.readouterr().out.startswith("sieved: 1 pass, 0 fail, ")
+        with pytest.raises(ValueError, match="expected .*, structure, or sieved-again$"):
+            verify.run_check("nope", {})
 
 
 def sweep_argv(tmp_path, config):
@@ -502,6 +530,26 @@ class TestSweepCommand:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1
         assert not first.exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (
+                json.dumps({"check": "sieved", "params": {"m": list(range(10**6))}}),
+                "error: expected int or [lo, hi]: [0, 1, 2, 3, 4, 5, 6, 7, ...]\n",
+            ),
+            (
+                '{"check": "conjecture-u", "params": {"m": ' + "[" * 900 + "2" + "]" * 900 + "}}",
+                "error: expected m as int, [lo, hi], or a list of those: [[[[...]]]]\n",
+            ),
+            (json.dumps({"check": "x" * 10**6}), "error: unknown check 'xxxxxxxx"),
+        ],
+        ids=["million-int-m", "deep-m", "million-char-check"],
+    )
+    def test_an_error_echoes_a_bounded_value(self, tmp_path, entry, message):
+        proc = run_capped(sweep_argv(tmp_path, entry))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(message) and len(proc.stderr.encode()) < 1024
 
     def test_each_entry_is_parsed_once(self, tmp_path, monkeypatch, capsys):
         parsed = []

@@ -288,7 +288,7 @@ class TestRankGen:
         with pytest.raises(ValueError):
             rank_gen_Lk(0, 3, 3)
         with pytest.raises(ValueError):
-            rank_gen_Lk(3, 1, 5)
+            rank_gen_Lk(3, 0, 5)
 
     def test_count_golden(self):
         assert count_Lk(3, 3, 3) == 10
@@ -305,14 +305,14 @@ class TestRankGen:
         with pytest.raises(ValueError):
             count_Lk(4, 3, 3)
         with pytest.raises(ValueError):
-            count_Lk(3, 1, 5)
+            count_Lk(3, 0, 5)
 
     @pytest.mark.parametrize(
         "m, n, k, message",
         [
             (4, 3, 3, "need 1 <= m <= k: m=4 k=3"),
             (0, 3, 3, "need 1 <= m <= k: m=0 k=3"),
-            (3, 1, 5, "need n >= k - m + 1: m=3 n=1 k=5"),
+            (3, 0, 5, "need n >= 1: n=0"),
         ],
         ids=["m-above-k", "m-zero", "n-short"],
     )
@@ -325,9 +325,9 @@ class TestRankGen:
         # once k >= m + n - 1 everything in the box is a member
         for m in range(1, 4):
             for n in range(1, 5):
-                k = m + n - 1
-                assert rank_gen_Lk(m, n, k) == gaussian(m + n, m)
-                assert count_Lk(m, n, k) == comb(m + n, m)
+                for k in range(m + n - 1, m + n + 3):
+                    assert rank_gen_Lk(m, n, k) == gaussian(m + n, m)
+                    assert count_Lk(m, n, k) == comb(m + n, m)
 
     def test_matches_enumeration(self):
         for m in range(1, 4):

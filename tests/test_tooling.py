@@ -275,6 +275,37 @@ def test_sweep_params_are_parsed_only_by_the_checks_table():
     assert {name for owner, name in found if owner == "_CHECKS"} == parsers
 
 
+def test_the_cli_states_no_sweep_rule():
+    # verify._CHECKS alone knows the checks and their params, and verify the
+    # sweep-file grammar: outside docstrings no string constant of cli.py is a
+    # check or a param name, and the package reports unknown config keys from
+    # one f-string
+    from kyoung.verify import _CHECKS
+
+    names = set(_CHECKS) | {param for _, spec in _CHECKS.values() for param in spec}
+    tree = ast.parse((ROOT / "src" / "kyoung" / "cli.py").read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+        and ast.get_docstring(node) is not None
+    }
+    constants = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+    }
+    assert not constants & names, sorted(constants & names)
+    fstrings = [
+        ast.unparse(node)
+        for path in sorted((ROOT / "src" / "kyoung").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.JoinedStr) and "unknown sweep config keys" in ast.unparse(node)
+    ]
+    assert len(fstrings) == 1, fstrings
+
+
 def test_target_grids_parse_as_sweep_entries():
     # sweeps/check_targets.py runs the targets (minutes, up to about 750 MiB)
     # and tests/test_verify.py the goldens; here every entry only has to

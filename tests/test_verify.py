@@ -1260,6 +1260,42 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig.from_json_dict({"params": {}})
 
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda huge: SweepConfig("sieved", {"m": huge}),
+            lambda huge: SweepConfig("structure", {"k_max": huge}),
+            lambda huge: SweepConfig("conjecture-u", {"m": [[huge]]}),
+            lambda huge: SweepConfig(str(huge), {}),
+            lambda huge: SweepConfig("sieved", {str(huge): 1}),
+            lambda huge: SweepConfig.from_json_dict(huge),
+            lambda huge: SweepConfig.from_json_dict({"check": "sieved", "out": [huge]}),
+            lambda huge: SweepConfig.from_json_dict({"check": "sieved", "format": huge}),
+            lambda huge: SweepConfig.from_json_dict({"check": "sieved", str(huge): 1}),
+            lambda huge: SweepConfig.list_from_json({"sweeps": [], str(huge): 1}),
+            lambda huge: SweepConfig.list_from_json({"sweeps": huge}),
+        ],
+        ids=[
+            "param-range",
+            "param-int",
+            "prime-values",
+            "unknown-check",
+            "unknown-param",
+            "entry-not-object",
+            "out-not-string",
+            "format-not-json",
+            "unknown-entry-key",
+            "unknown-top-level-key",
+            "sweeps-not-list",
+        ],
+    )
+    def test_an_error_echoes_a_bounded_value(self, load):
+        # a value of a million items, or a million characters, is shown briefly
+        for huge in (list(range(10**6)), "x" * 10**6):
+            with pytest.raises(ValueError) as info:
+                load(huge)
+            assert len(str(info.value)) < 300, str(info.value)[:300]
+
 
 class TestRunners:
     def test_unknown_check(self):
