@@ -39,11 +39,18 @@ def parse_values(text: str):
             return [[int(x)] for x in text.split(",")]
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected INT, INT,INT,..., or LO:HI, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected INT, INT,INT,..., or LO:HI, got {partitions._echo(text)}"
+        )
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own messages can echo an argument whole
+        super().error(partitions._cut(message))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kyoung",
         description="Exact combinatorics of the k-Young lattice.",
     )
@@ -87,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
             " arbitrary; override with the range flags."
         ),
     )
-    p.add_argument("check", choices=tuple(verify._CHECKS))
+    p.add_argument("check")
     grid = (
         p.add_argument("--m", type=parse_values, help="INT, INT,INT,..., or LO:HI"),
         p.add_argument("--k", type=parse_values, help="INT or LO:HI"),
@@ -213,7 +220,7 @@ def _main(argv) -> int:
             return _run_sweeps([verify.SweepConfig(args.check, _verify_params(args), args.out)])
         if args.command == "sweep":
             return _run_sweeps(_load_sweeps(args.config))
-    except (ValueError, OverflowError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError) as exc:  # what input raises; any other error is a bug
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

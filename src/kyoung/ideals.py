@@ -16,23 +16,20 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .lattice import HasseDiagram, ideal_name
-from .partitions import Parts, partitions_in_box
+from .partitions import Parts, partitions_in_box, require_rectangle
 from .qpoly import QPoly
 
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """Rectangle width m, height n, and the lattice parameter k, with m <= k."""
+    """Rectangle width m, height n, and the lattice parameter k, as require_rectangle admits."""
 
     m: int
     n: int
     k: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"m and n must be positive: m={self.m} n={self.n}")
-        if self.k < self.m:
-            raise ValueError(f"need k >= m: m={self.m} k={self.k}")
+        require_rectangle(self.m, self.k, self.n)
 
     @property
     def rectangle(self) -> Parts:

@@ -16,6 +16,7 @@ from itertools import chain
 
 from .partitions import (
     Parts,
+    _echo,
     contains,
     k_conjugate,
     k_skew,
@@ -65,17 +66,22 @@ def _covers(p: Parts, k: int, direction: str) -> tuple[Parts, ...]:
     return tuple(sorted(out))
 
 
+def _require_direction(direction: str) -> None:
+    if direction not in ("up", "down"):
+        raise ValueError(f"direction must be 'up' or 'down': {_echo(direction)}")
+
+
 def covers(p: Parts, k: int, direction: str = "up") -> list[Parts]:
     """Partitions covering p (up) or covered by p (down) in the k-Young order."""
     require_k_bounded(k, p)
-    if direction not in ("up", "down"):
-        raise ValueError(f"direction must be 'up' or 'down': {direction!r}")
+    _require_direction(direction)
     return list(_covers(p, k, direction))
 
 
 def covers_oracle(p: Parts, k: int, direction: str = "up") -> list[Parts]:
     """Definitional covers: one-box steps with containment of both k-conjugates."""
     require_k_bounded(k, p)
+    _require_direction(direction)
     pk = k_conjugate(p, k)
     out = []
     if direction == "up":
@@ -87,15 +93,13 @@ def covers_oracle(p: Parts, k: int, direction: str = "up") -> list[Parts]:
                 continue
             if contains(pk, k_conjugate(cand, k)):
                 out.append(cand)
-    elif direction == "down":
+    else:
         for r in range(1, len(p) + 1):
             if part_at(p, r) <= part_at(p, r + 1):
                 continue
             cand = _remove_box(p, r)
             if contains(k_conjugate(cand, k), pk):
                 out.append(cand)
-    else:
-        raise ValueError(f"direction must be 'up' or 'down': {direction!r}")
     return sorted(out)
 
 

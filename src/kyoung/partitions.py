@@ -8,6 +8,7 @@ a diagram has length equal to part i.
 from __future__ import annotations
 
 import operator
+import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,6 +17,21 @@ from typing import Iterator, NamedTuple, Sequence
 
 Parts = tuple[int, ...]
 Cell = tuple[int, int]
+
+# An error shows an input value by its repr, cut by reprlib and then to at most
+# _ECHO_CHARS characters: a small value in full, a huge or deep one briefly.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxother = 3, 80, 80
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = _ECHO.maxset = 8
+_ECHO_CHARS = 200
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
+
+
+def _echo(value) -> str:
+    return _cut(_ECHO.repr(value))
 
 
 def partition(parts: Sequence[int]) -> Parts:
@@ -26,9 +42,9 @@ def partition(parts: Sequence[int]) -> Parts:
         end -= 1
     out = out[:end]  # one copy, however many trailing zeros
     if any(p <= 0 for p in out):
-        raise ValueError(f"parts must be positive: {parts!r}")
+        raise ValueError(f"parts must be positive: {_echo(parts)}")
     if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
-        raise ValueError(f"parts must be weakly decreasing: {parts!r}")
+        raise ValueError(f"parts must be weakly decreasing: {_echo(parts)}")
     return out
 
 
@@ -44,10 +60,19 @@ def is_k_bounded(p: Parts, k: int) -> bool:
 def require_k_bounded(k: int, *ps: Parts) -> None:
     """The check of every k-Young entry point: k >= 1 and each of ps k-bounded."""
     if k < 1:
-        raise ValueError(f"k must be positive: {k}")
+        raise ValueError(f"k must be positive: {_echo(k)}")
     for p in ps:
         if not is_k_bounded(p, k):
-            raise ValueError(f"partition {p} is not {k}-bounded")
+            raise ValueError(f"partition {_echo(p)} is not {_echo(k)}-bounded")
+
+
+def require_rectangle(m: int, k: int, n: int = 1) -> None:
+    """The rule of a rectangle (m^n) at level k, a k-rectangle or one that
+    an ideal sits below: 1 <= m <= k and n >= 1."""
+    if not 1 <= m <= k:
+        raise ValueError(f"need 1 <= m <= k: m={_echo(m)} k={_echo(k)}")
+    if n < 1:
+        raise ValueError(f"need n >= 1: n={_echo(n)}")
 
 
 def conjugate(p: Parts) -> Parts:
@@ -268,8 +293,7 @@ class KRectangle:
     k: int
 
     def __post_init__(self):
-        if not 1 <= self.width <= self.k:
-            raise ValueError(f"width must be in 1..k: width={self.width} k={self.k}")
+        require_rectangle(self.width, self.k)
 
     @property
     def height(self) -> int:
@@ -290,8 +314,7 @@ def rectangle_k_conjugate(m: int, n: int, k: int) -> Parts:
     With w = k - m + 1: the result is ((w)^a, b^m) where b = n mod w and
     a = m * (n // w), zero parts dropped.
     """
-    if not 1 <= m <= k:
-        raise ValueError(f"need 1 <= m <= k: m={m} k={k}")
+    require_rectangle(m, k)  # n = 0 is the empty partition here
     if n < 0:
         raise ValueError(f"n must be non-negative: {n}")
     w = k - m + 1

@@ -16,6 +16,8 @@ from functools import lru_cache
 from itertools import accumulate, islice, starmap
 from operator import ge, gt, index, sub
 
+from .partitions import require_rectangle
+
 
 class QPoly:
     """Immutable polynomial in q with integer coefficients."""
@@ -207,10 +209,7 @@ def gaussian(a: int, b: int) -> QPoly:
 
 def _level(m: int, n: int, k: int) -> int:
     """min(k, m + n - 1): from level m + n - 1 on, the ideal below (m^n) is the whole box."""
-    if not 1 <= m <= k:
-        raise ValueError(f"need 1 <= m <= k: m={m} k={k}")
-    if n < 1:
-        raise ValueError(f"need n >= 1: n={n}")
+    require_rectangle(m, k, n)
     return min(k, m + n - 1)
 
 
@@ -235,11 +234,8 @@ def rank_gen_gamma(m: int, n: int, k: int) -> QPoly:
     """Rank generating function of the level-k stratum below (m^n), in closed
     form: q^(k-m+1) times the degree-m geometric sum with n-k+m terms times
     [k-1 choose m-2]_q, palindromic about mn/2.  No sweep calls it: the tests
-    hold window_sum(m, k-1, k, n) to it."""
-    if not 1 <= m < k:
-        raise ValueError(f"need 1 <= m < k: m={m} k={k}")
-    if n < k - m + 1:
-        raise ValueError(f"need n >= k - m + 1: m={m} n={n} k={k}")
+    hold window_sum(m, k-1, k, n) to it, and it takes that window's rule."""
+    _check_window(m, k - 1, k, n)
     cs = [0] * (k - m + 1) + list(gaussian(k - 1, m - 2).coeffs)
     _times_quotient(cs, m * (n - k + m), m)
     return QPoly(cs)
@@ -276,7 +272,8 @@ def sieved_sums(p: QPoly, m: int) -> list[int]:
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
-def _check_window(m: int, a: int, b: int, x: int) -> None:
+def _check_window(m: int, a: int, b: int, x: float = math.inf) -> None:
+    """The rule of the window (a, b] below (m^x), x infinite in the large-x limit."""
     if not 1 <= m <= a < b:
         raise ValueError(f"need 1 <= m <= a < b: m={m} a={a} b={b}")
     if x < b - m + 1:
@@ -305,10 +302,7 @@ def _window_series(m: int, a: int, b: int, size: int) -> tuple[list[int], list[i
 
 
 def window_sum(m: int, a: int, b: int, x: int) -> QPoly:
-    """P_x, the sum of the strata at levels a+1 .. b below (m^x).
-
-    Needs m <= a < b and x >= b-m+1, where every level has a stratum.
-    """
+    """P_x, the sum of the strata at levels a+1 .. b below (m^x), where _check_window admits."""
     _check_window(m, a, b, x)
     p, t = _window_series(m, a, b, m * x - a + m - 1)  # deg P_x = m x - (a-m+2)
     s = m * (x + 1) - (m - 1) * (b - m + 1)
@@ -350,10 +344,7 @@ def window_failures(m: int, a: int, b: int, xs: range) -> list[int]:
 def conjecture_sum(a: int, b: int, m: int) -> QPoly:
     """Large-n limit of the partial sum of stratum generating functions for
     levels a+1 .. b: the sum of q^(j-a-1) [j-1 choose m-2]_q."""
-    if not m <= a < b:
-        raise ValueError(f"need m <= a < b: m={m} a={a} b={b}")
-    if m < 1:
-        raise ValueError(f"m must be positive: {m}")
+    _check_window(m, a, b)
     # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
     # telescopes the limit to ([b choose m-1]_q - [a choose m-1]_q) / q^(a-m+2)
     return QPoly((gaussian(b, m - 1) - gaussian(a, m - 1)).coeffs[a - m + 2:])

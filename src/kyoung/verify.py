@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import operator
-import reprlib
 import sys
 import time
 from collections import Counter
@@ -30,22 +29,10 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import ideals, lattice, partitions, qpoly
 from .ideals import IdealSpec
-from .partitions import Parts
+from .partitions import Parts, _echo
 from .qpoly import QPoly
 
 Range = int | tuple[int, int]
-
-# An error shows an input value by its repr, cut by reprlib and then to at most
-# _ECHO_CHARS characters: a small value in full, a huge or deep one briefly.
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxother = 3, 80, 80
-_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = _ECHO.maxset = 8
-_ECHO_CHARS = 200
-
-
-def _echo(value) -> str:
-    text = _ECHO.repr(value)
-    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
 
 
 def _as_values(r: Range) -> range:
@@ -129,23 +116,9 @@ def _primes_in(values: range) -> list[int]:
     return list(itertools.compress(range(lo, hi + 1), sieve))
 
 
-def prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def qualifies(a: int, b: int, m: int) -> bool:
-    """Neither endpoint congruent to -1 modulo any prime divisor of m."""
-    return all(a % p != p - 1 and b % p != p - 1 for p in prime_factors(m))
+    """Neither endpoint is -1 mod a prime divisor of m: a + 1 and b + 1 are prime to m."""
+    return math.gcd(a + 1, m) == 1 and math.gcd(b + 1, m) == 1
 
 
 @dataclass

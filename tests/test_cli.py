@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from check_targets import report_digest
-from kyoung import ideals, qpoly, verify
+from kyoung import ideals, partitions, qpoly, verify
 from kyoung.cli import main, parse_parts, parse_values
 
 # perfbench/digests.json: the benchmark's output digests, by CLI invocation
@@ -644,9 +644,79 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         assert "k-Young" in capsys.readouterr().out
 
-    def test_unknown_check_choice(self, capsys):
+    def test_unknown_check_choice(self, tmp_path, capsys):
+        # the checks table alone judges a check name, for verify as for sweep
+        message = "error: unknown check 'bogus'; expected conjecture-u, conjecture-gen, sieved, or structure\n"
         assert main(["verify", "bogus"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr() == ("", message)
+        assert main(sweep_argv(tmp_path, {"check": "bogus"})) == 2
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize(
+        "m, n, k, message",
+        [
+            (0, 1, 1, "error: need 1 <= m <= k: m=0 k=1\n"),
+            (3, 1, 2, "error: need 1 <= m <= k: m=3 k=2\n"),
+            (2, 0, 3, "error: need n >= 1: n=0\n"),
+        ],
+    )
+    def test_a_bad_rectangle_reads_alike(self, capsys, m, n, k, message):
+        # ideal, its --csv counts and rankgen judge (m, n, k) by one rule
+        sizes = ["--m", str(m), "--n", str(n), "--k", str(k)]
+        for command in (["ideal"], ["ideal", "--csv"], ["rankgen"]):
+            assert main([*command, *sizes]) == 2
+            assert capsys.readouterr() == ("", message), command
+
+    def test_a_key_error_is_a_bug_not_a_usage_error(self, monkeypatch):
+        # no input raises KeyError, so one is a fault of the package: it
+        # propagates with its traceback instead of reading as exit 2
+        def broken(p, k):
+            raise KeyError(k)
+
+        monkeypatch.setattr(partitions, "k_conjugate", broken)
+        with pytest.raises(KeyError):
+            main(["kconj", "1", "--k", "2"])
+
+    # Each argv takes one argument value: a huge one must echo briefly (exit 2
+    # and under 1 KiB of stderr), and a small one as it always did.
+    ECHOES = {
+        "check-name": lambda v: ["verify", v],
+        "grid-flag": lambda v: ["verify", "sieved", "--k", v],
+        "partition": lambda v: ["kconj", ",".join(["1", "2"] * len(v)), "--k", "3"],
+        "unbounded-partition": lambda v: ["kconj", ",".join(["5"] * len(v)), "--k", "3"],
+        "int-flag": lambda v: ["kconj", "1", "--k", v],
+        "dir-choice": lambda v: ["covers", "1", "--k", "2", "--dir", v],
+        "command": lambda v: [v],
+        "unrecognized": lambda v: ["kconj", "1", "--k", "2", v],
+    }
+
+    @pytest.mark.parametrize("case", list(ECHOES))
+    def test_an_argument_echo_is_bounded(self, capsys, case):
+        assert main(self.ECHOES[case]("x" * 10**6)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.encode()) < 1024, err[:1024]
+
+    @pytest.mark.parametrize(
+        "case, last_line",
+        [
+            ("check-name", "error: unknown check 'x'; expected conjecture-u, conjecture-gen,"
+             " sieved, or structure"),
+            ("grid-flag", "kyoung verify: error: argument --k: expected INT, INT,INT,..., or LO:HI,"
+             " got 'x'"),
+            ("partition", "kyoung kconj: error: argument parts: parts must be weakly decreasing: [1, 2]"),
+            ("unbounded-partition", "error: partition (5,) is not 3-bounded"),
+            ("int-flag", "kyoung kconj: error: argument --k: invalid int value: 'x'"),
+            ("dir-choice", "kyoung covers: error: argument --dir: invalid choice: 'x' "),
+            ("command", "kyoung: error: argument command: invalid choice: 'x' "),
+            ("unrecognized", "kyoung: error: unrecognized arguments: x"),
+        ],
+    )
+    def test_a_small_argument_echoes_whole(self, capsys, case, last_line):
+        assert main(self.ECHOES[case]("x")) == 2
+        out, err = capsys.readouterr()
+        # argparse's choice messages go on to list the choices, in words that
+        # differ between Python versions
+        assert out == "" and err.splitlines()[-1].startswith(last_line), err
 
 
 def readme_examples():

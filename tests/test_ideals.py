@@ -21,7 +21,7 @@ from kyoung.ideals import (
 )
 from kyoung.lattice import build_ideal, leq, write_dot, write_json
 from kyoung.partitions import contains, part_at, partitions_in_box
-from kyoung.qpoly import QPoly, is_symmetric
+from kyoung.qpoly import QPoly, is_symmetric, rank_gen_Lk
 from test_lattice import dot_by_fstrings
 
 
@@ -135,6 +135,20 @@ class TestSpec:
             IdealSpec(2, 0, 3)
         with pytest.raises(ValueError):
             IdealSpec(3, 2, 2)
+
+    @pytest.mark.parametrize(
+        "m, n, k, message",
+        [
+            (0, 1, 1, "need 1 <= m <= k: m=0 k=1"),
+            (3, 1, 2, "need 1 <= m <= k: m=3 k=2"),
+            (2, 0, 3, "need n >= 1: n=0"),
+        ],
+    )
+    def test_spec_and_rank_gen_share_one_rule(self, m, n, k, message):
+        for make in (IdealSpec, rank_gen_Lk):
+            with pytest.raises(ValueError) as info:
+                make(m, n, k)
+            assert str(info.value) == message
 
     def test_short_rows(self):
         assert short_rows((3, 2, 1), 3) == 2

@@ -70,8 +70,11 @@ class TestCovers:
             assert covers((1,) * n, 1, "up") == [(1,) * (n + 1)]
 
     def test_direction_validated(self):
-        with pytest.raises(ValueError):
-            covers((1,), 2, "sideways")
+        # covers and its oracle share one rule and one text
+        for f in (covers, covers_oracle):
+            with pytest.raises(ValueError) as info:
+                f((1,), 2, "sideways")
+            assert str(info.value) == "direction must be 'up' or 'down': 'sideways'"
 
     def test_unbounded_rejected(self):
         with pytest.raises(ValueError):

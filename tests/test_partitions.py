@@ -461,8 +461,10 @@ class TestRectangles:
     def test_krectangle_validates(self):
         with pytest.raises(ValueError):
             KRectangle(5, 4)
-        with pytest.raises(ValueError):
-            KRectangle(0, 4)
+        # a k-rectangle's width and the k-conjugated rectangle's m share one text
+        for make in (lambda: KRectangle(0, 3), lambda: rectangle_k_conjugate(0, 1, 3)):
+            with pytest.raises(ValueError, match=r"^need 1 <= m <= k: m=0 k=3$"):
+                make()
 
     def test_all_k_rectangles(self):
         assert [r.parts for r in all_k_rectangles(3)] == [(1, 1, 1), (2, 2), (3,)]

@@ -352,6 +352,22 @@ class TestGammaGen:
         with pytest.raises(ValueError):
             rank_gen_gamma(3, 1, 5)
 
+    @pytest.mark.parametrize(
+        "f, args, window, message",
+        [
+            (rank_gen_gamma, (3, 2, 3), (3, 2, 3, 2), "need 1 <= m <= a < b: m=3 a=2 b=3"),
+            (rank_gen_gamma, (3, 1, 5), (3, 4, 5, 1), "need x >= b - m + 1: m=3 x=1 b=5"),
+            (conjecture_sum, (3, 3, 4), (4, 3, 3, 9), "need 1 <= m <= a < b: m=4 a=3 b=3"),
+        ],
+        ids=["gamma-window", "gamma-x", "limit-window"],
+    )
+    def test_takes_the_window_rule(self, f, args, window, message):
+        # the level-k stratum is the window (k-1, k] at x = n, and the limit
+        # sum is a window at every x: both raise window_sum's texts
+        for call in (lambda: f(*args), lambda: window_sum(*window)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
     def test_is_the_shifted_geometric_product(self):
         # the factor q^(k-m+1) enters as leading zeros of one coefficient list
         for m in range(1, 7):

@@ -238,16 +238,55 @@ def test_the_k_rules_are_stated_once():
     # partitions.require_k_bounded, which every k-Young entry point calls.
     # So are the sweeps' rules on m: sieved's m >= 2 and conjecture-gen's
     # m >= 1 in verify._require_m, conjecture-u's prime m in
-    # verify._require_prime, which the sweep parsers and the verify_* call
+    # verify._require_prime, which the sweep parsers and the verify_* call.
+    # So are the library's rules: the width 1 <= m <= k and n >= 1 in
+    # partitions.require_rectangle, the window in qpoly._check_window, the
+    # covering direction in lattice._require_direction
+    sources = [path.read_text() for path in sorted((ROOT / "src" / "kyoung").rglob("*.py"))]
     fstrings = [
         ast.unparse(node)
-        for path in sorted((ROOT / "src" / "kyoung").rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for source in sources
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.JoinedStr)
     ]
-    rules = ("is not {k}-bounded", "k must be positive", "m must be at least {least}", "m must be prime")
+    rules = (
+        "is not {_echo(k)}-bounded",
+        "k must be positive",
+        "m must be at least {least}",
+        "m must be prime",
+        "need 1 <= m <= k: m=",
+        "need n >= 1: n=",
+        "need 1 <= m <= a < b: m=",
+        "need x >= b - m + 1: m=",
+        "direction must be 'up' or 'down'",
+    )
     for rule in rules:
         assert len([text for text in fstrings if rule in text]) == 1, rule
+    # the texts these rules replaced are gone
+    retired = (
+        "need k >= m",
+        "m and n must be positive",
+        "width must be in 1..k",
+        "need 1 <= m < k",
+        "need m <= a < b",
+    )
+    for text in retired:
+        assert not any(text in source for source in sources), text
+
+
+def test_only_the_checks_table_judges_a_check_name():
+    # the verify subcommand takes any check name and leaves it to
+    # verify._parse_params, so a name is judged alike on the CLI and in a sweep file
+    tree = ast.parse((ROOT / "src" / "kyoung" / "cli.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        and [ast.literal_eval(arg) for arg in node.args[:1]] == ["check"]
+    ]
+    assert len(calls) == 1
+    assert "choices" not in {keyword.arg for keyword in calls[0].keywords}
 
 
 def test_sweep_params_are_parsed_only_by_the_checks_table():

@@ -24,7 +24,6 @@ from kyoung.verify import (
     VerificationReport,
     export,
     is_prime,
-    prime_factors,
     qualifies,
     render,
     run_check,
@@ -84,11 +83,6 @@ class TestHelpers:
                 expected = [p for p in range(lo, hi + 1) if is_prime(p)]
                 assert verify._primes_in(range(lo, hi + 1)) == expected, (lo, hi)
 
-    def test_prime_factors(self):
-        assert prime_factors(12) == [2, 3]
-        assert prime_factors(7) == [7]
-        assert prime_factors(1) == []
-
     def test_qualifies(self):
         assert qualifies(3, 6, 3)
         assert not qualifies(2, 5, 3)
@@ -96,6 +90,17 @@ class TestHelpers:
         assert qualifies(6, 10, 6)
         assert not qualifies(4, 8, 6)
         assert not qualifies(4, 5, 6)
+
+    def test_qualifies_is_the_prime_divisor_rule(self):
+        # the definition: no prime divisor p of m has a = -1 or b = -1 mod p
+        def by_prime_divisors(a, b, m):
+            primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))]
+            return all(a % p != p - 1 and b % p != p - 1 for p in primes)
+
+        for m in range(1, 61):
+            for a in range(-3, 80):
+                for b in range(a, a + 3):
+                    assert qualifies(a, b, m) == by_prime_divisors(a, b, m), (a, b, m)
 
 
 # every family's cells on a grid where each cell holds, by check name
