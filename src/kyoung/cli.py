@@ -122,7 +122,7 @@ def _file_access():
     try:
         yield
     except OSError as exc:
-        raise ValueError(exc) from exc
+        raise ValueError(partitions._cut(str(exc))) from exc  # its text names the path
 
 
 @contextlib.contextmanager
@@ -149,7 +149,7 @@ def _load_sweeps(path: str) -> list[verify.SweepConfig]:
             data = json.load(fh)
         return verify.SweepConfig.list_from_json(data)
     except RecursionError:
-        raise ValueError(f"sweep config nested too deeply: {path}") from None
+        raise ValueError(f"sweep config nested too deeply: {partitions._cut(path)}") from None
 
 
 def _run_sweeps(configs) -> int:

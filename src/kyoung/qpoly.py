@@ -257,12 +257,8 @@ def is_unimodal(p: QPoly) -> bool:
 def is_symmetric(p: QPoly, twice_center: int) -> bool:
     """Whether coefficients satisfy c_i = c_(twice_center - i) for all i."""
     cs = p.coeffs
-    if not cs:
-        return True
-    if twice_center < 0:
-        return False
-    hi = max(len(cs) - 1, twice_center)
-    return all(p.coefficient(i) == p.coefficient(twice_center - i) for i in range(hi + 1))
+    lo = twice_center + 1 - len(cs)  # each c_i below lo pairs with a zero past the top
+    return not cs or lo >= 0 and not any(cs[:lo]) and cs[lo:] == cs[lo:][::-1]
 
 
 def sieved_sums(p: QPoly, m: int) -> list[int]:

@@ -117,7 +117,8 @@ def _primes_in(values: range) -> list[int]:
 
 
 def qualifies(a: int, b: int, m: int) -> bool:
-    """Neither endpoint is -1 mod a prime divisor of m: a + 1 and b + 1 are prime to m."""
+    """Neither endpoint is -1 mod a prime divisor of m: a + 1 and b + 1 are prime to m.
+    qualifies(x, x, m) is the rule's one-endpoint form: whether x may end a window."""
     return math.gcd(a + 1, m) == 1 and math.gcd(b + 1, m) == 1
 
 
@@ -206,9 +207,10 @@ def _sweep(check: str, status: str, cells: Iterable[SweepCell]) -> VerificationR
 def verify_conjecture_u(m: int, k_range: Range, n_range: Range) -> VerificationReport:
     """Unimodality of the stratum generating functions for prime m.
 
-    For k not congruent to -1 or 0 mod m the stratum polynomial itself must
-    be unimodal; for k congruent to -1 and n > k - m + 1 the sum with the
-    next stratum must be.  Cells where no claim is made are skipped.
+    Each claim is a window that qualifies admits: the stratum (k-1, k] itself
+    when it qualifies, else its sum with the next stratum, (k-1, k+1], for
+    n > k - m + 1.  At prime m these are the paper's k not congruent to -1 or
+    0 mod m and k congruent to -1.  Cells where no claim is made are skipped.
     """
     _require_prime(m)
     return _sweep("conjecture-u", "conjecture", _conjecture_u_cells(m, k_range, n_range))
@@ -237,19 +239,18 @@ def _conjecture_u_cells(m: int, k_range: Range, n_range: Range) -> Iterator[Swee
             yield Skip("n < k-m+1", len(n_values) - len(later))
         if not later:
             continue
-        r = k % m
         at_first = later[0] == k - m + 1
-        if r == 0:
-            yield Skip("k = 0 mod m (no claim)", len(later))
-            continue
-        if r == m - 1:
+        if qualifies(k - 1, k, m):
+            b, mode = k, "u_k"
+            boundary += at_first
+        elif qualifies(k - 1, k + 1, m):
             if at_first:
                 yield Skip("k = -1 mod m at n = k-m+1 (no claim)")
                 later = later[1:]
             b, mode = k + 1, "u_k + u_k+1"
         else:
-            b, mode = k, "u_k"
-            boundary += at_first
+            yield Skip("k = 0 mod m (no claim)", len(later))
+            continue
         if later:
             yield from _window_cells(
                 m, k - 1, b, later, lambda n: {"m": m, "k": k, "n": n, "mode": mode}
@@ -294,22 +295,24 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
 def verify_sieved(m: Range, a: Range, b: Range, k: Range | None = None) -> VerificationReport:
     """Sieved-sum identities: equal residue-class totals of the limit-form
     partial sums with cyclotomic vanishing for every divisor d > 1 of m, and,
-    for prime m over the optional k range, equal residue-class totals of the
-    single Gaussian binomial [k-1 choose m-2]_q when k is not congruent to
-    -1 or 0 mod m.
-
-    A window outside m <= a < b, or one that does not qualify, is skipped,
-    whether m, a and b come as ints or as ranges; m < 2 raises ValueError.
+    for prime m over the optional k range, of the single Gaussian binomial
+    [k-1 choose m-2]_q, the window (k-1, k].  Each claim is a window that
+    qualifies admits, which for the single Gaussian at prime m is the paper's
+    k not congruent to -1 or 0 mod m.  A window outside m <= a < b, or one
+    that does not qualify, is skipped, whether m, a and b come as ints or as
+    ranges; m < 2 raises ValueError.
     """
     _require_m(m, 2)
     return _sweep("sieved", "theorem", _sieved_cells(m, a, b, k))
 
 
-def _window_sums(tally: dict[int, list[int]], m: int, a: int, b: int) -> list[int]:
+def _window_sums(tally: dict[int, list[int]], m: int, a: int, b: int) -> tuple[list[int], int]:
     # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
     # telescopes conjecture_sum(a, b, m) to ([b choose m-1]_q - [a choose m-1]_q) over
-    # q^(a-m+2), whose residue r is residue r + a - m + 2 of the two Gaussians.
-    return [tally[b][i % m] - tally[a][i % m] for i in range(a - m + 2, a + 2)]
+    # q^(a-m+2), whose residue r is residue r + a - m + 2 of the two Gaussians.  Its
+    # total at q = 1 is sum C(j-1, m-2), j = a+1 .. b, by the hockey stick.
+    sums = [tally[b][i % m] - tally[a][i % m] for i in range(a - m + 2, a + 2)]
+    return sums, math.comb(b, m - 1) - math.comb(a, m - 1)
 
 
 def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[SweepCell]:
@@ -318,11 +321,12 @@ def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[Swe
     single = 0  # the single-Gaussian cells of every prime m
     for m_val in _as_values(m):
         levels = k_values if is_prime(m_val) else []  # the single-Gaussian half's k
-        claimed = [x for x in levels if x > m_val and x % m_val not in (0, m_val - 1)]
+        claimed = [x for x in levels if x > m_val and qualifies(x - 1, x, m_val)]
         # the windows read the tally to max(b) only if some a puts a b inside m <= a < b
         reads_b = any(m_val <= a_val < b_values[-1] for a_val in a_values)
         top = max([b_values[-1]] * reads_b + claimed, default=-1)
-        reads = range(m_val, top + 1)  # a window's a and a claimed k - 1 are at least m
+        # the ends of a window and of a claimed (k-1, k] are at least m and qualify one by one
+        reads = (x for x in range(m_val, top + 1) if qualifies(x, x, m_val))
         tally = {x: qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in reads}
         for a_val in a_values:
             inside = [b_val for b_val in b_values if m_val <= a_val < b_val]
@@ -332,9 +336,7 @@ def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[Swe
             if len(windows) < len(inside):
                 yield Skip("endpoint = -1 mod a prime divisor of m", len(inside) - len(windows))
             for b_val in windows:
-                sums = _window_sums(tally, m_val, a_val, b_val)
-                # the window at q = 1: sum C(j-1, m-2), j = a+1 .. b, by the hockey stick
-                total = math.comb(b_val, m_val - 1) - math.comb(a_val, m_val - 1)
+                sums, total = _window_sums(tally, m_val, a_val, b_val)
                 # The cyclotomic clause, that the d-th cyclotomic polynomial divides
                 # the window for every d | m with d > 1, says sum sums[r] z^r = 0 at
                 # every m-th root of unity z != 1, each a primitive d-th root for one
@@ -354,13 +356,12 @@ def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[Swe
                 "k <= m or k = -1,0 mod m (no single-gaussian claim)", len(levels) - len(claimed)
             )
         for k_val in claimed:
-            sums = _window_sums(tally, m_val, k_val - 1, k_val)  # [k-1 choose m-2]_q
-            expected = math.comb(k_val - 1, m_val - 2)
-            yield _HOLDS if len(set(sums)) == 1 and sums[0] * m_val == expected else {
+            sums, total = _window_sums(tally, m_val, k_val - 1, k_val)  # [k-1 choose m-2]_q
+            yield _HOLDS if len(set(sums)) == 1 and sums[0] * m_val == total else {
                 "m": m_val,
                 "k": k_val,
                 "sieved_sums": sums,
-                "expected_total": expected,
+                "expected_total": total,
             }
         single += len(claimed)
     if k is not None:
@@ -571,17 +572,17 @@ def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
 def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
     # The grid runs k upward for each m, and every n it takes at level k it
     # took at level k - 1, so the members one level down are the diagram
-    # vertices kept from the pass before.
-    previous: dict[IdealSpec, set[Parts]] = {}
+    # vertices kept from the pass before: one set per n, replaced as k climbs.
+    previous: dict[int, set[Parts]] = {}
     for spec in _grid_cells(g):
         diagram = ideals.hasse_diagram(spec)
         vertices = diagram.vertices()
-        members = previous[spec] = set(vertices)
+        smaller, members = previous.get(spec.n), set(vertices)  # smaller: level k - 1's if k > m
+        previous[spec.n] = members
         if spec.k == spec.m:  # a chain: one member per degree
             chain = [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1)
             yield _HOLDS if chain else asdict(spec)
             continue
-        smaller = previous.pop(IdealSpec(spec.m, spec.n, spec.k - 1))
         gamma = set(ideals.gamma_set(spec))
         ok = members == smaller | gamma and not (smaller & gamma)
         poly = qpoly.window_sum(spec.m, spec.k - 1, spec.k, spec.n)  # the window (k-1, k]

@@ -194,6 +194,15 @@ class TestCommands:
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert not target.parent.exists()
 
+    def test_ideal_out_under_a_long_missing_directory_echoes_briefly(self, tmp_path, capsys):
+        target = tmp_path / ("d" * 4000) / "F"
+        assert main(["ideal", "--m", "3", "--n", "3", "--k", "4", "--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and len(err.encode()) <= 250, err
+        target = tmp_path / "missing" / "F"
+        assert main(["ideal", "--m", "3", "--n", "3", "--k", "4", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.rstrip("\n").endswith(repr(str(target)))
+
     def test_ideal_empty_out_is_usage_error(self, capsys):
         # an empty path names no file: it is not stdout
         assert main(["ideal", "--m", "2", "--n", "2", "--k", "2", "--out", ""]) == 2
@@ -417,6 +426,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_a_long_config_path_echoes_briefly(self, tmp_path, capsys):
+        # the OS error names the path: a long one is cut, a short one is whole
+        assert main(["sweep", "--config", str(tmp_path / ("x" * 5000))]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and len(err.encode()) <= 250, err
+        missing = str(tmp_path / "nope.json")
+        assert main(["sweep", "--config", missing]) == 2
+        assert capsys.readouterr().err.rstrip("\n").endswith(repr(missing))
+
     def test_malformed_config(self, tmp_path, capsys):
         assert main(sweep_argv(tmp_path, "{not json")) == 2
         assert "error:" in capsys.readouterr().err
@@ -530,6 +548,21 @@ class TestSweepCommand:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith(message) and len(proc.stderr.splitlines()) == 1
         assert not first.exists()
+
+    def test_a_deeply_nested_config_echoes_a_long_path_briefly(self, tmp_path):
+        # a path of about 3,600 characters, in directories of 200, that the OS opens
+        where = tmp_path.joinpath(*["d" * 200] * 18)
+        where.mkdir(parents=True)
+        cfg = where / "cfg.json"
+        short = tmp_path / "cfg.json"
+        for path in (cfg, short):
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        message = "error: sweep config nested too deeply: "
+        proc = run_capped(["sweep", "--config", str(cfg)])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == message + str(cfg)[:197] + "...\n"
+        assert len(proc.stderr.encode()) <= 250
+        assert run_capped(["sweep", "--config", str(short)]).stderr == message + str(short) + "\n"
 
     @pytest.mark.parametrize(
         "entry, message",

@@ -431,6 +431,25 @@ class TestShapeTests:
         assert not is_symmetric(QPoly([1]), 2)
         assert not is_symmetric(QPoly([1, 1]), -1)
 
+    def test_symmetric_matches_the_definition(self):
+        """c_i = c_(twice_center - i) for every i, a coefficient outside
+        the tuple reading 0: on every polynomial of at most 6 coefficients
+        in {0, 1, 2} and every center from -2 to 14."""
+
+        def by_definition(p, twice_center):
+            top = max(p.degree, twice_center)
+            return all(p.coefficient(i) == p.coefficient(twice_center - i) for i in range(top + 1))
+
+        verdicts = set()
+        for length in range(7):
+            for coeffs in itertools.product((0, 1, 2), repeat=length):
+                p = QPoly(coeffs)
+                for twice_center in range(-2, 15):
+                    verdict = is_symmetric(p, twice_center)
+                    assert verdict == by_definition(p, twice_center), (coeffs, twice_center)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
 
 class TestSieved:
     def test_sieved_sums_golden(self):

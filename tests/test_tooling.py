@@ -1,6 +1,7 @@
 """The traced benchmark launcher still finds every name it wraps, the
 package imports no source of randomness and no name it leaves unused, and
-verify builds its Gaussians in one place and tallies its reports in one."""
+verify builds its Gaussians in one place, states the window rule in one and
+tallies its reports in one."""
 
 import ast
 import json
@@ -159,6 +160,37 @@ def test_verify_reads_gaussians_only_in_the_sieved_tally():
     assert len(tallies) == 1 and len(calls) == 1
     assert calls[0] in list(ast.walk(tallies[0]))
     assert [ast.unparse(arg) for arg in calls[0].args] == ["x", "m_val - 1"]
+
+
+def test_qualifies_alone_states_the_window_rule():
+    # conjecture-u, conjecture-gen and both halves of sieved claim a window
+    # when verify.qualifies admits it, and the tally keeps the x that
+    # qualifies(x, x, m) admits: a residue mod m only picks a residue total,
+    # never decides a claim, and only qualifies asks whether an endpoint is
+    # prime to m
+    path = ROOT / "src" / "kyoung" / "verify.py"
+    tree = ast.parse(path.read_text(), str(path))
+    residues = {
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and ast.unparse(node.right) in ("m", "m_val")
+    }
+    indices = {
+        node
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Subscript)
+        for node in ast.walk(sub.slice)
+    }
+    assert sorted(ast.unparse(node) for node in residues - indices) == []
+    owners = [
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("gcd", "math.gcd")
+    ]
+    assert set(owners) == {"qualifies"}
 
 
 def test_only_sweep_tallies_a_report():

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import sys
+import weakref
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -101,6 +102,61 @@ class TestHelpers:
             for a in range(-3, 80):
                 for b in range(a, a + 3):
                     assert qualifies(a, b, m) == by_prime_divisors(a, b, m), (a, b, m)
+
+
+class TestWindowRule:
+    """qualifies alone decides which windows the window checks claim."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify_conjecture_u(5, (1, 30), (1, 30)),
+            lambda: verify_conjecture_gen((2, 8), (2, 15), (3, 16), (1, 20)),
+            lambda: verify_sieved((2, 8), (2, 15), (3, 16), (3, 30)),
+        ],
+        ids=["conjecture-u", "conjecture-gen", "sieved"],
+    )
+    def test_no_window_qualifies_no_cell_is_evaluated(self, monkeypatch, run):
+        assert run().grid > 0
+        monkeypatch.setattr(verify, "qualifies", lambda a, b, m: False)
+        rep = run()
+        assert (rep.grid, rep.failed) == (0, 0) and rep.skipped > 0
+
+    def test_every_window_qualifies_conjecture_u_claims_each_stratum(self, monkeypatch):
+        m, k_top = 5, 30
+        read = []
+
+        def recorded(_, a, b, xs):
+            read.append((a, b))
+            return []
+
+        view = SimpleNamespace(**{**vars(qpoly), "window_failures": recorded})
+        monkeypatch.setattr(verify, "qpoly", view)
+        monkeypatch.setattr(verify, "qualifies", lambda a, b, m: True)
+        verify_conjecture_u(m, (1, k_top), (1, 40))
+        assert read == [(k - 1, k) for k in range(m + 1, k_top + 1)]
+
+    def test_the_tally_builds_only_the_gaussians_a_window_can_end_at(self, monkeypatch):
+        """A qualifying window's ends each qualify, so the tally of m builds
+        [x choose m-1]_q only for x + 1 prime to m, and every one a cell reads."""
+        asked = set()
+
+        def recorded_gaussian(x, j):
+            asked.add((x, j + 1))
+            return qpoly.gaussian(x, j)
+
+        view = SimpleNamespace(**{**vars(qpoly), "gaussian": recorded_gaussian})
+        monkeypatch.setattr(verify, "qpoly", view)
+        rep = verify_sieved((2, 12), (2, 25), (3, 26), (3, 40))
+        assert rep.grid > 0 and rep.failed == 0
+        read = set()
+        for m in range(2, 13):
+            ends = [(a, b) for a in range(2, 26) for b in range(3, 27) if m <= a < b]
+            if is_prime(m):
+                ends += [(k - 1, k) for k in range(m + 1, 41)]
+            read.update((x, m) for a, b in ends if qualifies(a, b, m) for x in (a, b))
+        wasted = sorted((x, m) for x, m in asked if math.gcd(x + 1, m) != 1)
+        assert wasted == [] and asked == read, wasted[:5]
 
 
 # every family's cells on a grid where each cell holds, by check name
@@ -498,6 +554,30 @@ class TestSieved:
         # only 23 is prime: k = 24 .. 50, but for 45 = -1 and 46 = 0 mod 23
         assert rep.grid == 25 and max(asked) == 50
 
+    def test_window_sums_meet_q_lucas(self):
+        """At a primitive d-th root of unity, [x choose m-1] is
+        C(x // d, m/d - 1) when x = -1 mod d and 0 otherwise (q-Lucas).  The
+        residue totals of (a, b] are equal exactly when the window vanishes
+        at every m-th root of unity but 1, so exactly when that integer
+        agrees at a and b for every d | m with d > 1: on every window of a
+        full tally, qualifying or not.  Each total is the hockey stick's."""
+
+        def at_root(x, m, d):
+            return math.comb(x // d, m // d - 1) if x % d == d - 1 else 0
+
+        windows = qualifying = 0
+        for m in range(2, 19):
+            tally = {x: qpoly.sieved_sums(qpoly.gaussian(x, m - 1), m) for x in range(m, 61)}
+            divisors = [d for d in range(2, m + 1) if m % d == 0]
+            for a, b in itertools.combinations(range(m, 61), 2):
+                sums, total = verify._window_sums(tally, m, a, b)
+                lucas = all(at_root(a, m, d) == at_root(b, m, d) for d in divisors)
+                assert (len(set(sums)) == 1) == lucas, (m, a, b)
+                assert sum(sums) == total == math.comb(b, m - 1) - math.comb(a, m - 1)
+                windows += 1
+                qualifying += qualifies(a, b, m)
+        assert (windows, qualifying) == (21_879, 8_870)
+
     @staticmethod
     def fail_every_cell(monkeypatch):
         """Add x (1 + q + ... + q^(m-1)) to each [x choose m-1]_q in verify's
@@ -860,6 +940,36 @@ class TestStructure:
         assert calls == Counter(("hasse_diagram", spec) for spec in specs)
         assert sum(calls.values()) == len(specs) == 59
         assert verdicts == [True] * len(specs)
+
+    def test_gamma_keeps_one_member_set_per_n(self, monkeypatch):
+        """structure-gamma reads each member set once, at the level above, so
+        it keeps one member set per n.  When it builds a diagram, the sets it
+        made that are still alive are those, and at most the last cell's
+        stratum and the level below it."""
+
+        class Tracked(set):  # a set that takes weak references
+            pass
+
+        made = []
+
+        def tracked(items):
+            new = Tracked(items)
+            made.append(weakref.ref(new))
+            return new
+
+        most = 0
+
+        def counted(spec):
+            nonlocal most
+            most = max(most, sum(ref() is not None for ref in made))
+            return ideals.hasse_diagram(spec)
+
+        monkeypatch.setattr(verify, "set", tracked, raising=False)
+        view = SimpleNamespace(**{**vars(ideals), "hasse_diagram": counted})
+        monkeypatch.setattr(verify, "ideals", view)
+        grid = verify._Grid(3, 4, 9, 10)
+        assert all(isinstance(cell, Pass) for cell in verify._gamma_cells(grid))
+        assert grid.n_max < most <= grid.n_max + 2, most
 
     def test_gamma_catches_a_step_across_two_strata(self, monkeypatch):
         """An up-edge () -> (1, 1) joins strata 0 and 2.  Added wherever m >= 2
