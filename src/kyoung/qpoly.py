@@ -1,5 +1,6 @@
 """Exact integer q-polynomials: Gaussian binomials, rank generating functions,
-unimodality and symmetry tests, sieved sums, and cyclotomic reduction.
+the window sums of strata and their limit series, unimodality and symmetry
+tests, sieved sums and residue tables mod q^m - 1, and cyclotomic reduction.
 
 Coefficients are arbitrary-precision Python ints in a dense tuple.  A
 geometric factor (1 - q^(st)) / (1 - q^s) is applied to a coefficient list in
@@ -11,10 +12,10 @@ each such division is exact.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import accumulate, islice, starmap
-from operator import ge, gt, index, sub
+from itertools import accumulate, count, cycle, islice, starmap
+from operator import add, ge, gt, index, sub
 
 from .partitions import require_rectangle
 
@@ -218,10 +219,13 @@ def rank_gen_Lk(m: int, n: int, k: int) -> QPoly:
 
     [k+1 choose m]_q plus q^(k+1) times the degree-m geometric sum with
     n-k+m-1 terms times [k choose m-1]_q, at k no larger than m + n - 1.
+    The head is the tail's Gaussian times (1 - q^(k+1)) / (1 - q^m).
     """
     k = _level(m, n, k)
-    tail = times_geometric(gaussian(k, m - 1), m, n - k + m - 1)
-    return gaussian(k + 1, m) + tail.shifted(k + 1)
+    g = gaussian(k, m - 1)
+    head = list(g.coeffs)
+    _times_quotient(head, k + 1, m)
+    return QPoly(head) + times_geometric(g, m, n - k + m - 1).shifted(k + 1)
 
 
 def count_Lk(m: int, n: int, k: int) -> int:
@@ -268,12 +272,39 @@ def sieved_sums(p: QPoly, m: int) -> list[int]:
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
+def gaussian_residues(m: int, top: int) -> Iterator[list[int]]:
+    """sieved_sums([x choose m-1]_q, m) for x = m-1 .. top, with no Gaussian built.
+
+    The m totals are the remainder mod q^m - 1, and q-Pascal,
+    [i+j choose j] = [i+j-1 choose j] + q^i [i+j-1 choose j-1], holds in
+    Z[q]/(q^m - 1), where q^i rotates the totals by i.  So the rows
+    j = 0 .. m-1 are filled for i = x-m+1 = 0, 1, ... in turn, m^2 additions
+    an i, from i = -1, where row 0 is 1 and every other row is 0.
+    """
+    rows = [[1, *[0] * (m - 1)], *([0] * m for _ in range(m - 1))]
+    for i in range(top - m + 2):
+        r = i % m
+        for j in range(1, m):
+            row = rows[j - 1]
+            rows[j] = list(map(add, rows[j], row[-r:] + row[:-r]))
+        yield rows[-1]
+
+
 def _check_window(m: int, a: int, b: int, x: float = math.inf) -> None:
     """The rule of the window (a, b] below (m^x), x infinite in the large-x limit."""
     if not 1 <= m <= a < b:
         raise ValueError(f"need 1 <= m <= a < b: m={m} a={a} b={b}")
     if x < b - m + 1:
         raise ValueError(f"need x >= b - m + 1: m={m} x={x} b={b}")
+
+
+def _limit_series(g: Sequence[int], m: int, size: int) -> list[int]:
+    """g / (1 - q^m) to size >= len(g) terms: a prefix sum with stride m.
+    Past the degree of g it repeats with period m."""
+    f = [*g, *[0] * (size - len(g))]
+    for r in range(m):
+        f[r::m] = accumulate(f[r::m])
+    return f
 
 
 def _window_series(m: int, a: int, b: int, size: int) -> tuple[list[int], list[int]]:
@@ -285,16 +316,50 @@ def _window_series(m: int, a: int, b: int, size: int) -> tuple[list[int], list[i
     D = sum q^(j-m+1) G_j = [b choose m-1]_q - [a choose m-1]_q by q-Pascal,
     and H is D reversed from its lowest term q^(a-m+2), as G_j is palindromic
     of degree (m-2)(j-m+1).  So P_x = S - q^s T.  At m = 1, D = 0.
+
+    Both Gaussians are palindromic, so reversing D about its degree gives
+    H = [b choose m-1]_q - q^((m-1)(b-a)) [a choose m-1]_q.  So with the limit
+    series F_x = [x choose m-1]_q / (1 - q^m), each window is read by
+    subtraction: S = F_b - F_a and T = F_b - q^((m-1)(b-a)) F_a.
     """
-    upper, lower = gaussian(b, m - 1).coeffs, gaussian(a, m - 1).coeffs
-    d = [*map(sub, upper, lower), *upper[len(lower):]]
-    series = []
-    for p in (d, d[a - m + 2:][::-1]):
-        p = p + [0] * (size - len(p))
-        for r in range(m):  # divide by 1 - q^m: a prefix sum with stride m
-            p[r::m] = accumulate(p[r::m])
-        series.append(p)
-    return series[0], series[1]
+    fa, fb = (_limit_series(gaussian(x, m - 1).coeffs, m, size) for x in (a, b))
+    return list(map(sub, fb, fa)), list(map(sub, fb, [0] * ((m - 1) * (b - a)) + fa))
+
+
+class LimitColumn:
+    """The first differences of the limit series F_x = [x choose m-1]_q / (1 - q^m)
+    of one m, for the windows (a, b] that read them in turn.
+
+    G_x = [x choose m-1]_q comes from G_(x-1) by the column recurrence
+    G_x = G_(x-1) (1 - q^x) / (1 - q^(x-m+1)) (Andrews, The Theory of
+    Partitions, ch. 3): one _times_quotient an x, from G_(m-1) = 1.  Each G_x
+    is divided by 1 - q^m once, however many windows read it.  Past deg G_x,
+    F_x repeats with period m, so the difference series is kept to
+    deg G_x + m + 1 terms, one period further, and from deg G_x + 2 on it
+    repeats too.  The callers read windows with a never falling, so a read of
+    (a, b) drops every x below a; a read below that starts the column again.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self._x, self._g = m - 1, [1]  # G_x at x = m - 1
+        self._low = m - 1  # every x below it is dropped
+        self._deltas: dict[int, list[int]] = {}
+
+    def read(self, a: int, b: int) -> tuple[list[int], list[int]]:
+        """The difference series of F_a and of F_b, for m <= a < b."""
+        if a < self._low:
+            self.__init__(self.m)
+        for x in range(self._low, a):
+            self._deltas.pop(x, None)
+        self._low = a
+        while self._x < b:
+            self._x += 1
+            _times_quotient(self._g, self._x, self._x - self.m + 1)
+            if self._x >= a:
+                f = _limit_series(self._g, self.m, len(self._g) + self.m)
+                self._deltas[self._x] = list(map(sub, f, [0, *f]))
+        return self._deltas[a], self._deltas[b]
 
 
 def window_sum(m: int, a: int, b: int, x: int) -> QPoly:
@@ -306,33 +371,54 @@ def window_sum(m: int, a: int, b: int, x: int) -> QPoly:
     return QPoly(p)
 
 
-def window_failures(m: int, a: int, b: int, xs: range) -> list[int]:
+def window_failures(
+    m: int, a: int, b: int, xs: range, column: LimitColumn | None = None
+) -> list[int]:
     """The x of xs, an ascending range, at which window_sum(m, a, b, x) is
     not unimodal.  xs is read only up to the first x from which every larger
-    x passes.
+    x passes.  column is the LimitColumn of m that the caller's windows
+    share; by default the window reads a column of its own.
 
     Every stratum below (m^x) is palindromic about m x / 2, so P_x is too, and
     it is unimodal exactly when it weakly rises from its lowest term
     q^(a-m+2) up to c = floor(m x / 2).  P_x is S below s = m(x+1) - deg D
-    and S - q^s T from s on (see _window_series).  So x passes when S does
-    not fall on [a-m+2, min(c, s-1)] and S - q^s T does not fall on [s-1, c].
+    and S - q^s T from s on, where S = F_b - F_a and T = F_b - q^((m-1)(b-a)) F_a
+    (see _window_series).  So x passes when S does not fall on
+    [a-m+2, min(c, s-1)] and its stretch holds: dS[j] >= dT[j - s] for every
+    j in [s, c].
+
+    A stretch is compared only past the c of the latest x whose stretch held.
+    dT[i] - dT[i-m] is the rise of H at i, and H, D reversed, rises up to
+    deg D / 2, past every stretch, since each stratum of D is unimodal
+    (Sylvester) and centred at or below deg D / 2.  So dT rises with stride m
+    there, and a stretch that held at x holds at each later x up to that c,
+    where s has moved by a multiple of m.
     """
     if not isinstance(xs, range) or xs.step < 1:
         raise ValueError(f"xs must be an ascending range: {xs!r}")
     _check_window(m, a, b, xs[0] if xs else b - m + 1)  # every later x is larger
     top = (m - 1) * (b - m + 1)  # deg D
-    p, t = _window_series(m, a, b, top + m + 1)
-    dp = list(map(sub, p, [0, *p]))  # dp[i] = S[i] - S[i-1]
-    dt = list(map(sub, t, [0, *t]))
+    da, db = (column or LimitColumn(m)).read(a, b)
+    shift = (m - 1) * (b - a)  # len(db) = top + m + 1 = len(da) + shift
+    dp = list(map(sub, db, [*da, *islice(cycle(da[-m:]), shift)]))  # dp[i] = S[i] - S[i-1]
+    dt = list(map(sub, db, [0] * shift + da))
     # past deg D, S repeats with period m, so its first fall, if any, is by deg D + m
-    fall = next((i for i in range(a - m + 3, top + m + 1) if dp[i] < 0), math.inf)
+    lo = a - m + 3
+    fall = math.inf if min(dp[lo:], default=0) >= 0 else next(i for i in count(lo) if dp[i] < 0)
+    held = 0  # dp[j] >= dt[j - s] for every j below it, at every later x
     failures = []
     for x in xs:
         s, c = m * (x + 1) - top, m * x // 2
         if s > c and fall == math.inf:  # s - c grows with x: every later x passes
             break
+        if fall <= c and fall < s:
+            failures.append(x)
+            continue
         # the stretch [s, c] is empty when s > c, and inside dp when s <= c: then c <= deg D - m
-        if fall <= min(c, s - 1) or not all(map(ge, dp[s:c + 1], dt)):
+        j = s if s > held else held
+        if all(map(ge, dp[j:c + 1], dt[j - s:c + 1 - s])):
+            held = c + 1 if c >= held else held
+        else:
             failures.append(x)
     return failures
 

@@ -217,10 +217,12 @@ def verify_conjecture_u(m: int, k_range: Range, n_range: Range) -> VerificationR
 
 
 def _window_cells(
-    m: int, a: int, b: int, n_values: range, where: Callable[[int], dict]
+    column: qpoly.LimitColumn, a: int, b: int, n_values: range, where: Callable[[int], dict]
 ) -> Iterator[SweepCell]:
-    """One unimodality cell per n in the range n_values of the window (a, b]."""
-    failures = qpoly.window_failures(m, a, b, n_values)
+    """One unimodality cell per n in the range n_values of the window (a, b],
+    read off column, the LimitColumn of m that the check's windows share."""
+    m = column.m
+    failures = qpoly.window_failures(m, a, b, n_values, column)
     for n in failures:
         yield {**where(n), "coefficients": qpoly.window_sum(m, a, b, n).to_json_list()}
     yield Pass(len(n_values) - len(failures))
@@ -230,6 +232,7 @@ def _conjecture_u_cells(m: int, k_range: Range, n_range: Range) -> Iterator[Swee
     yield Note(f"m={m}")
     boundary = 0
     n_values = _as_values(n_range)
+    column = qpoly.LimitColumn(m)  # its windows (k-1, b] come with k ascending
     for k in _as_values(k_range):
         if k <= m:
             yield Skip("k <= m", len(n_values))
@@ -253,7 +256,7 @@ def _conjecture_u_cells(m: int, k_range: Range, n_range: Range) -> Iterator[Swee
             continue
         if later:
             yield from _window_cells(
-                m, k - 1, b, later, lambda n: {"m": m, "k": k, "n": n, "mode": mode}
+                column, k - 1, b, later, lambda n: {"m": m, "k": k, "n": n, "mode": mode}
             )
     yield Note(f"boundary n = k-m+1 cells evaluated under the k != -1,0 clause: {boundary}")
 
@@ -272,6 +275,7 @@ def verify_conjecture_gen(m: Range, a: Range, b: Range, n: Range) -> Verificatio
 def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[SweepCell]:
     m_values, a_values, b_values, n_values = map(_as_values, (m, a, b, n))
     for m_val in m_values:
+        column = qpoly.LimitColumn(m_val)  # its windows (a, b] come with a ascending
         for a_val in a_values:
             if a_val < m_val:
                 yield Skip("a < m", len(b_values) * len(n_values))
@@ -288,7 +292,7 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
                     yield Skip("n < b-m+1", len(n_values) - len(later))
                 if later:
                     yield from _window_cells(
-                        m_val, a_val, b_val, later, lambda n: dict(m=m_val, a=a_val, b=b_val, n=n)
+                        column, a_val, b_val, later, lambda n: dict(m=m_val, a=a_val, b=b_val, n=n)
                     )
 
 
@@ -301,6 +305,11 @@ def verify_sieved(m: Range, a: Range, b: Range, k: Range | None = None) -> Verif
     k not congruent to -1 or 0 mod m.  A window outside m <= a < b, or one
     that does not qualify, is skipped, whether m, a and b come as ints or as
     ranges; m < 2 raises ValueError.
+
+    Every cell is read off one tally per m: the residue totals of
+    [x choose m-1]_q, its remainder mod q^m - 1, which
+    qpoly.gaussian_residues fills by q-Pascal in that ring, so no Gaussian
+    is built.
     """
     _require_m(m, 2)
     return _sweep("sieved", "theorem", _sieved_cells(m, a, b, k))
@@ -311,8 +320,8 @@ def _window_sums(tally: dict[int, list[int]], m: int, a: int, b: int) -> tuple[l
     # telescopes conjecture_sum(a, b, m) to ([b choose m-1]_q - [a choose m-1]_q) over
     # q^(a-m+2), whose residue r is residue r + a - m + 2 of the two Gaussians.  Its
     # total at q = 1 is sum C(j-1, m-2), j = a+1 .. b, by the hockey stick.
-    sums = [tally[b][i % m] - tally[a][i % m] for i in range(a - m + 2, a + 2)]
-    return sums, math.comb(b, m - 1) - math.comb(a, m - 1)
+    d = list(map(operator.sub, tally[b], tally[a]))
+    return d[(a + 2) % m:] + d[:(a + 2) % m], math.comb(b, m - 1) - math.comb(a, m - 1)
 
 
 def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[SweepCell]:
@@ -326,8 +335,8 @@ def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[Swe
         reads_b = any(m_val <= a_val < b_values[-1] for a_val in a_values)
         top = max([b_values[-1]] * reads_b + claimed, default=-1)
         # the ends of a window and of a claimed (k-1, k] are at least m and qualify one by one
-        reads = (x for x in range(m_val, top + 1) if qualifies(x, x, m_val))
-        tally = {x: qpoly.sieved_sums(qpoly.gaussian(x, m_val - 1), m_val) for x in reads}
+        residues = enumerate(qpoly.gaussian_residues(m_val, top), m_val - 1)
+        tally = {x: sums for x, sums in residues if x >= m_val and qualifies(x, x, m_val)}
         for a_val in a_values:
             inside = [b_val for b_val in b_values if m_val <= a_val < b_val]
             if len(inside) < len(b_values):

@@ -315,7 +315,7 @@ class TestVerifyCommand:
         assert "unknown params for structure: ['k']" in capsys.readouterr().err
 
     def test_verify_counterexample_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(qpoly, "window_failures", lambda m, a, b, xs: list(xs))
+        monkeypatch.setattr(qpoly, "window_failures", lambda m, a, b, xs, column: list(xs))
         code = main(["verify", "conjecture-u", "--m", "3", "--k", "4:6", "--n", "4:8"])
         out = capsys.readouterr().out
         assert code == 1

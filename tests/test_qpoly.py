@@ -1,6 +1,8 @@
 """Exact q-polynomials, Gaussian binomials, generating functions, cyclotomics."""
 
 import itertools
+import math
+import operator
 import random
 import re
 from functools import lru_cache
@@ -254,9 +256,11 @@ class TestGaussian:
             assert gaussian(a, a + 1).is_zero()
 
     def test_cache_holds_only_requested_values(self):
+        # rank_gen_Lk reads [k choose m-1]_q alone: its head is that Gaussian
+        # times (1 - q^(k+1)) / (1 - q^m)
         gaussian.cache_clear()
         rank_gen_Lk(68, 69, 136)
-        assert gaussian.cache_info().currsize == 2
+        assert gaussian.cache_info().currsize == 1
 
     def test_specializes_to_binomial(self):
         for a in range(9):
@@ -274,6 +278,30 @@ class TestGaussian:
         for a in range(8):
             for b in range(a + 1):
                 assert gaussian(a, b) == gaussian(a, a - b)
+
+    def test_limit_column_matches_the_product_formula(self):
+        """LimitColumn(m) walks [x choose m-1]_q up by the column recurrence.
+        Under each difference series it reads lies the product formula's
+        Gaussian, and the limit series repeats with period m past its
+        degree.  Every x up to 300 is read for m = 2 and 3; for larger m the
+        product formula is dear, so x runs to m + 40 and then reads 300,
+        which the column reaches by the same walk.  A read whose a falls
+        starts the column again."""
+        product = gaussian.__wrapped__  # the product formula, past the memo
+
+        def gaussian_under(delta, m):
+            # G = F (1 - q^m), F the running sums of the differences
+            f = list(itertools.accumulate(delta))
+            return [c - (f[i - m] if i >= m else 0) for i, c in enumerate(f)]
+
+        for m in (2, 3, 17, 31, 60):
+            column = qpoly.LimitColumn(m)
+            xs = range(m, 301) if m < 4 else [*range(m, m + 41), 300, m]
+            for x in xs:
+                below, above = column.read(x, x + 1)
+                for y, delta in ((x, below), (x + 1, above)):
+                    expected = [*product(y, m - 1).coeffs, *[0] * m]
+                    assert gaussian_under(delta, m) == expected, (m, y)
 
 
 class TestRankGen:
@@ -337,6 +365,16 @@ class TestRankGen:
                     rv = rank_vector(enumerate_ideal(spec), spec.top_rank)
                     assert rank_gen_Lk(m, n, k) == rv, spec
                     assert rank_gen_Lk(m, n, k).degree == spec.top_rank
+
+    def test_head_is_the_product_formula_gaussian(self):
+        # rank_gen_Lk takes its head, [k+1 choose m]_q, from the tail's
+        # [k choose m-1]_q.  At n = k - m + 1 the tail is 0, and one step on it
+        # is q^(k+1) [k choose m-1]_q
+        cases = [(m, k) for m in range(1, 13) for k in range(m, 41)] + [(68, 136), (68, 137)]
+        for m, k in cases:
+            head, tail = gaussian(k + 1, m), gaussian(k, m - 1).shifted(k + 1)
+            assert rank_gen_Lk(m, k - m + 1, k) == head, (m, k)
+            assert rank_gen_Lk(m, k - m + 2, k) == head + tail, (m, k)
 
 
 class TestGammaGen:
@@ -469,6 +507,16 @@ class TestSieved:
         with pytest.raises(ValueError):
             sieved_sums(QPoly.one(), 0)
 
+    def test_gaussian_residues_are_the_sieved_sums(self):
+        # q-Pascal mod q^m - 1 against the residue totals of the product
+        # formula's Gaussians; x starts at m - 1 and stops at top
+        for m in range(2, 20):
+            residues = list(enumerate(qpoly.gaussian_residues(m, 80), m - 1))
+            assert [x for x, _ in residues] == list(range(m - 1, 81))
+            for x, sums in residues:
+                assert sums == sieved_sums(gaussian(x, m - 1), m), (m, x)
+            assert list(qpoly.gaussian_residues(m, m - 2)) == []
+
 
 def finite_strata_by_addition(m, n, a, b):
     """Oracle: the strata at levels a+1 .. b, one QPoly addition a level;
@@ -517,6 +565,32 @@ def check_window(m, a, b, oracle, xs):
     return failing
 
 
+def failures_by_full_scan(m, a, b, xs):
+    """Oracle: the x of xs at which the window (a, b] falls before its
+    centre, with every stretch compared in full and no x left unread.
+    S = D / (1 - q^m) and T = H / (1 - q^m) come from the product formula's
+    D = [b choose m-1]_q - [a choose m-1]_q and H, D reversed from its lowest
+    term (see qpoly._window_series); P_x is S - q^s T with s = m(x+1) - deg D."""
+    top = (m - 1) * (b - m + 1)
+    d = list((gaussian(b, m - 1) - gaussian(a, m - 1)).coeffs)
+
+    def differences(p):  # of p / (1 - q^m), to deg D + m + 1 terms
+        p = p + [0] * (top + m + 1 - len(p))
+        for r in range(m):
+            p[r::m] = itertools.accumulate(p[r::m])
+        return [y - x for x, y in zip([0, *p], p)]
+
+    dp, dt = differences(d), differences(d[a - m + 2:][::-1])
+    # past deg D, S repeats with period m, so it falls somewhere iff it falls by deg D + m
+    fall = next((i for i in range(a - m + 3, top + m + 1) if dp[i] < 0), math.inf)
+    failing = []
+    for x in xs:
+        s, c = m * (x + 1) - top, m * x // 2
+        if fall <= min(c, s - 1) or not all(map(operator.ge, dp[s:c + 1], dt)):
+            failing.append(x)
+    return failing
+
+
 class TestStrataWalk:
     """The stratum windows walked over x: window_sum and window_failures
     against the per-x oracles at each window's first x, and on both sides of
@@ -551,6 +625,26 @@ class TestStrataWalk:
         # windows decided at their first x, and windows decided many x in
         assert outcomes == {True, False}
         assert 0 in offsets and max(offsets) >= 5
+
+    def test_every_window_matches_the_full_scan(self):
+        """window_failures, which compares each stretch only past the last
+        one that held and stops at the first x from which every later x
+        passes, against the full scan of 250 n on every window of m 2-12
+        and m <= a < b <= 36, qualifying or not: with one LimitColumn per m
+        read in ascending a, as the checks read it, and with a column of
+        the window's own."""
+        windows = failing = 0
+        for m in range(2, 13):
+            column = qpoly.LimitColumn(m)
+            for a in range(m, 37):
+                for b in range(a + 1, 37):
+                    xs = range(b - m + 1, b - m + 251)
+                    expected = failures_by_full_scan(m, a, b, xs)
+                    assert window_failures(m, a, b, xs, column) == expected, (m, a, b)
+                    assert window_failures(m, a, b, xs) == expected, (m, a, b)
+                    windows += 1
+                    failing += bool(expected)
+        assert (windows, failing) == (4_840, 2_814)
 
     def test_a_descent_in_xs_raises(self):
         # (5, 8] at m = 3 fails at x = 6 and is decided as passing from x = 7

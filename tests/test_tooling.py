@@ -32,35 +32,42 @@ def test_traced_launcher_runs_and_reads_gaussian_cache(tmp_path):
     assert "cache_size" in layers["qpoly.gaussian"]
 
 
+QSERIES_IDLE = {"qpoly.gaussian", "qpoly.predicates", "qpoly.series"}
+
+
 @pytest.mark.parametrize(
-    "cli_args, expected",
+    "cli_args, expected, idle",
     [
         (
             ["verify", "sieved", "--m", "2:6", "--a", "2:9", "--b", "3:10", "--k", "3:12"],
-            {"qpoly.gaussian", "qpoly.predicates"},
+            {"verify"},
+            QSERIES_IDLE,
         ),
         (
             ["verify", "conjecture-gen", "--m", "2:4", "--a", "2:6", "--b", "3:7", "--n", "1:6"],
-            {"qpoly.gaussian"},
+            {"verify"},
+            QSERIES_IDLE,
         ),
         (
             ["rankgen", "--m", "3", "--n", "3", "--k", "4"],
-            {"qpoly.series", "qpoly.add"},
+            {"qpoly.gaussian", "qpoly.series", "qpoly.add"},
+            set(),
         ),
     ],
     ids=["sieved", "conjecture-gen", "rankgen"],
 )
-def test_traced_launcher_times_the_qseries_layers(tmp_path, cli_args, expected):
-    # sieved and conjecture-gen read Gaussians.  sieved tests its residue
-    # sums (qpoly.predicates); conjecture-gen decides each window in
-    # window_failures from two Gaussians, with no is_unimodal.  Neither
-    # reaches qpoly.series: sieved divides by no cyclotomic, since its
-    # cyclotomic clause is that a window's residue sums are equal, and
-    # conjecture-gen needs no rank_gen_gamma.  rankgen reaches qpoly.series
-    # through rank_gen_Lk, which adds two QPolys (QPoly.__add__)
+def test_traced_launcher_times_the_qseries_layers(tmp_path, cli_args, expected, idle):
+    # sieved reads the residue totals of qpoly.gaussian_residues and
+    # conjecture-gen the series of a qpoly.LimitColumn, neither of them a
+    # span: their time is verify's.  Neither builds a Gaussian nor calls a
+    # predicate or a series: sieved's cyclotomic clause is that a window's
+    # residue sums are equal, and window_failures calls no is_unimodal.
+    # rankgen reaches qpoly.series through rank_gen_Lk, which reads one
+    # Gaussian and adds two QPolys (QPoly.__add__)
     layers = run_traced(tmp_path, cli_args)
     assert expected <= set(layers)
     assert all(layers[name]["calls"] > 0 for name in expected)
+    assert all(layers.get(name, {}).get("calls", 0) == 0 for name in idle)
 
 
 def test_traced_launcher_times_the_structure_layers(tmp_path):
@@ -137,29 +144,39 @@ def test_no_module_imports_a_name_it_never_uses():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
-def test_verify_reads_gaussians_only_in_the_sieved_tally():
+def test_verify_fills_residues_only_for_the_sieved_tally():
     # the level-k stratum comes from qpoly.window_sum, whose closed form
-    # rank_gen_gamma is the tests' oracle, and sieved reads both of its
-    # halves off one tally of [x choose m-1]_q
+    # rank_gen_gamma is the tests' oracle; sieved reads both of its halves
+    # off one tally of the residue totals of [x choose m-1]_q, filled in one
+    # place; the window checks read one LimitColumn per m; and verify
+    # builds no Gaussian
     path = ROOT / "src" / "kyoung" / "verify.py"
-    nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+    tree = ast.parse(path.read_text(), str(path))
+    nodes = list(ast.walk(tree))
     names = {node.id for node in nodes if isinstance(node, ast.Name)}
     names.update(node.attr for node in nodes if isinstance(node, ast.Attribute))
     names.update(node.name for node in nodes if isinstance(node, ast.alias))
-    assert "rank_gen_gamma" not in names
-    tallies = [
+    assert not {"rank_gen_gamma", "gaussian", "sieved_sums"} & names
+    calls = {
+        name: [
+            (f.name, [ast.unparse(arg) for arg in node.args])
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == f"qpoly.{name}"
+        ]
+        for name in ("gaussian_residues", "LimitColumn")
+    }
+    assert calls == {
+        "gaussian_residues": [("_sieved_cells", ["m_val", "top"])],
+        "LimitColumn": [("_conjecture_u_cells", ["m"]), ("_conjecture_gen_cells", ["m_val"])],
+    }
+    (tally,) = [
         node.value
         for node in nodes
         if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["tally"]
     ]
-    calls = [
-        node
-        for node in nodes
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("gaussian", "qpoly.gaussian")
-    ]
-    assert len(tallies) == 1 and len(calls) == 1
-    assert calls[0] in list(ast.walk(tallies[0]))
-    assert [ast.unparse(arg) for arg in calls[0].args] == ["x", "m_val - 1"]
+    assert ast.unparse(tally.generators[0].iter) == "residues"
 
 
 def test_qualifies_alone_states_the_window_rule():

@@ -126,7 +126,7 @@ class TestWindowRule:
         m, k_top = 5, 30
         read = []
 
-        def recorded(_, a, b, xs):
+        def recorded(_, a, b, xs, column):
             read.append((a, b))
             return []
 
@@ -136,17 +136,22 @@ class TestWindowRule:
         verify_conjecture_u(m, (1, k_top), (1, 40))
         assert read == [(k - 1, k) for k in range(m + 1, k_top + 1)]
 
-    def test_the_tally_builds_only_the_gaussians_a_window_can_end_at(self, monkeypatch):
-        """A qualifying window's ends each qualify, so the tally of m builds
-        [x choose m-1]_q only for x + 1 prime to m, and every one a cell reads."""
+    def test_the_tally_keeps_only_the_residues_a_window_can_end_at(self, monkeypatch):
+        """A qualifying window's ends each qualify, so the tally of m keeps the
+        residue totals of [x choose m-1]_q only for x + 1 prime to m, and every
+        one a cell reads.  No Gaussian is built."""
         asked = set()
 
-        def recorded_gaussian(x, j):
-            asked.add((x, j + 1))
-            return qpoly.gaussian(x, j)
+        def recorded_sums(tally, m, a, b):
+            asked.update((x, m) for x in tally)
+            return window_sums(tally, m, a, b)
 
-        view = SimpleNamespace(**{**vars(qpoly), "gaussian": recorded_gaussian})
-        monkeypatch.setattr(verify, "qpoly", view)
+        def unused(*args):
+            raise AssertionError("sieved built a Gaussian")
+
+        window_sums = verify._window_sums
+        monkeypatch.setattr(verify, "_window_sums", recorded_sums)
+        monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), "gaussian": unused}))
         rep = verify_sieved((2, 12), (2, 25), (3, 26), (3, 40))
         assert rep.grid > 0 and rep.failed == 0
         read = set()
@@ -157,6 +162,15 @@ class TestWindowRule:
             read.update((x, m) for a, b in ends if qualifies(a, b, m) for x in (a, b))
         wasted = sorted((x, m) for x, m in asked if math.gcd(x + 1, m) != 1)
         assert wasted == [] and asked == read, wasted[:5]
+
+    def test_the_q_series_checks_fill_no_gaussian_memo(self):
+        # sieved reads residue tables and the window checks read LimitColumns,
+        # so none of the three fills gaussian's unbounded memo
+        qpoly.gaussian.cache_clear()
+        assert verify_sieved((2, 12), (2, 25), (3, 26), (3, 40)).grid > 0
+        assert verify_conjecture_gen((2, 8), (2, 15), (3, 16), (1, 20)).grid > 0
+        assert verify_conjecture_u(5, (1, 30), (1, 30)).grid > 0
+        assert qpoly.gaussian.cache_info().currsize == 0
 
 
 # every family's cells on a grid where each cell holds, by check name
@@ -275,7 +289,9 @@ class TestConjectureU:
             failing.update((k, n) for n, _ in sums[inserted.index(True) + 1:])
         # the window of level k is (k-1, k] or (k-1, k+1]
         monkeypatch.setattr(
-            qpoly, "window_failures", lambda m, a, b, xs: [x for x in xs if (a + 1, x) in failing]
+            qpoly,
+            "window_failures",
+            lambda m, a, b, xs, column: [x for x in xs if (a + 1, x) in failing],
         )
         rep = verify_conjecture_u(m, k_r, n_r)
         expected = [
@@ -288,7 +304,7 @@ class TestConjectureU:
         assert (rep.grid, rep.failed) == (len(cells), len(expected))
 
     def test_counterexamples_recorded_not_raised(self, monkeypatch):
-        monkeypatch.setattr(qpoly, "window_failures", lambda m, a, b, xs: list(xs))
+        monkeypatch.setattr(qpoly, "window_failures", lambda m, a, b, xs, column: list(xs))
         rep = verify_conjecture_u(3, (4, 6), (4, 8))
         assert rep.failed == rep.grid > 0
         assert not rep.all_pass()
@@ -347,7 +363,9 @@ class TestConjectureGen:
             if True in inserted:
                 failing.update((m, a, b, n) for n, _ in sums[inserted.index(True) + 1:])
         monkeypatch.setattr(
-            qpoly, "window_failures", lambda m, a, b, xs: [x for x in xs if (m, a, b, x) in failing]
+            qpoly,
+            "window_failures",
+            lambda m, a, b, xs, column: [x for x in xs if (m, a, b, x) in failing],
         )
         rep = verify_conjecture_gen(m_r, a_r, b_r, n_r)
         expected = [
@@ -366,9 +384,9 @@ class TestConjectureGen:
         the grid grows by exactly the added n of each window."""
         real = qpoly.window_failures
 
-        def counting(m, a, b, xs):
+        def counting(m, a, b, xs, column):
             walked.append((m, a, b, xs.start))
-            return real(m, a, b, xs)
+            return real(m, a, b, xs, column)
 
         monkeypatch.setattr(qpoly, "window_failures", counting)
         monkeypatch.setattr(qpoly, "window_sum", lambda *args: built.append(args))
@@ -390,13 +408,14 @@ class TestWalkCells:
 
     def test_a_passing_window_passes_in_one_batch(self):
         # m = 5, window (6, 8]: every n passes, as one batch
-        cells = verify._window_cells(5, 6, 8, range(4, 100), lambda n: {"n": n})
+        cells = verify._window_cells(qpoly.LimitColumn(5), 6, 8, range(4, 100), lambda n: {"n": n})
         assert list(cells) == [Pass(96)]
 
     def test_a_window_that_does_not_qualify_fails_for_good(self):
         # m = 3, window (3, 5], 5 = -1 mod 3: from n = 5 on each sum inserts
         # the block (3, 2, 2) again, so every later n fails
-        cells = list(verify._window_cells(3, 3, 5, range(3, 12), lambda n: {"n": n}))
+        column = qpoly.LimitColumn(3)
+        cells = list(verify._window_cells(column, 3, 5, range(3, 12), lambda n: {"n": n}))
         expected = [
             {"n": n, "coefficients": finite_strata_by_addition(3, n, 3, 5).to_json_list()}
             for n in range(5, 12)
@@ -454,12 +473,7 @@ class TestSieved:
         total of the window (a, b] rises by b - a, so the sums stay equal and
         still vanish mod every cyclotomic divisor, and only the total can see
         it."""
-
-        def padded_gaussian(x, j):
-            return qpoly.gaussian(x, j) + x * qpoly.QPoly.geometric(1, m)
-
-        view = SimpleNamespace(**{**vars(qpoly), "gaussian": padded_gaussian})
-        monkeypatch.setattr(verify, "qpoly", view)
+        self.fail_every_cell(monkeypatch)
         rep = verify_sieved(m, (m, m + 6), (m + 1, m + 8))
         assert rep.grid > 0 and rep.failed == rep.grid
         for cx in rep.counterexamples:
@@ -484,11 +498,7 @@ class TestSieved:
         def unused(*args):
             raise AssertionError("sieved divided by a cyclotomic")
 
-        def padded_gaussian(x, j):  # the tally reads [x choose m-1]_q
-            return qpoly.gaussian(x, j) + x * qpoly.QPoly.geometric(1, j + 1)
-
-        names = {"gaussian": padded_gaussian, "vanishes_mod_cyclotomic": unused}
-        monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
+        self.fail_every_cell(monkeypatch, vanishes_mod_cyclotomic=unused)
         monkeypatch.setattr(verify, "qualifies", lambda a, b, m: True)
         rep = verify_sieved((2, 8), (2, 14), (3, 15))
         assert rep.grid > 0 and rep.failed == rep.grid
@@ -504,22 +514,23 @@ class TestSieved:
 
     def test_windows_need_no_strata(self, monkeypatch):
         """The windows and the single-Gaussian cells are read from the
-        residue totals of Gaussians [x choose m-1]_q, never from a sum of
-        strata, with x from m up to the largest b or claimed k of that m.
-        m = 2 claims no k, so however far k runs, no Gaussian past b is
-        built, and the one window (2003, 2004] reads no Gaussian below 2003."""
+        residue totals of [x choose m-1]_q, never from a sum of strata or a
+        Gaussian, with x from m - 1 up to the largest b or claimed k of that
+        m.  m = 2 claims no k, so however far k runs, no residue past b is
+        filled, and the one window (2003, 2004] fills none below 2002."""
 
         def unused(*args):
-            raise AssertionError("sieved summed strata")
+            raise AssertionError("sieved summed strata or built a Gaussian")
 
         asked = set()
 
-        def recorded_gaussian(x, j):
-            asked.add((x, j))
-            return qpoly.gaussian(x, j)
+        def recorded_residues(m, top):
+            for x, sums in enumerate(qpoly.gaussian_residues(m, top), m - 1):
+                asked.add((x, m - 1))
+                yield sums
 
         names = {"window_sum": unused, "rank_gen_gamma": unused, "conjecture_sum": unused}
-        names["gaussian"] = recorded_gaussian
+        names.update(gaussian=unused, gaussian_residues=recorded_residues)
         monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
         cases = [((2, 14), (2, 32), (3, 33), (3, 55)), (2, (2, 9), (3, 10), (3, 10**6))]
         for m, a, b, k in [*cases, (2003, 2003, 2004, 3)]:
@@ -533,20 +544,21 @@ class TestSieved:
                 if is_prime(m_val):
                     claimed = [x for x in k_values if x > m_val and x % m_val not in (0, m_val - 1)]
                     top = max([top, *claimed])
-                allowed.update((x, m_val - 1) for x in range(m_val, top + 1))
+                allowed.update((x, m_val - 1) for x in range(m_val - 1, top + 1))
             assert asked and asked <= allowed, sorted(asked - allowed)[:5]
 
     def test_tally_stops_at_the_largest_b_or_k_read(self, monkeypatch):
-        """An m whose windows all lie outside m <= a < b builds no Gaussian
-        for them: with no k, none at all, and with k, none past its largest
-        claimed k, however far b runs."""
+        """An m whose windows all lie outside m <= a < b fills no residue
+        totals for them: with no k, none at all, and with k, none past its
+        largest claimed k, however far b runs."""
         asked = []
 
-        def recorded_gaussian(x, j):
-            asked.append(x)
-            return qpoly.gaussian(x, j)
+        def recorded_residues(m, top):
+            for x, sums in enumerate(qpoly.gaussian_residues(m, top), m - 1):
+                asked.append(x)
+                yield sums
 
-        view = SimpleNamespace(**{**vars(qpoly), "gaussian": recorded_gaussian})
+        view = SimpleNamespace(**{**vars(qpoly), "gaussian_residues": recorded_residues})
         monkeypatch.setattr(verify, "qpoly", view)
         rep = verify_sieved((20, 40), (2, 19), (3, 200))
         assert (rep.grid, rep.skipped, asked) == (0, 21 * 18 * 198, [])
@@ -558,37 +570,41 @@ class TestSieved:
         """At a primitive d-th root of unity, [x choose m-1] is
         C(x // d, m/d - 1) when x = -1 mod d and 0 otherwise (q-Lucas).  The
         residue totals of (a, b] are equal exactly when the window vanishes
-        at every m-th root of unity but 1, so exactly when that integer
-        agrees at a and b for every d | m with d > 1: on every window of a
+        at every m-th root of unity but 1, so exactly when those integers
+        agree at a and b for every d | m with d > 1: on every window of a
         full tally, qualifying or not.  Each total is the hockey stick's."""
-
-        def at_root(x, m, d):
-            return math.comb(x // d, m // d - 1) if x % d == d - 1 else 0
-
         windows = qualifying = 0
-        for m in range(2, 19):
-            tally = {x: qpoly.sieved_sums(qpoly.gaussian(x, m - 1), m) for x in range(m, 61)}
+        for m in range(2, 41):
+            tally = dict(enumerate(qpoly.gaussian_residues(m, 200), m - 1))
             divisors = [d for d in range(2, m + 1) if m % d == 0]
-            for a, b in itertools.combinations(range(m, 61), 2):
+            roots = {
+                x: [math.comb(x // d, m // d - 1) if x % d == d - 1 else 0 for d in divisors]
+                for x in tally
+            }
+            totals = {x: math.comb(x, m - 1) for x in tally}
+            for a, b in itertools.combinations(range(m, 201), 2):
                 sums, total = verify._window_sums(tally, m, a, b)
-                lucas = all(at_root(a, m, d) == at_root(b, m, d) for d in divisors)
-                assert (len(set(sums)) == 1) == lucas, (m, a, b)
-                assert sum(sums) == total == math.comb(b, m - 1) - math.comb(a, m - 1)
+                assert (len(set(sums)) == 1) == (roots[a] == roots[b]), (m, a, b)
+                assert sum(sums) == total == totals[b] - totals[a], (m, a, b)
                 windows += 1
-                qualifying += qualifies(a, b, m)
-        assert (windows, qualifying) == (21_879, 8_870)
+            ends = sum(qualifies(x, x, m) for x in range(m, 201))
+            qualifying += ends * (ends - 1) // 2
+        assert (windows, qualifying) == (630_760, 259_264)
 
     @staticmethod
-    def fail_every_cell(monkeypatch):
+    def fail_every_cell(monkeypatch, **names):
         """Add x (1 + q + ... + q^(m-1)) to each [x choose m-1]_q in verify's
-        view of qpoly: each residue total of the window (a, b] rises by
-        b - a, so every cell fails on its total and yields its counterexample."""
+        view of qpoly, which adds x to each of its residue totals: each
+        residue total of the window (a, b] rises by b - a, so every cell
+        fails on its total and yields its counterexample.  names replace
+        further attributes of the view."""
 
-        def padded_gaussian(x, j):
-            return qpoly.gaussian(x, j) + x * qpoly.QPoly.geometric(1, j + 1)
+        def padded_residues(m, top):
+            for x, sums in enumerate(qpoly.gaussian_residues(m, top), m - 1):
+                yield [total + x for total in sums]
 
-        view = SimpleNamespace(**{**vars(qpoly), "gaussian": padded_gaussian})
-        monkeypatch.setattr(verify, "qpoly", view)
+        names.setdefault("gaussian_residues", padded_residues)
+        monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), **names}))
 
     def test_single_gaussian_cells_are_the_windows_one_level_wide(self, monkeypatch):
         """[k choose m-1]_q - [k-1 choose m-1]_q = q^(k-m+1) [k-1 choose m-2]_q,
@@ -605,19 +621,20 @@ class TestSieved:
             assert cx["expected_total"] == math.comb(k - 1, m - 2), cx
 
     def test_each_m_is_done_before_the_next_tally(self, monkeypatch):
-        """On the benchmark's sieved grid, each m builds its tally of
-        [x choose m-1]_q and yields all its cells, the single-Gaussian half
-        included, before the next m builds anything.  Every cell fails, so
-        each names its m."""
+        """On the benchmark's sieved grid, each m fills its tally of the
+        residue totals of [x choose m-1]_q and yields all its cells, the
+        single-Gaussian half included, before the next m fills anything.
+        Every cell fails, so each names its m."""
         seen = []
         self.fail_every_cell(monkeypatch)
-        padded = verify.qpoly.gaussian
+        padded = verify.qpoly.gaussian_residues
 
-        def recorded_gaussian(x, j):
-            seen.append(j + 1)
-            return padded(x, j)
+        def recorded_residues(m, top):
+            for sums in padded(m, top):
+                seen.append(m)
+                yield sums
 
-        monkeypatch.setattr(verify.qpoly, "gaussian", recorded_gaussian)
+        monkeypatch.setattr(verify.qpoly, "gaussian_residues", recorded_residues)
         for cell in verify._sieved_cells((2, 14), (2, 32), (3, 33), (3, 55)):
             assert not isinstance(cell, Pass)
             if isinstance(cell, dict):
