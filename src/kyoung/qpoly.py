@@ -12,9 +12,9 @@ each such division is exact.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import accumulate, count, cycle, islice, starmap
+from itertools import accumulate, chain, count, cycle, islice, starmap
 from operator import add, ge, gt, index, sub
 
 from .partitions import require_rectangle
@@ -190,7 +190,7 @@ def times_geometric(p: QPoly, step: int, terms: int) -> QPoly:
     return QPoly(cs)
 
 
-# Cached because sweeps repeat the same few (a, b), and perfbench/traced.py reads cache_info().
+# Cached: rank_gen_Lk repeats each (k, m-1) over n, and perfbench/traced.py reads cache_info().
 @lru_cache(maxsize=None)
 def gaussian(a: int, b: int) -> QPoly:
     """Gaussian binomial [a choose b]_q by the product formula.
@@ -298,34 +298,6 @@ def _check_window(m: int, a: int, b: int, x: float = math.inf) -> None:
         raise ValueError(f"need x >= b - m + 1: m={m} x={x} b={b}")
 
 
-def _limit_series(g: Sequence[int], m: int, size: int) -> list[int]:
-    """g / (1 - q^m) to size >= len(g) terms: a prefix sum with stride m.
-    Past the degree of g it repeats with period m."""
-    f = [*g, *[0] * (size - len(g))]
-    for r in range(m):
-        f[r::m] = accumulate(f[r::m])
-    return f
-
-
-def _window_series(m: int, a: int, b: int, size: int) -> tuple[list[int], list[int]]:
-    """S = D / (1 - q^m) and T = H / (1 - q^m) to size >= deg D + 1 terms.
-
-    Level j's stratum below (m^x) is q^(j-m+1) G_j (1 - q^(m(x-j+m))) / (1 - q^m),
-    with G_j = [j-1 choose m-2]_q.  Summed over the levels a+1 .. b,
-    (1 - q^m) P_x = D - q^s H with s = m(x+1) - deg D, where
-    D = sum q^(j-m+1) G_j = [b choose m-1]_q - [a choose m-1]_q by q-Pascal,
-    and H is D reversed from its lowest term q^(a-m+2), as G_j is palindromic
-    of degree (m-2)(j-m+1).  So P_x = S - q^s T.  At m = 1, D = 0.
-
-    Both Gaussians are palindromic, so reversing D about its degree gives
-    H = [b choose m-1]_q - q^((m-1)(b-a)) [a choose m-1]_q.  So with the limit
-    series F_x = [x choose m-1]_q / (1 - q^m), each window is read by
-    subtraction: S = F_b - F_a and T = F_b - q^((m-1)(b-a)) F_a.
-    """
-    fa, fb = (_limit_series(gaussian(x, m - 1).coeffs, m, size) for x in (a, b))
-    return list(map(sub, fb, fa)), list(map(sub, fb, [0] * ((m - 1) * (b - a)) + fa))
-
-
 class LimitColumn:
     """The first differences of the limit series F_x = [x choose m-1]_q / (1 - q^m)
     of one m, for the windows (a, b] that read them in turn.
@@ -356,16 +328,45 @@ class LimitColumn:
         while self._x < b:
             self._x += 1
             _times_quotient(self._g, self._x, self._x - self.m + 1)
-            if self._x >= a:
-                f = _limit_series(self._g, self.m, len(self._g) + self.m)
+            if self._x >= a:  # F_x = G_x / (1 - q^m) is a prefix sum with stride m
+                f = [*self._g, *[0] * self.m]
+                for r in range(self.m):
+                    f[r::self.m] = accumulate(f[r::self.m])
                 self._deltas[self._x] = list(map(sub, f, [0, *f]))
         return self._deltas[a], self._deltas[b]
 
 
-def window_sum(m: int, a: int, b: int, x: int) -> QPoly:
-    """P_x, the sum of the strata at levels a+1 .. b below (m^x), where _check_window admits."""
+def _window_differences(column: LimitColumn, a: int, b: int) -> tuple[list[int], list[int]]:
+    """dS and dT of the window (a, b] at the column's m, to deg D + m + 1
+    terms: past deg D, S and T repeat with period m, and so do dS and dT.
+
+    Level j's stratum below (m^x) is q^(j-m+1) G_j (1 - q^(m(x-j+m))) / (1 - q^m),
+    with G_j = [j-1 choose m-2]_q.  Summed over the levels a+1 .. b,
+    (1 - q^m) P_x = D - q^s H with s = m(x+1) - deg D, where
+    D = sum q^(j-m+1) G_j = [b choose m-1]_q - [a choose m-1]_q by q-Pascal,
+    and H is D reversed from its lowest term q^(a-m+2), as G_j is palindromic
+    of degree (m-2)(j-m+1).  So P_x = S - q^s T with S = D / (1 - q^m) and
+    T = H / (1 - q^m).  At m = 1, D = 0.
+
+    Both Gaussians are palindromic, so reversing D about its degree gives
+    H = [b choose m-1]_q - q^((m-1)(b-a)) [a choose m-1]_q.  So with the limit
+    series F_x of the column, each window is read by subtraction:
+    S = F_b - F_a and T = F_b - q^((m-1)(b-a)) F_a.
+    """
+    m = column.m
+    da, db = column.read(a, b)
+    shift = (m - 1) * (b - a)  # len(db) = deg D + m + 1 = len(da) + shift
+    dp = list(map(sub, db, [*da, *islice(cycle(da[-m:]), shift)]))  # dp[i] = S[i] - S[i-1]
+    return dp, list(map(sub, db, [0] * shift + da))
+
+
+def window_sum(m: int, a: int, b: int, x: int, column: LimitColumn | None = None) -> QPoly:
+    """P_x, the sum of the strata at levels a+1 .. b below (m^x), where
+    _check_window admits.  column is as in window_failures."""
     _check_window(m, a, b, x)
-    p, t = _window_series(m, a, b, m * x - a + m - 1)  # deg P_x = m x - (a-m+2)
+    size = m * x - a + m - 1  # deg P_x = m x - (a-m+2)
+    dp, dt = _window_differences(column or LimitColumn(m), a, b)
+    p, t = (list(islice(accumulate(chain(d, cycle(d[-m:]))), size)) for d in (dp, dt))
     s = m * (x + 1) - (m - 1) * (b - m + 1)
     p[s:] = map(sub, p[s:], t)
     return QPoly(p)
@@ -382,10 +383,9 @@ def window_failures(
     Every stratum below (m^x) is palindromic about m x / 2, so P_x is too, and
     it is unimodal exactly when it weakly rises from its lowest term
     q^(a-m+2) up to c = floor(m x / 2).  P_x is S below s = m(x+1) - deg D
-    and S - q^s T from s on, where S = F_b - F_a and T = F_b - q^((m-1)(b-a)) F_a
-    (see _window_series).  So x passes when S does not fall on
-    [a-m+2, min(c, s-1)] and its stretch holds: dS[j] >= dT[j - s] for every
-    j in [s, c].
+    and S - q^s T from s on (see _window_differences).  So x passes when S
+    does not fall on [a-m+2, min(c, s-1)] and its stretch holds:
+    dS[j] >= dT[j - s] for every j in [s, c].
 
     A stretch is compared only past the c of the latest x whose stretch held.
     dT[i] - dT[i-m] is the rise of H at i, and H, D reversed, rises up to
@@ -398,10 +398,7 @@ def window_failures(
         raise ValueError(f"xs must be an ascending range: {xs!r}")
     _check_window(m, a, b, xs[0] if xs else b - m + 1)  # every later x is larger
     top = (m - 1) * (b - m + 1)  # deg D
-    da, db = (column or LimitColumn(m)).read(a, b)
-    shift = (m - 1) * (b - a)  # len(db) = top + m + 1 = len(da) + shift
-    dp = list(map(sub, db, [*da, *islice(cycle(da[-m:]), shift)]))  # dp[i] = S[i] - S[i-1]
-    dt = list(map(sub, db, [0] * shift + da))
+    dp, dt = _window_differences(column or LimitColumn(m), a, b)
     # past deg D, S repeats with period m, so its first fall, if any, is by deg D + m
     lo = a - m + 3
     fall = math.inf if min(dp[lo:], default=0) >= 0 else next(i for i in count(lo) if dp[i] < 0)

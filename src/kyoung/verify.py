@@ -224,7 +224,7 @@ def _window_cells(
     m = column.m
     failures = qpoly.window_failures(m, a, b, n_values, column)
     for n in failures:
-        yield {**where(n), "coefficients": qpoly.window_sum(m, a, b, n).to_json_list()}
+        yield {**where(n), "coefficients": qpoly.window_sum(m, a, b, n, column).to_json_list()}
     yield Pass(len(n_values) - len(failures))
 
 
@@ -280,20 +280,21 @@ def _conjecture_gen_cells(m: Range, a: Range, b: Range, n: Range) -> Iterator[Sw
             if a_val < m_val:
                 yield Skip("a < m", len(b_values) * len(n_values))
                 continue
+            skips = Counter()  # each reason yielded once per (m, a)
             for b_val in b_values:
                 if b_val <= a_val:
-                    yield Skip("b <= a", len(n_values))
+                    skips["b <= a"] += len(n_values)
                     continue
                 if not qualifies(a_val, b_val, m_val):
-                    yield Skip("endpoint = -1 mod a prime divisor of m", len(n_values))
+                    skips["endpoint = -1 mod a prime divisor of m"] += len(n_values)
                     continue
                 later = range(max(n_values.start, b_val - m_val + 1), n_values.stop)
-                if len(later) < len(n_values):
-                    yield Skip("n < b-m+1", len(n_values) - len(later))
+                skips["n < b-m+1"] += len(n_values) - len(later)
                 if later:
                     yield from _window_cells(
                         column, a_val, b_val, later, lambda n: dict(m=m_val, a=a_val, b=b_val, n=n)
                     )
+            yield from (Skip(reason, count) for reason, count in skips.items() if count)
 
 
 def verify_sieved(m: Range, a: Range, b: Range, k: Range | None = None) -> VerificationReport:

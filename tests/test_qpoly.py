@@ -550,14 +550,19 @@ def decided_at(m, a, b):
     return next(x for x in itertools.count(b - m + 1) if m * (x + 1) - top > m * x // 2)
 
 
-def check_window(m, a, b, oracle, xs):
-    """window_sum against oracle(x) at each x of the range xs, and
-    window_failures against is_unimodal of the oracle, over xs and one x at a
-    time; returns the x at which the oracle is not unimodal."""
+def check_window(m, a, b, oracle, xs, column):
+    """window_sum against oracle(x) at each x of the range xs, with a column
+    of its own and with column, the LimitColumn of m that the caller's
+    windows share in ascending a, and window_failures against is_unimodal
+    of the oracle, over xs and one x at a time; returns the x at which the
+    oracle is not unimodal.  The last x is past deg D + m, so window_sum
+    reads S and T past the difference series the column keeps."""
+    assert m * xs[-1] - a + m - 1 > (m - 1) * (b - m + 1) + m + 1, (m, a, b)
     failing = []
     for x in xs:
         poly = oracle(x)
         assert window_sum(m, a, b, x) == poly, (m, a, b, x)
+        assert window_sum(m, a, b, x, column) == poly, (m, a, b, x)
         expected = [] if is_unimodal(poly) else [x]
         assert window_failures(m, a, b, range(x, x + 1)) == expected, (m, a, b, x)
         failing += expected
@@ -570,7 +575,7 @@ def failures_by_full_scan(m, a, b, xs):
     centre, with every stretch compared in full and no x left unread.
     S = D / (1 - q^m) and T = H / (1 - q^m) come from the product formula's
     D = [b choose m-1]_q - [a choose m-1]_q and H, D reversed from its lowest
-    term (see qpoly._window_series); P_x is S - q^s T with s = m(x+1) - deg D."""
+    term (see qpoly._window_differences); P_x is S - q^s T with s = m(x+1) - deg D."""
     top = (m - 1) * (b - m + 1)
     d = list((gaussian(b, m - 1) - gaussian(a, m - 1)).coeffs)
 
@@ -599,18 +604,20 @@ class TestStrataWalk:
     def test_conjecture_gen_windows_match_repeated_addition(self):
         outcomes = set()
         for m in range(2, 7):
+            column = qpoly.LimitColumn(m)
             for a in range(m, m + 5):
                 for b in range(a + 1, a + 6):
                     oracle = lambda x: finite_strata_by_addition(m, x, a, b)  # noqa: E731
                     first, decided = b - m + 1, decided_at(m, a, b)
                     xs = range(first, max(first + 2, decided + 1) + 1)
-                    outcomes.add(bool(check_window(m, a, b, oracle, xs)))
+                    outcomes.add(bool(check_window(m, a, b, oracle, xs, column)))
         # windows that pass, and windows that do not qualify and fail
         assert outcomes == {True, False}
 
     def test_conjecture_u_windows_match_rank_gen_gamma(self):
         outcomes, offsets = set(), set()
         for m in (2, 3, 5, 7):
+            column = qpoly.LimitColumn(m)
             for k in range(m + 1, m + 13):
                 for b in (k, k + 1):  # u_k, and u_k + u_(k+1)
                     first, decided = b - m + 1, decided_at(m, k - 1, b)
@@ -620,7 +627,7 @@ class TestStrataWalk:
                         return total + rank_gen_gamma(m, x, k + 1) if b > k else total
 
                     xs = range(first, decided + 3)
-                    outcomes.add(bool(check_window(m, k - 1, b, oracle, xs)))
+                    outcomes.add(bool(check_window(m, k - 1, b, oracle, xs, column)))
                     offsets.add(decided - first)
         # windows decided at their first x, and windows decided many x in
         assert outcomes == {True, False}
@@ -682,9 +689,8 @@ class TestStrataWalk:
             window_failures(3, 3, 5, range(2, 10**30))
 
     def test_the_first_sum_is_the_only_polynomial_built(self, monkeypatch):
-        # window_sum builds the sum at the window's first x and nothing else;
-        # window_failures builds no polynomial at all
-        window_sum(5, 6, 8, 4)  # fills the Gaussian memo
+        # window_sum builds the sum at the window's first x and nothing else,
+        # not even a Gaussian; window_failures builds no polynomial at all
         built = []
 
         def counting(*args):

@@ -179,6 +179,40 @@ def test_verify_fills_residues_only_for_the_sieved_tally():
     assert ast.unparse(tally.generators[0].iter) == "residues"
 
 
+def test_one_series_decides_and_writes_every_window():
+    # window_failures, which decides a window's cells, and window_sum, which
+    # writes a failing cell's coefficients, read one difference series off
+    # a LimitColumn; the product formula is left to rank_gen_Lk and to the
+    # closed forms the tests and perfbench/traced.py read; and the window
+    # checks hand window_sum the column they share
+    source = ROOT / "src" / "kyoung"
+    tree = ast.parse((source / "qpoly.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names.update(node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef))
+    assert "_window_series" not in names
+
+    def callers(tree, name):
+        return {
+            f.name
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+        }
+
+    assert callers(tree, "gaussian") == {"rank_gen_Lk", "rank_gen_gamma", "conjecture_sum"}
+    assert callers(tree, "_window_differences") == {"window_failures", "window_sum"}
+    tree = ast.parse((source / "verify.py").read_text())
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    (cells,) = [f for f in functions if f.name == "_window_cells"]
+    calls = [
+        [ast.unparse(arg) for arg in node.args]
+        for node in ast.walk(cells)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "qpoly.window_sum"
+    ]
+    assert calls == [["m", "a", "b", "n", "column"]]
+
+
 def test_qualifies_alone_states_the_window_rule():
     # conjecture-u, conjecture-gen and both halves of sieved claim a window
     # when verify.qualifies admits it, and the tally keeps the x that

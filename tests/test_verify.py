@@ -163,14 +163,21 @@ class TestWindowRule:
         wasted = sorted((x, m) for x, m in asked if math.gcd(x + 1, m) != 1)
         assert wasted == [] and asked == read, wasted[:5]
 
-    def test_the_q_series_checks_fill_no_gaussian_memo(self):
+    def test_the_q_series_checks_fill_no_gaussian_memo(self, monkeypatch):
         # sieved reads residue tables and the window checks read LimitColumns,
-        # so none of the three fills gaussian's unbounded memo
+        # so none of the three fills gaussian's unbounded memo; nor do the
+        # window checks' counterexamples, when every window is claimed and
+        # the windows that do not qualify fail
         qpoly.gaussian.cache_clear()
         assert verify_sieved((2, 12), (2, 25), (3, 26), (3, 40)).grid > 0
-        assert verify_conjecture_gen((2, 8), (2, 15), (3, 16), (1, 20)).grid > 0
-        assert verify_conjecture_u(5, (1, 30), (1, 30)).grid > 0
-        assert qpoly.gaussian.cache_info().currsize == 0
+        for every in (False, True):
+            if every:
+                monkeypatch.setattr(verify, "qualifies", lambda a, b, m: True)
+            gen = verify_conjecture_gen((2, 8), (2, 15), (3, 16), (1, 20))
+            u = verify_conjecture_u(5, (1, 30), (1, 30))
+            assert gen.grid > 0 and u.grid > 0
+            assert (gen.failed > 0, u.failed > 0) == (every, every)
+            assert qpoly.gaussian.cache_info().currsize == 0
 
 
 # every family's cells on a grid where each cell holds, by check name
@@ -324,6 +331,31 @@ class TestConjectureGen:
         assert rep.failed == 0
         assert rep.grid > 0
         assert rep.grid + rep.skipped == 5 * 6 * 6 * 10
+
+    def test_skips_come_one_per_m_and_a(self):
+        """Each skip reason comes once per (m, a) it applies to, counting its
+        cells, and never with no cell."""
+        windows = list(itertools.product(range(2, 6), range(1, 10), range(2, 11)))
+        ns = range(1, 13)
+
+        def reason(m, a, b, n):
+            if a < m:
+                return "a < m"
+            if b <= a:
+                return "b <= a"
+            if not qualifies(a, b, m):
+                return "endpoint = -1 mod a prime divisor of m"
+            return "n < b-m+1" if n < b - m + 1 else None
+
+        skipped = Counter((reason(*w, n), w[:2]) for w in windows for n in ns)
+        cells = verify._conjecture_gen_cells((2, 5), (1, 9), (2, 10), (1, 12))
+        skips = [cell for cell in cells if isinstance(cell, Skip)]
+        assert all(skip.count > 0 for skip in skips)
+        assert len({why for why, _ in skipped if why}) == 4
+        for why in {why for why, _ in skipped if why}:
+            counts = [skip.count for skip in skips if skip.reason == why]
+            pairs = [count for (r, _), count in skipped.items() if r == why]
+            assert (len(counts), sum(counts)) == (len(pairs), sum(pairs)), why
 
     def test_pass_counts_match_unbatched_evaluation(self):
         m_r, a_r, b_r, n_r = (2, 4), (2, 5), (3, 6), (1, 7)
