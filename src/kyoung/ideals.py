@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import operator
 import warnings
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain
 
 from .lattice import HasseDiagram, ideal_name
@@ -20,16 +20,18 @@ from .partitions import Parts, partitions_in_box, require_rectangle
 from .qpoly import QPoly
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    """Rectangle width m, height n, and the lattice parameter k, as require_rectangle admits."""
+class IdealSpec(namedtuple("IdealSpec", "m n k")):
+    """The tuple (m, n, k) of the rectangle (m^n) at level k, which require_rectangle admits."""
 
-    m: int
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_rectangle(self.m, self.k, self.n)
+    def __new__(cls, m: int, n: int, k: int):
+        require_rectangle(m, k, n)
+        return super().__new__(cls, m, n, k)
+
+    @classmethod
+    def _make(cls, values):  # _replace makes its copy here
+        return cls(*values)
 
     @property
     def rectangle(self) -> Parts:

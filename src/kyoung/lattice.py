@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
@@ -131,16 +130,14 @@ def leq(a: Parts, b: Parts, k: int) -> bool:
     return b in frontier
 
 
-@dataclass
 class HasseDiagram:
     """Graded cover graph.  ranks[d] lists the degree-d vertices in lex order,
     and edges holds each cover once as a (position, position) pair along
     vertices(), lower end first, the pairs sorted."""
 
-    k: int
-    name: str
-    ranks: list[list[Parts]]
-    edges: list[tuple[int, int]] = field(default_factory=list)
+    def __init__(self, k: int, name: str, ranks: list[list[Parts]], edges: list | None = None):
+        self.k, self.name, self.ranks = k, name, ranks
+        self.edges: list[tuple[int, int]] = [] if edges is None else edges
 
     def vertices(self) -> list[Parts]:
         return [v for rank in self.ranks for v in rank]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 import reprlib
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
@@ -285,15 +285,18 @@ def k_conjugate(p: Parts, k: int) -> Parts:
     return tuple(sorted(k_skew(p, k).column_heights(), reverse=True))
 
 
-@dataclass(frozen=True)
-class KRectangle:
-    """Rectangle (width^(k-width+1)) whose corner hook is exactly k."""
+class KRectangle(namedtuple("KRectangle", "width k")):
+    """The tuple (width, k) of the rectangle (width^(k-width+1)), whose corner hook is k."""
 
-    width: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_rectangle(self.width, self.k)
+    def __new__(cls, width: int, k: int):
+        require_rectangle(width, k)
+        return super().__new__(cls, width, k)
+
+    @classmethod
+    def _make(cls, values):  # _replace makes its copy here
+        return cls(*values)
 
     @property
     def height(self) -> int:

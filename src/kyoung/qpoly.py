@@ -238,7 +238,7 @@ def rank_gen_gamma(m: int, n: int, k: int) -> QPoly:
     """Rank generating function of the level-k stratum below (m^n), in closed
     form: q^(k-m+1) times the degree-m geometric sum with n-k+m terms times
     [k-1 choose m-2]_q, palindromic about mn/2.  No sweep calls it: the tests
-    hold window_sum(m, k-1, k, n) to it, and it takes that window's rule."""
+    hold window_sum(m, k-1, k, [n]) to it, and it takes that window's rule."""
     _check_window(m, k - 1, k, n)
     cs = [0] * (k - m + 1) + list(gaussian(k - 1, m - 2).coeffs)
     _times_quotient(cs, m * (n - k + m), m)
@@ -360,22 +360,30 @@ def _window_differences(column: LimitColumn, a: int, b: int) -> tuple[list[int],
     return dp, list(map(sub, db, [0] * shift + da))
 
 
-def window_sum(m: int, a: int, b: int, x: int, column: LimitColumn | None = None) -> QPoly:
-    """P_x, the sum of the strata at levels a+1 .. b below (m^x), where
-    _check_window admits.  column is as in window_failures."""
-    _check_window(m, a, b, x)
-    size = m * x - a + m - 1  # deg P_x = m x - (a-m+2)
+def window_sum(
+    m: int, a: int, b: int, xs: list[int], column: LimitColumn | None = None
+) -> list[QPoly]:
+    """P_x, the sum of the strata at levels a+1 .. b below (m^x), for each x of
+    xs where _check_window admits, all cut from one read of the window's
+    difference series and one prefix sum.  column is as in window_failures."""
+    _check_window(m, a, b, min(xs, default=math.inf))
+    if not xs:
+        return []
+    size = m * max(xs) - a + m - 1  # deg P_x = m x - (a-m+2)
     dp, dt = _window_differences(column or LimitColumn(m), a, b)
     p, t = (list(islice(accumulate(chain(d, cycle(d[-m:]))), size)) for d in (dp, dt))
-    s = m * (x + 1) - (m - 1) * (b - m + 1)
-    p[s:] = map(sub, p[s:], t)
-    return QPoly(p)
+    sums = []
+    for x in xs:
+        cut, s = p[:m * x - a + m - 1], m * (x + 1) - (m - 1) * (b - m + 1)
+        cut[s:] = map(sub, cut[s:], t)
+        sums.append(QPoly(cut))
+    return sums
 
 
 def window_failures(
     m: int, a: int, b: int, xs: range, column: LimitColumn | None = None
 ) -> list[int]:
-    """The x of xs, an ascending range, at which window_sum(m, a, b, x) is
+    """The x of xs, an ascending range, at which window_sum(m, a, b, [x]) is
     not unimodal.  xs is read only up to the first x from which every larger
     x passes.  column is the LimitColumn of m that the caller's windows
     share; by default the window reads a column of its own.

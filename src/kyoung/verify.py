@@ -16,7 +16,6 @@ fails.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import json
 import math
@@ -24,7 +23,6 @@ import operator
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import ideals, lattice, partitions, qpoly
@@ -122,19 +120,14 @@ def qualifies(a: int, b: int, m: int) -> bool:
     return math.gcd(a + 1, m) == 1 and math.gcd(b + 1, m) == 1
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one check over a grid, tallied by _sweep; grid counts evaluated cells only."""
 
-    check: str
-    status: str
-    grid: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    elapsed_ms: int = 0
+    def __init__(self, check: str, status: str):
+        self.check, self.status = check, status
+        self.grid = self.passed = self.failed = self.skipped = self.elapsed_ms = 0
+        self.counterexamples: list[dict] = []
+        self.notes: list[str] = []
 
     def all_pass(self) -> bool:
         return self.failed == 0
@@ -223,8 +216,8 @@ def _window_cells(
     read off column, the LimitColumn of m that the check's windows share."""
     m = column.m
     failures = qpoly.window_failures(m, a, b, n_values, column)
-    for n in failures:
-        yield {**where(n), "coefficients": qpoly.window_sum(m, a, b, n, column).to_json_list()}
+    for n, poly in zip(failures, qpoly.window_sum(m, a, b, failures, column)):
+        yield {**where(n), "coefficients": poly.to_json_list()}
     yield Pass(len(n_values) - len(failures))
 
 
@@ -510,7 +503,7 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
             vertex_set, member_set = set(vertices), set(members)
             extra = [list(v) for v in vertices if v not in member_set]
             missing = [list(p) for p in members if p not in vertex_set]
-            yield {**asdict(spec), "extra": extra, "missing": missing}
+            yield {**spec._asdict(), "extra": extra, "missing": missing}
             continue
         # the k-covers must be the one-box steps, both sorted (lower, upper)
         # position pairs: the lowest lower end among the pairs on one side
@@ -520,7 +513,7 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
             x = min(diff)[0]
             extra = [list(members[u]) for v, u in diagram.edges if v == x and (v, u) in diff]
             missing = [list(members[u]) for v, u in steps.edges if v == x and (v, u) in diff]
-            yield {**asdict(spec), "child": list(members[x]), "extra": extra, "missing": missing}
+            yield {**spec._asdict(), "child": list(members[x]), "extra": extra, "missing": missing}
             continue
         # the ideal is downward closed, so every saturated chain between two
         # members stays in it: the k-order there is reachability in the
@@ -536,7 +529,7 @@ def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
                 yield Pass(len(members))
                 continue
             for j, y in enumerate(members):
-                yield {**asdict(spec), "a": list(x), "b": list(y)} if wrong >> j & 1 else _HOLDS
+                yield {**spec._asdict(), "a": list(x), "b": list(y)} if wrong >> j & 1 else _HOLDS
         # One cover cell per one-box step, which follows from the checks
         # above: the edges are the one-box steps, so each adds one box, and
         # reachability is containment, so a member y one box above a member
@@ -553,7 +546,7 @@ def _counts_cells(g: _Grid) -> Iterator[SweepCell]:
             and len(members) == poly(1)
             and ideals.rank_vector(members, spec.top_rank) == poly
         )
-        yield _HOLDS if ok else asdict(spec)
+        yield _HOLDS if ok else spec._asdict()
 
 
 def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -576,7 +569,7 @@ def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
                 for x, y in itertools.combinations_with_replacement(reps, 2)
             )
         )
-        yield _HOLDS if ok else asdict(spec)
+        yield _HOLDS if ok else spec._asdict()
 
 
 def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
@@ -591,26 +584,26 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
         previous[spec.n] = members
         if spec.k == spec.m:  # a chain: one member per degree
             chain = [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1)
-            yield _HOLDS if chain else asdict(spec)
+            yield _HOLDS if chain else spec._asdict()
             continue
         gamma = set(ideals.gamma_set(spec))
         ok = members == smaller | gamma and not (smaller & gamma)
-        poly = qpoly.window_sum(spec.m, spec.k - 1, spec.k, spec.n)  # the window (k-1, k]
+        (poly,) = qpoly.window_sum(spec.m, spec.k - 1, spec.k, [spec.n])  # the window (k-1, k]
         ok = ok and ideals.rank_vector(gamma, spec.top_rank) == poly
         ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
         # the up-edges are the one-box steps between members: none crosses two strata
         rows = [ideals.short_rows(x, spec.m) for x in vertices]
         ok = ok and all(abs(rows[u] - rows[x]) <= 1 for x, u in diagram.edges)
-        yield _HOLDS if ok else asdict(spec)
+        yield _HOLDS if ok else spec._asdict()
 
 
 def _decomposition_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
         strata = QPoly.zero()
         if spec.k > spec.m:  # the strata at levels m+1 .. k
-            strata = qpoly.window_sum(spec.m, spec.m, spec.k, spec.n)
+            (strata,) = qpoly.window_sum(spec.m, spec.m, spec.k, [spec.n])
         total = QPoly.geometric(1, spec.top_rank + 1) + strata
-        yield _HOLDS if total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k) else asdict(spec)
+        yield _HOLDS if total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k) else spec._asdict()
 
 
 _STRUCTURE_FAMILIES = (
@@ -649,17 +642,13 @@ def export(obj: Any, path: str) -> None:
         fh.write(text)
 
 
-@dataclass
 class SweepConfig:
     """One named check with its parameter grid and output destination.  The
     params are parsed once, defaults included, when the config is made."""
 
-    check: str
-    params: dict
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        self._runner, self._values = _parse_params(self.check, self.params)
+    def __init__(self, check: str, params: dict, out: str | None = None):
+        self.check, self.params, self.out = check, params, out
+        self._runner, self._values = _parse_params(check, params)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
@@ -770,8 +759,9 @@ _CHECKS = {
     ),
     "structure": (
         lambda **bounds: verify_structure(**bounds),
-        {name: (_param_int, bound.default)  # verify_structure's own defaults
-         for name, bound in inspect.signature(verify_structure).parameters.items()},
+        # verify_structure's own defaults: each argument has one, and they lead co_varnames
+        {name: (_param_int, bound) for name, bound in
+         zip(verify_structure.__code__.co_varnames, verify_structure.__defaults__)},
     ),
 }
 

@@ -150,6 +150,31 @@ class TestSpec:
                 make(m, n, k)
             assert str(info.value) == message
 
+    def test_is_a_checked_value(self):
+        """A spec is the tuple (m, n, k): made by position or by keyword,
+        equal and hashed as that tuple, read only, shown with its field
+        names, and held to require_rectangle however it is made."""
+        spec = IdealSpec(m=3, n=3, k=4)
+        assert spec == IdealSpec(3, 3, 4) == (3, 3, 4) and spec != IdealSpec(3, 4, 4)
+        assert hash(spec) == hash(IdealSpec(3, 3, 4)) == hash((3, 3, 4))
+        assert len({spec, IdealSpec(3, 3, 4), IdealSpec(3, 3, 5)}) == 2
+        assert repr(spec) == "IdealSpec(m=3, n=3, k=4)"
+        assert (spec.m, spec.n, spec.k) == tuple(spec) == (3, 3, 4)
+        assert list(spec._asdict().items()) == [("m", 3), ("n", 3), ("k", 4)]
+        for field in ("m", "n", "k", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, field, 5)
+        assert spec._replace(k=6) == (3, 3, 6)
+        for make in (
+            lambda: spec._replace(n=0),
+            lambda: IdealSpec._make((3, 0, 4)),
+            lambda: IdealSpec(m=3, n=0, k=4),
+        ):
+            with pytest.raises(ValueError, match=r"^need n >= 1: n=0$"):
+                make()
+        with pytest.raises(TypeError):
+            IdealSpec(3, 3)
+
     def test_short_rows(self):
         assert short_rows((3, 2, 1), 3) == 2
         assert short_rows((3, 3), 3) == 0

@@ -309,6 +309,14 @@ class TestHasseDiagram:
         for d in diagrams:
             assert d.to_dot() == dot_by_fstrings(d), d.name
 
+    def test_a_diagram_without_edges_has_its_own_list(self):
+        first = HasseDiagram(k=2, name="a", ranks=[[()]])
+        second = HasseDiagram(2, "b", [[()]])
+        first.edges.append((0, 0))
+        assert second.edges == [] and second.to_json_dict() == {
+            "k": 2, "name": "b", "ranks": [[()]], "edges": []
+        }
+
     def test_dot_contains_all_edges(self):
         d = build_ideal((2, 2, 1), 2)
         dot = d.to_dot()

@@ -466,6 +466,22 @@ class TestRectangles:
             with pytest.raises(ValueError, match=r"^need 1 <= m <= k: m=0 k=3$"):
                 make()
 
+    def test_krectangle_is_a_checked_value(self):
+        """A k-rectangle is the tuple (width, k): made by position or by
+        keyword, equal and hashed as that tuple, read only, shown with its
+        field names, and held to require_rectangle however it is made."""
+        r = KRectangle(width=2, k=4)
+        assert r == KRectangle(2, 4) == (2, 4) and r != KRectangle(2, 5)
+        assert hash(r) == hash(KRectangle(2, 4)) == hash((2, 4))
+        assert repr(r) == "KRectangle(width=2, k=4)"
+        for field in ("width", "k", "height"):
+            with pytest.raises(AttributeError):
+                setattr(r, field, 3)
+        assert r._replace(k=5).height == 4
+        for make in (lambda: r._replace(k=1), lambda: KRectangle._make((2, 1))):
+            with pytest.raises(ValueError, match=r"^need 1 <= m <= k: m=2 k=1$"):
+                make()
+
     def test_all_k_rectangles(self):
         assert [r.parts for r in all_k_rectangles(3)] == [(1, 1, 1), (2, 2), (3,)]
 

@@ -402,7 +402,7 @@ class TestGammaGen:
     def test_takes_the_window_rule(self, f, args, window, message):
         # the level-k stratum is the window (k-1, k] at x = n, and the limit
         # sum is a window at every x: both raise window_sum's texts
-        for call in (lambda: f(*args), lambda: window_sum(*window)):
+        for call in (lambda: f(*args), lambda: window_sum(*window[:3], [window[3]])):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
 
@@ -551,21 +551,25 @@ def decided_at(m, a, b):
 
 
 def check_window(m, a, b, oracle, xs, column):
-    """window_sum against oracle(x) at each x of the range xs, with a column
-    of its own and with column, the LimitColumn of m that the caller's
-    windows share in ascending a, and window_failures against is_unimodal
-    of the oracle, over xs and one x at a time; returns the x at which the
-    oracle is not unimodal.  The last x is past deg D + m, so window_sum
-    reads S and T past the difference series the column keeps."""
+    """window_sum against oracle(x) at each x of the range xs, one x at a
+    time and all of xs at once, and all of xs reversed, with a column of its
+    own and with column, the LimitColumn of m that the caller's windows share
+    in ascending a, and window_failures against is_unimodal of the oracle,
+    over xs and one x at a time; returns the x at which the oracle is not
+    unimodal.  The last x is past deg D + m, so window_sum reads S and T past
+    the difference series the column keeps."""
     assert m * xs[-1] - a + m - 1 > (m - 1) * (b - m + 1) + m + 1, (m, a, b)
-    failing = []
+    failing, polys = [], []
     for x in xs:
         poly = oracle(x)
-        assert window_sum(m, a, b, x) == poly, (m, a, b, x)
-        assert window_sum(m, a, b, x, column) == poly, (m, a, b, x)
+        assert window_sum(m, a, b, [x]) == [poly], (m, a, b, x)
+        assert window_sum(m, a, b, [x], column) == [poly], (m, a, b, x)
         expected = [] if is_unimodal(poly) else [x]
         assert window_failures(m, a, b, range(x, x + 1)) == expected, (m, a, b, x)
         failing += expected
+        polys.append(poly)
+    assert window_sum(m, a, b, xs, column) == polys, (m, a, b)
+    assert window_sum(m, a, b, xs[::-1]) == polys[::-1], (m, a, b)
     assert window_failures(m, a, b, xs) == failing, (m, a, b)
     return failing
 
@@ -671,22 +675,40 @@ class TestStrataWalk:
     def test_m_one_has_no_strata(self):
         # G_j = [j-1 choose -1]_q = 0, so D = 0 and every sum is 0
         for a, b in ((1, 2), (1, 6), (4, 9)):
+            assert [poly.is_zero() for poly in window_sum(1, a, b, range(b, b + 5))] == [True] * 5
             for x in range(b, b + 5):
-                assert window_sum(1, a, b, x).is_zero()
                 assert finite_strata_by_addition(1, x, a, b).is_zero()
             assert window_failures(1, a, b, range(b, b + 5)) == []
 
     def test_validation(self):
         for args in ((0, 1, 2, 5), (3, 2, 4, 5), (3, 4, 4, 5), (3, 4, 6, 3)):
             with pytest.raises(ValueError):
-                window_sum(*args)
+                window_sum(*args[:3], [args[3]])
             with pytest.raises(ValueError, match="need"):
                 window_failures(*args[:3], range(args[3], args[3] + 1))
         with pytest.raises(ValueError, match="need"):  # a bad window raises with no x
             window_failures(3, 4, 4, range(5, 5))
         assert window_failures(3, 4, 5, range(5, 5)) == []
+        # so does window_sum, and each x of xs is held to the rule
+        with pytest.raises(ValueError, match="need 1 <= m <= a < b"):
+            window_sum(3, 4, 4, [])
+        assert window_sum(3, 4, 5, []) == []
+        with pytest.raises(ValueError, match="need x"):
+            window_sum(3, 3, 5, [10, 2, 10])
         with pytest.raises(ValueError, match="need x"):  # its first x is below b-m+1
             window_failures(3, 3, 5, range(2, 10**30))
+
+    def test_one_read_writes_every_x(self, monkeypatch):
+        # window_sum reads the window's difference series once, however many
+        # x it writes, and not at all for none
+        reads, real = [], qpoly._window_differences
+        counting = lambda *args: reads.append(args) or real(*args)  # noqa: E731
+        monkeypatch.setattr(qpoly, "_window_differences", counting)
+        polys = qpoly.window_sum(3, 5, 9, range(8, 40))
+        assert len(reads) == 1 and len(polys) == 32
+        assert qpoly.window_sum(3, 5, 9, []) == [] and len(reads) == 1
+        monkeypatch.undo()
+        assert polys[::7] == [finite_strata_by_addition(3, x, 5, 9) for x in range(8, 40, 7)]
 
     def test_the_first_sum_is_the_only_polynomial_built(self, monkeypatch):
         # window_sum builds the sum at the window's first x and nothing else,
@@ -698,7 +720,7 @@ class TestStrataWalk:
             return QPoly(*args)
 
         monkeypatch.setattr(qpoly, "QPoly", counting)
-        poly = qpoly.window_sum(5, 6, 8, 4)
+        (poly,) = qpoly.window_sum(5, 6, 8, [4])
         assert len(built) == 1
         assert qpoly.window_failures(5, 6, 8, range(4, 40)) == [] and len(built) == 1
         monkeypatch.undo()

@@ -1,7 +1,7 @@
 """The traced benchmark launcher still finds every name it wraps, the
-package imports no source of randomness and no name it leaves unused, and
-verify builds its Gaussians in one place, states the window rule in one and
-tallies its reports in one."""
+package imports no source of randomness, no name it leaves unused and no
+code generator, and verify builds its Gaussians in one place, states the
+window rule in one and tallies its reports in one."""
 
 import ast
 import json
@@ -184,7 +184,8 @@ def test_one_series_decides_and_writes_every_window():
     # writes a failing cell's coefficients, read one difference series off
     # a LimitColumn; the product formula is left to rank_gen_Lk and to the
     # closed forms the tests and perfbench/traced.py read; and the window
-    # checks hand window_sum the column they share
+    # checks hand window_sum the column they share and all of a window's
+    # failing n in one call
     source = ROOT / "src" / "kyoung"
     tree = ast.parse((source / "qpoly.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -210,7 +211,7 @@ def test_one_series_decides_and_writes_every_window():
         for node in ast.walk(cells)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "qpoly.window_sum"
     ]
-    assert calls == [["m", "a", "b", "n", "column"]]
+    assert calls == [["m", "a", "b", "failures", "column"]]
 
 
 def test_qualifies_alone_states_the_window_rule():
@@ -246,13 +247,16 @@ def test_qualifies_alone_states_the_window_rule():
 
 def test_only_sweep_tallies_a_report():
     # every check's cells go through verify._sweep, the one function that
-    # writes a report's counts or adds to its counterexamples
+    # writes a report's counts or adds to its counterexamples; the report's
+    # constructor only starts each of them empty
     path = ROOT / "src" / "kyoung" / "verify.py"
     tallied = {"grid", "passed", "failed", "skipped", "counterexamples"}
 
     def writers(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
+        """(owner, how, value) for each write to a tallied field: owner is
+        the qualified name of the function or class that writes it."""
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
         targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -260,15 +264,35 @@ def test_only_sweep_tallies_a_report():
             targets = [node.target]
         attributes = [t for target in targets for t in ast.walk(target)]
         if any(isinstance(t, ast.Attribute) and t.attr in tallied for t in attributes):
-            yield owner
+            value = node.value and ast.unparse(node.value)
+            yield owner, type(node).__name__, value
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if ast.unparse(node.func.value).endswith(".counterexamples"):
-                yield owner
+                yield owner, "Call", ast.unparse(node)
         for child in ast.iter_child_nodes(node):
             yield from writers(child, owner)
 
     tree = ast.parse(path.read_text(), str(path))
-    assert set(writers(tree, "<module>")) == {"_sweep"}
+    found = set(writers(tree, "<module>"))
+    init = "VerificationReport.__init__"
+    assert {owner for owner, _, _ in found} == {"_sweep", init}
+    starts = [(how, value) for owner, how, value in found if owner == init]
+    assert starts and all(how in ("Assign", "AnnAssign") for how, _ in starts), starts
+    assert {value for _, value in starts} <= {"0", "[]"}, starts
+
+
+def test_the_cli_imports_no_code_generator():
+    # each kyoung run pays its import before its first cell, so the package
+    # imports no dataclasses and no inspect, nor the ast, dis and tokenize
+    # these load; -S keeps site, which may load some of them, out of it
+    code = "import sys, kyoung.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-S", "-c", code]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "kyoung.verify" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & loaded
 
 
 def test_cells_follow_one_protocol():

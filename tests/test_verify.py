@@ -6,7 +6,6 @@ import math
 import sys
 import weakref
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +13,7 @@ import pytest
 
 from check_targets import report_digest
 from kyoung import ideals, lattice, partitions, qpoly, verify
+from kyoung.ideals import IdealSpec
 from kyoung.lattice import HasseDiagram, build_ideal
 from kyoung.qpoly import QPoly, conjecture_sum
 from test_qpoly import finite_strata_by_addition, is_period_insertion
@@ -34,6 +34,12 @@ from kyoung.verify import (
     verify_sieved,
     verify_structure,
 )
+
+
+def spec_dict(spec):
+    """A failing structure cell's counterexample: the literal dict of its
+    spec, keys m, n, k in that order."""
+    return {"m": spec.m, "n": spec.n, "k": spec.k}
 
 
 class TestHelpers:
@@ -222,7 +228,7 @@ class TestReport:
         def unused(spec):
             raise AssertionError("a cell that holds built its counterexample")
 
-        monkeypatch.setattr(verify, "asdict", unused)
+        monkeypatch.setattr(IdealSpec, "_asdict", unused)
         cells = list(HOLDING_GRIDS[check]())
         assert all(isinstance(cell, (Pass, Skip, Note)) for cell in cells)
         assert sum(cell.count for cell in cells if isinstance(cell, Pass)) > 0
@@ -244,6 +250,20 @@ class TestReport:
         assert doc["status"] == "conjecture"
         assert doc["pass"] == 1 and doc["fail"] == 0
         assert json.dumps(doc)
+
+    def test_a_new_report_is_empty(self):
+        """A report is made with its check and status alone, its counts 0
+        and its lists empty and its own, for _sweep to tally."""
+        first, second = VerificationReport("x", "theorem"), VerificationReport("x", "theorem")
+        assert first.to_json_dict() == {
+            "check": "x", "status": "theorem", "grid": 0, "pass": 0, "fail": 0, "skip": 0,
+            "counterexamples": [], "notes": [], "elapsed_ms": 0,
+        }
+        first.counterexamples.append({})
+        first.notes.append("note")
+        assert second.counterexamples == [] and second.notes == []
+        with pytest.raises(TypeError):
+            VerificationReport("x", "theorem", 1)
 
 
 class TestConjectureU:
@@ -409,6 +429,31 @@ class TestConjectureGen:
         assert rep.counterexamples == expected
         assert (rep.grid, rep.failed) == (len(cells), len(expected))
 
+    def test_a_failing_window_reads_its_series_once(self, monkeypatch):
+        """With every window claimed, many fail at many n: a window reads its
+        difference series once to decide its cells, and once more to write
+        all of its failing ones, each as repeated addition writes it."""
+        monkeypatch.setattr(verify, "qualifies", lambda a, b, m: True)
+        reads, decided = [], []
+        read, failures = qpoly._window_differences, qpoly.window_failures
+
+        def deciding(*args):
+            decided.append(failures(*args))
+            return decided[-1]
+
+        counting = lambda *args: reads.append(args) or read(*args)  # noqa: E731
+        monkeypatch.setattr(qpoly, "_window_differences", counting)
+        monkeypatch.setattr(qpoly, "window_failures", deciding)
+        rep = verify_conjecture_gen((2, 5), (2, 10), (3, 14), (1, 20))
+        failing = [n for n in decided if n]
+        assert rep.failed == sum(map(len, failing)) and len(failing) > 10
+        assert max(map(len, failing)) > 5
+        assert len(reads) == len(decided) + len(failing)
+        monkeypatch.undo()
+        for cell in rep.counterexamples:
+            poly = finite_strata_by_addition(cell["m"], cell["n"], cell["a"], cell["b"])
+            assert cell["coefficients"] == poly.to_json_list(), cell
+
     def test_walk_does_not_grow_with_the_n_range(self, monkeypatch):
         """A passing window builds no sum, and window_failures reads its range
         of n only up to the first n decided in closed form: for n up to 40 and
@@ -421,7 +466,8 @@ class TestConjectureGen:
             return real(m, a, b, xs, column)
 
         monkeypatch.setattr(qpoly, "window_failures", counting)
-        monkeypatch.setattr(qpoly, "window_sum", lambda *args: built.append(args))
+        # each window asks window_sum for its failing n, and a passing window for none
+        monkeypatch.setattr(qpoly, "window_sum", lambda m, a, b, xs, column: built.extend(xs) or [])
         seen = []
         for n_hi in (40, 10**12):
             built, walked = [], []
@@ -822,7 +868,7 @@ class TestStructure:
         specs = verify._grid_cells(verify._Grid(3, 3, 4, 4))
         edges = {spec: first_edge(ideals.hasse_diagram(spec)) for spec in specs}
         assert report.counterexamples == [
-            {**asdict(spec), "child": list(v), "extra": [], "missing": [], side: [list(u)]}
+            {**spec_dict(spec), "child": list(v), "extra": [], "missing": [], side: [list(u)]}
             for spec, (v, u) in edges.items()
         ]
 
@@ -855,7 +901,7 @@ class TestStructure:
         specs = [s for s in verify._grid_cells(verify._Grid(3, 3, 4, 4)) if s.top_rank > 1]
         assert specs
         assert self.subposet_counterexamples() == [
-            {**asdict(spec), "child": [], "extra": [], "missing": [[1]]} for spec in specs
+            {**spec_dict(spec), "child": [], "extra": [], "missing": [[1]]} for spec in specs
         ]
 
     def test_subposet_lists_an_extra_and_a_missing_edge_at_one_vertex(self, monkeypatch):
@@ -871,7 +917,7 @@ class TestStructure:
         self.damage(monkeypatch, bent)
         specs = verify._grid_cells(verify._Grid(3, 3, 4, 4))
         expected = [
-            {**asdict(spec), "child": [], "extra": [[1, 1]], "missing": [[1]]}
+            {**spec_dict(spec), "child": [], "extra": [[1, 1]], "missing": [[1]]}
             for spec in specs
             if ideals.is_member((1, 1), spec)
         ]
@@ -892,7 +938,7 @@ class TestStructure:
         self.damage(monkeypatch, bottom_edge_dropped, source=ideals, builder="hasse_diagram")
         report = self.damaged_diagrams(monkeypatch, bottom_edge_dropped)
         assert report.counterexamples == [
-            {**asdict(spec), "a": [], "b": list(y)}
+            {**spec_dict(spec), "a": [], "b": list(y)}
             for spec in verify._grid_cells(verify._Grid(3, 3, 4, 4))
             for y in ideals.enumerate_ideal(spec)[1:]
         ]
@@ -912,7 +958,7 @@ class TestStructure:
         report = self.damaged_diagrams(monkeypatch, extra_edge)
         specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
         assert report.counterexamples == [
-            {**asdict(spec), "child": list(edge[0]), "extra": [list(edge[1])], "missing": []}
+            {**spec_dict(spec), "child": list(edge[0]), "extra": [list(edge[1])], "missing": []}
             for spec, edge in zip(specs, added, strict=True)
             if edge
         ]
@@ -952,7 +998,7 @@ class TestStructure:
         report = self.damaged_diagrams(monkeypatch, padded)
         specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
         assert report.counterexamples == [
-            {**asdict(spec), "extra": [[1] * (spec.top_rank + 1)], "missing": []}
+            {**spec_dict(spec), "extra": [[1] * (spec.top_rank + 1)], "missing": []}
             for spec in specs
         ]
 
@@ -963,7 +1009,7 @@ class TestStructure:
         report = self.damaged_diagrams(monkeypatch, dropped)
         specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
         assert report.counterexamples == [
-            {**asdict(spec), "extra": [], "missing": [[1]]} for spec in specs
+            {**spec_dict(spec), "extra": [], "missing": [[1]]} for spec in specs
         ]
 
     def test_gamma_takes_the_level_below_from_the_pass_before(self, monkeypatch):
@@ -1039,9 +1085,10 @@ class TestStructure:
         by_name = {r.check: r for r in verify_structure(4, 5, 7, 10)}
         gamma = by_name.pop("structure-gamma")
         specs = verify._grid_cells(verify._Grid(4, 5, 7, 10))
-        expected = [asdict(s) for s in specs if s.m >= 2 and s.n >= 2 and s.k > s.m]
+        expected = [spec_dict(s) for s in specs if s.m >= 2 and s.n >= 2 and s.k > s.m]
         assert len(expected) == 29
         assert gamma.counterexamples == expected
+        assert {tuple(cell) for cell in gamma.counterexamples} == {("m", "n", "k")}
         subposet = by_name.pop("structure-subposet")
         assert subposet.counterexamples == [
             {**where, "child": [], "extra": [], "missing": [[1, 1]]} for where in expected
@@ -1056,13 +1103,13 @@ class TestStructure:
         family passes."""
 
         def off_by_one(*args):
-            return qpoly.window_sum(*args) + QPoly.one()
+            return [poly + QPoly.one() for poly in qpoly.window_sum(*args)]
 
         view = SimpleNamespace(**{**vars(qpoly), "window_sum": off_by_one})
         monkeypatch.setattr(verify, "qpoly", view)
         by_name = {r.check: r for r in verify_structure(3, 4, 5, 6)}
         specs = verify._grid_cells(verify._Grid(3, 4, 5, 6))
-        expected = [asdict(s) for s in specs if s.k > s.m]
+        expected = [spec_dict(s) for s in specs if s.k > s.m]
         assert len(expected) == 17
         for name in ("structure-gamma", "structure-decomposition"):
             assert by_name.pop(name).counterexamples == expected, name
@@ -1147,7 +1194,7 @@ class TestStructure:
         swaps = {
             spec: swapped_dual(spec) for spec in verify._grid_cells(verify._Grid(3, 4, 4, 4))
         }
-        broken = [asdict(spec) for spec, f in swaps.items() if f is not None]
+        broken = [spec_dict(spec) for spec, f in swaps.items() if f is not None]
 
         def mutated(p, spec):
             f = swaps[spec]
@@ -1191,7 +1238,7 @@ class TestStructure:
         grid = verify._Grid(3, 5, 6, 4)
         by_name = {r.check: r for r in verify_structure(*grid)}
         duality = by_name.pop("structure-duality")
-        expected = [asdict(spec) for spec in verify._grid_cells(grid) if spec.n >= 2]
+        expected = [spec_dict(spec) for spec in verify._grid_cells(grid) if spec.n >= 2]
         assert expected and duality.counterexamples == expected
         assert {r.failed for r in by_name.values()} == {0}
 
@@ -1325,47 +1372,31 @@ class TestExport:
     def test_render_matches_the_json_module(self):
         """render writes what json.dumps(payload, indent=2) writes."""
         report = verify_sieved(2, 2, 4)
-        odd = VerificationReport(
-            check="odd",
-            status="conjecture",
-            grid=2,
-            failed=2,
-            counterexamples=[
-                {
-                    "empty": [],
-                    "nested": [[], [1, [2, []]], {"a": [], "b": {}}, (3, -4)],
-                    "flags": [True, False],
-                    "mixed": [1, None, 0.5, "x"],
-                },
-                {},
-            ],
-            notes=["é \"q\"\n"],
-        )
-        leaves = VerificationReport(
-            check="leaves",
-            status="conjecture",
-            grid=4,
-            failed=4,
-            counterexamples=[
-                {"bool": [[1, True], [2, 3]], "empty": [[], [1]]},
-                {"tuples": ((1, 2), (3,), ()), "strings": [[1, 2], ["a", "b"]]},
-                {"dict": [[1], {"2": [3]}], "nested": [[1], [[2]]], "float": [[1], [2.0]]},
-            ],
-        )
+        # a report is tallied by _sweep alone, so the odd ones come from cells
+        odd = verify._sweep("odd", "conjecture", [
+            {
+                "empty": [],
+                "nested": [[], [1, [2, []]], {"a": [], "b": {}}, (3, -4)],
+                "flags": [True, False],
+                "mixed": [1, None, 0.5, "x"],
+            },
+            {},
+            Note("é \"q\"\n"),
+        ])
+        leaves = verify._sweep("leaves", "conjecture", [
+            {"bool": [[1, True], [2, 3]], "empty": [[], [1]]},
+            {"tuples": ((1, 2), (3,), ()), "strings": [[1, 2], ["a", "b"]]},
+            {"dict": [[1], {"2": [3]}], "nested": [[1], [[2]]], "float": [[1], [2.0]]},
+        ])
         # what a %d slot per int could get wrong: a float it would truncate,
         # ints past 64 bits and below 0, inner lengths that differ
-        numbers = VerificationReport(
-            check="numbers",
-            status="conjecture",
-            grid=3,
-            failed=3,
-            counterexamples=[
-                {"float": [[1, 2.0]], "half": [[0.5, 1]], "flat": [3, 2.0]},
-                {"big": [[2**70, -(2**70)], [-1, 0]], "flat": [2**70, -5]},
-                {"ragged": [[], [1], [2, 3, 4], [], (5, 6)], "empties": [[], ()]},
-                {"empty_dict": {}, "empty_list": [], "inside": [{}, []]},
-            ],
-        )
+        numbers = verify._sweep("numbers", "conjecture", [
+            {"float": [[1, 2.0]], "half": [[0.5, 1]], "flat": [3, 2.0]},
+            {"big": [[2**70, -(2**70)], [-1, 0]], "flat": [2**70, -5]},
+            {"ragged": [[], [1], [2, 3, 4], [], (5, 6)], "empties": [[], ()]},
+            {"empty_dict": {}, "empty_list": [], "inside": [{}, []]},
+        ])
+        assert odd.notes == ["é \"q\"\n"] and (odd.failed, numbers.failed) == (2, 4)
         cases = [report, odd, leaves, numbers, [report, odd], [leaves, numbers, report], []]
         for obj in cases:
             if isinstance(obj, list):
