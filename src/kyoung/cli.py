@@ -101,10 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=parse_values, help="INT or LO:HI"),
         p.add_argument("--a", type=parse_values, help="INT or LO:HI"),
         p.add_argument("--b", type=parse_values, help="INT or LO:HI"),
-        p.add_argument("--m-max", type=int, help="structure: rectangle width bound"),
-        p.add_argument("--n-max", type=int, help="structure: rectangle height bound"),
-        p.add_argument("--k-max", type=int, help="structure: level bound"),
-        p.add_argument("--degree-max", type=int, help="structure: partition degree bound"),
+        p.add_argument("--m-max", type=parse_values, help="structure: rectangle width bound"),
+        p.add_argument("--n-max", type=parse_values, help="structure: rectangle height bound"),
+        p.add_argument("--k-max", type=parse_values, help="structure: level bound"),
+        p.add_argument("--degree-max", type=parse_values, help="structure: partition degree bound"),
     )
     p.set_defaults(grid=[action.dest for action in grid])
     p.add_argument("--out", help="write the JSON report(s) to a file")

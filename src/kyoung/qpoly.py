@@ -238,7 +238,8 @@ def rank_gen_gamma(m: int, n: int, k: int) -> QPoly:
     """Rank generating function of the level-k stratum below (m^n), in closed
     form: q^(k-m+1) times the degree-m geometric sum with n-k+m terms times
     [k-1 choose m-2]_q, palindromic about mn/2.  No sweep calls it: the tests
-    hold window_sum(m, k-1, k, [n]) to it, and it takes that window's rule."""
+    hold window_sum(LimitColumn(m), k-1, k, [n]) to it, and it takes that
+    window's rule."""
     _check_window(m, k - 1, k, n)
     cs = [0] * (k - m + 1) + list(gaussian(k - 1, m - 2).coeffs)
     _times_quotient(cs, m * (n - k + m), m)
@@ -360,17 +361,16 @@ def _window_differences(column: LimitColumn, a: int, b: int) -> tuple[list[int],
     return dp, list(map(sub, db, [0] * shift + da))
 
 
-def window_sum(
-    m: int, a: int, b: int, xs: list[int], column: LimitColumn | None = None
-) -> list[QPoly]:
-    """P_x, the sum of the strata at levels a+1 .. b below (m^x), for each x of
-    xs where _check_window admits, all cut from one read of the window's
-    difference series and one prefix sum.  column is as in window_failures."""
+def window_sum(column: LimitColumn, a: int, b: int, xs: list[int]) -> list[QPoly]:
+    """P_x, the sum of the strata at levels a+1 .. b below (m^x), m = column.m,
+    for each x of xs where _check_window admits, all cut from one read of the
+    window's difference series off column and one prefix sum."""
+    m = column.m
     _check_window(m, a, b, min(xs, default=math.inf))
     if not xs:
         return []
     size = m * max(xs) - a + m - 1  # deg P_x = m x - (a-m+2)
-    dp, dt = _window_differences(column or LimitColumn(m), a, b)
+    dp, dt = _window_differences(column, a, b)
     p, t = (list(islice(accumulate(chain(d, cycle(d[-m:]))), size)) for d in (dp, dt))
     sums = []
     for x in xs:
@@ -380,13 +380,10 @@ def window_sum(
     return sums
 
 
-def window_failures(
-    m: int, a: int, b: int, xs: range, column: LimitColumn | None = None
-) -> list[int]:
-    """The x of xs, an ascending range, at which window_sum(m, a, b, [x]) is
-    not unimodal.  xs is read only up to the first x from which every larger
-    x passes.  column is the LimitColumn of m that the caller's windows
-    share; by default the window reads a column of its own.
+def window_failures(column: LimitColumn, a: int, b: int, xs: range) -> list[int]:
+    """The x of xs, an ascending range, at which window_sum(column, a, b, [x])
+    is not unimodal, m = column.m.  xs is read only up to the first x from
+    which every larger x passes.
 
     Every stratum below (m^x) is palindromic about m x / 2, so P_x is too, and
     it is unimodal exactly when it weakly rises from its lowest term
@@ -404,9 +401,10 @@ def window_failures(
     """
     if not isinstance(xs, range) or xs.step < 1:
         raise ValueError(f"xs must be an ascending range: {xs!r}")
+    m = column.m
     _check_window(m, a, b, xs[0] if xs else b - m + 1)  # every later x is larger
     top = (m - 1) * (b - m + 1)  # deg D
-    dp, dt = _window_differences(column or LimitColumn(m), a, b)
+    dp, dt = _window_differences(column, a, b)
     # past deg D, S repeats with period m, so its first fall, if any, is by deg D + m
     lo = a - m + 3
     fall = math.inf if min(dp[lo:], default=0) >= 0 else next(i for i in count(lo) if dp[i] < 0)

@@ -214,9 +214,8 @@ def _window_cells(
 ) -> Iterator[SweepCell]:
     """One unimodality cell per n in the range n_values of the window (a, b],
     read off column, the LimitColumn of m that the check's windows share."""
-    m = column.m
-    failures = qpoly.window_failures(m, a, b, n_values, column)
-    for n, poly in zip(failures, qpoly.window_sum(m, a, b, failures, column)):
+    failures = qpoly.window_failures(column, a, b, n_values)
+    for n, poly in zip(failures, qpoly.window_sum(column, a, b, failures)):
         yield {**where(n), "coefficients": poly.to_json_list()}
     yield Pass(len(n_values) - len(failures))
 
@@ -588,7 +587,8 @@ def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
             continue
         gamma = set(ideals.gamma_set(spec))
         ok = members == smaller | gamma and not (smaller & gamma)
-        (poly,) = qpoly.window_sum(spec.m, spec.k - 1, spec.k, [spec.n])  # the window (k-1, k]
+        # the window (k-1, k], read through a column of its own
+        (poly,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.k - 1, spec.k, [spec.n])
         ok = ok and ideals.rank_vector(gamma, spec.top_rank) == poly
         ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
         # the up-edges are the one-box steps between members: none crosses two strata
@@ -601,7 +601,7 @@ def _decomposition_cells(g: _Grid) -> Iterator[SweepCell]:
     for spec in _grid_cells(g):
         strata = QPoly.zero()
         if spec.k > spec.m:  # the strata at levels m+1 .. k
-            (strata,) = qpoly.window_sum(spec.m, spec.m, spec.k, [spec.n])
+            (strata,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.m, spec.k, [spec.n])
         total = QPoly.geometric(1, spec.top_rank + 1) + strata
         yield _HOLDS if total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k) else spec._asdict()
 

@@ -315,7 +315,7 @@ class TestVerifyCommand:
         assert "unknown params for structure: ['k']" in capsys.readouterr().err
 
     def test_verify_counterexample_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(qpoly, "window_failures", lambda m, a, b, xs, column: list(xs))
+        monkeypatch.setattr(qpoly, "window_failures", lambda column, a, b, xs: list(xs))
         code = main(["verify", "conjecture-u", "--m", "3", "--k", "4:6", "--n", "4:8"])
         out = capsys.readouterr().out
         assert code == 1
@@ -383,6 +383,22 @@ class TestVerifyCommand:
         # in the words it uses for the same list in a sweep file
         assert main(["verify", check, "--m", "2,3"]) == 2
         assert capsys.readouterr() == ("", "error: expected int or [lo, hi]: [[2], [3]]\n")
+
+    @pytest.mark.parametrize(
+        "flag, value, echo",
+        [
+            ("--m-max", "1:3", "(1, 3)"),
+            ("--n-max", "2,3", "[[2], [3]]"),
+            ("--k-max", "0:0", "(0, 0)"),
+            ("--degree-max", "3,4", "[[3], [4]]"),
+        ],
+    )
+    def test_verify_structure_bound_is_judged_by_the_checks_table(self, capsys, flag, value, echo):
+        # a structure bound is read as every grid flag is, and the checks
+        # table alone judges it, as it judges the same bound in a sweep file:
+        # one error line, and no usage text
+        assert main(["verify", "structure", flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: expected int: {echo}\n")
 
     def test_a_check_added_only_to_the_table_runs(self, monkeypatch, capsys):
         monkeypatch.setitem(verify._CHECKS, "sieved-again", verify._CHECKS["sieved"])

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from kyoung import qpoly
 from kyoung.ideals import IdealSpec, enumerate_ideal, gamma_set, rank_vector
 from kyoung.qpoly import (
+    LimitColumn,
     QPoly,
     conjecture_sum,
     count_Lk,
@@ -402,7 +403,8 @@ class TestGammaGen:
     def test_takes_the_window_rule(self, f, args, window, message):
         # the level-k stratum is the window (k-1, k] at x = n, and the limit
         # sum is a window at every x: both raise window_sum's texts
-        for call in (lambda: f(*args), lambda: window_sum(*window[:3], [window[3]])):
+        m, a, b, x = window
+        for call in (lambda: f(*args), lambda: window_sum(LimitColumn(m), a, b, [x])):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
 
@@ -550,7 +552,7 @@ def decided_at(m, a, b):
     return next(x for x in itertools.count(b - m + 1) if m * (x + 1) - top > m * x // 2)
 
 
-def check_window(m, a, b, oracle, xs, column):
+def check_window(column, a, b, oracle, xs):
     """window_sum against oracle(x) at each x of the range xs, one x at a
     time and all of xs at once, and all of xs reversed, with a column of its
     own and with column, the LimitColumn of m that the caller's windows share
@@ -558,19 +560,20 @@ def check_window(m, a, b, oracle, xs, column):
     over xs and one x at a time; returns the x at which the oracle is not
     unimodal.  The last x is past deg D + m, so window_sum reads S and T past
     the difference series the column keeps."""
+    m = column.m
     assert m * xs[-1] - a + m - 1 > (m - 1) * (b - m + 1) + m + 1, (m, a, b)
     failing, polys = [], []
     for x in xs:
         poly = oracle(x)
-        assert window_sum(m, a, b, [x]) == [poly], (m, a, b, x)
-        assert window_sum(m, a, b, [x], column) == [poly], (m, a, b, x)
+        assert window_sum(LimitColumn(m), a, b, [x]) == [poly], (m, a, b, x)
+        assert window_sum(column, a, b, [x]) == [poly], (m, a, b, x)
         expected = [] if is_unimodal(poly) else [x]
-        assert window_failures(m, a, b, range(x, x + 1)) == expected, (m, a, b, x)
+        assert window_failures(LimitColumn(m), a, b, range(x, x + 1)) == expected, (m, a, b, x)
         failing += expected
         polys.append(poly)
-    assert window_sum(m, a, b, xs, column) == polys, (m, a, b)
-    assert window_sum(m, a, b, xs[::-1]) == polys[::-1], (m, a, b)
-    assert window_failures(m, a, b, xs) == failing, (m, a, b)
+    assert window_sum(column, a, b, xs) == polys, (m, a, b)
+    assert window_sum(LimitColumn(m), a, b, xs[::-1]) == polys[::-1], (m, a, b)
+    assert window_failures(LimitColumn(m), a, b, xs) == failing, (m, a, b)
     return failing
 
 
@@ -614,7 +617,7 @@ class TestStrataWalk:
                     oracle = lambda x: finite_strata_by_addition(m, x, a, b)  # noqa: E731
                     first, decided = b - m + 1, decided_at(m, a, b)
                     xs = range(first, max(first + 2, decided + 1) + 1)
-                    outcomes.add(bool(check_window(m, a, b, oracle, xs, column)))
+                    outcomes.add(bool(check_window(column, a, b, oracle, xs)))
         # windows that pass, and windows that do not qualify and fail
         assert outcomes == {True, False}
 
@@ -631,7 +634,7 @@ class TestStrataWalk:
                         return total + rank_gen_gamma(m, x, k + 1) if b > k else total
 
                     xs = range(first, decided + 3)
-                    outcomes.add(bool(check_window(m, k - 1, b, oracle, xs, column)))
+                    outcomes.add(bool(check_window(column, k - 1, b, oracle, xs)))
                     offsets.add(decided - first)
         # windows decided at their first x, and windows decided many x in
         assert outcomes == {True, False}
@@ -651,8 +654,8 @@ class TestStrataWalk:
                 for b in range(a + 1, 37):
                     xs = range(b - m + 1, b - m + 251)
                     expected = failures_by_full_scan(m, a, b, xs)
-                    assert window_failures(m, a, b, xs, column) == expected, (m, a, b)
-                    assert window_failures(m, a, b, xs) == expected, (m, a, b)
+                    assert window_failures(column, a, b, xs) == expected, (m, a, b)
+                    assert window_failures(LimitColumn(m), a, b, xs) == expected, (m, a, b)
                     windows += 1
                     failing += bool(expected)
         assert (windows, failing) == (4_840, 2_814)
@@ -660,43 +663,52 @@ class TestStrataWalk:
     def test_a_descent_in_xs_raises(self):
         # (5, 8] at m = 3 fails at x = 6 and is decided as passing from x = 7
         # up, where the range stops being read
-        assert window_failures(3, 5, 8, range(6, 7)) == [6]
-        assert window_failures(3, 5, 8, range(6, 10**30)) == [6]
-        assert window_failures(3, 5, 8, range(6, 47, 39)) == [6]
+        assert window_failures(LimitColumn(3), 5, 8, range(6, 7)) == [6]
+        assert window_failures(LimitColumn(3), 5, 8, range(6, 10**30)) == [6]
+        assert window_failures(LimitColumn(3), 5, 8, range(6, 47, 39)) == [6]
         # only an ascending range carries its ascent: a list, a tuple or an
         # iterator does not, even when its values ascend
         for xs in ([6], (6, 45), iter([6, 45]), [45, 6], range(9, 6, -1), range(9, 6)[::-1]):
             with pytest.raises(ValueError, match="xs must be an ascending range"):
-                window_failures(3, 5, 8, xs)
+                window_failures(LimitColumn(3), 5, 8, xs)
         # (5, 9] at m = 3 fails from x = 10 up and is never decided: every x is read
-        assert window_failures(3, 5, 9, range(8, 12)) == [10, 11]
-        assert window_failures(3, 5, 9, range(8, 15, 3)) == [11, 14]
+        assert window_failures(LimitColumn(3), 5, 9, range(8, 12)) == [10, 11]
+        assert window_failures(LimitColumn(3), 5, 9, range(8, 15, 3)) == [11, 14]
 
     def test_m_one_has_no_strata(self):
         # G_j = [j-1 choose -1]_q = 0, so D = 0 and every sum is 0
         for a, b in ((1, 2), (1, 6), (4, 9)):
-            assert [poly.is_zero() for poly in window_sum(1, a, b, range(b, b + 5))] == [True] * 5
+            sums = window_sum(LimitColumn(1), a, b, range(b, b + 5))
+            assert [poly.is_zero() for poly in sums] == [True] * 5
             for x in range(b, b + 5):
                 assert finite_strata_by_addition(1, x, a, b).is_zero()
-            assert window_failures(1, a, b, range(b, b + 5)) == []
+            assert window_failures(LimitColumn(1), a, b, range(b, b + 5)) == []
 
     def test_validation(self):
-        for args in ((0, 1, 2, 5), (3, 2, 4, 5), (3, 4, 4, 5), (3, 4, 6, 3)):
+        for m, a, b, x in ((0, 1, 2, 5), (3, 2, 4, 5), (3, 4, 4, 5), (3, 4, 6, 3)):
             with pytest.raises(ValueError):
-                window_sum(*args[:3], [args[3]])
+                window_sum(LimitColumn(m), a, b, [x])
             with pytest.raises(ValueError, match="need"):
-                window_failures(*args[:3], range(args[3], args[3] + 1))
+                window_failures(LimitColumn(m), a, b, range(x, x + 1))
         with pytest.raises(ValueError, match="need"):  # a bad window raises with no x
-            window_failures(3, 4, 4, range(5, 5))
-        assert window_failures(3, 4, 5, range(5, 5)) == []
+            window_failures(LimitColumn(3), 4, 4, range(5, 5))
+        assert window_failures(LimitColumn(3), 4, 5, range(5, 5)) == []
         # so does window_sum, and each x of xs is held to the rule
         with pytest.raises(ValueError, match="need 1 <= m <= a < b"):
-            window_sum(3, 4, 4, [])
-        assert window_sum(3, 4, 5, []) == []
+            window_sum(LimitColumn(3), 4, 4, [])
+        assert window_sum(LimitColumn(3), 4, 5, []) == []
         with pytest.raises(ValueError, match="need x"):
-            window_sum(3, 3, 5, [10, 2, 10])
+            window_sum(LimitColumn(3), 3, 5, [10, 2, 10])
         with pytest.raises(ValueError, match="need x"):  # its first x is below b-m+1
-            window_failures(3, 3, 5, range(2, 10**30))
+            window_failures(LimitColumn(3), 3, 5, range(2, 10**30))
+
+    def test_the_rule_reads_m_off_the_column(self):
+        # m is the column's: (3, 5] is outside the rule at m = 4, so both
+        # raise the rule's text before the column is read
+        message = "need 1 <= m <= a < b: m=4 a=3 b=5"
+        for read, xs in ((window_failures, range(3, 10)), (window_sum, [3])):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(LimitColumn(4), 3, 5, xs)
 
     def test_one_read_writes_every_x(self, monkeypatch):
         # window_sum reads the window's difference series once, however many
@@ -704,9 +716,9 @@ class TestStrataWalk:
         reads, real = [], qpoly._window_differences
         counting = lambda *args: reads.append(args) or real(*args)  # noqa: E731
         monkeypatch.setattr(qpoly, "_window_differences", counting)
-        polys = qpoly.window_sum(3, 5, 9, range(8, 40))
+        polys = qpoly.window_sum(LimitColumn(3), 5, 9, range(8, 40))
         assert len(reads) == 1 and len(polys) == 32
-        assert qpoly.window_sum(3, 5, 9, []) == [] and len(reads) == 1
+        assert qpoly.window_sum(LimitColumn(3), 5, 9, []) == [] and len(reads) == 1
         monkeypatch.undo()
         assert polys[::7] == [finite_strata_by_addition(3, x, 5, 9) for x in range(8, 40, 7)]
 
@@ -720,9 +732,9 @@ class TestStrataWalk:
             return QPoly(*args)
 
         monkeypatch.setattr(qpoly, "QPoly", counting)
-        (poly,) = qpoly.window_sum(5, 6, 8, [4])
+        (poly,) = qpoly.window_sum(LimitColumn(5), 6, 8, [4])
         assert len(built) == 1
-        assert qpoly.window_failures(5, 6, 8, range(4, 40)) == [] and len(built) == 1
+        assert qpoly.window_failures(LimitColumn(5), 6, 8, range(4, 40)) == [] and len(built) == 1
         monkeypatch.undo()
         assert poly == finite_strata_by_addition(5, 4, 6, 8)
 

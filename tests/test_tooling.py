@@ -148,8 +148,9 @@ def test_verify_fills_residues_only_for_the_sieved_tally():
     # the level-k stratum comes from qpoly.window_sum, whose closed form
     # rank_gen_gamma is the tests' oracle; sieved reads both of its halves
     # off one tally of the residue totals of [x choose m-1]_q, filled in one
-    # place; the window checks read one LimitColumn per m; and verify
-    # builds no Gaussian
+    # place; the window checks read one LimitColumn per m, and
+    # structure-gamma and structure-decomposition one per window; and
+    # verify builds no Gaussian
     path = ROOT / "src" / "kyoung" / "verify.py"
     tree = ast.parse(path.read_text(), str(path))
     nodes = list(ast.walk(tree))
@@ -169,7 +170,12 @@ def test_verify_fills_residues_only_for_the_sieved_tally():
     }
     assert calls == {
         "gaussian_residues": [("_sieved_cells", ["m_val", "top"])],
-        "LimitColumn": [("_conjecture_u_cells", ["m"]), ("_conjecture_gen_cells", ["m_val"])],
+        "LimitColumn": [
+            ("_conjecture_u_cells", ["m"]),
+            ("_conjecture_gen_cells", ["m_val"]),
+            ("_gamma_cells", ["spec.m"]),
+            ("_decomposition_cells", ["spec.m"]),
+        ],
     }
     (tally,) = [
         node.value
@@ -211,7 +217,45 @@ def test_one_series_decides_and_writes_every_window():
         for node in ast.walk(cells)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "qpoly.window_sum"
     ]
-    assert calls == [["m", "a", "b", "failures", "column"]]
+    assert calls == [["column", "a", "b", "failures"]]
+
+
+def test_every_window_is_read_through_a_column():
+    # m has one source: window_sum and window_failures read it off the
+    # column, so every production call hands them a LimitColumn first,
+    # either built at the call or a parameter annotated as one
+    readers = ("window_sum", "window_failures")
+    calls = []
+    for path in sorted((ROOT / "src" / "kyoung").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            columns = {
+                arg.arg
+                for arg in f.args.args
+                if arg.annotation is not None
+                and ast.unparse(arg.annotation) in ("LimitColumn", "qpoly.LimitColumn")
+            }
+            for node in ast.walk(f):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func).removeprefix("qpoly.")
+                if name not in readers:
+                    continue
+                first = node.args[0] if node.args else None
+                built = isinstance(first, ast.Call) and ast.unparse(first.func) in (
+                    "LimitColumn", "qpoly.LimitColumn"
+                )
+                held = isinstance(first, ast.Name) and first.id in columns
+                assert built or held, (path.name, f.name, ast.unparse(node))
+                calls.append((f.name, name))
+    assert sorted(calls) == [
+        ("_decomposition_cells", "window_sum"),
+        ("_gamma_cells", "window_sum"),
+        ("_window_cells", "window_failures"),
+        ("_window_cells", "window_sum"),
+    ]
 
 
 def test_qualifies_alone_states_the_window_rule():

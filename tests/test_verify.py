@@ -132,7 +132,7 @@ class TestWindowRule:
         m, k_top = 5, 30
         read = []
 
-        def recorded(_, a, b, xs, column):
+        def recorded(column, a, b, xs):
             read.append((a, b))
             return []
 
@@ -318,7 +318,7 @@ class TestConjectureU:
         monkeypatch.setattr(
             qpoly,
             "window_failures",
-            lambda m, a, b, xs, column: [x for x in xs if (a + 1, x) in failing],
+            lambda column, a, b, xs: [x for x in xs if (a + 1, x) in failing],
         )
         rep = verify_conjecture_u(m, k_r, n_r)
         expected = [
@@ -331,7 +331,7 @@ class TestConjectureU:
         assert (rep.grid, rep.failed) == (len(cells), len(expected))
 
     def test_counterexamples_recorded_not_raised(self, monkeypatch):
-        monkeypatch.setattr(qpoly, "window_failures", lambda m, a, b, xs, column: list(xs))
+        monkeypatch.setattr(qpoly, "window_failures", lambda column, a, b, xs: list(xs))
         rep = verify_conjecture_u(3, (4, 6), (4, 8))
         assert rep.failed == rep.grid > 0
         assert not rep.all_pass()
@@ -417,7 +417,7 @@ class TestConjectureGen:
         monkeypatch.setattr(
             qpoly,
             "window_failures",
-            lambda m, a, b, xs, column: [x for x in xs if (m, a, b, x) in failing],
+            lambda column, a, b, xs: [x for x in xs if (column.m, a, b, x) in failing],
         )
         rep = verify_conjecture_gen(m_r, a_r, b_r, n_r)
         expected = [
@@ -461,13 +461,13 @@ class TestConjectureGen:
         the grid grows by exactly the added n of each window."""
         real = qpoly.window_failures
 
-        def counting(m, a, b, xs, column):
-            walked.append((m, a, b, xs.start))
-            return real(m, a, b, xs, column)
+        def counting(column, a, b, xs):
+            walked.append((column.m, a, b, xs.start))
+            return real(column, a, b, xs)
 
         monkeypatch.setattr(qpoly, "window_failures", counting)
         # each window asks window_sum for its failing n, and a passing window for none
-        monkeypatch.setattr(qpoly, "window_sum", lambda m, a, b, xs, column: built.extend(xs) or [])
+        monkeypatch.setattr(qpoly, "window_sum", lambda column, a, b, xs: built.extend(xs) or [])
         seen = []
         for n_hi in (40, 10**12):
             built, walked = [], []
