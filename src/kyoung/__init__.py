@@ -47,18 +47,11 @@ from .ideals import (
 )
 from .qpoly import (
     QPoly,
-    conjecture_sum,
     count_Lk,
-    cyclotomic_check,
-    cyclotomic_polynomial,
     gaussian,
     is_symmetric,
-    is_unimodal,
     rank_gen_Lk,
-    rank_gen_gamma,
-    sieved_sums,
     times_geometric,
-    vanishes_mod_cyclotomic,
 )
 from .verify import (
     SweepConfig,

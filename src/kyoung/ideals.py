@@ -10,7 +10,6 @@ the lattice operations are componentwise.
 from __future__ import annotations
 
 import operator
-import warnings
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -171,14 +170,11 @@ def hasse_diagram(spec: IdealSpec) -> HasseDiagram:
 
 def gamma_set(spec: IdealSpec) -> list[Parts]:
     """Members with exactly w = k - m + 1 short rows, the new stratum at level
-    k: (m^j) over w rows of 1 topped by a partition in the (m - 2) x w box."""
+    k: (m^j) over w rows of 1 topped by a partition in the (m - 2) x w box,
+    for j = 0 .. n - w, so none for n < w."""
     m, w = spec.m, spec.k - spec.m + 1
     if spec.k <= m:
         raise ValueError(f"gamma set needs k > m: m={m} k={spec.k}")
-    if spec.n < w:
-        message = f"gamma set is empty for n < k - m + 1: m={m} n={spec.n} k={spec.k}"
-        warnings.warn(message, stacklevel=2)
-        return []
     if m == 1:  # no part lies strictly between 0 and 1
         return []
     gamma = (

@@ -98,9 +98,6 @@ class QPoly:
                     cs[i + j] += x * y
         return QPoly(cs)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def shifted(self, s: int) -> "QPoly":
         """Multiply by q^s."""
         if s < 0:
@@ -311,6 +308,8 @@ class LimitColumn:
     deg G_x + m + 1 terms, one period further, and from deg G_x + 2 on it
     repeats too.  The callers read windows with a never falling, so a read of
     (a, b) drops every x below a; a read below that starts the column again.
+    A column is read only through window_sum and window_failures, which judge
+    m and the window first.
     """
 
     def __init__(self, m: int):
@@ -319,7 +318,7 @@ class LimitColumn:
         self._low = m - 1  # every x below it is dropped
         self._deltas: dict[int, list[int]] = {}
 
-    def read(self, a: int, b: int) -> tuple[list[int], list[int]]:
+    def _read(self, a: int, b: int) -> tuple[list[int], list[int]]:
         """The difference series of F_a and of F_b, for m <= a < b."""
         if a < self._low:
             self.__init__(self.m)
@@ -355,7 +354,7 @@ def _window_differences(column: LimitColumn, a: int, b: int) -> tuple[list[int],
     S = F_b - F_a and T = F_b - q^((m-1)(b-a)) F_a.
     """
     m = column.m
-    da, db = column.read(a, b)
+    da, db = column._read(a, b)
     shift = (m - 1) * (b - a)  # len(db) = deg D + m + 1 = len(da) + shift
     dp = list(map(sub, db, [*da, *islice(cycle(da[-m:]), shift)]))  # dp[i] = S[i] - S[i-1]
     return dp, list(map(sub, db, [0] * shift + da))

@@ -1,7 +1,8 @@
 """The traced benchmark launcher still finds every name it wraps, the
-package imports no source of randomness, no name it leaves unused and no
-code generator, and verify builds its Gaussians in one place, states the
-window rule in one and tallies its reports in one."""
+package imports no source of randomness, no warnings, no name it leaves
+unused and no code generator, re-exports no test oracle, and verify builds
+its Gaussians in one place, states the window rule in one and tallies its
+reports in one."""
 
 import ast
 import json
@@ -107,7 +108,8 @@ def test_traced_launcher_times_the_report_writer(tmp_path):
 
 
 def test_no_module_imports_random():
-    # no randomness affects any report (README), so the package draws none
+    # no randomness affects any report (README), so the package draws none;
+    # nor does it warn: a rule it breaks raises, and an empty answer is one
     for path in sorted((ROOT / "src" / "kyoung").rglob("*.py")):
         imported = set()
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -115,7 +117,7 @@ def test_no_module_imports_random():
                 imported.update(alias.name.partition(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
-        assert "random" not in imported, path
+        assert not {"random", "warnings"} & imported, path
 
 
 @pytest.mark.parametrize("tree", ["src", "tests", "sweeps", "perfbench"])
@@ -256,6 +258,50 @@ def test_every_window_is_read_through_a_column():
         ("_window_cells", "window_failures"),
         ("_window_cells", "window_sum"),
     ]
+
+
+ORACLES = (
+    "conjecture_sum",
+    "cyclotomic_check",
+    "cyclotomic_polynomial",
+    "vanishes_mod_cyclotomic",
+    "sieved_sums",
+    "rank_gen_gamma",
+    "is_unimodal",
+)
+
+
+def test_the_test_oracles_are_not_reexported():
+    # no production route reaches them, so kyoung's top level does not bind
+    # them; kyoung.qpoly still does, where the tests and perfbench/traced.py
+    # read them
+    import kyoung
+    from kyoung import qpoly
+
+    assert [name for name in ORACLES if hasattr(kyoung, name)] == []
+    assert all(callable(getattr(qpoly, name, None)) for name in ORACLES)
+
+
+def test_only_the_window_readers_read_a_column():
+    # a column is read only through window_sum and window_failures, which
+    # judge m and the window first: LimitColumn has no public read, and only
+    # _window_differences, which both of them call, calls _read
+    from kyoung.qpoly import LimitColumn
+
+    assert not hasattr(LimitColumn, "read") and hasattr(LimitColumn, "_read")
+    callers = []
+    for path in sorted((ROOT / "src" / "kyoung").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        callers += [
+            (path.name, f.name)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_read"
+        ]
+    assert callers == [("qpoly.py", "_window_differences")]
 
 
 def test_qualifies_alone_states_the_window_rule():
