@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 
 from .lattice import HasseDiagram, ideal_name
-from .partitions import Parts, partitions_in_box, require_rectangle
+from .partitions import Parts, _echo, partitions_in_box, require_rectangle
 from .qpoly import QPoly
 
 
@@ -174,7 +174,7 @@ def gamma_set(spec: IdealSpec) -> list[Parts]:
     for j = 0 .. n - w, so none for n < w."""
     m, w = spec.m, spec.k - spec.m + 1
     if spec.k <= m:
-        raise ValueError(f"gamma set needs k > m: m={m} k={spec.k}")
+        raise ValueError(f"gamma set needs k > m: m={_echo(m)} k={_echo(spec.k)}")
     if m == 1:  # no part lies strictly between 0 and 1
         return []
     gamma = (
@@ -187,7 +187,8 @@ def gamma_set(spec: IdealSpec) -> list[Parts]:
 
 def _require_member(p: Parts, spec: IdealSpec) -> None:
     if not is_member(p, spec):
-        raise ValueError(f"{p} is not a member of L^{spec.k}({spec.m},{spec.n})")
+        m, n, k = map(_echo, spec)
+        raise ValueError(f"{_echo(p)} is not a member of L^{k}({m},{n})")
 
 
 def complement_dual(p: Parts, spec: IdealSpec) -> Parts:
@@ -218,6 +219,6 @@ def rank_vector(members: Iterable[Parts], top_rank: int) -> QPoly:
     for p in members:
         d = sum(p)
         if d > top_rank:
-            raise ValueError(f"degree {d} exceeds top rank {top_rank}")
+            raise ValueError(f"degree {_echo(d)} exceeds top rank {_echo(top_rank)}")
         counts[d] += 1
     return QPoly(counts)

@@ -248,7 +248,7 @@ def check_rectangle_translation(
     """Covers above lam-union-rectangle and translated covers above lam, both
     sorted: the translation holds when the two are equal."""
     if rect.k != k:
-        raise ValueError(f"rectangle {rect} is not a {k}-rectangle")
+        raise ValueError(f"rectangle {_echo(rect)} is not a {_echo(k)}-rectangle")
     require_k_bounded(k, lam)
     box = rect.parts
     lhs = _covers(union(lam, box), k, "up")

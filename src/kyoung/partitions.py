@@ -199,7 +199,7 @@ class SkewShape(NamedTuple):
         """
         i, j = cell
         if not (1 <= i <= len(self.outer) and 1 <= j <= self.outer[i - 1]):
-            raise ValueError(f"cell {cell} outside outer shape {self.outer}")
+            raise ValueError(f"cell {_echo(cell)} outside outer shape {_echo(self.outer)}")
         arm = self.outer[i - 1] - max(self.inner_at(i), j)
         leg = _column_height(self.outer, j) - max(i, _column_height(self.inner, j))
         own = 1 if j > self.inner_at(i) else 0
@@ -233,7 +233,7 @@ class SkewShape(NamedTuple):
             ]
             out.append((ell + 1, 1))
             return out
-        raise ValueError(f"direction must be 'removable' or 'addable': {direction!r}")
+        raise ValueError(f"direction must be 'removable' or 'addable': {_echo(direction)}")
 
     def to_json_dict(self) -> dict:
         return {"outer": list(self.outer), "inner": list(self.inner)}
@@ -245,7 +245,7 @@ def skew_shape(outer: Sequence[int], inner: Sequence[int] = ()) -> SkewShape:
     valid by construction, so it calls SkewShape itself."""
     o, i = partition(outer), partition(inner)
     if not contains(i, o):
-        raise ValueError(f"inner {i} not contained in outer {o}")
+        raise ValueError(f"inner {_echo(i)} not contained in outer {_echo(o)}")
     return SkewShape(o, i)
 
 

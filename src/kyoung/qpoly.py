@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, count, cycle, islice, starmap
 from operator import add, ge, gt, index, sub
 
-from .partitions import require_rectangle
+from .partitions import _echo, require_rectangle
 
 
 class QPoly:
@@ -279,6 +279,8 @@ def gaussian_residues(m: int, top: int) -> Iterator[list[int]]:
     j = 0 .. m-1 are filled for i = x-m+1 = 0, 1, ... in turn, m^2 additions
     an i, from i = -1, where row 0 is 1 and every other row is 0.
     """
+    if top < m - 1:  # no x to yield: build no rows
+        return
     rows = [[1, *[0] * (m - 1)], *([0] * m for _ in range(m - 1))]
     for i in range(top - m + 2):
         r = i % m
@@ -399,7 +401,7 @@ def window_failures(column: LimitColumn, a: int, b: int, xs: range) -> list[int]
     where s has moved by a multiple of m.
     """
     if not isinstance(xs, range) or xs.step < 1:
-        raise ValueError(f"xs must be an ascending range: {xs!r}")
+        raise ValueError(f"xs must be an ascending range: {_echo(xs)}")
     m = column.m
     _check_window(m, a, b, xs[0] if xs else b - m + 1)  # every later x is larger
     top = (m - 1) * (b - m + 1)  # deg D

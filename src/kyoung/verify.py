@@ -386,6 +386,11 @@ def _grid_cells(g: _Grid) -> Iterator[IdealSpec]:
                 yield IdealSpec(m, n, k)
 
 
+def _each_ideal(family: Callable[[IdealSpec], Iterator[SweepCell]]) -> Callable:
+    """The cells of family, a function of one ideal, on each ideal of a grid in turn."""
+    return lambda g: itertools.chain.from_iterable(map(family, _grid_cells(g)))
+
+
 def _involution_cells(g: _Grid) -> Iterator[SweepCell]:
     for k in range(1, g.k_max + 1):
         for p in partitions.k_bounded_partitions(k, g.degree_max):
@@ -492,118 +497,109 @@ def _upsets(rows: list[Parts], spec: IdealSpec, reverse: bool = False) -> list[i
     return [functools.reduce(operator.and_, map(list.__getitem__, tables, x)) for x in padded]
 
 
-def _subposet_cells(g: _Grid) -> Iterator[SweepCell]:
-    for spec in _grid_cells(g):
-        steps = ideals.hasse_diagram(spec)  # the members and their one-box steps
-        members = steps.vertices()
-        diagram = lattice.build_ideal(spec.rectangle, spec.k)
-        vertices = diagram.vertices()
-        if vertices != members:  # both come by degree, then lexicographically
-            vertex_set, member_set = set(vertices), set(members)
-            extra = [list(v) for v in vertices if v not in member_set]
-            missing = [list(p) for p in members if p not in vertex_set]
-            yield {**spec._asdict(), "extra": extra, "missing": missing}
+def _subposet_cells(spec: IdealSpec) -> Iterator[SweepCell]:
+    steps = ideals.hasse_diagram(spec)  # the members and their one-box steps
+    members = steps.vertices()
+    diagram = lattice.build_ideal(spec.rectangle, spec.k)
+    vertices = diagram.vertices()
+    if vertices != members:  # both come by degree, then lexicographically
+        vertex_set, member_set = set(vertices), set(members)
+        extra = [list(v) for v in vertices if v not in member_set]
+        missing = [list(p) for p in members if p not in vertex_set]
+        yield {**spec._asdict(), "extra": extra, "missing": missing}
+        return
+    # the k-covers must be the one-box steps, both sorted (lower, upper)
+    # position pairs: the lowest lower end among the pairs on one side
+    # only is the counterexample
+    if diagram.edges != steps.edges:
+        diff = set(diagram.edges) ^ set(steps.edges)
+        x = min(diff)[0]
+        extra = [list(members[u]) for v, u in diagram.edges if v == x and (v, u) in diff]
+        missing = [list(members[u]) for v, u in steps.edges if v == x and (v, u) in diff]
+        yield {**spec._asdict(), "child": list(members[x]), "extra": extra, "missing": missing}
+        return
+    # the ideal is downward closed, so every saturated chain between two
+    # members stays in it: the k-order there is reachability in the
+    # diagram.  above[v] holds the members reachable from v, as bits; an
+    # edge's upper end has the later position, so walking the sorted
+    # edges backwards reads each above[u] once it is final.
+    above = [1 << v for v in range(len(members))]
+    for v, u in reversed(steps.edges):
+        above[v] |= above[u]
+    for x, reach, up in zip(members, above, _upsets(members, spec)):
+        wrong = reach ^ up
+        if not wrong:
+            yield Pass(len(members))
             continue
-        # the k-covers must be the one-box steps, both sorted (lower, upper)
-        # position pairs: the lowest lower end among the pairs on one side
-        # only is the counterexample
-        if diagram.edges != steps.edges:
-            diff = set(diagram.edges) ^ set(steps.edges)
-            x = min(diff)[0]
-            extra = [list(members[u]) for v, u in diagram.edges if v == x and (v, u) in diff]
-            missing = [list(members[u]) for v, u in steps.edges if v == x and (v, u) in diff]
-            yield {**spec._asdict(), "child": list(members[x]), "extra": extra, "missing": missing}
-            continue
-        # the ideal is downward closed, so every saturated chain between two
-        # members stays in it: the k-order there is reachability in the
-        # diagram.  above[v] holds the members reachable from v, as bits; an
-        # edge's upper end has the later position, so walking the sorted
-        # edges backwards reads each above[u] once it is final.
-        above = [1 << v for v in range(len(members))]
-        for v, u in reversed(steps.edges):
-            above[v] |= above[u]
-        for x, reach, up in zip(members, above, _upsets(members, spec)):
-            wrong = reach ^ up
-            if not wrong:
-                yield Pass(len(members))
-                continue
-            for j, y in enumerate(members):
-                yield {**spec._asdict(), "a": list(x), "b": list(y)} if wrong >> j & 1 else _HOLDS
-        # One cover cell per one-box step, which follows from the checks
-        # above: the edges are the one-box steps, so each adds one box, and
-        # reachability is containment, so a member y one box above a member
-        # x is reached from x by a path of exactly one edge.
-        yield Pass(len(steps.edges))
+        for j, y in enumerate(members):
+            yield {**spec._asdict(), "a": list(x), "b": list(y)} if wrong >> j & 1 else _HOLDS
+    # One cover cell per one-box step, which follows from the checks
+    # above: the edges are the one-box steps, so each adds one box, and
+    # reachability is containment, so a member y one box above a member
+    # x is reached from x by a path of exactly one edge.
+    yield Pass(len(steps.edges))
 
 
-def _counts_cells(g: _Grid) -> Iterator[SweepCell]:
-    for spec in _grid_cells(g):
-        members = ideals.enumerate_ideal(spec)
-        poly = qpoly.rank_gen_Lk(spec.m, spec.n, spec.k)
-        ok = (
-            len(members) == qpoly.count_Lk(spec.m, spec.n, spec.k)
-            and len(members) == poly(1)
-            and ideals.rank_vector(members, spec.top_rank) == poly
+def _counts_cells(spec: IdealSpec) -> Iterator[SweepCell]:
+    members = ideals.enumerate_ideal(spec)
+    poly = qpoly.rank_gen_Lk(spec.m, spec.n, spec.k)
+    ok = (
+        len(members) == qpoly.count_Lk(spec.m, spec.n, spec.k)
+        and len(members) == poly(1)
+        and ideals.rank_vector(members, spec.top_rank) == poly
+    )
+    yield _HOLDS if ok else spec._asdict()
+
+
+def _duality_cells(spec: IdealSpec) -> Iterator[SweepCell]:
+    members = ideals.enumerate_ideal(spec)
+    member_set = set(members)
+    dual = {p: ideals.complement_dual(p, spec) for p in members}
+    # meet (join) is componentwise, so its length and its number of parts
+    # equal to m are the smaller (larger) of its arguments'.  Membership
+    # depends on those two numbers alone, so one pair per pair of such
+    # classes decides closure, and a sublattice of the box is distributive.
+    reps = {(len(p), p.count(spec.m)): p for p in members}.values()
+    # order reversal: x fits inside y exactly when dual(y) fits inside dual(x)
+    ok = (
+        qpoly.is_symmetric(ideals.rank_vector(members, spec.top_rank), spec.top_rank)
+        and all(dual.get(d) == p for p, d in dual.items())
+        and _upsets(members, spec) == _upsets(list(dual.values()), spec, reverse=True)
+        and all(
+            ideals.meet(x, y, spec) in member_set and ideals.join(x, y, spec) in member_set
+            for x, y in itertools.combinations_with_replacement(reps, 2)
         )
-        yield _HOLDS if ok else spec._asdict()
+    )
+    yield _HOLDS if ok else spec._asdict()
 
 
-def _duality_cells(g: _Grid) -> Iterator[SweepCell]:
-    for spec in _grid_cells(g):
-        members = ideals.enumerate_ideal(spec)
-        member_set = set(members)
-        dual = {p: ideals.complement_dual(p, spec) for p in members}
-        # meet (join) is componentwise, so its length and its number of parts
-        # equal to m are the smaller (larger) of its arguments'.  Membership
-        # depends on those two numbers alone, so one pair per pair of such
-        # classes decides closure, and a sublattice of the box is distributive.
-        reps = {(len(p), p.count(spec.m)): p for p in members}.values()
-        # order reversal: x fits inside y exactly when dual(y) fits inside dual(x)
-        ok = (
-            qpoly.is_symmetric(ideals.rank_vector(members, spec.top_rank), spec.top_rank)
-            and all(dual.get(d) == p for p, d in dual.items())
-            and _upsets(members, spec) == _upsets(list(dual.values()), spec, reverse=True)
-            and all(
-                ideals.meet(x, y, spec) in member_set and ideals.join(x, y, spec) in member_set
-                for x, y in itertools.combinations_with_replacement(reps, 2)
-            )
-        )
-        yield _HOLDS if ok else spec._asdict()
+def _gamma_cells(spec: IdealSpec) -> Iterator[SweepCell]:
+    diagram = ideals.hasse_diagram(spec)
+    vertices = diagram.vertices()
+    if spec.k == spec.m:  # a chain: one member per degree
+        chain = [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1)
+        yield _HOLDS if chain else spec._asdict()
+        return
+    # level k - 1's members, enumerated on their own: L^k splits as L^(k-1) and gamma
+    smaller = set(ideals.enumerate_ideal(spec._replace(k=spec.k - 1)))
+    gamma = set(ideals.gamma_set(spec))
+    ok = set(vertices) == smaller | gamma and not (smaller & gamma)
+    # the window (k-1, k], read through a column of its own
+    (poly,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.k - 1, spec.k, [spec.n])
+    ok = ok and ideals.rank_vector(gamma, spec.top_rank) == poly
+    ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
+    # the up-edges are the one-box steps between members: none crosses two strata
+    rows = [ideals.short_rows(x, spec.m) for x in vertices]
+    ok = ok and all(abs(rows[u] - rows[x]) <= 1 for x, u in diagram.edges)
+    yield _HOLDS if ok else spec._asdict()
 
 
-def _gamma_cells(g: _Grid) -> Iterator[SweepCell]:
-    # The grid runs k upward for each m, and every n it takes at level k it
-    # took at level k - 1, so the members one level down are the diagram
-    # vertices kept from the pass before: one set per n, replaced as k climbs.
-    previous: dict[int, set[Parts]] = {}
-    for spec in _grid_cells(g):
-        diagram = ideals.hasse_diagram(spec)
-        vertices = diagram.vertices()
-        smaller, members = previous.get(spec.n), set(vertices)  # smaller: level k - 1's if k > m
-        previous[spec.n] = members
-        if spec.k == spec.m:  # a chain: one member per degree
-            chain = [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1)
-            yield _HOLDS if chain else spec._asdict()
-            continue
-        gamma = set(ideals.gamma_set(spec))
-        ok = members == smaller | gamma and not (smaller & gamma)
-        # the window (k-1, k], read through a column of its own
-        (poly,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.k - 1, spec.k, [spec.n])
-        ok = ok and ideals.rank_vector(gamma, spec.top_rank) == poly
-        ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
-        # the up-edges are the one-box steps between members: none crosses two strata
-        rows = [ideals.short_rows(x, spec.m) for x in vertices]
-        ok = ok and all(abs(rows[u] - rows[x]) <= 1 for x, u in diagram.edges)
-        yield _HOLDS if ok else spec._asdict()
-
-
-def _decomposition_cells(g: _Grid) -> Iterator[SweepCell]:
-    for spec in _grid_cells(g):
-        strata = QPoly.zero()
-        if spec.k > spec.m:  # the strata at levels m+1 .. k
-            (strata,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.m, spec.k, [spec.n])
-        total = QPoly.geometric(1, spec.top_rank + 1) + strata
-        yield _HOLDS if total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k) else spec._asdict()
+def _decomposition_cells(spec: IdealSpec) -> Iterator[SweepCell]:
+    strata = QPoly.zero()
+    if spec.k > spec.m:  # the strata at levels m+1 .. k
+        (strata,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.m, spec.k, [spec.n])
+    total = QPoly.geometric(1, spec.top_rank + 1) + strata
+    yield _HOLDS if total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k) else spec._asdict()
 
 
 _STRUCTURE_FAMILIES = (
@@ -612,11 +608,11 @@ _STRUCTURE_FAMILIES = (
     ("structure-covering", _covering_cells),
     ("structure-rectangle-conjugate", _rectangle_conjugate_cells),
     ("structure-rectangle-translation", _rectangle_translation_cells),
-    ("structure-subposet", _subposet_cells),
-    ("structure-counts", _counts_cells),
-    ("structure-duality", _duality_cells),
-    ("structure-gamma", _gamma_cells),
-    ("structure-decomposition", _decomposition_cells),
+    ("structure-subposet", _each_ideal(_subposet_cells)),
+    ("structure-counts", _each_ideal(_counts_cells)),
+    ("structure-duality", _each_ideal(_duality_cells)),
+    ("structure-gamma", _each_ideal(_gamma_cells)),
+    ("structure-decomposition", _each_ideal(_decomposition_cells)),
 )
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from kyoung import partitions as pc
+from kyoung import ideals, lattice, qpoly, partitions as pc
 from kyoung.partitions import (
     KRectangle,
     SkewShape,
@@ -553,3 +553,40 @@ class TestCornerResidues:
                     by_row = {row: residue((row, col), k + 1) for row, col in corners}
                     assert r in by_row and r + k - w + 1 in by_row, (p, k, w)
                     assert by_row[r] == by_row[r + k - w + 1], (p, k, w)
+
+
+HUGE_PARTS = (1,) * 10**5
+HUGE_INT = 10**4000
+
+
+@pytest.mark.parametrize(
+    "raise_it",
+    [
+        lambda: ideals.meet(HUGE_PARTS, (), ideals.IdealSpec(2, 3, 3)),
+        lambda: ideals.complement_dual(HUGE_PARTS, ideals.IdealSpec(2, 3, 3)),
+        lambda: ideals.gamma_set(ideals.IdealSpec(HUGE_INT, 1, HUGE_INT)),
+        lambda: ideals.rank_vector([(HUGE_INT,)], 0),
+        lambda: skew_shape(HUGE_PARTS, (2,) * 10**5),
+        lambda: skew_shape(HUGE_PARTS).hook_length((10**5 + 1, 1)),
+        lambda: skew_shape(()).corners("x" * 10**6),
+        lambda: lattice.check_rectangle_translation((), pc.KRectangle(HUGE_INT, HUGE_INT), 3),
+        lambda: qpoly.window_failures(qpoly.LimitColumn(3), 3, 4, list(range(10**5))),
+    ],
+    ids=[
+        "meet",
+        "complement-dual",
+        "gamma-set",
+        "rank-vector",
+        "skew-shape",
+        "hook-length",
+        "corners",
+        "rectangle-translation",
+        "window-failures",
+    ],
+)
+def test_a_library_error_echoes_a_bounded_value(raise_it):
+    # an input of 10^5 parts, 10^6 characters or 4,001 digits is shown
+    # briefly, as the CLI shows its arguments
+    with pytest.raises(ValueError) as info:
+        raise_it()
+    assert len(str(info.value)) < 1000, str(info.value)[:300]

@@ -1,8 +1,8 @@
 """The traced benchmark launcher still finds every name it wraps, the
 package imports no source of randomness, no warnings, no name it leaves
 unused and no code generator, re-exports no test oracle, and verify builds
-its Gaussians in one place, states the window rule in one and tallies its
-reports in one."""
+its Gaussians in one place, states the window rule in one, walks the
+structure grid in one and tallies its reports in one."""
 
 import ast
 import json
@@ -428,6 +428,111 @@ def test_cells_follow_one_protocol():
         ]
         assert not lists and not appended, (f.name, lists, appended)
         assert not any(isinstance(n, ast.Raise) for n in ast.walk(f)), f.name
+
+
+PER_IDEAL_FAMILIES = [
+    "_subposet_cells", "_counts_cells", "_duality_cells", "_gamma_cells", "_decomposition_cells"
+]
+CONTAINERS = {"dict", "set", "list", "Counter", "defaultdict", "OrderedDict", "deque"}
+
+
+def per_ideal_walk(source):
+    """The families verify's structure table runs through _each_ideal, what
+    lets any of them walk a grid or keep a dict or set from one ideal to the
+    next, and the functions that read _grid_cells."""
+    tree = ast.parse(source)
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["_STRUCTURE_FAMILIES"]
+    ]
+    families = [
+        ast.unparse(node.args[0])
+        for node in ast.walk(table)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_each_ideal"
+    ]
+
+    def container(value):
+        if isinstance(value, ast.Call):
+            return ast.unparse(value.func).rpartition(".")[2] in CONTAINERS
+        return isinstance(value, (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp))
+
+    # module-level names bound to a container a call could keep state in
+    held = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and container(node.value)
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Name)
+    }
+    found = []
+    for name in families:
+        f = functions[name]
+        args = f.args
+        takes = [ast.unparse(a.annotation) for a in args.posonlyargs + args.args if a.annotation]
+        if takes != ["IdealSpec"] or len(args.args) != 1 or args.defaults or f.decorator_list:
+            found.append((name, "signature"))
+        if args.vararg or args.kwonlyargs or args.kwarg:
+            found.append((name, "signature"))
+        for node in ast.walk(f):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.append((name, ast.unparse(node)))
+            elif isinstance(node, ast.Name) and node.id in held | {"_grid_cells"}:
+                found.append((name, node.id))
+    # nor state kept on a family's own attributes
+    found += [
+        (node.value.id, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in families
+    ]
+    readers = sorted(
+        {
+            f.name
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            for node in ast.walk(f)
+            if isinstance(node, ast.Name) and node.id == "_grid_cells"
+        }
+    )
+    return families, found, readers
+
+
+def test_each_per_ideal_family_is_a_function_of_one_ideal():
+    # subposet, counts, duality, gamma and decomposition each take one
+    # IdealSpec and keep no dict or set across calls, so each runs on any one
+    # ideal; _each_ideal alone walks the grid, which it states once
+    source = (ROOT / "src" / "kyoung" / "verify.py").read_text()
+    assert per_ideal_walk(source) == (PER_IDEAL_FAMILIES, [], ["_each_ideal"])
+
+
+GAMMA = "def _gamma_cells(spec: IdealSpec) -> Iterator[SweepCell]:\n"
+
+
+@pytest.mark.parametrize(
+    "stateful",
+    [
+        # the level below kept in a module-level dict, one set per n
+        "previous: dict[int, set[Parts]] = {}\n\n\n"
+        + GAMMA + "    smaller = previous.setdefault(spec.n, set())\n",
+        # ... in a default argument
+        GAMMA.replace("spec: IdealSpec", "spec: IdealSpec, previous: dict = {}"),
+        # ... on the function itself
+        GAMMA + "    smaller = _gamma_cells.previous.get(spec.n)\n",
+        # ... or with the grid walked in the family again
+        GAMMA + "    for spec in _grid_cells(_Grid(spec.m, spec.n, spec.k, 0)):\n        pass\n",
+    ],
+    ids=["module-dict", "default-argument", "function-attribute", "grid-walk"],
+)
+def test_the_per_ideal_pin_catches_a_gamma_that_keeps_state(stateful):
+    source = (ROOT / "src" / "kyoung" / "verify.py").read_text()
+    assert source.count(GAMMA) == 1
+    families, found, _ = per_ideal_walk(source.replace(GAMMA, stateful))
+    assert families == PER_IDEAL_FAMILIES
+    assert [name for name, _ in found] == ["_gamma_cells"], found
 
 
 def test_the_k_rules_are_stated_once():

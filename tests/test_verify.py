@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -719,6 +720,19 @@ class TestSieved:
                 seen.append(cell["m"])
         assert len(set(seen)) == 13 and seen == sorted(seen)
 
+    def test_an_m_with_every_cell_skipped_builds_no_tally(self):
+        """At m = 3001 the window (3, 4] is outside m <= a < b and there is no
+        k, so nothing reads a residue total: the one cell is skipped without
+        the m x m rows that filling a tally starts from."""
+        tracemalloc.start()
+        try:
+            rep = verify_sieved(3001, 3, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.grid, rep.skipped) == (0, 1)
+        assert peak < 1 << 20, peak
+
     def test_skips_come_one_per_m_and_a(self):
         """One skip per (m, a) for the windows outside m <= a < b, one per
         (m, a) for the non-qualifying windows inside, and one per prime m for
@@ -880,7 +894,7 @@ class TestStructure:
 
     @staticmethod
     def subposet_counterexamples():
-        cells = verify._subposet_cells(verify._Grid(3, 3, 4, 4))
+        cells = verify._each_ideal(verify._subposet_cells)(verify._Grid(3, 3, 4, 4))
         return verify._sweep("structure-subposet", "theorem", cells).counterexamples
 
     def test_subposet_names_the_lower_of_two_damaged_vertices(self, monkeypatch):
@@ -1012,10 +1026,33 @@ class TestStructure:
             {**spec_dict(spec), "extra": [], "missing": [[1]]} for spec in specs
         ]
 
-    def test_gamma_takes_the_level_below_from_the_pass_before(self, monkeypatch):
+    @pytest.mark.parametrize("family", ["subposet", "counts", "duality", "gamma", "decomposition"])
+    def test_a_per_ideal_family_runs_on_one_ideal_alone(self, family):
+        """Each per-ideal family is a function of one ideal: on (3^4) at
+        level 5 alone, with no ideal walked before it, every cell holds."""
+        cells = list(getattr(verify, f"_{family}_cells")(IdealSpec(3, 4, 5)))
+        assert cells and all(isinstance(cell, Pass) for cell in cells), cells
+        if family == "gamma":
+            assert cells == [verify._HOLDS]
+
+    def test_a_reversed_walk_gives_the_same_tallies(self, monkeypatch):
+        """No family depends on the order of the walk: the grid's ideals
+        taken in reverse give every report as the forward walk does."""
+
+        def tallies():
+            reports = [r.to_json_dict() for r in verify_structure(4, 5, 7, 10)]
+            return [{**r, "elapsed_ms": 0} for r in reports]
+
+        forward = tallies()
+        walk = verify._grid_cells
+        monkeypatch.setattr(verify, "_grid_cells", lambda g: reversed(list(walk(g))))
+        assert tallies() == forward
+        assert all(r["grid"] > 0 and r["fail"] == 0 for r in forward)
+
+    def test_gamma_reads_the_level_below_itself(self, monkeypatch):
         # each ideal's members are read once, off its diagram, which draws
         # them from its own box; gamma_set draws the stratum from its own
-        # box, and the level below is the pass before's
+        # box, and level k - 1 is enumerated on its own for each k > m
         calls = Counter()
 
         def counted(name):
@@ -1030,17 +1067,19 @@ class TestStructure:
         counted("enumerate_ideal")
         counted("hasse_diagram")
         grid = verify._Grid(4, 5, 7, 10)
-        verdicts = [isinstance(cell, Pass) for cell in verify._gamma_cells(grid)]
+        verdicts = [isinstance(cell, Pass) for cell in verify._each_ideal(verify._gamma_cells)(grid)]
         specs = list(verify._grid_cells(grid))
-        assert calls == Counter(("hasse_diagram", spec) for spec in specs)
-        assert sum(calls.values()) == len(specs) == 59
+        below = [IdealSpec(s.m, s.n, s.k - 1) for s in specs if s.k > s.m]
+        assert calls == Counter(
+            [("hasse_diagram", spec) for spec in specs] + [("enumerate_ideal", s) for s in below]
+        )
+        assert (len(specs), len(below)) == (59, 39)
         assert verdicts == [True] * len(specs)
 
-    def test_gamma_keeps_one_member_set_per_n(self, monkeypatch):
-        """structure-gamma reads each member set once, at the level above, so
-        it keeps one member set per n.  When it builds a diagram, the sets it
-        made that are still alive are those, and at most the last cell's
-        stratum and the level below it."""
+    def test_gamma_keeps_no_member_set_across_ideals(self, monkeypatch):
+        """structure-gamma keeps nothing from one ideal to the next: when it
+        builds an ideal's diagram, no set it made for an earlier ideal is
+        still alive."""
 
         class Tracked(set):  # a set that takes weak references
             pass
@@ -1052,19 +1091,18 @@ class TestStructure:
             made.append(weakref.ref(new))
             return new
 
-        most = 0
+        alive = []
 
         def counted(spec):
-            nonlocal most
-            most = max(most, sum(ref() is not None for ref in made))
+            alive.append(sum(ref() is not None for ref in made))
             return ideals.hasse_diagram(spec)
 
         monkeypatch.setattr(verify, "set", tracked, raising=False)
         view = SimpleNamespace(**{**vars(ideals), "hasse_diagram": counted})
         monkeypatch.setattr(verify, "ideals", view)
         grid = verify._Grid(3, 4, 9, 10)
-        assert all(isinstance(cell, Pass) for cell in verify._gamma_cells(grid))
-        assert grid.n_max < most <= grid.n_max + 2, most
+        assert all(isinstance(cell, Pass) for cell in verify._each_ideal(verify._gamma_cells)(grid))
+        assert made and alive == [0] * len(list(verify._grid_cells(grid)))
 
     def test_gamma_catches_a_step_across_two_strata(self, monkeypatch):
         """An up-edge () -> (1, 1) joins strata 0 and 2.  Added wherever m >= 2
@@ -1150,7 +1188,7 @@ class TestStructure:
         view = SimpleNamespace(**{**vars(ideals), name: counted})
         monkeypatch.setattr(verify, "ideals", view)
         grid = verify._Grid(4, 5, 7, 10)
-        assert all(isinstance(cell, Pass) for cell in cells(grid))
+        assert all(isinstance(cell, Pass) for cell in verify._each_ideal(cells)(grid))
         specs = [spec for spec in verify._grid_cells(grid) if spec.k > spec.m or not strata_only]
         assert len(calls) == sum(len(ideals.enumerate_ideal(spec)) for spec in specs) == expected
 
