@@ -198,18 +198,29 @@ def complement_dual(p: Parts, spec: IdealSpec) -> Parts:
     return (m,) * (spec.n - len(p)) + tuple(m - v for v in reversed(p) if v < m)
 
 
-def meet(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
-    """Componentwise minimum."""
-    _require_member(a, spec)
-    _require_member(b, spec)
+def meet_parts(a: Parts, b: Parts) -> Parts:
+    """Componentwise minimum, with no check that a and b are members."""
     return tuple(map(min, a, b))
 
 
-def join(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
-    """Componentwise maximum; the longer argument's tail is kept as it is."""
+def join_parts(a: Parts, b: Parts) -> Parts:
+    """Componentwise maximum, with no check that a and b are members; the
+    longer argument's tail is kept as it is."""
+    return (*map(max, a, b), *a[len(b):], *b[len(a):])
+
+
+def meet(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
+    """meet_parts of two members."""
     _require_member(a, spec)
     _require_member(b, spec)
-    return (*map(max, a, b), *a[len(b):], *b[len(a):])
+    return meet_parts(a, b)
+
+
+def join(a: Parts, b: Parts, spec: IdealSpec) -> Parts:
+    """join_parts of two members."""
+    _require_member(a, spec)
+    _require_member(b, spec)
+    return join_parts(a, b)
 
 
 def rank_vector(members: Iterable[Parts], top_rank: int) -> QPoly:

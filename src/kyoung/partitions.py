@@ -110,7 +110,7 @@ def union(a: Parts, b: Parts) -> Parts:
 def residue(cell: Cell, modulus: int) -> int:
     """Diagonal residue (col - row) mod modulus."""
     if modulus < 1:
-        raise ValueError(f"modulus must be positive: {modulus}")
+        raise ValueError(f"modulus must be positive: {_echo(modulus)}")
     row, col = cell
     return (col - row) % modulus
 
@@ -319,7 +319,7 @@ def rectangle_k_conjugate(m: int, n: int, k: int) -> Parts:
     """
     require_rectangle(m, k)  # n = 0 is the empty partition here
     if n < 0:
-        raise ValueError(f"n must be non-negative: {n}")
+        raise ValueError(f"n must be non-negative: {_echo(n)}")
     w = k - m + 1
     b = n % w
     a = m * (n // w)

@@ -45,7 +45,7 @@ class QPoly:
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "QPoly":
         if power < 0:
-            raise ValueError(f"power must be non-negative: {power}")
+            raise ValueError(f"power must be non-negative: {_echo(power)}")
         return cls((0,) * power + (coeff,))
 
     @classmethod
@@ -101,7 +101,7 @@ class QPoly:
     def shifted(self, s: int) -> "QPoly":
         """Multiply by q^s."""
         if s < 0:
-            raise ValueError(f"shift must be non-negative: {s}")
+            raise ValueError(f"shift must be non-negative: {_echo(s)}")
         if self.is_zero():
             return self
         return QPoly((0,) * s + self.coeffs)
@@ -179,9 +179,9 @@ def times_geometric(p: QPoly, step: int, terms: int) -> QPoly:
     """p times 1 + q^step + ... + q^(step*(terms-1)), that is times
     (1 - q^(step*terms)) / (1 - q^step), computed in place."""
     if step < 1:
-        raise ValueError(f"step must be positive: {step}")
+        raise ValueError(f"step must be positive: {_echo(step)}")
     if terms < 0:
-        raise ValueError(f"terms must be non-negative: {terms}")
+        raise ValueError(f"terms must be non-negative: {_echo(terms)}")
     cs = list(p.coeffs)
     _times_quotient(cs, step * terms, step)
     return QPoly(cs)
@@ -266,7 +266,7 @@ def is_symmetric(p: QPoly, twice_center: int) -> bool:
 def sieved_sums(p: QPoly, m: int) -> list[int]:
     """Coefficient totals by residue class of the exponent mod m."""
     if m < 1:
-        raise ValueError(f"m must be positive: {m}")
+        raise ValueError(f"m must be positive: {_echo(m)}")
     return [sum(p.coeffs[r::m]) for r in range(m)]
 
 
@@ -293,9 +293,9 @@ def gaussian_residues(m: int, top: int) -> Iterator[list[int]]:
 def _check_window(m: int, a: int, b: int, x: float = math.inf) -> None:
     """The rule of the window (a, b] below (m^x), x infinite in the large-x limit."""
     if not 1 <= m <= a < b:
-        raise ValueError(f"need 1 <= m <= a < b: m={m} a={a} b={b}")
+        raise ValueError(f"need 1 <= m <= a < b: m={_echo(m)} a={_echo(a)} b={_echo(b)}")
     if x < b - m + 1:
-        raise ValueError(f"need x >= b - m + 1: m={m} x={x} b={b}")
+        raise ValueError(f"need x >= b - m + 1: m={_echo(m)} x={_echo(x)} b={_echo(b)}")
 
 
 class LimitColumn:
@@ -444,12 +444,12 @@ def _divisors(n: int) -> list[int]:
 def cyclotomic_polynomial(d: int) -> QPoly:
     """d-th cyclotomic polynomial: divide q^d - 1 by the lower cyclotomics."""
     if d < 1:
-        raise ValueError(f"d must be positive: {d}")
+        raise ValueError(f"d must be positive: {_echo(d)}")
     poly = QPoly.monomial(d) - QPoly.one()
     for e in _divisors(d)[:-1]:
         poly, rem = divmod(poly, cyclotomic_polynomial(e))
         if not rem.is_zero():
-            raise ArithmeticError(f"cyclotomic recurrence left a remainder at d={d}")
+            raise ArithmeticError(f"cyclotomic recurrence left a remainder at d={_echo(d)}")
     return poly
 
 
@@ -463,7 +463,8 @@ def vanishes_mod_cyclotomic(sums: list[int], d: int) -> bool:
     the polynomial's own remainder.
     """
     if d < 1 or len(sums) % d != 0:
-        raise ValueError(f"d must divide the number of sums: {len(sums)} sums, d={d}")
+        count = _echo(len(sums))
+        raise ValueError(f"d must divide the number of sums: {count} sums, d={_echo(d)}")
     folded = QPoly([sum(sums[r::d]) for r in range(d)])
     _, rem = divmod(folded, cyclotomic_polynomial(d))
     return rem.is_zero()
@@ -474,7 +475,7 @@ def cyclotomic_check(a: int, b: int, m: int, d: int) -> bool:
     every primitive d-th root of unity, by exact reduction mod the d-th
     cyclotomic polynomial."""
     if d <= 1 or m % d != 0:
-        raise ValueError(f"d must be a divisor of m larger than 1: m={m} d={d}")
+        raise ValueError(f"d must be a divisor of m larger than 1: m={_echo(m)} d={_echo(d)}")
     # That sum is q^(a+1) times the large-n conjecture_sum, and q is a unit
     # mod the d-th cyclotomic polynomial, so reducing the latter decides it.
     return vanishes_mod_cyclotomic(sieved_sums(conjecture_sum(a, b, m), d), d)

@@ -5,12 +5,12 @@ Theorem-status checks must never fail (a failure is an implementation bug);
 conjecture-status checks record counterexamples as findings.  Skipped cells
 are those where a statement makes no claim, and are never counted as passes.
 
-Every check is a generator of cells run through one runner, ``_sweep``: a
-cell is a ``Pass`` of cells that all hold, a ``Skip`` of cells where no claim
-is made, a ``Note`` of the check's own findings, or the counterexample dict of
-one cell that fails.  ``_sweep`` alone tallies them into a report.  A cell
-that holds is a ``Pass``, so a counterexample is built only for a cell that
-fails.
+Every check is a generator of cells: a ``Pass`` of cells that all hold, a
+``Skip`` of cells where no claim is made, a ``Note`` of the check's own
+findings, or the counterexample dict of one cell that fails.  ``_Tally``
+alone tallies them into a report, through ``_sweep`` or, for the per-ideal
+structure families, the walk ``_each_ideal``.  A cell that holds is a
+``Pass``, so a counterexample is built only for a cell that fails.
 """
 
 from __future__ import annotations
@@ -170,31 +170,47 @@ SweepCell = Pass | Skip | Note | dict  # a dict is the counterexample of one fai
 _HOLDS = Pass(1)  # one cell that holds, shared by every family
 
 
-def _sweep(check: str, status: str, cells: Iterable[SweepCell]) -> VerificationReport:
-    """Tally every cell into one timed report.
+class _Tally:
+    """One report whose cells may come in several runs, each tallied and
+    timed by add; close adds the skip notes and the time of every run."""
 
-    The notes are the check's own, in the order its cells yield them, then one
-    note per skip reason.
-    """
-    t0 = time.perf_counter()
-    report = VerificationReport(check=check, status=status)
-    skips: Counter = Counter()
-    for cell in cells:
-        if isinstance(cell, Pass):
-            report.passed += cell.count
-        elif isinstance(cell, Skip):
-            skips[cell.reason] += cell.count
-        elif isinstance(cell, Note):
-            report.notes.append(cell.text)
-        else:
-            report.failed += 1
-            report.counterexamples.append(cell)
-    report.grid = report.passed + report.failed
-    report.skipped = sum(skips.values())
-    for reason, count in sorted(skips.items()):
-        report.notes.append(f"skipped {count}: {reason}")
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+    def __init__(self, check: str, status: str):
+        self.report = VerificationReport(check=check, status=status)
+        self.skips: Counter = Counter()
+        self.seconds = 0.0
+
+    def add(self, cells: Iterable[SweepCell]) -> None:
+        t0 = time.perf_counter()
+        report = self.report
+        for cell in cells:
+            if isinstance(cell, Pass):
+                report.passed += cell.count
+            elif isinstance(cell, Skip):
+                self.skips[cell.reason] += cell.count
+            elif isinstance(cell, Note):
+                report.notes.append(cell.text)
+            else:
+                report.failed += 1
+                report.counterexamples.append(cell)
+        report.grid = report.passed + report.failed
+        report.skipped = sum(self.skips.values())
+        self.seconds += time.perf_counter() - t0
+
+    def close(self) -> VerificationReport:
+        """The report, its notes the check's own, in the order its cells
+        yield them, then one note per skip reason."""
+        t0 = time.perf_counter()
+        report = self.report
+        report.notes += [f"skipped {n}: {reason}" for reason, n in sorted(self.skips.items())]
+        report.elapsed_ms = int((self.seconds + time.perf_counter() - t0) * 1000)
+        return report
+
+
+def _sweep(check: str, status: str, cells: Iterable[SweepCell]) -> VerificationReport:
+    """Tally every cell into one timed report."""
+    sweep = _Tally(check, status)
+    sweep.add(cells)
+    return sweep.close()
 
 
 def verify_conjecture_u(m: int, k_range: Range, n_range: Range) -> VerificationReport:
@@ -386,11 +402,6 @@ def _grid_cells(g: _Grid) -> Iterator[IdealSpec]:
                 yield IdealSpec(m, n, k)
 
 
-def _each_ideal(family: Callable[[IdealSpec], Iterator[SweepCell]]) -> Callable:
-    """The cells of family, a function of one ideal, on each ideal of a grid in turn."""
-    return lambda g: itertools.chain.from_iterable(map(family, _grid_cells(g)))
-
-
 def _involution_cells(g: _Grid) -> Iterator[SweepCell]:
     for k in range(1, g.k_max + 1):
         for p in partitions.k_bounded_partitions(k, g.degree_max):
@@ -497,14 +508,41 @@ def _upsets(rows: list[Parts], spec: IdealSpec, reverse: bool = False) -> list[i
     return [functools.reduce(operator.and_, map(list.__getitem__, tables, x)) for x in padded]
 
 
-def _subposet_cells(spec: IdealSpec) -> Iterator[SweepCell]:
-    steps = ideals.hasse_diagram(spec)  # the members and their one-box steps
-    members = steps.vertices()
+class _IdealView:
+    """One ideal as the per-ideal families read it.  Each part is built when
+    a family first reads it, so its time is that family's, and the walk
+    drops the view before the next ideal."""
+
+    def __init__(self, spec: IdealSpec):
+        self.spec = spec
+
+    @functools.cached_property
+    def diagram(self) -> lattice.HasseDiagram:
+        """The members and their one-box steps."""
+        return ideals.hasse_diagram(self.spec)
+
+    @functools.cached_property
+    def members(self) -> list[Parts]:
+        """By degree, then lexicographically."""
+        return self.diagram.vertices()
+
+    @functools.cached_property
+    def member_set(self) -> set[Parts]:
+        return set(self.members)
+
+    @functools.cached_property
+    def upsets(self) -> list[int]:
+        """Bit j of entry x is set when member x fits inside member j."""
+        return _upsets(self.members, self.spec)
+
+
+def _subposet_cells(view: _IdealView) -> Iterator[SweepCell]:
+    spec, steps, members = view.spec, view.diagram, view.members
     diagram = lattice.build_ideal(spec.rectangle, spec.k)
     vertices = diagram.vertices()
     if vertices != members:  # both come by degree, then lexicographically
-        vertex_set, member_set = set(vertices), set(members)
-        extra = [list(v) for v in vertices if v not in member_set]
+        vertex_set = set(vertices)
+        extra = [list(v) for v in vertices if v not in view.member_set]
         missing = [list(p) for p in members if p not in vertex_set]
         yield {**spec._asdict(), "extra": extra, "missing": missing}
         return
@@ -526,7 +564,7 @@ def _subposet_cells(spec: IdealSpec) -> Iterator[SweepCell]:
     above = [1 << v for v in range(len(members))]
     for v, u in reversed(steps.edges):
         above[v] |= above[u]
-    for x, reach, up in zip(members, above, _upsets(members, spec)):
+    for x, reach, up in zip(members, above, view.upsets):
         wrong = reach ^ up
         if not wrong:
             yield Pass(len(members))
@@ -540,8 +578,8 @@ def _subposet_cells(spec: IdealSpec) -> Iterator[SweepCell]:
     yield Pass(len(steps.edges))
 
 
-def _counts_cells(spec: IdealSpec) -> Iterator[SweepCell]:
-    members = ideals.enumerate_ideal(spec)
+def _counts_cells(view: _IdealView) -> Iterator[SweepCell]:
+    spec, members = view.spec, view.members
     poly = qpoly.rank_gen_Lk(spec.m, spec.n, spec.k)
     ok = (
         len(members) == qpoly.count_Lk(spec.m, spec.n, spec.k)
@@ -551,31 +589,31 @@ def _counts_cells(spec: IdealSpec) -> Iterator[SweepCell]:
     yield _HOLDS if ok else spec._asdict()
 
 
-def _duality_cells(spec: IdealSpec) -> Iterator[SweepCell]:
-    members = ideals.enumerate_ideal(spec)
-    member_set = set(members)
+def _duality_cells(view: _IdealView) -> Iterator[SweepCell]:
+    spec, members, member_set = view.spec, view.members, view.member_set
     dual = {p: ideals.complement_dual(p, spec) for p in members}
     # meet (join) is componentwise, so its length and its number of parts
     # equal to m are the smaller (larger) of its arguments'.  Membership
     # depends on those two numbers alone, so one pair per pair of such
     # classes decides closure, and a sublattice of the box is distributive.
+    # Each class's representative is checked a member once, so its pairs
+    # are combined by the unchecked meet_parts and join_parts.
     reps = {(len(p), p.count(spec.m)): p for p in members}.values()
+    pairs = list(itertools.combinations_with_replacement(reps, 2))
     # order reversal: x fits inside y exactly when dual(y) fits inside dual(x)
     ok = (
         qpoly.is_symmetric(ideals.rank_vector(members, spec.top_rank), spec.top_rank)
         and all(dual.get(d) == p for p, d in dual.items())
-        and _upsets(members, spec) == _upsets(list(dual.values()), spec, reverse=True)
-        and all(
-            ideals.meet(x, y, spec) in member_set and ideals.join(x, y, spec) in member_set
-            for x, y in itertools.combinations_with_replacement(reps, 2)
-        )
+        and view.upsets == _upsets(list(dual.values()), spec, reverse=True)
+        and all(ideals.is_member(x, spec) for x in reps)
+        and member_set.issuperset(itertools.starmap(ideals.meet_parts, pairs))
+        and member_set.issuperset(itertools.starmap(ideals.join_parts, pairs))
     )
     yield _HOLDS if ok else spec._asdict()
 
 
-def _gamma_cells(spec: IdealSpec) -> Iterator[SweepCell]:
-    diagram = ideals.hasse_diagram(spec)
-    vertices = diagram.vertices()
+def _gamma_cells(view: _IdealView) -> Iterator[SweepCell]:
+    spec, diagram = view.spec, view.diagram
     if spec.k == spec.m:  # a chain: one member per degree
         chain = [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1)
         yield _HOLDS if chain else spec._asdict()
@@ -583,18 +621,19 @@ def _gamma_cells(spec: IdealSpec) -> Iterator[SweepCell]:
     # level k - 1's members, enumerated on their own: L^k splits as L^(k-1) and gamma
     smaller = set(ideals.enumerate_ideal(spec._replace(k=spec.k - 1)))
     gamma = set(ideals.gamma_set(spec))
-    ok = set(vertices) == smaller | gamma and not (smaller & gamma)
+    ok = view.member_set == smaller | gamma and not (smaller & gamma)
     # the window (k-1, k], read through a column of its own
     (poly,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.k - 1, spec.k, [spec.n])
     ok = ok and ideals.rank_vector(gamma, spec.top_rank) == poly
     ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
     # the up-edges are the one-box steps between members: none crosses two strata
-    rows = [ideals.short_rows(x, spec.m) for x in vertices]
+    rows = [ideals.short_rows(x, spec.m) for x in view.members]
     ok = ok and all(abs(rows[u] - rows[x]) <= 1 for x, u in diagram.edges)
     yield _HOLDS if ok else spec._asdict()
 
 
-def _decomposition_cells(spec: IdealSpec) -> Iterator[SweepCell]:
+def _decomposition_cells(view: _IdealView) -> Iterator[SweepCell]:
+    spec = view.spec
     strata = QPoly.zero()
     if spec.k > spec.m:  # the strata at levels m+1 .. k
         (strata,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.m, spec.k, [spec.n])
@@ -608,12 +647,27 @@ _STRUCTURE_FAMILIES = (
     ("structure-covering", _covering_cells),
     ("structure-rectangle-conjugate", _rectangle_conjugate_cells),
     ("structure-rectangle-translation", _rectangle_translation_cells),
-    ("structure-subposet", _each_ideal(_subposet_cells)),
-    ("structure-counts", _each_ideal(_counts_cells)),
-    ("structure-duality", _each_ideal(_duality_cells)),
-    ("structure-gamma", _each_ideal(_gamma_cells)),
-    ("structure-decomposition", _each_ideal(_decomposition_cells)),
 )
+
+# each a function of one ideal's view, keeping nothing from one ideal to the next
+_PER_IDEAL_FAMILIES = (
+    ("structure-subposet", _subposet_cells),
+    ("structure-counts", _counts_cells),
+    ("structure-duality", _duality_cells),
+    ("structure-gamma", _gamma_cells),
+    ("structure-decomposition", _decomposition_cells),
+)
+
+
+def _each_ideal(g: _Grid) -> list[VerificationReport]:
+    """The per-ideal families' reports on g, walked ideal by ideal: every
+    family reads one view of an ideal before the next ideal's is built."""
+    tallies = [_Tally(name, "theorem") for name, _ in _PER_IDEAL_FAMILIES]
+    for spec in _grid_cells(g):
+        view = _IdealView(spec)
+        for tally, (_, family) in zip(tallies, _PER_IDEAL_FAMILIES):
+            tally.add(family(view))
+    return [tally.close() for tally in tallies]
 
 
 def verify_structure(
@@ -621,7 +675,8 @@ def verify_structure(
 ) -> list[VerificationReport]:
     """Run every structural invariant family; all are theorem-status."""
     g = _Grid(m_max, n_max, k_max, degree_max)
-    return [_sweep(name, "theorem", cells(g)) for name, cells in _STRUCTURE_FAMILIES]
+    per_item = [_sweep(name, "theorem", cells(g)) for name, cells in _STRUCTURE_FAMILIES]
+    return per_item + _each_ideal(g)
 
 
 def render(obj: Any) -> str:

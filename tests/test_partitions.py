@@ -571,6 +571,18 @@ HUGE_INT = 10**4000
         lambda: skew_shape(()).corners("x" * 10**6),
         lambda: lattice.check_rectangle_translation((), pc.KRectangle(HUGE_INT, HUGE_INT), 3),
         lambda: qpoly.window_failures(qpoly.LimitColumn(3), 3, 4, list(range(10**5))),
+        lambda: qpoly.window_sum(qpoly.LimitColumn(3), HUGE_INT, 3, [1]),
+        lambda: qpoly.window_sum(qpoly.LimitColumn(3), 3, 4, [-HUGE_INT]),
+        lambda: qpoly.QPoly.monomial(-HUGE_INT),
+        lambda: qpoly.QPoly.one().shifted(-HUGE_INT),
+        lambda: residue((1, 1), -HUGE_INT),
+        lambda: rectangle_k_conjugate(2, -HUGE_INT, 3),
+        lambda: qpoly.times_geometric(qpoly.QPoly.one(), -HUGE_INT, 1),
+        lambda: qpoly.times_geometric(qpoly.QPoly.one(), 1, -HUGE_INT),
+        lambda: qpoly.sieved_sums(qpoly.QPoly.one(), -HUGE_INT),
+        lambda: qpoly.cyclotomic_polynomial(-HUGE_INT),
+        lambda: qpoly.vanishes_mod_cyclotomic([0, 0, 0], -HUGE_INT),
+        lambda: qpoly.cyclotomic_check(3, 4, 3, -HUGE_INT),
     ],
     ids=[
         "meet",
@@ -582,6 +594,18 @@ HUGE_INT = 10**4000
         "corners",
         "rectangle-translation",
         "window-failures",
+        "window-sum",
+        "window-sum-x",
+        "monomial",
+        "shifted",
+        "residue",
+        "rectangle-k-conjugate",
+        "times-geometric-step",
+        "times-geometric-terms",
+        "sieved-sums",
+        "cyclotomic-polynomial",
+        "vanishes-mod-cyclotomic",
+        "cyclotomic-check",
     ],
 )
 def test_a_library_error_echoes_a_bounded_value(raise_it):

@@ -336,9 +336,10 @@ def test_qualifies_alone_states_the_window_rule():
 
 
 def test_only_sweep_tallies_a_report():
-    # every check's cells go through verify._sweep, the one function that
-    # writes a report's counts or adds to its counterexamples; the report's
-    # constructor only starts each of them empty
+    # every check's cells go through verify._Tally.add, the one function
+    # that writes a report's counts or adds to its counterexamples, called by
+    # _sweep and by the per-ideal walk; the report's constructor only starts
+    # each of them empty
     path = ROOT / "src" / "kyoung" / "verify.py"
     tallied = {"grid", "passed", "failed", "skipped", "counterexamples"}
 
@@ -365,7 +366,7 @@ def test_only_sweep_tallies_a_report():
     tree = ast.parse(path.read_text(), str(path))
     found = set(writers(tree, "<module>"))
     init = "VerificationReport.__init__"
-    assert {owner for owner, _, _ in found} == {"_sweep", init}
+    assert {owner for owner, _, _ in found} == {"_Tally.add", init}
     starts = [(how, value) for owner, how, value in found if owner == init]
     assert starts and all(how in ("Assign", "AnnAssign") for how, _ in starts), starts
     assert {value for _, value in starts} <= {"0", "[]"}, starts
@@ -437,22 +438,18 @@ CONTAINERS = {"dict", "set", "list", "Counter", "defaultdict", "OrderedDict", "d
 
 
 def per_ideal_walk(source):
-    """The families verify's structure table runs through _each_ideal, what
-    lets any of them walk a grid or keep a dict or set from one ideal to the
-    next, and the functions that read _grid_cells."""
+    """The families of verify's per-ideal table, what lets any of them walk
+    a grid or keep a dict or set from one ideal to the next, and the
+    functions that read _grid_cells or build an _IdealView."""
     tree = ast.parse(source)
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     (table,) = [
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and [ast.unparse(t) for t in node.targets] == ["_STRUCTURE_FAMILIES"]
+        and [ast.unparse(t) for t in node.targets] == ["_PER_IDEAL_FAMILIES"]
     ]
-    families = [
-        ast.unparse(node.args[0])
-        for node in ast.walk(table)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_each_ideal"
-    ]
+    families = [ast.unparse(entry.elts[1]) for entry in table.elts]
 
     def container(value):
         if isinstance(value, ast.Call):
@@ -472,7 +469,7 @@ def per_ideal_walk(source):
         f = functions[name]
         args = f.args
         takes = [ast.unparse(a.annotation) for a in args.posonlyargs + args.args if a.annotation]
-        if takes != ["IdealSpec"] or len(args.args) != 1 or args.defaults or f.decorator_list:
+        if takes != ["_IdealView"] or len(args.args) != 1 or args.defaults or f.decorator_list:
             found.append((name, "signature"))
         if args.vararg or args.kwonlyargs or args.kwarg:
             found.append((name, "signature"))
@@ -496,20 +493,22 @@ def per_ideal_walk(source):
             if isinstance(f, ast.FunctionDef)
             for node in ast.walk(f)
             if isinstance(node, ast.Name) and node.id == "_grid_cells"
+            or isinstance(node, ast.Call) and ast.unparse(node.func) == "_IdealView"
         }
     )
     return families, found, readers
 
 
 def test_each_per_ideal_family_is_a_function_of_one_ideal():
-    # subposet, counts, duality, gamma and decomposition each take one
-    # IdealSpec and keep no dict or set across calls, so each runs on any one
-    # ideal; _each_ideal alone walks the grid, which it states once
+    # subposet, counts, duality, gamma and decomposition each take one view
+    # of one ideal and keep no dict or set across calls, so each runs on any
+    # one ideal; _each_ideal alone walks the grid, which it states once, and
+    # alone builds the views, one per ideal
     source = (ROOT / "src" / "kyoung" / "verify.py").read_text()
     assert per_ideal_walk(source) == (PER_IDEAL_FAMILIES, [], ["_each_ideal"])
 
 
-GAMMA = "def _gamma_cells(spec: IdealSpec) -> Iterator[SweepCell]:\n"
+GAMMA = "def _gamma_cells(view: _IdealView) -> Iterator[SweepCell]:\n"
 
 
 @pytest.mark.parametrize(
@@ -517,13 +516,13 @@ GAMMA = "def _gamma_cells(spec: IdealSpec) -> Iterator[SweepCell]:\n"
     [
         # the level below kept in a module-level dict, one set per n
         "previous: dict[int, set[Parts]] = {}\n\n\n"
-        + GAMMA + "    smaller = previous.setdefault(spec.n, set())\n",
+        + GAMMA + "    smaller = previous.setdefault(view.spec.n, set())\n",
         # ... in a default argument
-        GAMMA.replace("spec: IdealSpec", "spec: IdealSpec, previous: dict = {}"),
+        GAMMA.replace("view: _IdealView", "view: _IdealView, previous: dict = {}"),
         # ... on the function itself
-        GAMMA + "    smaller = _gamma_cells.previous.get(spec.n)\n",
+        GAMMA + "    smaller = _gamma_cells.previous.get(view.spec.n)\n",
         # ... or with the grid walked in the family again
-        GAMMA + "    for spec in _grid_cells(_Grid(spec.m, spec.n, spec.k, 0)):\n        pass\n",
+        GAMMA + "    for spec in _grid_cells(_Grid(*view.spec, 0)):\n        pass\n",
     ],
     ids=["module-dict", "default-argument", "function-attribute", "grid-walk"],
 )

@@ -43,6 +43,13 @@ def spec_dict(spec):
     return {"m": spec.m, "n": spec.n, "k": spec.k}
 
 
+def each_ideal(family, grid):
+    """The cells of one per-ideal family on each ideal of grid in turn, read
+    through a view of its own."""
+    views = map(verify._IdealView, verify._grid_cells(grid))
+    return itertools.chain.from_iterable(map(family, views))
+
+
 class TestHelpers:
     def test_as_values(self):
         assert verify._as_values(5) == range(5, 6)
@@ -192,6 +199,10 @@ HOLDING_GRIDS = {
     **{
         name: (lambda cells=cells: cells(verify._Grid(3, 4, 5, 6)))
         for name, cells in verify._STRUCTURE_FAMILIES
+    },
+    **{
+        name: (lambda family=family: each_ideal(family, verify._Grid(3, 4, 5, 6)))
+        for name, family in verify._PER_IDEAL_FAMILIES
     },
     "sieved": lambda: verify._sieved_cells((2, 8), (2, 12), (3, 13), (3, 20)),
     "conjecture-gen": lambda: verify._conjecture_gen_cells((2, 6), (2, 9), (3, 10), (1, 15)),
@@ -894,7 +905,7 @@ class TestStructure:
 
     @staticmethod
     def subposet_counterexamples():
-        cells = verify._each_ideal(verify._subposet_cells)(verify._Grid(3, 3, 4, 4))
+        cells = each_ideal(verify._subposet_cells, verify._Grid(3, 3, 4, 4))
         return verify._sweep("structure-subposet", "theorem", cells).counterexamples
 
     def test_subposet_names_the_lower_of_two_damaged_vertices(self, monkeypatch):
@@ -1030,7 +1041,7 @@ class TestStructure:
     def test_a_per_ideal_family_runs_on_one_ideal_alone(self, family):
         """Each per-ideal family is a function of one ideal: on (3^4) at
         level 5 alone, with no ideal walked before it, every cell holds."""
-        cells = list(getattr(verify, f"_{family}_cells")(IdealSpec(3, 4, 5)))
+        cells = list(getattr(verify, f"_{family}_cells")(verify._IdealView(IdealSpec(3, 4, 5))))
         assert cells and all(isinstance(cell, Pass) for cell in cells), cells
         if family == "gamma":
             assert cells == [verify._HOLDS]
@@ -1067,7 +1078,7 @@ class TestStructure:
         counted("enumerate_ideal")
         counted("hasse_diagram")
         grid = verify._Grid(4, 5, 7, 10)
-        verdicts = [isinstance(cell, Pass) for cell in verify._each_ideal(verify._gamma_cells)(grid)]
+        verdicts = [isinstance(cell, Pass) for cell in each_ideal(verify._gamma_cells, grid)]
         specs = list(verify._grid_cells(grid))
         below = [IdealSpec(s.m, s.n, s.k - 1) for s in specs if s.k > s.m]
         assert calls == Counter(
@@ -1075,6 +1086,41 @@ class TestStructure:
         )
         assert (len(specs), len(below)) == (59, 39)
         assert verdicts == [True] * len(specs)
+
+    def test_each_ideal_is_built_once(self, monkeypatch):
+        """The per-ideal walk builds each ideal's diagram once and the
+        containment bitsets of its members once, for all five families:
+        counts and duality read the members off the diagram, and only gamma
+        enumerates, the level below."""
+        members = ideals.enumerate_ideal
+        calls = Counter()
+
+        def counted(source, name, key):
+            fn = getattr(source, name)
+
+            def wrapper(*args, **kwargs):
+                calls[(name, *key(*args, **kwargs))] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(source, name, wrapper)
+
+        counted(ideals, "hasse_diagram", lambda spec: (spec,))
+        counted(ideals, "enumerate_ideal", lambda spec: (spec,))
+        # the members' bitsets, and the reversed ones of their duals
+        counted(verify, "_upsets", lambda rows, spec, reverse=False: (spec, reverse or tuple(rows)))
+        grid = verify._Grid(4, 5, 7, 10)
+        reports = verify._each_ideal(grid)
+        assert [r.check for r in reports] == [name for name, _ in verify._PER_IDEAL_FAMILIES]
+        assert all(r.grid > 0 and r.failed == 0 for r in reports)
+        specs = list(verify._grid_cells(grid))
+        below = [IdealSpec(s.m, s.n, s.k - 1) for s in specs if s.k > s.m]
+        assert calls == Counter(
+            [("hasse_diagram", s) for s in specs]
+            + [("_upsets", s, tuple(members(s))) for s in specs]
+            + [("_upsets", s, True) for s in specs]
+            + [("enumerate_ideal", s) for s in below]
+        )
+        assert (len(specs), len(below)) == (59, 39)
 
     def test_gamma_keeps_no_member_set_across_ideals(self, monkeypatch):
         """structure-gamma keeps nothing from one ideal to the next: when it
@@ -1101,7 +1147,7 @@ class TestStructure:
         view = SimpleNamespace(**{**vars(ideals), "hasse_diagram": counted})
         monkeypatch.setattr(verify, "ideals", view)
         grid = verify._Grid(3, 4, 9, 10)
-        assert all(isinstance(cell, Pass) for cell in verify._each_ideal(verify._gamma_cells)(grid))
+        assert all(isinstance(cell, Pass) for cell in each_ideal(verify._gamma_cells, grid))
         assert made and alive == [0] * len(list(verify._grid_cells(grid)))
 
     def test_gamma_catches_a_step_across_two_strata(self, monkeypatch):
@@ -1188,7 +1234,7 @@ class TestStructure:
         view = SimpleNamespace(**{**vars(ideals), name: counted})
         monkeypatch.setattr(verify, "ideals", view)
         grid = verify._Grid(4, 5, 7, 10)
-        assert all(isinstance(cell, Pass) for cell in verify._each_ideal(cells)(grid))
+        assert all(isinstance(cell, Pass) for cell in each_ideal(cells, grid))
         specs = [spec for spec in verify._grid_cells(grid) if spec.k > spec.m or not strata_only]
         assert len(calls) == sum(len(ideals.enumerate_ideal(spec)) for spec in specs) == expected
 
@@ -1246,39 +1292,59 @@ class TestStructure:
         assert broken and duality.counterexamples == broken
         assert {r.failed for r in by_name.values()} == {0}
 
-    def test_duality_records_a_lattice_op_that_leaves_the_ideal(self, monkeypatch):
-        """A join that leaves the ideal is a counterexample, not a ValueError
-        from the next meet or join it would be passed to."""
+    @staticmethod
+    def leaky(monkeypatch, name, fault, grid):
+        """structure-duality's counterexamples on grid, with verify's view of
+        the unchecked ideals.name giving fault(a, b) wherever that is not
+        None; every other family must pass."""
+        combine = getattr(ideals, name)
 
-        def leaky_join(a, b, spec):
-            if spec.m == 2 and {a, b} == {(2,), (1, 1)}:
-                return (3,)
-            return ideals.join(a, b, spec)
+        def leaky(a, b):
+            image = fault(a, b)
+            return combine(a, b) if image is None else image
 
-        view = SimpleNamespace(**{**vars(ideals), "join": leaky_join})
+        view = SimpleNamespace(**{**vars(ideals), name: leaky})
         monkeypatch.setattr(verify, "ideals", view)
-        reports = verify_structure(m_max=2, n_max=3, k_max=3, degree_max=10)
-        failed = {r.check: r.failed for r in reports}
-        assert failed.pop("structure-duality") > 0
-        assert set(failed.values()) == {0}
-
-    def test_duality_checks_every_class_pair(self, monkeypatch):
-        """A join that leaves the ideal on one pair only, () with (m, m), is
-        caught on every ideal that holds that pair and on no other."""
-
-        def leaky_join(a, b, spec):
-            if {a, b} == {(), (spec.m,) * 2}:
-                return (spec.m + 1,)
-            return ideals.join(a, b, spec)
-
-        view = SimpleNamespace(**{**vars(ideals), "join": leaky_join})
-        monkeypatch.setattr(verify, "ideals", view)
-        grid = verify._Grid(3, 5, 6, 4)
         by_name = {r.check: r for r in verify_structure(*grid)}
         duality = by_name.pop("structure-duality")
-        expected = [spec_dict(spec) for spec in verify._grid_cells(grid) if spec.n >= 2]
-        assert expected and duality.counterexamples == expected
         assert {r.failed for r in by_name.values()} == {0}
+        return duality.counterexamples
+
+    def test_duality_records_a_lattice_op_that_leaves_the_ideal(self, monkeypatch):
+        """A join that leaves the ideal is a counterexample, not a ValueError
+        from a later lattice operation.  The join of (2,) and (1, 1) made
+        (3,) leaves exactly the ideals with m = 2 that hold both."""
+
+        def fault(a, b):
+            return (3,) if {a, b} == {(2,), (1, 1)} else None
+
+        grid = verify._Grid(2, 3, 3, 10)
+        expected = [
+            spec_dict(spec)
+            for spec in verify._grid_cells(grid)
+            if spec.m == 2 and ideals.is_member((1, 1), spec)
+        ]
+        assert expected and self.leaky(monkeypatch, "join_parts", fault, grid) == expected
+
+    def check_every_class_pair(self, monkeypatch, name):
+        """A meet or join that leaves the ideal on one pair only, () with
+        (m, m), is caught on every ideal that holds that pair and on no
+        other: {(), (x, x)} goes to (x + 1,), which leaves the ideal only at
+        x = m, and (m, m) represents its class."""
+
+        def fault(a, b):
+            x = max(a + b, default=0)
+            return (x + 1,) if {a, b} == {(), (x, x)} else None
+
+        grid = verify._Grid(3, 5, 6, 4)
+        expected = [spec_dict(spec) for spec in verify._grid_cells(grid) if spec.n >= 2]
+        assert expected and self.leaky(monkeypatch, name, fault, grid) == expected
+
+    def test_duality_checks_every_class_pair(self, monkeypatch):
+        self.check_every_class_pair(monkeypatch, "join_parts")
+
+    def test_duality_checks_every_class_pair_of_a_meet(self, monkeypatch):
+        self.check_every_class_pair(monkeypatch, "meet_parts")
 
 
 class TestPerItemCounterexamples:
