@@ -191,11 +191,17 @@ def _require_member(p: Parts, spec: IdealSpec) -> None:
         raise ValueError(f"{_echo(p)} is not a member of L^{k}({m},{n})")
 
 
-def complement_dual(p: Parts, spec: IdealSpec) -> Parts:
-    """Rotate the complement in the rectangle: row i maps to m - p_(n+1-i)."""
-    _require_member(p, spec)
+def complement_dual_parts(p: Parts, spec: IdealSpec) -> Parts:
+    """Rotate the complement in the rectangle: row i maps to m - p_(n+1-i),
+    with no check that p is a member."""
     m = spec.m
     return (m,) * (spec.n - len(p)) + tuple(m - v for v in reversed(p) if v < m)
+
+
+def complement_dual(p: Parts, spec: IdealSpec) -> Parts:
+    """complement_dual_parts of a member."""
+    _require_member(p, spec)
+    return complement_dual_parts(p, spec)
 
 
 def meet_parts(a: Parts, b: Parts) -> Parts:

@@ -3,7 +3,8 @@
 The order on k-bounded partitions is generated by covers: lam is covered by
 mu when mu has one more box and both mu and its k-conjugate contain lam and
 its k-conjugate.  Covers are computed from corner residues of the k-skew
-diagram; the definitional test lives in covers_oracle.
+diagram, whose rule _covers states; the definitional test lives in
+covers_oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .partitions import (
     contains,
     k_conjugate,
     k_skew,
-    part_at,
     require_k_bounded,
     union,
     KRectangle,
@@ -44,25 +44,42 @@ def _covers(p: Parts, k: int, direction: str) -> tuple[Parts, ...]:
     removable corner of each residue of the k-skew diagram, and keep the
     results that are k-bounded partitions.
 
-    Corners come by increasing row, so each residue (col - row) mod (k+1)
-    keeps its topmost one.  One step changes one part of p, so the result
-    is a k-bounded partition exactly when that part stays within its
-    neighbours: a box goes on row r when row r-1 is longer (at r = 1, when
-    p_1 < k), and comes off row r when r is the last row or row r+1 is
-    shorter.
+    Row r of the k-skew diagram spans columns inner_r+1 .. outer_r and is
+    never empty.  Its addable corner is (r, outer_r + 1) when r = 1 or when
+    inner_(r-1) <= outer_r < outer_(r-1), the square then resting on row
+    r-1 and free of it; (len(p) + 1, 1) on top is always addable.  Its
+    removable corner is (r, outer_r) when r = 1, r = len(p) or
+    outer_(r+1) < outer_r.  One pass by increasing row keeps the last, so
+    topmost, row of each residue (col - row) mod (k+1).  One step changes
+    one part of p, so the result is a k-bounded partition exactly when that
+    part stays within its neighbours: a box goes on row r when row r-1 is
+    longer (at r = 1, when p_1 < k), and comes off row r when r is the last
+    row or row r+1 is shorter.
     """
-    up = direction == "up"
-    corners = k_skew(p, k).corners("addable" if up else "removable")
-    rows = {(col - row) % (k + 1): row for row, col in corners}.values()
-    if up:
+    shape = k_skew(p, k)
+    outer, ell, mod = shape.outer, len(p), k + 1
+    top: dict[int, int] = {}  # residue -> topmost row of a corner
+    if direction == "up":
+        inner = shape.inner + (0,) * (ell - len(shape.inner))
+        if p:
+            top[outer[0] % mod] = 1
+        for r in range(2, ell + 1):
+            o = outer[r - 1]
+            if inner[r - 2] <= o < outer[r - 2]:
+                top[(o + 1 - r) % mod] = r
+        top[-ell % mod] = ell + 1
+        q = p + (0,)
         out = [
-            _add_box(p, r)
-            for r in rows
-            if (p[r - 2] > part_at(p, r) if r > 1 else not p or p[0] < k)
+            _add_box(p, r) for r in top.values() if (q[r - 2] > q[r - 1] if r > 1 else q[0] < k)
         ]
     else:
-        out = [_remove_box(p, r) for r in rows if r == len(p) or p[r] < p[r - 1]]
-    return tuple(sorted(out))
+        for r in range(1, ell + 1):
+            o = outer[r - 1]
+            if r == 1 or r == ell or outer[r] < o:
+                top[(o - r) % mod] = r
+        out = [_remove_box(p, r) for r in top.values() if r == ell or p[r] < p[r - 1]]
+    out.sort()
+    return tuple(out)
 
 
 def _require_direction(direction: str) -> None:
@@ -82,10 +99,11 @@ def covers_oracle(p: Parts, k: int, direction: str = "up") -> list[Parts]:
     require_k_bounded(k, p)
     _require_direction(direction)
     pk = k_conjugate(p, k)
+    q = p + (0,)
     out = []
     if direction == "up":
         for r in range(1, len(p) + 2):
-            if r > 1 and part_at(p, r - 1) <= part_at(p, r):
+            if r > 1 and q[r - 2] <= q[r - 1]:
                 continue
             cand = _add_box(p, r)
             if cand[0] > k:
@@ -94,7 +112,7 @@ def covers_oracle(p: Parts, k: int, direction: str = "up") -> list[Parts]:
                 out.append(cand)
     else:
         for r in range(1, len(p) + 1):
-            if part_at(p, r) <= part_at(p, r + 1):
+            if q[r - 1] <= q[r]:
                 continue
             cand = _remove_box(p, r)
             if contains(k_conjugate(cand, k), pk):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 import reprlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
@@ -62,7 +62,7 @@ def require_k_bounded(k: int, *ps: Parts) -> None:
     if k < 1:
         raise ValueError(f"k must be positive: {_echo(k)}")
     for p in ps:
-        if not is_k_bounded(p, k):
+        if p and p[0] > k:
             raise ValueError(f"partition {_echo(p)} is not {_echo(k)}-bounded")
 
 
@@ -182,9 +182,23 @@ class SkewShape(NamedTuple):
         return tuple(o - self.inner_at(i + 1) for i, o in enumerate(self.outer))
 
     def column_heights(self) -> tuple[int, ...]:
-        """conjugate(outer) - conjugate(inner), componentwise."""
-        outer, inner = conjugate(self.outer), conjugate(self.inner)
-        return tuple(map(operator.sub, outer, inner + (0,) * (len(outer) - len(inner))))
+        """conjugate(outer) - conjugate(inner), componentwise.
+
+        Row i covers columns inner_i+1 .. outer_i, so one pass adds 1 at
+        column inner_i+1 and takes 1 off past column outer_i, and the running
+        sum of these steps is each column's height.
+        """
+        outer, inner = self.outer, self.inner
+        if not outer:
+            return ()
+        steps = [0] * (outer[0] + 1)
+        steps[0] = len(outer) - len(inner)  # the rows with inner part 0
+        for a in inner:
+            steps[a] += 1
+        for o in outer:
+            steps[o] -= 1
+        steps.pop()  # past the last column
+        return tuple(accumulate(steps))
 
     def cells(self) -> Iterator[Cell]:
         for i, o in enumerate(self.outer, start=1):
@@ -204,36 +218,6 @@ class SkewShape(NamedTuple):
         leg = _column_height(self.outer, j) - max(i, _column_height(self.inner, j))
         own = 1 if j > self.inner_at(i) else 0
         return arm + leg + own
-
-    def corners(self, direction: str) -> list[Cell]:
-        """Removable or addable corner cells, sorted by increasing row.
-
-        Removable: row-end cells with no cell directly above, with (1, outer_1)
-        always included.  Addable: squares (i, outer_i + 1) supported from
-        below for i >= 2, (1, outer_1 + 1) when row 1 is nonempty, and always
-        (len(outer) + 1, 1) on top.  The empty shape has the single addable
-        square (1, 1).
-        """
-        outer, ell = self.outer, len(self.outer)
-        inner = self.inner + (0,) * (ell - len(self.inner))
-        rows = enumerate(zip(outer, inner))
-        if direction == "removable":
-            return [
-                (i + 1, o)
-                for i, (o, a) in rows
-                if o != a and (i == 0 or i == ell - 1 or outer[i + 1] < o)
-            ]
-        if direction == "addable":
-            if ell == 0:
-                return [(1, 1)]
-            out = [
-                (i + 1, o + 1)
-                for i, (o, a) in rows
-                if o != a and (i == 0 or inner[i - 1] <= o < outer[i - 1])
-            ]
-            out.append((ell + 1, 1))
-            return out
-        raise ValueError(f"direction must be 'removable' or 'addable': {_echo(direction)}")
 
     def to_json_dict(self) -> dict:
         return {"outer": list(self.outer), "inner": list(self.inner)}
@@ -265,18 +249,20 @@ def k_skew(p: Parts, k: int) -> SkewShape:
     or at s when t < 1.
     """
     require_k_bounded(k, p)
-    starts: list[int] = []
+    inner: list[int] = []
     ends: list[int] = []
-    start = 0
+    start = placed = 0
     for length in reversed(p):
-        t = len(ends) - (k - length)
-        if t >= 1:
-            start = max(start, ends[t - 1])
-        starts.append(start)
+        t = placed - (k - length)
+        if t >= 1 and ends[t - 1] > start:
+            start = ends[t - 1]
+        if start:  # the starts ascend from 0; inner drops its zero parts
+            inner.append(start)
         ends.append(start + length)
-    # the starts ascend from 0; inner drops the rows starting at 0, its zero parts
-    inner = starts[bisect_right(starts, 0) :]
-    return SkewShape(tuple(reversed(ends)), tuple(reversed(inner)))
+        placed += 1
+    ends.reverse()
+    inner.reverse()
+    return SkewShape(tuple(ends), tuple(inner))
 
 
 @lru_cache(maxsize=None)

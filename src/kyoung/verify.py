@@ -591,7 +591,9 @@ def _counts_cells(view: _IdealView) -> Iterator[SweepCell]:
 
 def _duality_cells(view: _IdealView) -> Iterator[SweepCell]:
     spec, members, member_set = view.spec, view.members, view.member_set
-    dual = {p: ideals.complement_dual(p, spec) for p in members}
+    # the members come off the ideal's diagram, and each dual must be one of
+    # them (dual.get below), so the duals are rotated unchecked
+    dual = {p: ideals.complement_dual_parts(p, spec) for p in members}
     # meet (join) is componentwise, so its length and its number of parts
     # equal to m are the smaller (larger) of its arguments'.  Membership
     # depends on those two numbers alone, so one pair per pair of such

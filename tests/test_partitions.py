@@ -204,8 +204,13 @@ class TestBasics:
 
 
 def inner_at_corners(s, direction):
-    """Oracle: corners read row by row through inner_at, which gives zero
-    above the inner shape's last row."""
+    """Oracle: the removable or addable corner cells, by increasing row, read
+    row by row through inner_at, which gives zero above the inner shape's
+    last row.  Removable: row-end cells with no cell directly above, and
+    (1, outer_1) always.  Addable: squares (i, outer_i + 1) supported from
+    below for i >= 2, (1, outer_1 + 1) when row 1 is nonempty, and always
+    (len(outer) + 1, 1) on top; the empty shape has the single addable
+    square (1, 1)."""
     outer, ell = s.outer, len(s.outer)
     out = []
     if direction == "removable":
@@ -291,35 +296,26 @@ class TestSkewShape:
             s.hook_length((3, 1))
 
     def test_removable_corners_with_forced_first_row(self):
-        assert skew_shape((2, 2)).corners("removable") == [(1, 2), (2, 2)]
+        assert inner_at_corners(skew_shape((2, 2)), "removable") == [(1, 2), (2, 2)]
 
     def test_removable_corners_staircase(self):
-        assert skew_shape((3, 2, 1)).corners("removable") == [(1, 3), (2, 2), (3, 1)]
+        assert inner_at_corners(skew_shape((3, 2, 1)), "removable") == [(1, 3), (2, 2), (3, 1)]
 
     def test_addable_corners_empty_shape(self):
-        assert SkewShape((), ()).corners("addable") == [(1, 1)]
-        assert SkewShape((), ()).corners("removable") == []
+        assert inner_at_corners(SkewShape((), ()), "addable") == [(1, 1)]
+        assert inner_at_corners(SkewShape((), ()), "removable") == []
 
     def test_addable_corners_straight(self):
-        assert skew_shape((2, 2)).corners("addable") == [(1, 3), (3, 1)]
-        assert skew_shape((3, 1)).corners("addable") == [(1, 4), (2, 2), (3, 1)]
+        assert inner_at_corners(skew_shape((2, 2)), "addable") == [(1, 3), (3, 1)]
+        assert inner_at_corners(skew_shape((3, 1)), "addable") == [(1, 4), (2, 2), (3, 1)]
 
     def test_corners_figure_example(self):
         s = skew_shape((6, 2, 1, 1), (2,))
-        addable = s.corners("addable")
+        addable = inner_at_corners(s, "addable")
         assert addable == [(1, 7), (2, 3), (3, 2), (5, 1)]
         assert [residue(c, 5) for c in addable] == [1, 1, 4, 1]
-        removable = s.corners("removable")
+        removable = inner_at_corners(s, "removable")
         assert removable == [(1, 6), (2, 2), (4, 1)]
-
-    def test_corners_match_inner_at_oracle(self):
-        for s in box_skew_shapes(6, 6):
-            for direction in ("addable", "removable"):
-                assert s.corners(direction) == inner_at_corners(s, direction), (s, direction)
-
-    def test_corners_bad_direction(self):
-        with pytest.raises(ValueError):
-            skew_shape((1,)).corners("sideways")
 
 
 def _skew_is_valid(p, k):
@@ -529,13 +525,52 @@ class TestRectangles:
                     assert k_conjugate(left, k) == expected, (rect, mu, k)
 
 
+def covers_from_corners(p, k, direction):
+    """Oracle: covers by the corner rule read off inner_at_corners: the
+    topmost corner of each residue of the k-skew diagram, its row stepped by
+    one box, kept when the step is a k-bounded partition."""
+    corners = inner_at_corners(k_skew(p, k), "addable" if direction == "up" else "removable")
+    rows = {residue(c, k + 1): c[0] for c in corners}.values()
+    out = []
+    for r in rows:
+        parts = [*p, 0]
+        parts[r - 1] += 1 if direction == "up" else -1
+        try:
+            cand = partition(parts)
+        except ValueError:
+            continue
+        if pc.is_k_bounded(cand, k):
+            out.append(cand)
+    return tuple(sorted(out))
+
+
 class TestCornerResidues:
+    @staticmethod
+    def check_covers(cases):
+        for p, k in cases:
+            for direction in ("up", "down"):
+                expected = covers_from_corners(p, k, direction)
+                assert lattice._covers(p, k, direction) == expected, (p, k, direction)
+
+    def test_covers_step_at_the_topmost_corner_of_each_residue(self):
+        # the k-skew of every k-bounded partition, as the covering family reads
+        self.check_covers((p, k) for k in range(1, 9) for p in k_bounded_partitions(k, 12))
+
+    def test_covers_of_a_union_with_a_k_rectangle_step_at_the_topmost_corners(self):
+        # the k-skew of p with a k-rectangle's rows, as the rectangle families read
+        self.check_covers(
+            (union(p, rect.parts), k)
+            for k in range(1, 8)
+            for rect in all_k_rectangles(k)
+            for p in k_bounded_partitions(k, 10)
+        )
+
     def test_distinct_residues_inside_rectangle(self):
         # removable corners below a k-rectangle never share a residue
         for k in range(1, 7):
             for m in range(1, k + 1):
                 for p in partitions_in_box(m, k - m + 1):
-                    corners = skew_shape(p).corners("removable")
+                    corners = inner_at_corners(skew_shape(p), "removable")
                     residues = [residue(c, k + 1) for c in corners]
                     assert len(set(residues)) == len(residues), (p, k)
 
@@ -549,7 +584,7 @@ class TestCornerResidues:
                     if len(block) != k - w + 1:
                         continue
                     r = block[0]
-                    corners = k_skew(p, k).corners("addable")
+                    corners = inner_at_corners(k_skew(p, k), "addable")
                     by_row = {row: residue((row, col), k + 1) for row, col in corners}
                     assert r in by_row and r + k - w + 1 in by_row, (p, k, w)
                     assert by_row[r] == by_row[r + k - w + 1], (p, k, w)
@@ -568,7 +603,6 @@ HUGE_INT = 10**4000
         lambda: ideals.rank_vector([(HUGE_INT,)], 0),
         lambda: skew_shape(HUGE_PARTS, (2,) * 10**5),
         lambda: skew_shape(HUGE_PARTS).hook_length((10**5 + 1, 1)),
-        lambda: skew_shape(()).corners("x" * 10**6),
         lambda: lattice.check_rectangle_translation((), pc.KRectangle(HUGE_INT, HUGE_INT), 3),
         lambda: qpoly.window_failures(qpoly.LimitColumn(3), 3, 4, list(range(10**5))),
         lambda: qpoly.window_sum(qpoly.LimitColumn(3), HUGE_INT, 3, [1]),
@@ -591,7 +625,6 @@ HUGE_INT = 10**4000
         "rank-vector",
         "skew-shape",
         "hook-length",
-        "corners",
         "rectangle-translation",
         "window-failures",
         "window-sum",

@@ -72,15 +72,23 @@ def test_traced_launcher_times_the_qseries_layers(tmp_path, cli_args, expected, 
 
 
 def test_traced_launcher_times_the_structure_layers(tmp_path):
-    # the enumeration, the lattice operations and the diagram build are
-    # wrapped by attribute: ideals.enumerate_ideal/gamma_set,
-    # ideals.meet/join/complement_dual and lattice.build_ideal must all still
-    # exist under those names
+    # the enumeration, the lattice operations, the diagram build, the k-skew
+    # readers and the covers are wrapped by attribute:
+    # ideals.enumerate_ideal/gamma_set, ideals.meet/join/complement_dual,
+    # lattice.build_ideal, partitions.k_skew/k_conjugate and
+    # lattice.covers/covers_oracle/check_rectangle_translation must all still
+    # exist under those names, or the launcher fails, and the two k-skew
+    # readers keep the lru cache whose size the launcher reports.  Duality
+    # rotates and combines members through the unchecked *_parts functions,
+    # so the validating lattice operations are never called
     cli_args = ["verify", "structure", "--m-max", "2", "--n-max", "3", "--k-max", "3"]
     layers = run_traced(tmp_path, [*cli_args, "--degree-max", "4"])
-    expected = {"ideals.enumerate_ideal", "ideals.lattice_ops", "lattice.build_ideal"}
-    assert expected <= set(layers)
-    assert all(layers[name]["calls"] > 0 for name in expected)
+    cached = {"partitions.k_skew", "partitions.k_conjugate"}
+    expected = {"ideals.enumerate_ideal", "lattice.build_ideal", "lattice.covers"}
+    assert expected | cached <= set(layers)
+    assert all(layers[name]["calls"] > 0 for name in expected | cached)
+    assert all(layers[name]["cache_size"] > 0 for name in cached)
+    assert "ideals.lattice_ops" not in layers
 
 
 def test_traced_launcher_times_the_ideal_json_writer(tmp_path):

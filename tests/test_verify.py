@@ -1215,7 +1215,7 @@ class TestStructure:
     @pytest.mark.parametrize(
         "cells, name, strata_only, expected",
         [
-            (verify._duality_cells, "complement_dual", False, 1127),
+            (verify._duality_cells, "complement_dual_parts", False, 1127),
             (verify._gamma_cells, "short_rows", True, 957),
         ],
         ids=["duality", "gamma"],
@@ -1282,14 +1282,38 @@ class TestStructure:
 
         def mutated(p, spec):
             f = swaps[spec]
-            return ideals.complement_dual(p, spec) if f is None else f[p]
+            return ideals.complement_dual_parts(p, spec) if f is None else f[p]
 
-        view = SimpleNamespace(**{**vars(ideals), "complement_dual": mutated})
+        view = SimpleNamespace(**{**vars(ideals), "complement_dual_parts": mutated})
         monkeypatch.setattr(verify, "ideals", view)
         reports = verify_structure(m_max=3, n_max=4, k_max=4, degree_max=4)
         by_name = {r.check: r for r in reports}
         duality = by_name.pop("structure-duality")
         assert broken and duality.counterexamples == broken
+        assert {r.failed for r in by_name.values()} == {0}
+
+    def test_duality_catches_an_unreversed_rotation(self, monkeypatch):
+        """A rotation that complements the short rows without reversing them
+        maps a member with two distinct short rows to parts that increase,
+        no member; the unchecked complement_dual_parts does not catch that,
+        so structure-duality must, on exactly the ideals holding such a
+        member, with every other family passing."""
+
+        def unreversed(p, spec):
+            m = spec.m
+            return (m,) * (spec.n - len(p)) + tuple(m - v for v in p if v < m)
+
+        grid = verify._Grid(4, 5, 6, 4)
+        expected = [
+            spec_dict(spec)
+            for spec in verify._grid_cells(grid)
+            if any(len({v for v in p if v < spec.m}) >= 2 for p in ideals.enumerate_ideal(spec))
+        ]
+        view = SimpleNamespace(**{**vars(ideals), "complement_dual_parts": unreversed})
+        monkeypatch.setattr(verify, "ideals", view)
+        by_name = {r.check: r for r in verify_structure(*grid)}
+        duality = by_name.pop("structure-duality")
+        assert expected and duality.counterexamples == expected
         assert {r.failed for r in by_name.values()} == {0}
 
     @staticmethod
