@@ -55,34 +55,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorics of the k-Young lattice.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    one_partition = argparse.ArgumentParser(add_help=False)  # kconj, kskew and covers
+    one_partition.add_argument("parts", type=parse_parts)
+    one_partition.add_argument("--k", type=int, required=True)
+    one_ideal = argparse.ArgumentParser(add_help=False)  # ideal and rankgen
+    one_ideal.add_argument("--m", type=int, required=True)
+    one_ideal.add_argument("--n", type=int, required=True)
+    one_ideal.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("kconj", help="k-conjugate of a partition")
-    p.add_argument("parts", type=parse_parts)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("kskew", help="k-skew diagram of a partition")
-    p.add_argument("parts", type=parse_parts)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("covers", help="covering partitions in the k-Young order")
-    p.add_argument("parts", type=parse_parts)
-    p.add_argument("--k", type=int, required=True)
+    sub.add_parser("kconj", parents=[one_partition], help="k-conjugate of a partition")
+    sub.add_parser("kskew", parents=[one_partition], help="k-skew diagram of a partition")
+    p = sub.add_parser(
+        "covers", parents=[one_partition], help="covering partitions in the k-Young order"
+    )
     p.add_argument("--dir", choices=("up", "down"), default="up")
 
-    p = sub.add_parser("ideal", help="Hasse diagram of the ideal below (m^n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("ideal", parents=[one_ideal], help="Hasse diagram of the ideal below (m^n)")
     fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--dot", action="store_true", help="DOT graph output")
-    fmt.add_argument("--json", action="store_true", help="JSON graph output (default)")
+    fmt.add_argument(
+        "--dot", action="store_true", help="DOT graph output; JSON when neither --dot nor --csv"
+    )
     fmt.add_argument("--csv", action="store_true", help="rank vector as CSV")
     p.add_argument("--out", help="write to a file instead of stdout")
 
-    p = sub.add_parser("rankgen", help="rank generating function of the ideal below (m^n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser(
+        "rankgen", parents=[one_ideal], help="rank generating function of the ideal below (m^n)"
+    )
     p.add_argument("--pretty", action="store_true", help="human-readable polynomial")
 
     p = sub.add_parser(

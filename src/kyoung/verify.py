@@ -7,10 +7,11 @@ are those where a statement makes no claim, and are never counted as passes.
 
 Every check is a generator of cells: a ``Pass`` of cells that all hold, a
 ``Skip`` of cells where no claim is made, a ``Note`` of the check's own
-findings, or the counterexample dict of one cell that fails.  ``_Tally``
-alone tallies them into a report, through ``_sweep`` or, for the per-ideal
-structure families, the walk ``_each_ideal``.  A cell that holds is a
-``Pass``, so a counterexample is built only for a cell that fails.
+findings, or the counterexample dict of one cell that fails.
+``VerificationReport._add`` alone tallies them into a report, through
+``_sweep`` or, for the per-ideal structure families, the walk
+``_each_ideal``.  A cell that holds is a ``Pass``, so a counterexample is
+built only for a cell that fails.
 """
 
 from __future__ import annotations
@@ -121,13 +122,40 @@ def qualifies(a: int, b: int, m: int) -> bool:
 
 
 class VerificationReport:
-    """Outcome of one check over a grid, tallied by _sweep; grid counts evaluated cells only."""
+    """Outcome of one check over a grid; grid counts evaluated cells only."""
 
     def __init__(self, check: str, status: str):
         self.check, self.status = check, status
         self.grid = self.passed = self.failed = self.skipped = self.elapsed_ms = 0
         self.counterexamples: list[dict] = []
         self.notes: list[str] = []
+        self._skips: Counter = Counter()
+        self._seconds = 0.0
+
+    def _add(self, cells: Iterable[SweepCell]) -> None:
+        """Tally and time one run of cells; a report may take several."""
+        t0 = time.perf_counter()
+        for cell in cells:
+            if isinstance(cell, Pass):
+                self.passed += cell.count
+            elif isinstance(cell, Skip):
+                self._skips[cell.reason] += cell.count
+            elif isinstance(cell, Note):
+                self.notes.append(cell.text)
+            else:
+                self.failed += 1
+                self.counterexamples.append(cell)
+        self.grid = self.passed + self.failed
+        self.skipped = sum(self._skips.values())
+        self._seconds += time.perf_counter() - t0
+
+    def _close(self) -> "VerificationReport":
+        """The report, its notes the check's own, in the order its cells
+        yield them, then one note per skip reason, timed over every run."""
+        t0 = time.perf_counter()
+        self.notes += [f"skipped {n}: {reason}" for reason, n in sorted(self._skips.items())]
+        self.elapsed_ms = int((self._seconds + time.perf_counter() - t0) * 1000)
+        return self
 
     def all_pass(self) -> bool:
         return self.failed == 0
@@ -170,47 +198,11 @@ SweepCell = Pass | Skip | Note | dict  # a dict is the counterexample of one fai
 _HOLDS = Pass(1)  # one cell that holds, shared by every family
 
 
-class _Tally:
-    """One report whose cells may come in several runs, each tallied and
-    timed by add; close adds the skip notes and the time of every run."""
-
-    def __init__(self, check: str, status: str):
-        self.report = VerificationReport(check=check, status=status)
-        self.skips: Counter = Counter()
-        self.seconds = 0.0
-
-    def add(self, cells: Iterable[SweepCell]) -> None:
-        t0 = time.perf_counter()
-        report = self.report
-        for cell in cells:
-            if isinstance(cell, Pass):
-                report.passed += cell.count
-            elif isinstance(cell, Skip):
-                self.skips[cell.reason] += cell.count
-            elif isinstance(cell, Note):
-                report.notes.append(cell.text)
-            else:
-                report.failed += 1
-                report.counterexamples.append(cell)
-        report.grid = report.passed + report.failed
-        report.skipped = sum(self.skips.values())
-        self.seconds += time.perf_counter() - t0
-
-    def close(self) -> VerificationReport:
-        """The report, its notes the check's own, in the order its cells
-        yield them, then one note per skip reason."""
-        t0 = time.perf_counter()
-        report = self.report
-        report.notes += [f"skipped {n}: {reason}" for reason, n in sorted(self.skips.items())]
-        report.elapsed_ms = int((self.seconds + time.perf_counter() - t0) * 1000)
-        return report
-
-
 def _sweep(check: str, status: str, cells: Iterable[SweepCell]) -> VerificationReport:
     """Tally every cell into one timed report."""
-    sweep = _Tally(check, status)
-    sweep.add(cells)
-    return sweep.close()
+    report = VerificationReport(check, status)
+    report._add(cells)
+    return report._close()
 
 
 def verify_conjecture_u(m: int, k_range: Range, n_range: Range) -> VerificationReport:
@@ -664,12 +656,12 @@ _PER_IDEAL_FAMILIES = (
 def _each_ideal(g: _Grid) -> list[VerificationReport]:
     """The per-ideal families' reports on g, walked ideal by ideal: every
     family reads one view of an ideal before the next ideal's is built."""
-    tallies = [_Tally(name, "theorem") for name, _ in _PER_IDEAL_FAMILIES]
+    reports = [VerificationReport(name, "theorem") for name, _ in _PER_IDEAL_FAMILIES]
     for spec in _grid_cells(g):
         view = _IdealView(spec)
-        for tally, (_, family) in zip(tallies, _PER_IDEAL_FAMILIES):
-            tally.add(family(view))
-    return [tally.close() for tally in tallies]
+        for report, (_, family) in zip(reports, _PER_IDEAL_FAMILIES):
+            report._add(family(view))
+    return [report._close() for report in reports]
 
 
 def verify_structure(
@@ -707,14 +699,12 @@ class SweepConfig:
     def from_json_dict(cls, data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
             raise ValueError(f"sweep config entry must be an object: {_echo(data)}")
-        _require_keys(data, {"check", "params", "out", "format"})
+        _require_keys(data, {"check", "params", "out"})
         if "check" not in data:
             raise ValueError("sweep config needs a 'check' name")
         for key in ("check", "out"):
             if key in data and not isinstance(data[key], str):
                 raise ValueError(f"sweep config {key!r} must be a string: {_echo(data[key])}")
-        if data.get("format", "json") != "json":
-            raise ValueError(f"sweep config 'format' must be 'json': {_echo(data['format'])}")
         if not isinstance(data.get("params", {}), dict):
             raise ValueError("sweep config 'params' must be an object")
         return cls(data["check"], data.get("params", {}), data.get("out"))

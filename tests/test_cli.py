@@ -498,13 +498,15 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
 
     def test_unsupported_format_stops_before_any_sweep_runs(self, tmp_path, capsys):
+        # reports are always JSON, so "format" is an unknown key, even when
+        # it names JSON, and is found when the file loads
         first = tmp_path / "first.json"
         entries = [
             {**SIEVED_2_4, "out": str(first), "format": "json"},
             {**SIEVED_2_4, "out": str(tmp_path / "second.csv"), "format": "csv"},
         ]
         assert main(sweep_argv(tmp_path, {"sweeps": entries})) == 2
-        assert "sweep config 'format' must be 'json': 'csv'" in capsys.readouterr().err
+        assert "unknown sweep config keys: ['format']" in capsys.readouterr().err
         assert not first.exists()
 
     @pytest.mark.parametrize(
@@ -692,6 +694,12 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "k-Young" in capsys.readouterr().out
+
+    def test_ideal_takes_no_json_flag(self, capsys):
+        # ideal writes JSON when neither --dot nor --csv is given; no flag names it
+        assert main(["ideal", "--m", "2", "--n", "2", "--k", "2", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
 
     def test_unknown_check_choice(self, tmp_path, capsys):
         # the checks table alone judges a check name, for verify as for sweep

@@ -344,10 +344,10 @@ def test_qualifies_alone_states_the_window_rule():
 
 
 def test_only_sweep_tallies_a_report():
-    # every check's cells go through verify._Tally.add, the one function
-    # that writes a report's counts or adds to its counterexamples, called by
-    # _sweep and by the per-ideal walk; the report's constructor only starts
-    # each of them empty
+    # every check's cells go through verify.VerificationReport._add, the one
+    # function that writes a report's counts or adds to its counterexamples,
+    # called by _sweep and by the per-ideal walk; the report's constructor
+    # only starts each of them empty
     path = ROOT / "src" / "kyoung" / "verify.py"
     tallied = {"grid", "passed", "failed", "skipped", "counterexamples"}
 
@@ -374,7 +374,7 @@ def test_only_sweep_tallies_a_report():
     tree = ast.parse(path.read_text(), str(path))
     found = set(writers(tree, "<module>"))
     init = "VerificationReport.__init__"
-    assert {owner for owner, _, _ in found} == {"_Tally.add", init}
+    assert {owner for owner, _, _ in found} == {"VerificationReport._add", init}
     starts = [(how, value) for owner, how, value in found if owner == init]
     assert starts and all(how in ("Assign", "AnnAssign") for how, _ in starts), starts
     assert {value for _, value in starts} <= {"0", "[]"}, starts
