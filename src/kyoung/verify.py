@@ -479,31 +479,20 @@ def _rectangle_translation_cells(g: _Grid) -> Iterator[SweepCell]:
                 }
 
 
-def _upsets(rows: list[Parts], spec: IdealSpec, reverse: bool = False) -> list[int]:
-    """Bit j of entry x is set when rows[x] fits inside rows[j] (reverse: when
-    rows[j] fits inside rows[x]), rows being partitions in the m x n box.
-
-    Part comparisons only, no order theory: for each row index i and
-    threshold t, the rows whose part i is at least t (at most t); the entry
-    of x ANDs these over i at t = x_i.
-    """
-    padded = [x + (0,) * (spec.n - len(x)) for x in rows]
-    tables = []
-    for parts in zip(*padded):
-        by_part = [0] * (spec.m + 1)
-        for j, v in enumerate(parts):
-            by_part[v] |= 1 << j
-        if reverse:
-            tables.append(list(itertools.accumulate(by_part, operator.or_)))
-        else:
-            tables.append(list(itertools.accumulate(by_part[::-1], operator.or_))[::-1])
-    return [functools.reduce(operator.and_, map(list.__getitem__, tables, x)) for x in padded]
+def _one_box_below(p: Parts) -> Iterator[Parts]:
+    """The partitions one box below p, lexicographically: p with a box taken
+    off each row longer than the next, the first row first."""
+    for i, v in enumerate(p):
+        if i + 1 == len(p) or p[i + 1] < v:
+            yield p[:i] + (v - 1,) + p[i + 1:] if v > 1 else p[:i]  # a row of 1 is the last
 
 
 class _IdealView:
-    """One ideal as the per-ideal families read it.  Each part is built when
-    a family first reads it, so its time is that family's, and the walk
-    drops the view before the next ideal."""
+    """One ideal as the per-ideal families read it: its diagram, the
+    members, their positions, the members one box below each member, and
+    whether the members are closed under meet and join.  Each part is built
+    when a family first reads it, so its time is that family's, and the
+    walk drops the view before the next ideal."""
 
     def __init__(self, spec: IdealSpec):
         self.spec = spec
@@ -519,13 +508,34 @@ class _IdealView:
         return self.diagram.vertices()
 
     @functools.cached_property
-    def member_set(self) -> set[Parts]:
-        return set(self.members)
+    def position(self) -> dict[Parts, int]:
+        """Each member's position in members."""
+        return {p: i for i, p in enumerate(self.members)}
 
     @functools.cached_property
-    def upsets(self) -> list[int]:
-        """Bit j of entry x is set when member x fits inside member j."""
-        return _upsets(self.members, self.spec)
+    def below(self) -> list[list[int]]:
+        """The positions of the members one box below each member, in
+        ascending order: _one_box_below looked up among the members, not
+        read off the diagram."""
+        position = self.position
+        return [[position[q] for q in _one_box_below(p) if q in position] for p in self.members]
+
+    @functools.cached_property
+    def closed(self) -> bool:
+        """Whether the members are closed under meet and join.  Meet (join)
+        takes the smaller (larger) length and number of parts equal to m,
+        and membership depends on those alone, so one pair per pair of such
+        classes decides.  Each class's representative is checked a member
+        once, and the pairs are combined by the unchecked meet_parts and
+        join_parts."""
+        spec, position = self.spec, self.position
+        reps = {(len(p), p.count(spec.m)): p for p in self.members}.values()
+        pairs = list(itertools.combinations_with_replacement(reps, 2))
+        return (
+            all(ideals.is_member(x, spec) for x in reps)
+            and all(p in position for p in itertools.starmap(ideals.meet_parts, pairs))
+            and all(p in position for p in itertools.starmap(ideals.join_parts, pairs))
+        )
 
 
 def _subposet_cells(view: _IdealView) -> Iterator[SweepCell]:
@@ -534,40 +544,33 @@ def _subposet_cells(view: _IdealView) -> Iterator[SweepCell]:
     vertices = diagram.vertices()
     if vertices != members:  # both come by degree, then lexicographically
         vertex_set = set(vertices)
-        extra = [list(v) for v in vertices if v not in view.member_set]
+        extra = [list(v) for v in vertices if v not in view.position]
         missing = [list(p) for p in members if p not in vertex_set]
         yield {**spec._asdict(), "extra": extra, "missing": missing}
         return
-    # the k-covers must be the one-box steps, both sorted (lower, upper)
-    # position pairs: the lowest lower end among the pairs on one side
-    # only is the counterexample
-    if diagram.edges != steps.edges:
-        diff = set(diagram.edges) ^ set(steps.edges)
-        x = min(diff)[0]
-        extra = [list(members[u]) for v, u in diagram.edges if v == x and (v, u) in diff]
-        missing = [list(members[u]) for v, u in steps.edges if v == x and (v, u) in diff]
-        yield {**spec._asdict(), "child": list(members[x]), "extra": extra, "missing": missing}
-        return
-    # the ideal is downward closed, so every saturated chain between two
-    # members stays in it: the k-order there is reachability in the
-    # diagram.  above[v] holds the members reachable from v, as bits; an
-    # edge's upper end has the later position, so walking the sorted
-    # edges backwards reads each above[u] once it is final.
-    above = [1 << v for v in range(len(members))]
-    for v, u in reversed(steps.edges):
-        above[v] |= above[u]
-    for x, reach, up in zip(members, above, view.upsets):
-        wrong = reach ^ up
-        if not wrong:
-            yield Pass(len(members))
-            continue
-        for j, y in enumerate(members):
-            yield {**spec._asdict(), "a": list(x), "b": list(y)} if wrong >> j & 1 else _HOLDS
-    # One cover cell per one-box step, which follows from the checks
-    # above: the edges are the one-box steps, so each adds one box, and
-    # reachability is containment, so a member y one box above a member
-    # x is reached from x by a path of exactly one edge.
-    yield Pass(len(steps.edges))
+    # the k-covers must be the diagram's one-box steps, and those the steps
+    # looked up among the members, all sorted (lower, upper) position pairs:
+    # the lowest lower end among the pairs on one side only is the child
+    looked = sorted((x, y) for y, xs in enumerate(view.below) for x in xs)
+    for found, expected in ((diagram.edges, steps.edges), (steps.edges, looked)):
+        if found != expected:
+            diff = set(found) ^ set(expected)
+            x = min(diff)[0]
+            extra = [list(members[u]) for v, u in found if v == x and (v, u) in diff]
+            missing = [list(members[u]) for v, u in expected if v == x and (v, u) in diff]
+            yield {**spec._asdict(), "child": list(members[x]), "extra": extra, "missing": missing}
+            return
+    # Closed under meet and join, the members are a distributive lattice
+    # under containment.  A cover u < v in it makes v the join of u and a
+    # join-irreducible j whose meet with u is j_*, the one member j covers
+    # (Stanley, EC1 3.4).  Size is a valuation on the box, so j is as many
+    # boxes above j_* as v is above u, and a member one box below j would
+    # lie below j_* and yet be larger.  So when every member other than ()
+    # has a step into it, every cover is one box, and reachability along
+    # the steps is containment: the N^2 pair cells hold, for N members, and
+    # so does one cover cell per step, a path of exactly one edge.
+    holds = view.closed and all(view.below[1:])
+    yield Pass(len(members) ** 2 + len(looked)) if holds else spec._asdict()
 
 
 def _counts_cells(view: _IdealView) -> Iterator[SweepCell]:
@@ -582,26 +585,21 @@ def _counts_cells(view: _IdealView) -> Iterator[SweepCell]:
 
 
 def _duality_cells(view: _IdealView) -> Iterator[SweepCell]:
-    spec, members, member_set = view.spec, view.members, view.member_set
+    spec, members, below = view.spec, view.members, view.below
     # the members come off the ideal's diagram, and each dual must be one of
-    # them (dual.get below), so the duals are rotated unchecked
-    dual = {p: ideals.complement_dual_parts(p, spec) for p in members}
-    # meet (join) is componentwise, so its length and its number of parts
-    # equal to m are the smaller (larger) of its arguments'.  Membership
-    # depends on those two numbers alone, so one pair per pair of such
-    # classes decides closure, and a sublattice of the box is distributive.
-    # Each class's representative is checked a member once, so its pairs
-    # are combined by the unchecked meet_parts and join_parts.
-    reps = {(len(p), p.count(spec.m)): p for p in members}.values()
-    pairs = list(itertools.combinations_with_replacement(reps, 2))
-    # order reversal: x fits inside y exactly when dual(y) fits inside dual(x)
+    # them (position.get gives None for any other), so they rotate unchecked
+    dual = [view.position.get(ideals.complement_dual_parts(p, spec)) for p in members]
+    # Order reversal: with the members closed and every member other than ()
+    # a step above another, containment is reachability along the steps
+    # (see _subposet_cells), so the involution reverses it exactly when it
+    # takes each step x below y to a step dual(y) below dual(x).
     ok = (
         qpoly.is_symmetric(ideals.rank_vector(members, spec.top_rank), spec.top_rank)
-        and all(dual.get(d) == p for p, d in dual.items())
-        and view.upsets == _upsets(list(dual.values()), spec, reverse=True)
-        and all(ideals.is_member(x, spec) for x in reps)
-        and member_set.issuperset(itertools.starmap(ideals.meet_parts, pairs))
-        and member_set.issuperset(itertools.starmap(ideals.join_parts, pairs))
+        and None not in dual
+        and all(dual[d] == x for x, d in enumerate(dual))
+        and view.closed
+        and all(below[1:])
+        and all(dual[y] in below[dual[x]] for y, xs in enumerate(below) for x in xs)
     )
     yield _HOLDS if ok else spec._asdict()
 
@@ -615,7 +613,7 @@ def _gamma_cells(view: _IdealView) -> Iterator[SweepCell]:
     # level k - 1's members, enumerated on their own: L^k splits as L^(k-1) and gamma
     smaller = set(ideals.enumerate_ideal(spec._replace(k=spec.k - 1)))
     gamma = set(ideals.gamma_set(spec))
-    ok = view.member_set == smaller | gamma and not (smaller & gamma)
+    ok = view.position.keys() == smaller | gamma and not (smaller & gamma)
     # the window (k-1, k], read through a column of its own
     (poly,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.k - 1, spec.k, [spec.n])
     ok = ok and ideals.rank_vector(gamma, spec.top_rank) == poly

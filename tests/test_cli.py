@@ -23,8 +23,9 @@ RECORDED_DIGESTS = json.loads(
 )
 
 
-def run_capped(args, timeout=120, cap_mib=512):
-    """Run kyoung as a subprocess with cap_mib MiB of address space."""
+def run_capped(args, timeout=120, cap_mib=512, entry=("-m", "kyoung")):
+    """Run kyoung, or the Python entry given, with args as a subprocess with
+    cap_mib MiB of address space."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -34,7 +35,7 @@ def run_capped(args, timeout=120, cap_mib=512):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run(
-        [sys.executable, "-m", "kyoung", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         env=env,

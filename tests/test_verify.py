@@ -1,8 +1,10 @@
 """Report plumbing, sweep runners, exports, and configuration parsing."""
 
+import functools
 import itertools
 import json
 import math
+import operator
 import sys
 import tracemalloc
 import weakref
@@ -17,6 +19,7 @@ from kyoung import ideals, lattice, partitions, qpoly, verify
 from kyoung.ideals import IdealSpec
 from kyoung.lattice import HasseDiagram, build_ideal
 from kyoung.qpoly import QPoly, conjecture_sum
+from test_cli import run_capped
 from test_qpoly import finite_strata_by_addition, is_period_insertion
 from kyoung.verify import (
     Note,
@@ -48,6 +51,70 @@ def each_ideal(family, grid):
     through a view of its own."""
     views = map(verify._IdealView, verify._grid_cells(grid))
     return itertools.chain.from_iterable(map(family, views))
+
+
+def upsets(rows, spec, reverse=False):
+    """Bit j of entry x is set when rows[x] fits inside rows[j] (reverse: when
+    rows[j] fits inside rows[x]), rows being partitions in the m x n box.
+
+    Part comparisons only, no order theory: for each row index i and
+    threshold t, the rows whose part i is at least t (at most t); the entry
+    of x ANDs these over i at t = x_i.
+    """
+    padded = [x + (0,) * (spec.n - len(x)) for x in rows]
+    tables = []
+    for parts in zip(*padded):
+        by_part = [0] * (spec.m + 1)
+        for j, v in enumerate(parts):
+            by_part[v] |= 1 << j
+        if reverse:
+            tables.append(list(itertools.accumulate(by_part, operator.or_)))
+        else:
+            tables.append(list(itertools.accumulate(by_part[::-1], operator.or_))[::-1])
+    return [functools.reduce(operator.and_, map(list.__getitem__, tables, x)) for x in padded]
+
+
+def closed_over_every_pair(view):
+    """Whether the meet and the join of every pair of members, through
+    verify's view of ideals, is a member."""
+    pairs = list(itertools.combinations_with_replacement(view.members, 2))
+    combined = itertools.chain(
+        itertools.starmap(verify.ideals.meet_parts, pairs),
+        itertools.starmap(verify.ideals.join_parts, pairs),
+    )
+    return set(view.members).issuperset(combined)
+
+
+def subposet_over_every_pair(view):
+    """structure-subposet's verdict by the all-pairs route: verify's view of
+    build_ideal gives the view's vertices and edges, the members reachable
+    from each member along the edges are those that contain it, compared
+    as bitsets, and the members are closed over every pair.  An edge's upper
+    end has the later position, so walking the sorted edges backwards reads
+    each reach[u] once it is final."""
+    spec, members, edges = view.spec, view.members, view.diagram.edges
+    diagram = verify.lattice.build_ideal(spec.rectangle, spec.k)
+    if diagram.vertices() != members or diagram.edges != edges:
+        return False
+    reach = [1 << v for v in range(len(members))]
+    for v, u in reversed(edges):
+        reach[v] |= reach[u]
+    return reach == upsets(members, spec) and closed_over_every_pair(view)
+
+
+def duality_over_every_pair(view):
+    """structure-duality's verdict by the all-pairs route: a palindromic rank
+    vector, duals through verify's view of complement_dual_parts that are an
+    involution on the members, the members' up-sets equal to the duals'
+    down-sets, and closure over every pair."""
+    spec, members = view.spec, view.members
+    dual = {p: verify.ideals.complement_dual_parts(p, spec) for p in members}
+    return (
+        qpoly.is_symmetric(ideals.rank_vector(members, spec.top_rank), spec.top_rank)
+        and all(dual.get(d) == p for p, d in dual.items())
+        and upsets(members, spec) == upsets(list(dual.values()), spec, reverse=True)
+        and closed_over_every_pair(view)
+    )
 
 
 class TestHelpers:
@@ -952,8 +1019,8 @@ class TestStructure:
     def test_subposet_checks_reachability_against_containment(self, monkeypatch):
         """Drop () -> (1,), the one up-edge of (), from both the one-box
         steps and the k-cover diagram.  The two still agree, so only the
-        reachability cells can fail: () reaches no other member now, and
-        every other member still reaches each member containing it."""
+        steps looked up among the members tell: () reaches no other member
+        now, and each ideal fails once, with () as child and (1,) missing."""
 
         def bottom_edge_dropped(d):
             assert d.vertices()[:2] == [(), (1,)]
@@ -963,9 +1030,8 @@ class TestStructure:
         self.damage(monkeypatch, bottom_edge_dropped, source=ideals, builder="hasse_diagram")
         report = self.damaged_diagrams(monkeypatch, bottom_edge_dropped)
         assert report.counterexamples == [
-            {**spec_dict(spec), "a": [], "b": list(y)}
+            {**spec_dict(spec), "child": [], "extra": [], "missing": [[1]]}
             for spec in verify._grid_cells(verify._Grid(3, 3, 4, 4))
-            for y in ideals.enumerate_ideal(spec)[1:]
         ]
 
     def check_extra_edge(self, monkeypatch, pick):
@@ -1088,11 +1154,10 @@ class TestStructure:
         assert verdicts == [True] * len(specs)
 
     def test_each_ideal_is_built_once(self, monkeypatch):
-        """The per-ideal walk builds each ideal's diagram once and the
-        containment bitsets of its members once, for all five families:
-        counts and duality read the members off the diagram, and only gamma
+        """The per-ideal walk builds each ideal's diagram once and looks its
+        members' one-box steps up once, for all five families: counts and
+        duality read the members off the diagram, and only gamma
         enumerates, the level below."""
-        members = ideals.enumerate_ideal
         calls = Counter()
 
         def counted(source, name, key):
@@ -1106,8 +1171,9 @@ class TestStructure:
 
         counted(ideals, "hasse_diagram", lambda spec: (spec,))
         counted(ideals, "enumerate_ideal", lambda spec: (spec,))
-        # the members' bitsets, and the reversed ones of their duals
-        counted(verify, "_upsets", lambda rows, spec, reverse=False: (spec, reverse or tuple(rows)))
+        # the lookup of the steps below the members, which subposet and
+        # duality both read: the function the cached property calls
+        counted(verify._IdealView.below, "func", lambda view: (view.spec,))
         grid = verify._Grid(4, 5, 7, 10)
         reports = verify._each_ideal(grid)
         assert [r.check for r in reports] == [name for name, _ in verify._PER_IDEAL_FAMILIES]
@@ -1116,8 +1182,7 @@ class TestStructure:
         below = [IdealSpec(s.m, s.n, s.k - 1) for s in specs if s.k > s.m]
         assert calls == Counter(
             [("hasse_diagram", s) for s in specs]
-            + [("_upsets", s, tuple(members(s))) for s in specs]
-            + [("_upsets", s, True) for s in specs]
+            + [("func", s) for s in specs]
             + [("enumerate_ideal", s) for s in below]
         )
         assert (len(specs), len(below)) == (59, 39)
@@ -1239,20 +1304,155 @@ class TestStructure:
         assert len(calls) == sum(len(ideals.enumerate_ideal(spec)) for spec in specs) == expected
 
     def test_upsets_match_containment(self):
-        """On every ideal of the default grid, bit j of entry x is
-        contains(rows[x], rows[j]), and contains(rows[j], rows[x]) in
-        reverse, with the members and with their duals as rows."""
+        """The oracle upsets, on every ideal of the default grid: bit j of
+        entry x is contains(rows[x], rows[j]), and contains(rows[j], rows[x])
+        in reverse, with the members and with their duals as rows."""
         for spec in verify._grid_cells(verify._Grid(4, 6, 7, 10)):
             members = ideals.enumerate_ideal(spec)
             duals = [ideals.complement_dual(p, spec) for p in members]
             for rows in (members, duals):
-                ups = verify._upsets(rows, spec)
-                downs = verify._upsets(rows, spec, reverse=True)
+                ups = upsets(rows, spec)
+                downs = upsets(rows, spec, reverse=True)
                 for x, up, down in zip(rows, ups, downs):
                     for j, y in enumerate(rows):
                         assert up >> j & 1 == partitions.contains(x, y), (spec, x, y)
                         assert down >> j & 1 == partitions.contains(y, x), (spec, x, y)
                     assert up < 1 << len(rows) and down < 1 << len(rows)
+
+    @staticmethod
+    def dropped_interior_step(monkeypatch):
+        """(1, 1) -> (2, 1) dropped from both diagrams: every member still
+        has an edge into it, yet (1, 1) no longer reaches (2, 1)."""
+
+        def dropped(d):
+            vertices = d.vertices()
+            if {(1, 1), (2, 1)} <= set(vertices):
+                d.edges.remove((vertices.index((1, 1)), vertices.index((2, 1))))
+
+        TestStructure.damage(monkeypatch, dropped)
+        TestStructure.damage(monkeypatch, dropped, source=ideals, builder="hasse_diagram")
+
+    @staticmethod
+    def added_non_step(monkeypatch):
+        """(1, 1) -> (2,) added to both diagrams, an edge inside a rank."""
+
+        def added(d):
+            vertices = d.vertices()
+            if {(1, 1), (2,)} <= set(vertices):
+                d.edges.append((vertices.index((1, 1)), vertices.index((2,))))
+                d.edges.sort()
+
+        TestStructure.damage(monkeypatch, added)
+        TestStructure.damage(monkeypatch, added, source=ideals, builder="hasse_diagram")
+
+    @staticmethod
+    def leaky_join(monkeypatch):
+        """The join of () and (x, x) is (x + 1,), which leaves the ideal at x = m."""
+
+        def leaky(a, b):
+            x = max(a + b, default=0)
+            return (x + 1,) if {a, b} == {(), (x, x)} else ideals.join_parts(a, b)
+
+        view = SimpleNamespace(**{**vars(ideals), "join_parts": leaky})
+        monkeypatch.setattr(verify, "ideals", view)
+
+    @staticmethod
+    def swapped_dual(monkeypatch):
+        """In each ideal, the duals of the first two members of one degree
+        that are neither each other's duals nor their own are swapped: still
+        an involution onto the members that complements degrees."""
+        swaps = {}
+
+        def swapped(p, spec):
+            if spec not in swaps:
+                members = ideals.enumerate_ideal(spec)
+                dual = {x: ideals.complement_dual_parts(x, spec) for x in members}
+                swaps[spec] = dual
+                for a, b in itertools.combinations(members, 2):
+                    if sum(a) == sum(b) and not {a, b} & {dual[a], dual[b]}:
+                        dual.update({a: dual[b], b: dual[a], dual[a]: b, dual[b]: a})
+                        break
+            return swaps[spec][p]
+
+        view = SimpleNamespace(**{**vars(ideals), "complement_dual_parts": swapped})
+        monkeypatch.setattr(verify, "ideals", view)
+
+    @pytest.mark.parametrize(
+        "plant, failing",
+        [
+            ("dropped_interior_step", [True, False]),
+            ("added_non_step", [True, False]),
+            ("leaky_join", [True, True]),
+            ("swapped_dual", [False, True]),
+        ],
+    )
+    def test_the_linear_checks_fail_the_ideals_the_all_pairs_oracle_fails(
+        self, monkeypatch, plant, failing
+    ):
+        """With each fault planted, structure-subposet and structure-duality
+        fail exactly the ideals of _Grid(4, 6, 7, 10) that their all-pairs
+        routes fail, every ideal checked; failing says which of the two
+        families the fault fails on some ideal.  The leaky join's pair is
+        two class representatives: the families combine no other pair."""
+        getattr(self, plant)(monkeypatch)
+        verdicts, oracle = [], []
+        for spec in verify._grid_cells(verify._Grid(4, 6, 7, 10)):
+            view = verify._IdealView(spec)
+            verdicts.append(
+                [
+                    all(isinstance(cell, Pass) for cell in family(view))
+                    for family in (verify._subposet_cells, verify._duality_cells)
+                ]
+            )
+            oracle.append([subposet_over_every_pair(view), duality_over_every_pair(view)])
+        assert verdicts == oracle
+        assert [not all(column) for column in zip(*verdicts)] == failing
+
+    def test_subposet_and_duality_fit_in_linear_memory(self):
+        """Subposet and duality on L^13(6, 24), 23,595 members, both pass in
+        a child with 128 MiB of address space.  Bitsets over every pair of
+        members need about 200 MiB of them alone."""
+        code = (
+            "from kyoung import verify\n"
+            "from kyoung.ideals import IdealSpec\n"
+            "view = verify._IdealView(IdealSpec(6, 24, 13))\n"
+            "cells = [*verify._subposet_cells(view), *verify._duality_cells(view)]\n"
+            "assert all(isinstance(cell, verify.Pass) for cell in cells), cells\n"
+            "print(len(view.members), len(view.diagram.edges), sum(c.count for c in cells))\n"
+        )
+        proc = run_capped([code], cap_mib=128, entry=("-c",))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        members, edges, passed = map(int, proc.stdout.split())
+        assert members == 23595 and passed == members**2 + edges + 1
+
+    def test_a_member_with_no_step_into_it_fails_subposet_and_duality(self, monkeypatch):
+        """At m = 1 each ideal is the chain of the columns (1^j).  With (1,)
+        and its edges dropped from both diagrams, the rest is still a chain,
+        closed under meet and join, and the diagrams agree with the steps
+        looked up among the members; but nothing is one box below (1, 1), so
+        () does not reach it.  Subposet fails every ideal with n >= 2, and
+        duality every ideal: at n = 2 the rank vector [1, 0, 1] is still a
+        palindrome and the duals still reverse containment, so only the
+        missing step tells there."""
+
+        def dropped(d):
+            vertices = d.vertices()
+            d.ranks[1].remove((1,))
+            kept = {v: i for i, v in enumerate(d.vertices())}
+            d.edges = [
+                (kept[vertices[v]], kept[vertices[u]])
+                for v, u in d.edges
+                if (1,) not in (vertices[v], vertices[u])
+            ]
+
+        self.damage(monkeypatch, dropped)
+        self.damage(monkeypatch, dropped, source=ideals, builder="hasse_diagram")
+        grid = verify._Grid(1, 4, 4, 4)
+        specs = list(verify._grid_cells(grid))
+        assert [spec.n for spec in specs].count(2) == 2
+        for family, least in ((verify._subposet_cells, 2), (verify._duality_cells, 1)):
+            report = verify._sweep("structure", "theorem", each_ideal(family, grid))
+            assert report.counterexamples == [spec_dict(s) for s in specs if s.n >= least]
 
     def test_duality_catches_a_dual_that_is_not_order_reversing(self, monkeypatch):
         """Swap the images of two members of one degree under complement_dual.
@@ -1292,6 +1492,23 @@ class TestStructure:
         assert broken and duality.counterexamples == broken
         assert {r.failed for r in by_name.values()} == {0}
 
+    def test_duality_catches_a_dual_that_is_no_involution(self, monkeypatch):
+        """In the full 2 x 2 box, L^3(2, 2), the members (2) and (1, 1) are
+        each their own dual, and both cover (1) and are covered by (2, 1).
+        So a dual that takes (1, 1) to (2) still lands on members and takes
+        each step x below y to a step dual(y) below dual(x); only the
+        involution clause sees it, on that ideal alone."""
+        fold = IdealSpec(2, 2, 3)
+
+        def folded(p, spec):
+            return (2,) if (p, spec) == ((1, 1), fold) else ideals.complement_dual_parts(p, spec)
+
+        view = SimpleNamespace(**{**vars(ideals), "complement_dual_parts": folded})
+        monkeypatch.setattr(verify, "ideals", view)
+        by_name = {r.check: r for r in verify_structure(2, 2, 3, 4)}
+        assert by_name.pop("structure-duality").counterexamples == [spec_dict(fold)]
+        assert {r.failed for r in by_name.values()} == {0}
+
     def test_duality_catches_an_unreversed_rotation(self, monkeypatch):
         """A rotation that complements the short rows without reversing them
         maps a member with two distinct short rows to parts that increase,
@@ -1320,7 +1537,8 @@ class TestStructure:
     def leaky(monkeypatch, name, fault, grid):
         """structure-duality's counterexamples on grid, with verify's view of
         the unchecked ideals.name giving fault(a, b) wherever that is not
-        None; every other family must pass."""
+        None.  The closure is the view's, and subposet reads it too, so
+        subposet must fail on the same ideals and every other family pass."""
         combine = getattr(ideals, name)
 
         def leaky(a, b):
@@ -1331,6 +1549,7 @@ class TestStructure:
         monkeypatch.setattr(verify, "ideals", view)
         by_name = {r.check: r for r in verify_structure(*grid)}
         duality = by_name.pop("structure-duality")
+        assert by_name.pop("structure-subposet").counterexamples == duality.counterexamples
         assert {r.failed for r in by_name.values()} == {0}
         return duality.counterexamples
 
