@@ -3,8 +3,11 @@
 Membership below the m x n rectangle in the k-Young order has a box
 characterization: fit inside the rectangle with at most k - m + 1 parts
 strictly smaller than m.  Within such an ideal the order is plain
-containment, so its Hasse diagram is the one-box covers between members, and
-the lattice operations are componentwise.
+containment, so the lattice operations are componentwise, and IdealLayout
+writes the Hasse diagram that `kyoung ideal` exports as the one-box covers
+between members.  structure-subposet holds enumerate_ideal's members and
+their one-box steps to lattice.build_ideal's vertices and k-covers; the
+tests hold the layout's bytes to the same diagram.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
-from .lattice import HasseDiagram, ideal_name
+from .lattice import ideal_name
 from .partitions import Parts, _echo, partitions_in_box, require_rectangle
 from .qpoly import QPoly
 
@@ -156,16 +159,6 @@ class IdealLayout:
                 if (u := position[j + dj][s]) >= 0
             ]
             start += len(rank)
-
-
-def hasse_diagram(spec: IdealSpec) -> HasseDiagram:
-    """The Hasse diagram of the ideal, the one lattice.build_ideal finds by
-    k-covers, read from its IdealLayout instead."""
-    layout = IdealLayout(spec)
-    m, box = spec.m, layout.box
-    vertices = [[(m,) * j + box[t] for j, t in rank] for rank in layout.ranks]
-    edges = list(chain.from_iterable(layout.edge_chunks()))
-    return HasseDiagram(k=spec.k, name=layout.name, ranks=vertices, edges=edges)
 
 
 def gamma_set(spec: IdealSpec) -> list[Parts]:

@@ -488,24 +488,25 @@ def _one_box_below(p: Parts) -> Iterator[Parts]:
 
 
 class _IdealView:
-    """One ideal as the per-ideal families read it: its diagram, the
-    members, their positions, the members one box below each member, and
-    whether the members are closed under meet and join.  Each part is built
-    when a family first reads it, so its time is that family's, and the
-    walk drops the view before the next ideal."""
+    """One ideal as the per-ideal families read it: its k-cover diagram, the
+    members by the box characterization, their positions, the members one
+    box below each member, and whether the order on the members is
+    containment along those steps.  Each part is built when a family first
+    reads it, so its time is that family's, and the walk drops the view
+    before the next ideal."""
 
     def __init__(self, spec: IdealSpec):
         self.spec = spec
 
     @functools.cached_property
     def diagram(self) -> lattice.HasseDiagram:
-        """The members and their one-box steps."""
-        return ideals.hasse_diagram(self.spec)
+        """The ideal below the rectangle in the k-order, with its k-covers."""
+        return lattice.build_ideal(self.spec.rectangle, self.spec.k)
 
     @functools.cached_property
     def members(self) -> list[Parts]:
-        """By degree, then lexicographically."""
-        return self.diagram.vertices()
+        """The box characterization, by degree, then lexicographically."""
+        return ideals.enumerate_ideal(self.spec)
 
     @functools.cached_property
     def position(self) -> dict[Parts, int]:
@@ -515,19 +516,31 @@ class _IdealView:
     @functools.cached_property
     def below(self) -> list[list[int]]:
         """The positions of the members one box below each member, in
-        ascending order: _one_box_below looked up among the members, not
-        read off the diagram."""
+        ascending order: _one_box_below looked up among the members."""
         position = self.position
         return [[position[q] for q in _one_box_below(p) if q in position] for p in self.members]
 
     @functools.cached_property
-    def closed(self) -> bool:
-        """Whether the members are closed under meet and join.  Meet (join)
-        takes the smaller (larger) length and number of parts equal to m,
-        and membership depends on those alone, so one pair per pair of such
-        classes decides.  Each class's representative is checked a member
-        once, and the pairs are combined by the unchecked meet_parts and
-        join_parts."""
+    def ordered(self) -> bool:
+        """Whether the members are closed under meet and join and every
+        member other than () has a step of below into it.
+
+        Closed under meet and join, the members are a distributive lattice
+        under containment.  A cover u < v in it makes v the join of u and a
+        join-irreducible j whose meet with u is j_*, the one member j covers
+        (Stanley, EC1 3.4).  Size is a valuation on the box, so j is as many
+        boxes above j_* as v is above u, and a member one box below j would
+        lie below j_* and yet be larger.  So when every member other than ()
+        has a step into it, every cover is one box, and containment is
+        reachability along the steps.
+
+        Meet (join) takes the smaller (larger) length and number of parts
+        equal to m, and membership depends on those alone, so closure is
+        checked on one pair per pair of such classes: each class's last
+        member is its representative, checked a member once, and the pairs
+        are combined by the unchecked meet_parts and join_parts.  Only
+        representatives are combined, so a fault of meet_parts or join_parts
+        on any other pair of members passes."""
         spec, position = self.spec, self.position
         reps = {(len(p), p.count(spec.m)): p for p in self.members}.values()
         pairs = list(itertools.combinations_with_replacement(reps, 2))
@@ -535,12 +548,12 @@ class _IdealView:
             all(ideals.is_member(x, spec) for x in reps)
             and all(p in position for p in itertools.starmap(ideals.meet_parts, pairs))
             and all(p in position for p in itertools.starmap(ideals.join_parts, pairs))
+            and all(self.below[1:])
         )
 
 
 def _subposet_cells(view: _IdealView) -> Iterator[SweepCell]:
-    spec, steps, members = view.spec, view.diagram, view.members
-    diagram = lattice.build_ideal(spec.rectangle, spec.k)
+    spec, diagram, members = view.spec, view.diagram, view.members
     vertices = diagram.vertices()
     if vertices != members:  # both come by degree, then lexicographically
         vertex_set = set(vertices)
@@ -548,29 +561,21 @@ def _subposet_cells(view: _IdealView) -> Iterator[SweepCell]:
         missing = [list(p) for p in members if p not in vertex_set]
         yield {**spec._asdict(), "extra": extra, "missing": missing}
         return
-    # the k-covers must be the diagram's one-box steps, and those the steps
-    # looked up among the members, all sorted (lower, upper) position pairs:
-    # the lowest lower end among the pairs on one side only is the child
+    # the k-covers must be the steps looked up among the members, both sorted
+    # (lower, upper) position pairs: the lowest lower end among the pairs on
+    # one side only is the child
     looked = sorted((x, y) for y, xs in enumerate(view.below) for x in xs)
-    for found, expected in ((diagram.edges, steps.edges), (steps.edges, looked)):
-        if found != expected:
-            diff = set(found) ^ set(expected)
-            x = min(diff)[0]
-            extra = [list(members[u]) for v, u in found if v == x and (v, u) in diff]
-            missing = [list(members[u]) for v, u in expected if v == x and (v, u) in diff]
-            yield {**spec._asdict(), "child": list(members[x]), "extra": extra, "missing": missing}
-            return
-    # Closed under meet and join, the members are a distributive lattice
-    # under containment.  A cover u < v in it makes v the join of u and a
-    # join-irreducible j whose meet with u is j_*, the one member j covers
-    # (Stanley, EC1 3.4).  Size is a valuation on the box, so j is as many
-    # boxes above j_* as v is above u, and a member one box below j would
-    # lie below j_* and yet be larger.  So when every member other than ()
-    # has a step into it, every cover is one box, and reachability along
-    # the steps is containment: the N^2 pair cells hold, for N members, and
-    # so does one cover cell per step, a path of exactly one edge.
-    holds = view.closed and all(view.below[1:])
-    yield Pass(len(members) ** 2 + len(looked)) if holds else spec._asdict()
+    if diagram.edges != looked:
+        diff = set(diagram.edges) ^ set(looked)
+        x = min(diff)[0]
+        extra = [list(members[u]) for v, u in diagram.edges if v == x and (v, u) in diff]
+        missing = [list(members[u]) for v, u in looked if v == x and (v, u) in diff]
+        yield {**spec._asdict(), "child": list(members[x]), "extra": extra, "missing": missing}
+        return
+    # with the order containment along the steps (see _IdealView.ordered),
+    # the N^2 pair cells hold, for N members, and so does one cover cell per
+    # step, a path of exactly one edge
+    yield Pass(len(members) ** 2 + len(looked)) if view.ordered else spec._asdict()
 
 
 def _counts_cells(view: _IdealView) -> Iterator[SweepCell]:
@@ -586,19 +591,17 @@ def _counts_cells(view: _IdealView) -> Iterator[SweepCell]:
 
 def _duality_cells(view: _IdealView) -> Iterator[SweepCell]:
     spec, members, below = view.spec, view.members, view.below
-    # the members come off the ideal's diagram, and each dual must be one of
-    # them (position.get gives None for any other), so they rotate unchecked
+    # each dual must be a member (position.get gives None for any other), so
+    # the members rotate unchecked
     dual = [view.position.get(ideals.complement_dual_parts(p, spec)) for p in members]
-    # Order reversal: with the members closed and every member other than ()
-    # a step above another, containment is reachability along the steps
-    # (see _subposet_cells), so the involution reverses it exactly when it
-    # takes each step x below y to a step dual(y) below dual(x).
+    # Order reversal: with the order containment along the steps (see
+    # _IdealView.ordered), the involution reverses it exactly when it takes
+    # each step x below y to a step dual(y) below dual(x).
     ok = (
         qpoly.is_symmetric(ideals.rank_vector(members, spec.top_rank), spec.top_rank)
         and None not in dual
         and all(dual[d] == x for x, d in enumerate(dual))
-        and view.closed
-        and all(below[1:])
+        and view.ordered
         and all(dual[y] in below[dual[x]] for y, xs in enumerate(below) for x in xs)
     )
     yield _HOLDS if ok else spec._asdict()
@@ -606,7 +609,7 @@ def _duality_cells(view: _IdealView) -> Iterator[SweepCell]:
 
 def _gamma_cells(view: _IdealView) -> Iterator[SweepCell]:
     spec, diagram = view.spec, view.diagram
-    if spec.k == spec.m:  # a chain: one member per degree
+    if spec.k == spec.m:  # a chain: one vertex per degree
         chain = [len(rank) for rank in diagram.ranks] == [1] * (spec.top_rank + 1)
         yield _HOLDS if chain else spec._asdict()
         return
@@ -618,8 +621,8 @@ def _gamma_cells(view: _IdealView) -> Iterator[SweepCell]:
     (poly,) = qpoly.window_sum(qpoly.LimitColumn(spec.m), spec.k - 1, spec.k, [spec.n])
     ok = ok and ideals.rank_vector(gamma, spec.top_rank) == poly
     ok = ok and qpoly.is_symmetric(poly, spec.top_rank)
-    # the up-edges are the one-box steps between members: none crosses two strata
-    rows = [ideals.short_rows(x, spec.m) for x in view.members]
+    # no k-cover crosses two strata
+    rows = [ideals.short_rows(x, spec.m) for x in diagram.vertices()]
     ok = ok and all(abs(rows[u] - rows[x]) <= 1 for x, u in diagram.edges)
     yield _HOLDS if ok else spec._asdict()
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from check_targets import report_digest
-from kyoung import ideals, partitions, qpoly, verify
+from kyoung import ideals, lattice, partitions, qpoly, verify
 from kyoung.cli import main, parse_parts, parse_values
 
 # perfbench/digests.json: the benchmark's output digests, by CLI invocation
@@ -167,17 +167,21 @@ class TestCommands:
     def test_ideal_export_fits_in_bounded_memory(self, flags):
         """The 61 MB JSON, and the 21 MB DOT, of L^16(6,40) stream out of a
         child with 128 MiB of address space, one rank at a time, and are
-        the bytes of the diagram written in memory."""
+        the bytes the same layout writes in this process.  That the layout
+        writes the k-cover diagram is TestHasseDiagram's check in
+        test_ideals.py: lattice.build_ideal of this ideal takes seconds and
+        hundreds of MiB."""
         proc = run_capped(["ideal", "--m", "6", "--n", "40", "--k", "16", *flags], cap_mib=128)
         assert proc.returncode == 0, proc.stderr
-        diagram = ideals.hasse_diagram(ideals.IdealSpec(6, 40, 16))
-        # the JSON is json.dumps(indent=2)'s, read off its encoder in
-        # batches: the whole text at once would take about 400 MB more
-        encoded = json.JSONEncoder(indent=2).iterencode(diagram.to_json_dict())
-        pieces, pos = iter([diagram.to_dot()]) if flags else itertools.chain(encoded, ["\n"]), 0
-        while batch := "".join(itertools.islice(pieces, 1 << 16)):
-            assert proc.stdout.startswith(batch, pos), pos
-            pos += len(batch)
+        pos = 0
+
+        def compare(piece):
+            nonlocal pos
+            assert proc.stdout.startswith(piece, pos), pos
+            pos += len(piece)
+
+        writer = lattice.write_dot if flags else lattice.write_json
+        writer(compare, ideals.IdealLayout(ideals.IdealSpec(6, 40, 16)))
         assert pos == len(proc.stdout)
 
     def test_ideal_error_creates_no_file(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from kyoung.ideals import (
     complement_dual,
     enumerate_ideal,
     gamma_set,
-    hasse_diagram,
     is_member,
     join,
     meet,
@@ -227,10 +226,10 @@ class TestMembership:
         "m, n, k", [(3, 3, 3), (1, 4, 2), (2, 5, 3), (4, 7, 6), (3, 2, 8), (5, 6, 5)]
     )
     def test_draws_one_partition_per_member(self, m, n, k, monkeypatch):
-        """The enumeration and the diagram are output-sensitive: every
-        partition they draw from a box becomes a member, none is filtered
-        out.  Each draws the members with no row equal to m once, and finds
-        the others by lifting those."""
+        """The enumeration and the exported layout are output-sensitive:
+        every partition they draw from a box becomes a member, none is
+        filtered out.  Each draws the members with no row equal to m once,
+        and finds the others by lifting those."""
         drawn = []
 
         def counting(width, height):
@@ -244,8 +243,9 @@ class TestMembership:
         unlifted = sorted(p for p in members if m not in p)
         assert sorted(drawn) == unlifted
         drawn.clear()
-        assert hasse_diagram(spec).vertices() == members
+        ranks, _ = layout_diagram(IdealLayout(spec))
         assert sorted(drawn) == unlifted
+        assert [v for rank in ranks for v in rank] == members
 
 
     @pytest.mark.parametrize("m, n, k", [(1, 2, 1), (1, 3, 2), (2, 2, 2), (2, 2, 3), (3, 2, 4)])
@@ -368,6 +368,13 @@ class TestGamma:
                     assert set(gamma_set(spec)) == expected, spec
 
 
+def layout_diagram(layout):
+    """The ranks and edges an IdealLayout writes: (m^j) over box[t] for
+    each (j, t) of each rank, and its edge chunks joined."""
+    ranks = [[(layout.m,) * j + layout.box[t] for j, t in rank] for rank in layout.ranks]
+    return ranks, list(itertools.chain.from_iterable(layout.edge_chunks()))
+
+
 def edges_by_slicing(spec):
     """Oracle: each member's one-box steps, sliced out of its tuple: a box at
     the first row of each part below m, and a new row of 1 while there are
@@ -395,30 +402,35 @@ class TestHasseDiagram:
     # partition in the box is a member
     SPECS = [IdealSpec(m, n, k) for m in range(1, 6) for k in range(m, 10) for n in range(1, 11)]
 
+    # The export's only cross-check: what `kyoung ideal` writes from the
+    # IdealLayout is held to lattice.build_ideal's k-cover diagram.
+
     def test_matches_the_k_cover_diagram(self):
         for spec in self.SPECS:
-            got, expected = hasse_diagram(spec), build_ideal(spec.rectangle, spec.k)
-            assert (got.k, got.name, got.ranks) == (expected.k, expected.name, expected.ranks), spec
-            assert got.edges == expected.edges, spec
+            layout, expected = IdealLayout(spec), build_ideal(spec.rectangle, spec.k)
+            assert (layout.k, layout.name) == (expected.k, expected.name), spec
+            assert layout_diagram(layout) == (expected.ranks, expected.edges), spec
 
     def test_matches_the_sliced_one_box_steps(self):
         for spec in self.SPECS:
-            got = hasse_diagram(spec)
-            assert (got.vertices(), got.edges) == edges_by_slicing(spec), spec
+            ranks, edges = layout_diagram(IdealLayout(spec))
+            assert ([v for rank in ranks for v in rank], edges) == edges_by_slicing(spec), spec
 
     def test_exports_the_bytes_of_the_k_cover_diagram(self):
+        # the layout writes what the k-cover diagram writes of itself
         for spec in self.SPECS:
-            got, expected = hasse_diagram(spec), build_ideal(spec.rectangle, spec.k)
-            pieces = []
-            write_json(pieces.append, got)
-            assert "".join(pieces) == json.dumps(expected.to_json_dict(), indent=2) + "\n", spec
-            assert got.to_dot() == expected.to_dot(), spec
+            layout, expected = IdealLayout(spec), build_ideal(spec.rectangle, spec.k)
+            for writer in (write_json, write_dot):
+                got, own = [], []
+                writer(got.append, layout)
+                writer(own.append, expected)
+                assert "".join(got) == "".join(own), (spec, writer.__name__)
 
     def test_streams_the_bytes_of_the_diagram(self):
         # what `kyoung ideal` writes, rank by rank from the layout, is the
-        # JSON module's text and the f-string DOT of the diagram in memory
+        # JSON module's text and the f-string DOT of the k-cover diagram
         for spec in self.SPECS:
-            diagram, layout = hasse_diagram(spec), IdealLayout(spec)
+            diagram, layout = build_ideal(spec.rectangle, spec.k), IdealLayout(spec)
             for writer, expected in (
                 (write_json, json.dumps(diagram.to_json_dict(), indent=2) + "\n"),
                 (write_dot, dot_by_fstrings(diagram)),

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from kyoung.ideals import IdealSpec, hasse_diagram
+from kyoung.ideals import IdealSpec
 from kyoung.lattice import (
     HasseDiagram,
     build_ideal,
@@ -292,11 +292,11 @@ class TestHasseDiagram:
         assert d.to_dot() == expected + "\n"
 
     def test_dot_matches_the_fstring_oracle(self):
-        """The ideals of the m 1-5, k m-9, n 1-10 grid by their
-        characterization, k-cover ideals (one edge-free), and a diagram
+        """The k-cover ideals below the rectangles of the m 1-5, k m-9,
+        n 1-10 grid and four other generators (one edge-free), and a diagram
         with an empty rank, which writes no rank line."""
         diagrams = [
-            hasse_diagram(IdealSpec(m, n, k))
+            build_ideal(IdealSpec(m, n, k).rectangle, k)
             for m in range(1, 6)
             for k in range(m, 10)
             for n in range(1, 11)

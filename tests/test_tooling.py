@@ -95,10 +95,10 @@ def test_traced_launcher_times_the_ideal_json_writer(tmp_path):
     # cli streams the export through lattice.write_json and write_dot, which
     # no span wraps, so their time is cli's self time: neither verify.render
     # nor the HasseDiagram methods traced.py binds (lattice.render) is called
-    from kyoung import ideals
+    from kyoung import lattice
 
     cli_args = ["ideal", "--m", "3", "--n", "4", "--k", "4", "--out", "F"]
-    diagram = ideals.hasse_diagram(ideals.IdealSpec(3, 4, 4))
+    diagram = lattice.build_ideal((3, 3, 3, 3), 4)
     json_text = json.dumps(diagram.to_json_dict(), indent=2) + "\n"
     for out, flags, text in (("F", [], json_text), ("G", ["--dot"], diagram.to_dot())):
         layers = run_traced(tmp_path, [*cli_args[:-1], out, *flags])
@@ -288,6 +288,75 @@ def test_the_test_oracles_are_not_reexported():
 
     assert [name for name in ORACLES if hasattr(kyoung, name)] == []
     assert all(callable(getattr(qpoly, name, None)) for name in ORACLES)
+
+
+# The module-level functions and classes of src/kyoung that nothing else in
+# the package refers to, each with the reason it stays: kyoung/__init__.py
+# re-exports it as library API, or perfbench/traced.py binds it to time a
+# layer, or both (ROADMAP items 8 and 17).
+UNCALLED = {
+    "ideals.complement_dual": "library API; traced.py's ideals.lattice_ops span",
+    "ideals.join": "library API; traced.py's ideals.lattice_ops span",
+    "ideals.meet": "library API; traced.py's ideals.lattice_ops span",
+    "lattice.leq": "library API, which C08 reads; traced.py's lattice.leq span",
+    "partitions.residue": "library API",
+    "partitions.skew_shape": "library API",
+    "qpoly.cyclotomic_check": "test oracle; traced.py's qpoly.series span",
+    "qpoly.is_unimodal": "test oracle; traced.py's qpoly.predicates span",
+    "qpoly.rank_gen_gamma": "test oracle; traced.py's qpoly.series span",
+    "verify.run_check": "library API; traced.py's verify span",
+}
+
+
+def test_every_production_route_has_a_caller():
+    # a module-level function or class that no other code in src/kyoung
+    # refers to is a dead route, unless UNCALLED names it; its own body and
+    # kyoung/__init__.py's import are no reference.  A name is referred to
+    # as module.name, or bare in its own module or one that imports it by
+    # `from .module import name`
+    source = ROOT / "src" / "kyoung"
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in source.glob("*.py")}
+    exported = {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(trees.pop("__init__"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    defined, referred = set(), set()
+    for stem, tree in trees.items():
+        bound = {
+            alias.asname or alias.name: f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        for statement in tree.body:
+            own = None
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                own = f"{stem}.{statement.name}"
+                defined.add(own)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    name = bound.get(node.id, f"{stem}.{node.id}")
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in trees
+                ):
+                    name = f"{node.value.id}.{node.attr}"
+                else:
+                    continue
+                if name != own:
+                    referred.add(name)
+    assert sorted(defined - referred) == sorted(UNCALLED)
+    # each reason holds: the name is re-exported or traced.py binds it
+    traced = ast.parse((ROOT / "perfbench" / "traced.py").read_text())
+    bound_by_tracer = {
+        ast.unparse(node) for node in ast.walk(traced) if isinstance(node, ast.Attribute)
+    }
+    for name, reason in UNCALLED.items():
+        assert ("library API" in reason) == (name in exported), name
+        assert ("traced.py" in reason) == (name in bound_by_tracer), name
 
 
 def test_only_the_window_readers_read_a_column():

@@ -86,20 +86,23 @@ def closed_over_every_pair(view):
 
 
 def subposet_over_every_pair(view):
-    """structure-subposet's verdict by the all-pairs route: verify's view of
-    build_ideal gives the view's vertices and edges, the members reachable
-    from each member along the edges are those that contain it, compared
-    as bitsets, and the members are closed over every pair.  An edge's upper
-    end has the later position, so walking the sorted edges backwards reads
-    each reach[u] once it is final."""
+    """structure-subposet's verdict by the all-pairs route: the k-cover
+    diagram's vertices are the members, each k-cover adds one box, the
+    members reachable from each member along the k-covers are those that
+    contain it, compared as bitsets, and the members are closed over every
+    pair.  A k-cover's upper end has the later position, so walking the
+    sorted edges backwards reads each reach[u] once it is final."""
     spec, members, edges = view.spec, view.members, view.diagram.edges
-    diagram = verify.lattice.build_ideal(spec.rectangle, spec.k)
-    if diagram.vertices() != members or diagram.edges != edges:
+    if view.diagram.vertices() != members:
         return False
     reach = [1 << v for v in range(len(members))]
     for v, u in reversed(edges):
         reach[v] |= reach[u]
-    return reach == upsets(members, spec) and closed_over_every_pair(view)
+    return (
+        all(sum(members[u]) == sum(members[v]) + 1 for v, u in edges)
+        and reach == upsets(members, spec)
+        and closed_over_every_pair(view)
+    )
 
 
 def duality_over_every_pair(view):
@@ -918,9 +921,9 @@ class TestStructure:
 
     @staticmethod
     def damage(monkeypatch, damage, source=lattice, builder="build_ideal"):
-        """Damage every diagram source.builder returns, lattice.build_ideal's
-        k-cover diagrams or ideals.hasse_diagram's one-box steps; only
-        verify's view of source is patched."""
+        """Damage, in place, what source.builder returns: lattice.build_ideal's
+        k-cover diagram or ideals.enumerate_ideal's members; only verify's
+        view of source is patched."""
         build = getattr(source, builder)
 
         def damaged(*args):
@@ -932,43 +935,67 @@ class TestStructure:
         monkeypatch.setattr(verify, source.__name__.rpartition(".")[2], view)
 
     @classmethod
-    def damaged_diagrams(cls, monkeypatch, damage, **source):
-        """As damage; structure-subposet alone must then fail on
-        _Grid(3, 3, 4, 4), whose report is returned."""
-        cls.damage(monkeypatch, damage, **source)
+    def damaged_diagrams(cls, monkeypatch, damage):
+        """Damage build_ideal's diagrams: on _Grid(3, 3, 4, 4)
+        structure-subposet must then fail, and every family but gamma, which
+        reads the k-covers too, pass.  The reports of subposet and gamma are
+        returned."""
+        cls.damage(monkeypatch, damage)
         by_name = {r.check: r for r in verify_structure(3, 3, 4, 4)}
-        subposet = by_name.pop("structure-subposet")
+        subposet, gamma = by_name.pop("structure-subposet"), by_name.pop("structure-gamma")
         assert subposet.failed > 0
         assert {r.failed for r in by_name.values()} == {0}
-        return subposet
+        return subposet, gamma
 
-    def check_dropped_edge(self, monkeypatch, **source):
-        """Drop the first up-edge of every diagram: each ideal fails once,
-        with the edge's lower end as child.  The edge is missing when
-        build_ideal drops it, and extra when hasse_diagram does."""
-
-        def first_edge(d):
-            i, j = d.edges[0]  # the edges come sorted
-            vertices = d.vertices()
-            return vertices[i], vertices[j]
-
-        def dropped_edge(d):
-            del d.edges[0]
-
-        report = self.damaged_diagrams(monkeypatch, dropped_edge, **source)
-        side = "extra" if source else "missing"
-        specs = verify._grid_cells(verify._Grid(3, 3, 4, 4))
-        edges = {spec: first_edge(ideals.hasse_diagram(spec)) for spec in specs}
-        assert report.counterexamples == [
-            {**spec_dict(spec), "child": list(v), "extra": [], "missing": [], side: [list(u)]}
-            for spec, (v, u) in edges.items()
+    @staticmethod
+    def without_one(d):
+        """d with the vertex (1,) and its edges taken out, the other edges
+        renumbered."""
+        vertices = d.vertices()
+        d.ranks[1].remove((1,))
+        kept = {v: i for i, v in enumerate(d.vertices())}
+        d.edges = [
+            (kept[vertices[v]], kept[vertices[u]])
+            for v, u in d.edges
+            if (1,) not in (vertices[v], vertices[u])
         ]
 
-    def test_subposet_checks_the_exported_diagram(self, monkeypatch):
-        self.check_dropped_edge(monkeypatch)
+    def test_subposet_checks_the_k_covers(self, monkeypatch):
+        """Drop the first k-cover of every diagram, () -> (1,): each ideal
+        fails once, with () as child and (1,) missing.  Gamma reads no
+        missing edge."""
+
+        def dropped_edge(d):
+            assert d.edges[0] == (0, 1) and d.vertices()[:2] == [(), (1,)]
+            del d.edges[0]
+
+        subposet, gamma = self.damaged_diagrams(monkeypatch, dropped_edge)
+        assert gamma.failed == 0
+        assert subposet.counterexamples == [
+            {**spec_dict(spec), "child": [], "extra": [], "missing": [[1]]}
+            for spec in verify._grid_cells(verify._Grid(3, 3, 4, 4))
+        ]
+
+    @staticmethod
+    def no_step_below_one(monkeypatch):
+        """verify's _one_box_below finds nothing below (1,)."""
+        one_box_below = verify._one_box_below
+        monkeypatch.setattr(
+            verify, "_one_box_below", lambda p: iter(()) if p == (1,) else one_box_below(p)
+        )
 
     def test_subposet_checks_the_one_box_steps(self, monkeypatch):
-        self.check_dropped_edge(monkeypatch, source=ideals, builder="hasse_diagram")
+        """With no step looked up below (1,), the k-cover () -> (1,) is extra
+        at child () in every ideal.  Duality, which reads the same steps,
+        fails every ideal, and no other family fails."""
+        self.no_step_below_one(monkeypatch)
+        by_name = {r.check: r for r in verify_structure(3, 3, 4, 4)}
+        specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
+        assert by_name.pop("structure-subposet").counterexamples == [
+            {**spec_dict(spec), "child": [], "extra": [[1]], "missing": []} for spec in specs
+        ]
+        assert by_name.pop("structure-duality").counterexamples == list(map(spec_dict, specs))
+        assert {r.failed for r in by_name.values()} == {0}
 
     @staticmethod
     def subposet_counterexamples():
@@ -976,20 +1003,16 @@ class TestStructure:
         return verify._sweep("structure-subposet", "theorem", cells).counterexamples
 
     def test_subposet_names_the_lower_of_two_damaged_vertices(self, monkeypatch):
-        """build_ideal drops its first edge, () -> (1,), and hasse_diagram its
-        last, whose lower end is higher, in every ideal with more than one
-        edge: the child is (), with the step (1,) missing, and the higher
-        vertex's extra edge is not listed."""
+        """build_ideal drops its first k-cover, () -> (1,), and its last,
+        whose lower end is higher, in every ideal with more than one edge:
+        the child is (), with the step (1,) missing, and the higher vertex's
+        missing step is not listed."""
 
-        def drop(position):
-            def damaged(d):
-                if len(d.edges) > 1:
-                    del d.edges[position]
+        def dropped(d):
+            if len(d.edges) > 1:
+                del d.edges[-1], d.edges[0]
 
-            return damaged
-
-        self.damage(monkeypatch, drop(0))
-        self.damage(monkeypatch, drop(-1), source=ideals, builder="hasse_diagram")
+        self.damage(monkeypatch, dropped)
         specs = [s for s in verify._grid_cells(verify._Grid(3, 3, 4, 4)) if s.top_rank > 1]
         assert specs
         assert self.subposet_counterexamples() == [
@@ -1017,27 +1040,49 @@ class TestStructure:
         assert self.subposet_counterexamples() == expected
 
     def test_subposet_checks_reachability_against_containment(self, monkeypatch):
-        """Drop () -> (1,), the one up-edge of (), from both the one-box
-        steps and the k-cover diagram.  The two still agree, so only the
-        steps looked up among the members tell: () reaches no other member
-        now, and each ideal fails once, with () as child and (1,) missing."""
+        """Drop () -> (1,), the one up-edge of (), from both the k-covers and
+        the steps looked up below (1,).  The two still agree, so only the
+        order clause tells: () reaches no other member now, and each ideal
+        fails once, with its spec."""
 
         def bottom_edge_dropped(d):
             assert d.vertices()[:2] == [(), (1,)]
             assert [(i, j) for i, j in d.edges if i == 0] == [(0, 1)]
             d.edges.remove((0, 1))
 
-        self.damage(monkeypatch, bottom_edge_dropped, source=ideals, builder="hasse_diagram")
-        report = self.damaged_diagrams(monkeypatch, bottom_edge_dropped)
-        assert report.counterexamples == [
-            {**spec_dict(spec), "child": [], "extra": [], "missing": [[1]]}
-            for spec in verify._grid_cells(verify._Grid(3, 3, 4, 4))
+        self.damage(monkeypatch, bottom_edge_dropped)
+        self.no_step_below_one(monkeypatch)
+        specs = verify._grid_cells(verify._Grid(3, 3, 4, 4))
+        assert self.subposet_counterexamples() == list(map(spec_dict, specs))
+
+    @pytest.mark.parametrize("side", ["dropped", "added"])
+    def test_subposet_checks_the_box_members(self, monkeypatch, side):
+        """(1,) dropped from enumerate_ideal's members is a vertex of the
+        k-order's ideal extra to them; a row of 1s added past the rectangle's
+        size is a member missing from the vertices.  Each ideal fails once,
+        naming that partition."""
+
+        def damaged(members):
+            if side == "dropped":
+                members.remove((1,))
+            else:
+                members.append((1,) * (sum(members[-1]) + 1))  # members[-1] is the rectangle
+
+        self.damage(monkeypatch, damaged, source=ideals, builder="enumerate_ideal")
+        specs = verify._grid_cells(verify._Grid(3, 3, 4, 4))
+        assert self.subposet_counterexamples() == [
+            {**spec_dict(spec), "extra": [], "missing": [[1] * (spec.top_rank + 1)]}
+            if side == "added"
+            else {**spec_dict(spec), "extra": [[1]], "missing": []}
+            for spec in specs
         ]
 
-    def check_extra_edge(self, monkeypatch, pick):
+    def check_extra_edge(self, monkeypatch, pick, crossings):
         """Add the up-edge pick(d) returns, if any, to every diagram: each
-        damaged ideal fails once, with the edge's lower end as child, its
-        upper end as extra and no step missing."""
+        damaged ideal fails subposet once, with the edge's lower end as
+        child, its upper end as extra and no step missing.  Gamma fails the
+        crossings ideals with k > m where the edge changes the number of
+        short rows by more than one."""
         added = []
 
         def extra_edge(d):
@@ -1046,13 +1091,22 @@ class TestStructure:
                 vertices = d.vertices()
                 d.edges.append(tuple(map(vertices.index, added[-1])))
 
-        report = self.damaged_diagrams(monkeypatch, extra_edge)
+        subposet, gamma = self.damaged_diagrams(monkeypatch, extra_edge)
         specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
-        assert report.counterexamples == [
+        assert subposet.counterexamples == [
             {**spec_dict(spec), "child": list(edge[0]), "extra": [list(edge[1])], "missing": []}
             for spec, edge in zip(specs, added, strict=True)
             if edge
         ]
+        expected = [
+            spec_dict(spec)
+            for spec, edge in zip(specs, added)
+            if edge
+            and spec.k > spec.m
+            and abs(ideals.short_rows(edge[0], spec.m) - ideals.short_rows(edge[1], spec.m)) > 1
+        ]
+        assert len(expected) == crossings
+        assert gamma.counterexamples == expected
 
     def test_subposet_catches_an_edge_to_a_non_containing_vertex(self, monkeypatch):
         def non_containing(d):
@@ -1062,14 +1116,14 @@ class TestStructure:
                     if not partitions.contains(v, u):
                         return v, u
 
-        self.check_extra_edge(monkeypatch, non_containing)
+        self.check_extra_edge(monkeypatch, non_containing, crossings=3)
 
     def test_subposet_catches_an_edge_inside_a_rank(self, monkeypatch):
         def same_rank(d):
             if {(2,), (1, 1)} <= set(d.vertices()):
                 return (2,), (1, 1)
 
-        self.check_extra_edge(monkeypatch, same_rank)
+        self.check_extra_edge(monkeypatch, same_rank, crossings=3)
 
     def test_subposet_catches_an_edge_that_skips_a_rank(self, monkeypatch):
         def rank_skipping(d):
@@ -1077,31 +1131,33 @@ class TestStructure:
             if len(d.ranks) > 2:
                 return (), d.ranks[2][0]
 
-        self.check_extra_edge(monkeypatch, rank_skipping)
+        self.check_extra_edge(monkeypatch, rank_skipping, crossings=5)
 
     def test_subposet_catches_a_padded_vertex_set(self, monkeypatch):
         """A diagram with one vertex beyond the ideal, on a rank of its own
-        above the rectangle, fails once per ideal with that vertex listed."""
+        above the rectangle, fails subposet once per ideal with that vertex
+        listed, and gamma's chain clause at k = m."""
 
         def padded(d):
             d.ranks.append([(1,) * len(d.ranks)])
 
-        report = self.damaged_diagrams(monkeypatch, padded)
+        subposet, gamma = self.damaged_diagrams(monkeypatch, padded)
         specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
-        assert report.counterexamples == [
+        assert subposet.counterexamples == [
             {**spec_dict(spec), "extra": [[1] * (spec.top_rank + 1)], "missing": []}
             for spec in specs
         ]
+        assert gamma.counterexamples == [spec_dict(s) for s in specs if s.k == s.m]
 
     def test_subposet_catches_a_dropped_vertex(self, monkeypatch):
-        def dropped(d):
-            d.ranks[1].remove((1,))
-
-        report = self.damaged_diagrams(monkeypatch, dropped)
+        """A diagram without (1,) fails subposet once per ideal with (1,)
+        missing, and gamma's chain clause at k = m."""
+        subposet, gamma = self.damaged_diagrams(monkeypatch, self.without_one)
         specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
-        assert report.counterexamples == [
+        assert subposet.counterexamples == [
             {**spec_dict(spec), "extra": [], "missing": [[1]]} for spec in specs
         ]
+        assert gamma.counterexamples == [spec_dict(s) for s in specs if s.k == s.m]
 
     @pytest.mark.parametrize("family", ["subposet", "counts", "duality", "gamma", "decomposition"])
     def test_a_per_ideal_family_runs_on_one_ideal_alone(self, family):
@@ -1126,54 +1182,52 @@ class TestStructure:
         assert tallies() == forward
         assert all(r["grid"] > 0 and r["fail"] == 0 for r in forward)
 
+    @staticmethod
+    def counted(monkeypatch, calls, source, name, key):
+        """Count in calls each call of source.name, keyed by name and
+        key(*args)."""
+        fn = getattr(source, name)
+
+        def wrapper(*args):
+            calls[(name, *key(*args))] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(source, name, wrapper)
+
+    @staticmethod
+    def rectangle_spec(generator, k):
+        return (IdealSpec(generator[0], len(generator), k),)
+
     def test_gamma_reads_the_level_below_itself(self, monkeypatch):
-        # each ideal's members are read once, off its diagram, which draws
-        # them from its own box; gamma_set draws the stratum from its own
-        # box, and level k - 1 is enumerated on its own for each k > m
+        # gamma reads each ideal's k-cover diagram and, at k > m, its
+        # members, drawn from its own box; gamma_set draws the stratum from
+        # its own box, and level k - 1 is enumerated on its own for each k > m
         calls = Counter()
-
-        def counted(name):
-            fn = getattr(ideals, name)
-
-            def wrapper(spec):
-                calls[name, spec] += 1
-                return fn(spec)
-
-            monkeypatch.setattr(ideals, name, wrapper)
-
-        counted("enumerate_ideal")
-        counted("hasse_diagram")
+        self.counted(monkeypatch, calls, lattice, "build_ideal", self.rectangle_spec)
+        self.counted(monkeypatch, calls, ideals, "enumerate_ideal", lambda spec: (spec,))
         grid = verify._Grid(4, 5, 7, 10)
         verdicts = [isinstance(cell, Pass) for cell in each_ideal(verify._gamma_cells, grid)]
         specs = list(verify._grid_cells(grid))
-        below = [IdealSpec(s.m, s.n, s.k - 1) for s in specs if s.k > s.m]
+        above = [s for s in specs if s.k > s.m]
         assert calls == Counter(
-            [("hasse_diagram", spec) for spec in specs] + [("enumerate_ideal", s) for s in below]
+            [("build_ideal", s) for s in specs]
+            + [("enumerate_ideal", s) for s in above]
+            + [("enumerate_ideal", s._replace(k=s.k - 1)) for s in above]
         )
-        assert (len(specs), len(below)) == (59, 39)
+        assert (len(specs), len(above)) == (59, 39)
         assert verdicts == [True] * len(specs)
 
     def test_each_ideal_is_built_once(self, monkeypatch):
-        """The per-ideal walk builds each ideal's diagram once and looks its
-        members' one-box steps up once, for all five families: counts and
-        duality read the members off the diagram, and only gamma
-        enumerates, the level below."""
+        """The per-ideal walk builds each ideal's k-cover diagram once, for
+        subposet and gamma, enumerates its members once and looks their
+        one-box steps up once, and decides the order on them once, for
+        subposet and duality; only gamma enumerates again, the level below."""
         calls = Counter()
-
-        def counted(source, name, key):
-            fn = getattr(source, name)
-
-            def wrapper(*args, **kwargs):
-                calls[(name, *key(*args, **kwargs))] += 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(source, name, wrapper)
-
-        counted(ideals, "hasse_diagram", lambda spec: (spec,))
-        counted(ideals, "enumerate_ideal", lambda spec: (spec,))
-        # the lookup of the steps below the members, which subposet and
-        # duality both read: the function the cached property calls
-        counted(verify._IdealView.below, "func", lambda view: (view.spec,))
+        self.counted(monkeypatch, calls, lattice, "build_ideal", self.rectangle_spec)
+        self.counted(monkeypatch, calls, ideals, "enumerate_ideal", lambda spec: (spec,))
+        # the functions the cached properties call
+        for prop in (verify._IdealView.below, verify._IdealView.ordered):
+            self.counted(monkeypatch, calls, prop, "func", lambda view: (view.spec,))
         grid = verify._Grid(4, 5, 7, 10)
         reports = verify._each_ideal(grid)
         assert [r.check for r in reports] == [name for name, _ in verify._PER_IDEAL_FAMILIES]
@@ -1181,16 +1235,15 @@ class TestStructure:
         specs = list(verify._grid_cells(grid))
         below = [IdealSpec(s.m, s.n, s.k - 1) for s in specs if s.k > s.m]
         assert calls == Counter(
-            [("hasse_diagram", s) for s in specs]
-            + [("func", s) for s in specs]
+            [(name, s) for s in specs for name in ("build_ideal", "enumerate_ideal", "func", "func")]
             + [("enumerate_ideal", s) for s in below]
         )
         assert (len(specs), len(below)) == (59, 39)
 
     def test_gamma_keeps_no_member_set_across_ideals(self, monkeypatch):
-        """structure-gamma keeps nothing from one ideal to the next: when it
-        builds an ideal's diagram, no set it made for an earlier ideal is
-        still alive."""
+        """structure-gamma keeps nothing from one ideal to the next: when the
+        view builds an ideal's diagram, no set gamma made for an earlier
+        ideal is still alive."""
 
         class Tracked(set):  # a set that takes weak references
             pass
@@ -1204,33 +1257,31 @@ class TestStructure:
 
         alive = []
 
-        def counted(spec):
+        def counted(generator, k):
             alive.append(sum(ref() is not None for ref in made))
-            return ideals.hasse_diagram(spec)
+            return lattice.build_ideal(generator, k)
 
         monkeypatch.setattr(verify, "set", tracked, raising=False)
-        view = SimpleNamespace(**{**vars(ideals), "hasse_diagram": counted})
-        monkeypatch.setattr(verify, "ideals", view)
+        view = SimpleNamespace(**{**vars(lattice), "build_ideal": counted})
+        monkeypatch.setattr(verify, "lattice", view)
         grid = verify._Grid(3, 4, 9, 10)
         assert all(isinstance(cell, Pass) for cell in each_ideal(verify._gamma_cells, grid))
         assert made and alive == [0] * len(list(verify._grid_cells(grid)))
 
     def test_gamma_catches_a_step_across_two_strata(self, monkeypatch):
-        """An up-edge () -> (1, 1) joins strata 0 and 2.  Added wherever m >= 2
+        """A k-cover () -> (1, 1) joins strata 0 and 2.  Added wherever m >= 2
         and (1, 1) is a member, it fails exactly the gamma cells with
         m >= 2, n >= 2 and k > m (the chain at k = m has no strata to cross);
-        only verify's view of ideals is patched.  structure-subposet fails on
-        the same ideals, where the step is no k-cover, and no other family
-        fails."""
+        only verify's view of lattice is patched.  structure-subposet fails
+        on the same ideals, where the k-cover is no one-box step, and no
+        other family fails."""
 
-        def two_strata(spec):
-            d = ideals.hasse_diagram(spec)
-            if spec.m >= 2 and (1, 1) in d.vertices():
-                d.edges.insert(1, (0, d.vertices().index((1, 1))))  # after () -> (1,)
-            return d
+        def two_strata(d):
+            vertices = d.vertices()
+            if vertices[-1][0] >= 2 and (1, 1) in vertices:  # the rectangle (m^n) is last
+                d.edges.insert(1, (0, vertices.index((1, 1))))  # after () -> (1,)
 
-        view = SimpleNamespace(**{**vars(ideals), "hasse_diagram": two_strata})
-        monkeypatch.setattr(verify, "ideals", view)
+        self.damage(monkeypatch, two_strata)
         by_name = {r.check: r for r in verify_structure(4, 5, 7, 10)}
         gamma = by_name.pop("structure-gamma")
         specs = verify._grid_cells(verify._Grid(4, 5, 7, 10))
@@ -1240,7 +1291,7 @@ class TestStructure:
         assert {tuple(cell) for cell in gamma.counterexamples} == {("m", "n", "k")}
         subposet = by_name.pop("structure-subposet")
         assert subposet.counterexamples == [
-            {**where, "child": [], "extra": [], "missing": [[1, 1]]} for where in expected
+            {**where, "child": [], "extra": [[1, 1]], "missing": []} for where in expected
         ]
         assert {r.failed for r in by_name.values()} == {0}
 
@@ -1321,8 +1372,8 @@ class TestStructure:
 
     @staticmethod
     def dropped_interior_step(monkeypatch):
-        """(1, 1) -> (2, 1) dropped from both diagrams: every member still
-        has an edge into it, yet (1, 1) no longer reaches (2, 1)."""
+        """(1, 1) -> (2, 1) dropped from the k-covers: every member still has
+        an edge into it, yet (1, 1) no longer reaches (2, 1)."""
 
         def dropped(d):
             vertices = d.vertices()
@@ -1330,11 +1381,10 @@ class TestStructure:
                 d.edges.remove((vertices.index((1, 1)), vertices.index((2, 1))))
 
         TestStructure.damage(monkeypatch, dropped)
-        TestStructure.damage(monkeypatch, dropped, source=ideals, builder="hasse_diagram")
 
     @staticmethod
     def added_non_step(monkeypatch):
-        """(1, 1) -> (2,) added to both diagrams, an edge inside a rank."""
+        """(1, 1) -> (2,) added to the k-covers, an edge inside a rank."""
 
         def added(d):
             vertices = d.vertices()
@@ -1343,7 +1393,6 @@ class TestStructure:
                 d.edges.sort()
 
         TestStructure.damage(monkeypatch, added)
-        TestStructure.damage(monkeypatch, added, source=ideals, builder="hasse_diagram")
 
     @staticmethod
     def leaky_join(monkeypatch):
@@ -1427,26 +1476,16 @@ class TestStructure:
 
     def test_a_member_with_no_step_into_it_fails_subposet_and_duality(self, monkeypatch):
         """At m = 1 each ideal is the chain of the columns (1^j).  With (1,)
-        and its edges dropped from both diagrams, the rest is still a chain,
-        closed under meet and join, and the diagrams agree with the steps
-        looked up among the members; but nothing is one box below (1, 1), so
-        () does not reach it.  Subposet fails every ideal with n >= 2, and
-        duality every ideal: at n = 2 the rank vector [1, 0, 1] is still a
-        palindrome and the duals still reverse containment, so only the
-        missing step tells there."""
-
-        def dropped(d):
-            vertices = d.vertices()
-            d.ranks[1].remove((1,))
-            kept = {v: i for i, v in enumerate(d.vertices())}
-            d.edges = [
-                (kept[vertices[v]], kept[vertices[u]])
-                for v, u in d.edges
-                if (1,) not in (vertices[v], vertices[u])
-            ]
-
-        self.damage(monkeypatch, dropped)
-        self.damage(monkeypatch, dropped, source=ideals, builder="hasse_diagram")
+        dropped from the members and, with its edges, from the k-cover
+        diagram, the rest is still a chain, closed under meet and join, and
+        the k-covers agree with the steps looked up among the members; but
+        nothing is one box below (1, 1), so () does not reach it.  Subposet
+        fails every ideal with n >= 2, and duality every ideal: at n = 2 the
+        rank vector [1, 0, 1] is still a palindrome and the duals still
+        reverse containment, so only the missing step tells there."""
+        self.damage(monkeypatch, self.without_one)
+        self.damage(monkeypatch, lambda members: members.remove((1,)), source=ideals,
+                    builder="enumerate_ideal")
         grid = verify._Grid(1, 4, 4, 4)
         specs = list(verify._grid_cells(grid))
         assert [spec.n for spec in specs].count(2) == 2
@@ -1757,7 +1796,7 @@ class TestExport:
         indent=2) writes."""
         cases = [
             build_ideal((3, 3, 2), 4),
-            ideals.hasse_diagram(ideals.IdealSpec(2, 3, 3)),
+            build_ideal((2, 2, 2), 3),
             build_ideal((3, 3), 3),  # a chain
             build_ideal((), 2),  # one vertex, no edge
             # the diagram writer's fixed shape at its edges
