@@ -4,10 +4,9 @@ Membership below the m x n rectangle in the k-Young order has a box
 characterization: fit inside the rectangle with at most k - m + 1 parts
 strictly smaller than m.  Within such an ideal the order is plain
 containment, so the lattice operations are componentwise, and IdealLayout
-writes the Hasse diagram that `kyoung ideal` exports as the one-box covers
-between members.  structure-subposet holds enumerate_ideal's members and
-their one-box steps to lattice.build_ideal's vertices and k-covers; the
-tests hold the layout's bytes to the same diagram.
+holds the Hasse diagram as the one-box covers between members: `kyoung
+ideal` exports it, and structure-subposet holds its members and edges to
+lattice.build_ideal's vertices and k-covers.
 """
 
 from __future__ import annotations
@@ -91,11 +90,15 @@ def _ranks(spec: IdealSpec) -> tuple[list[Parts], list[list[tuple[int, int]]]]:
     ]
 
 
+def _members(m: int, box: list[Parts], ranks: list[list[tuple[int, int]]]) -> list[Parts]:
+    """The members (m^j) over box[t] of ranks as tuples, in position order."""
+    return [(m,) * j + box[t] for rank in ranks for j, t in rank]
+
+
 def enumerate_ideal(spec: IdealSpec) -> list[Parts]:
     """All members, ordered by degree then lexicographically.  Each is (m^j)
     over a partition in the (m - 1) x min(n - j, k - m + 1) box, j = 0 .. n."""
-    box, ranks = _ranks(spec)
-    return [(spec.m,) * j + box[t] for rank in ranks for j, t in rank]
+    return _members(spec.m, *_ranks(spec))
 
 
 class IdealLayout:

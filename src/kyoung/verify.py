@@ -316,13 +316,24 @@ def verify_sieved(m: Range, a: Range, b: Range, k: Range | None = None) -> Verif
     return _sweep("sieved", "theorem", _sieved_cells(m, a, b, k))
 
 
-def _window_sums(tally: dict[int, list[int]], m: int, a: int, b: int) -> tuple[list[int], int]:
+def _sieved_cell(tally: dict, m: int, a: int, b: int, where: Callable[[], dict]) -> SweepCell:
+    """The cell of the window (a, b], read off tally, the residue totals of [x choose m-1]_q
+    by x: its residue sums are equal and add up to its total, or where() names it."""
     # q-Pascal, [j choose m-1]_q = q^(j-m+1) [j-1 choose m-2]_q + [j-1 choose m-1]_q,
     # telescopes conjecture_sum(a, b, m) to ([b choose m-1]_q - [a choose m-1]_q) over
     # q^(a-m+2), whose residue r is residue r + a - m + 2 of the two Gaussians.  Its
     # total at q = 1 is sum C(j-1, m-2), j = a+1 .. b, by the hockey stick.
     d = list(map(operator.sub, tally[b], tally[a]))
-    return d[(a + 2) % m:] + d[:(a + 2) % m], math.comb(b, m - 1) - math.comb(a, m - 1)
+    sums = d[(a + 2) % m:] + d[:(a + 2) % m]
+    total = math.comb(b, m - 1) - math.comb(a, m - 1)
+    # The cyclotomic clause, that the d-th cyclotomic polynomial divides the window for
+    # every d | m with d > 1, says sum sums[r] z^r = 0 at every m-th root of unity z != 1,
+    # each a primitive d-th root for one such d.  So the discrete Fourier transform of the
+    # sums vanishes away from 0: the sums are equal.  The tests check this against the division.
+    equal = len(set(sums)) == 1
+    if equal and sums[0] * m == total:
+        return _HOLDS
+    return {**where(), "sieved_sums": sums, "total": total, "cyclotomic": equal}
 
 
 def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[SweepCell]:
@@ -346,33 +357,15 @@ def _sieved_cells(m: Range, a: Range, b: Range, k: Range | None) -> Iterator[Swe
             if len(windows) < len(inside):
                 yield Skip("endpoint = -1 mod a prime divisor of m", len(inside) - len(windows))
             for b_val in windows:
-                sums, total = _window_sums(tally, m_val, a_val, b_val)
-                # The cyclotomic clause, that the d-th cyclotomic polynomial divides
-                # the window for every d | m with d > 1, says sum sums[r] z^r = 0 at
-                # every m-th root of unity z != 1, each a primitive d-th root for one
-                # such d.  So the discrete Fourier transform of the sums vanishes away
-                # from 0: the sums are equal.  The tests check this against the division.
-                equal = len(set(sums)) == 1
-                yield _HOLDS if equal and sums[0] * m_val == total else {
-                    "m": m_val,
-                    "a": a_val,
-                    "b": b_val,
-                    "sieved_sums": sums,
-                    "total": total,
-                    "cyclotomic": equal,
-                }
+                yield _sieved_cell(
+                    tally, m_val, a_val, b_val, lambda: {"m": m_val, "a": a_val, "b": b_val}
+                )
         if len(claimed) < len(levels):
             yield Skip(
                 "k <= m or k = -1,0 mod m (no single-gaussian claim)", len(levels) - len(claimed)
             )
-        for k_val in claimed:
-            sums, total = _window_sums(tally, m_val, k_val - 1, k_val)  # [k-1 choose m-2]_q
-            yield _HOLDS if len(set(sums)) == 1 and sums[0] * m_val == total else {
-                "m": m_val,
-                "k": k_val,
-                "sieved_sums": sums,
-                "expected_total": total,
-            }
+        for k_val in claimed:  # [k-1 choose m-2]_q, the window (k-1, k]
+            yield _sieved_cell(tally, m_val, k_val - 1, k_val, lambda: {"m": m_val, "k": k_val})
         single += len(claimed)
     if k is not None:
         yield Note(f"single-gaussian cells for prime m: {single}")
@@ -479,21 +472,13 @@ def _rectangle_translation_cells(g: _Grid) -> Iterator[SweepCell]:
                 }
 
 
-def _one_box_below(p: Parts) -> Iterator[Parts]:
-    """The partitions one box below p, lexicographically: p with a box taken
-    off each row longer than the next, the first row first."""
-    for i, v in enumerate(p):
-        if i + 1 == len(p) or p[i + 1] < v:
-            yield p[:i] + (v - 1,) + p[i + 1:] if v > 1 else p[:i]  # a row of 1 is the last
-
-
 class _IdealView:
-    """One ideal as the per-ideal families read it: its k-cover diagram, the
-    members by the box characterization, their positions, the members one
-    box below each member, and whether the order on the members is
-    containment along those steps.  Each part is built when a family first
-    reads it, so its time is that family's, and the walk drops the view
-    before the next ideal."""
+    """One ideal as the per-ideal families read it: its k-cover diagram, and
+    the box side, the IdealLayout that `kyoung ideal` exports: the members,
+    their positions, the one-box steps between them, and whether the order
+    on the members is containment along those steps.  Each part is built
+    when a family first reads it, so its time is that family's, and the
+    walk drops the view before the next ideal."""
 
     def __init__(self, spec: IdealSpec):
         self.spec = spec
@@ -504,9 +489,14 @@ class _IdealView:
         return lattice.build_ideal(self.spec.rectangle, self.spec.k)
 
     @functools.cached_property
+    def layout(self) -> ideals.IdealLayout:
+        """The box characterization's members and one-box steps as tables."""
+        return ideals.IdealLayout(self.spec)
+
+    @functools.cached_property
     def members(self) -> list[Parts]:
-        """The box characterization, by degree, then lexicographically."""
-        return ideals.enumerate_ideal(self.spec)
+        """The layout's members, by degree, then lexicographically."""
+        return ideals._members(self.spec.m, self.layout.box, self.layout.ranks)
 
     @functools.cached_property
     def position(self) -> dict[Parts, int]:
@@ -514,16 +504,14 @@ class _IdealView:
         return {p: i for i, p in enumerate(self.members)}
 
     @functools.cached_property
-    def below(self) -> list[list[int]]:
-        """The positions of the members one box below each member, in
-        ascending order: _one_box_below looked up among the members."""
-        position = self.position
-        return [[position[q] for q in _one_box_below(p) if q in position] for p in self.members]
+    def steps(self) -> list[tuple[int, int]]:
+        """The layout's edges: the one-box steps, sorted (lower, upper) position pairs."""
+        return list(itertools.chain.from_iterable(self.layout.edge_chunks()))
 
     @functools.cached_property
     def ordered(self) -> bool:
         """Whether the members are closed under meet and join and every
-        member other than () has a step of below into it.
+        member other than () is the upper end of a step.
 
         Closed under meet and join, the members are a distributive lattice
         under containment.  A cover u < v in it makes v the join of u and a
@@ -548,12 +536,12 @@ class _IdealView:
             all(ideals.is_member(x, spec) for x in reps)
             and all(p in position for p in itertools.starmap(ideals.meet_parts, pairs))
             and all(p in position for p in itertools.starmap(ideals.join_parts, pairs))
-            and all(self.below[1:])
+            and {y for _, y in self.steps} >= set(range(1, len(self.members)))
         )
 
 
 def _subposet_cells(view: _IdealView) -> Iterator[SweepCell]:
-    spec, diagram, members = view.spec, view.diagram, view.members
+    spec, diagram, members, steps = view.spec, view.diagram, view.members, view.steps
     vertices = diagram.vertices()
     if vertices != members:  # both come by degree, then lexicographically
         vertex_set = set(vertices)
@@ -561,21 +549,19 @@ def _subposet_cells(view: _IdealView) -> Iterator[SweepCell]:
         missing = [list(p) for p in members if p not in vertex_set]
         yield {**spec._asdict(), "extra": extra, "missing": missing}
         return
-    # the k-covers must be the steps looked up among the members, both sorted
-    # (lower, upper) position pairs: the lowest lower end among the pairs on
-    # one side only is the child
-    looked = sorted((x, y) for y, xs in enumerate(view.below) for x in xs)
-    if diagram.edges != looked:
-        diff = set(diagram.edges) ^ set(looked)
+    # the k-covers must be the layout's steps, both sorted (lower, upper) position pairs:
+    # the lowest lower end among the pairs on one side only is the child
+    if diagram.edges != steps:
+        diff = set(diagram.edges) ^ set(steps)
         x = min(diff)[0]
         extra = [list(members[u]) for v, u in diagram.edges if v == x and (v, u) in diff]
-        missing = [list(members[u]) for v, u in looked if v == x and (v, u) in diff]
+        missing = [list(members[u]) for v, u in steps if v == x and (v, u) in diff]
         yield {**spec._asdict(), "child": list(members[x]), "extra": extra, "missing": missing}
         return
     # with the order containment along the steps (see _IdealView.ordered),
     # the N^2 pair cells hold, for N members, and so does one cover cell per
     # step, a path of exactly one edge
-    yield Pass(len(members) ** 2 + len(looked)) if view.ordered else spec._asdict()
+    yield Pass(len(members) ** 2 + len(steps)) if view.ordered else spec._asdict()
 
 
 def _counts_cells(view: _IdealView) -> Iterator[SweepCell]:
@@ -590,19 +576,18 @@ def _counts_cells(view: _IdealView) -> Iterator[SweepCell]:
 
 
 def _duality_cells(view: _IdealView) -> Iterator[SweepCell]:
-    spec, members, below = view.spec, view.members, view.below
+    spec, members = view.spec, view.members
     # each dual must be a member (position.get gives None for any other), so
     # the members rotate unchecked
     dual = [view.position.get(ideals.complement_dual_parts(p, spec)) for p in members]
-    # Order reversal: with the order containment along the steps (see
-    # _IdealView.ordered), the involution reverses it exactly when it takes
-    # each step x below y to a step dual(y) below dual(x).
+    # Order reversal: with the order containment along the steps (see _IdealView.ordered), the
+    # involution reverses it exactly when it takes each step (x, y) to a step (dual(y), dual(x)).
     ok = (
         qpoly.is_symmetric(ideals.rank_vector(members, spec.top_rank), spec.top_rank)
         and None not in dual
         and all(dual[d] == x for x, d in enumerate(dual))
         and view.ordered
-        and all(dual[y] in below[dual[x]] for y, xs in enumerate(below) for x in xs)
+        and set(view.steps).issuperset((dual[y], dual[x]) for x, y in view.steps)
     )
     yield _HOLDS if ok else spec._asdict()
 

@@ -2,7 +2,8 @@
 package imports no source of randomness, no warnings, no name it leaves
 unused and no code generator, re-exports no test oracle, and verify builds
 its Gaussians in one place, states the window rule in one, walks the
-structure grid in one and tallies its reports in one."""
+structure grid in one, tallies its reports in one and reads an ideal's
+one-box steps off the exported layout."""
 
 import ast
 import json
@@ -379,6 +380,30 @@ def test_only_the_window_readers_read_a_column():
             and node.func.attr == "_read"
         ]
     assert callers == [("qpoly.py", "_window_differences")]
+
+
+def test_only_the_export_and_the_ideal_view_build_a_layout():
+    # the box side of structure-subposet and structure-duality is the
+    # IdealLayout that `kyoung ideal` writes: only cli, which writes it, and
+    # verify's _IdealView construct one, and the one-box step rule lives in
+    # IdealLayout alone, so no function of verify splices a part into a
+    # partition, as in b[:i] + (b[i] + 1,) + b[i + 1:]
+    builders, splicers = [], []
+    for path in sorted((ROOT / "src" / "kyoung").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            where = (path.name, getattr(top, "name", None))  # a def or a class, if named
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("IdealLayout"):
+                    builders.append(where)
+                sides = (node.left, node.right) if isinstance(node, ast.BinOp) else ()
+                if any(isinstance(x, ast.Tuple) for x in sides) and any(
+                    isinstance(x, ast.Subscript) and isinstance(x.slice, ast.Slice) for x in sides
+                ):
+                    splicers.append(where)
+    assert builders == [("cli.py", "_main"), ("verify.py", "_IdealView")]
+    assert ("ideals.py", "IdealLayout") in splicers
+    assert [top for name, top in splicers if name in ("ideals.py", "verify.py")] == ["IdealLayout"]
 
 
 def test_qualifies_alone_states_the_window_rule():

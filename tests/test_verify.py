@@ -226,15 +226,15 @@ class TestWindowRule:
         one a cell reads.  No Gaussian is built."""
         asked = set()
 
-        def recorded_sums(tally, m, a, b):
+        def recorded_cell(tally, m, a, b, where):
             asked.update((x, m) for x in tally)
-            return window_sums(tally, m, a, b)
+            return sieved_cell(tally, m, a, b, where)
 
         def unused(*args):
             raise AssertionError("sieved built a Gaussian")
 
-        window_sums = verify._window_sums
-        monkeypatch.setattr(verify, "_window_sums", recorded_sums)
+        sieved_cell = verify._sieved_cell
+        monkeypatch.setattr(verify, "_sieved_cell", recorded_cell)
         monkeypatch.setattr(verify, "qpoly", SimpleNamespace(**{**vars(qpoly), "gaussian": unused}))
         rep = verify_sieved((2, 12), (2, 25), (3, 26), (3, 40))
         assert rep.grid > 0 and rep.failed == 0
@@ -730,9 +730,10 @@ class TestSieved:
         """At a primitive d-th root of unity, [x choose m-1] is
         C(x // d, m/d - 1) when x = -1 mod d and 0 otherwise (q-Lucas).  The
         residue totals of (a, b] are equal exactly when the window vanishes
-        at every m-th root of unity but 1, so exactly when those integers
-        agree at a and b for every d | m with d > 1: on every window of a
-        full tally, qualifying or not.  Each total is the hockey stick's."""
+        at every m-th root of unity but 1, so a window's cell holds exactly
+        when those integers agree at a and b for every d | m with d > 1: on
+        every window of a full tally, qualifying or not.  A cell that fails
+        has unequal sums, whose total is the hockey stick's."""
         windows = qualifying = 0
         for m in range(2, 41):
             tally = dict(enumerate(qpoly.gaussian_residues(m, 200), m - 1))
@@ -743,9 +744,12 @@ class TestSieved:
             }
             totals = {x: math.comb(x, m - 1) for x in tally}
             for a, b in itertools.combinations(range(m, 201), 2):
-                sums, total = verify._window_sums(tally, m, a, b)
-                assert (len(set(sums)) == 1) == (roots[a] == roots[b]), (m, a, b)
-                assert sum(sums) == total == totals[b] - totals[a], (m, a, b)
+                cell = verify._sieved_cell(tally, m, a, b, dict)
+                assert (cell is verify._HOLDS) == (roots[a] == roots[b]), (m, a, b)
+                if cell is not verify._HOLDS:
+                    assert not cell["cyclotomic"], (m, a, b)
+                    sums, total = cell["sieved_sums"], cell["total"]
+                    assert sum(sums) == total == totals[b] - totals[a], (m, a, b)
                 windows += 1
             ends = sum(qualifies(x, x, m) for x in range(m, 201))
             qualifying += ends * (ends - 1) // 2
@@ -769,7 +773,9 @@ class TestSieved:
     def test_single_gaussian_cells_are_the_windows_one_level_wide(self, monkeypatch):
         """[k choose m-1]_q - [k-1 choose m-1]_q = q^(k-m+1) [k-1 choose m-2]_q,
         so the window (k-1, k] gives the single Gaussian's residue totals,
-        each one more here, where every cell fails."""
+        each one more here, where every cell fails.  Its counterexample has
+        the window's fields, named by m and k: the sums are still equal, and
+        the total is the single Gaussian's."""
         self.fail_every_cell(monkeypatch)
         cells = verify._sieved_cells((2, 14), (2, 32), (3, 33), (3, 55))
         single = [cell for cell in cells if isinstance(cell, dict) and "k" in cell]
@@ -778,7 +784,8 @@ class TestSieved:
             m, k = cx["m"], cx["k"]
             sums = qpoly.sieved_sums(qpoly.gaussian(k - 1, m - 2), m)
             assert cx["sieved_sums"] == [s + 1 for s in sums], cx
-            assert cx["expected_total"] == math.comb(k - 1, m - 2), cx
+            assert list(cx) == ["m", "k", "sieved_sums", "total", "cyclotomic"], cx
+            assert cx["total"] == math.comb(k - 1, m - 2) and cx["cyclotomic"], cx
 
     def test_each_m_is_done_before_the_next_tally(self, monkeypatch):
         """On the benchmark's sieved grid, each m fills its tally of the
@@ -922,7 +929,7 @@ class TestStructure:
     @staticmethod
     def damage(monkeypatch, damage, source=lattice, builder="build_ideal"):
         """Damage, in place, what source.builder returns: lattice.build_ideal's
-        k-cover diagram or ideals.enumerate_ideal's members; only verify's
+        k-cover diagram or the tables of an ideals.IdealLayout; only verify's
         view of source is patched."""
         build = getattr(source, builder)
 
@@ -977,18 +984,37 @@ class TestStructure:
         ]
 
     @staticmethod
-    def no_step_below_one(monkeypatch):
-        """verify's _one_box_below finds nothing below (1,)."""
-        one_box_below = verify._one_box_below
-        monkeypatch.setattr(
-            verify, "_one_box_below", lambda p: iter(()) if p == (1,) else one_box_below(p)
-        )
+    def damaged_ranks(monkeypatch, damage):
+        """Damage, in place, the box and the ranks of (j, t) pairs that
+        ideals._ranks returns, so that every IdealLayout, and every
+        enumerate_ideal, is built from them."""
+        ranks_of = ideals._ranks
+
+        def damaged(spec):
+            box, ranks = ranks_of(spec)
+            damage(box, ranks)
+            return box, ranks
+
+        monkeypatch.setattr(ideals, "_ranks", damaged)
+
+    @staticmethod
+    def no_step_into_one(monkeypatch):
+        """The layout's step table loses the one step of the box partition (),
+        to (1,): with it go the edges (m^j) -> (m^j, 1), the whole chain at
+        m = 1."""
+
+        def dropped(layout):
+            assert layout.box[0] == () and layout.steps[0] in ([(0, 1)], [(1, 0)])
+            layout.steps[0].clear()
+
+        TestStructure.damage(monkeypatch, dropped, source=ideals, builder="IdealLayout")
 
     def test_subposet_checks_the_one_box_steps(self, monkeypatch):
-        """With no step looked up below (1,), the k-cover () -> (1,) is extra
-        at child () in every ideal.  Duality, which reads the same steps,
-        fails every ideal, and no other family fails."""
-        self.no_step_below_one(monkeypatch)
+        """With no step of the layout into (1,), the k-cover () -> (1,) is
+        extra at child () in every ideal, the lowest of the edges the table
+        no longer gives.  Duality, which reads the same steps, fails every
+        ideal, and no other family fails."""
+        self.no_step_into_one(monkeypatch)
         by_name = {r.check: r for r in verify_structure(3, 3, 4, 4)}
         specs = list(verify._grid_cells(verify._Grid(3, 3, 4, 4)))
         assert by_name.pop("structure-subposet").counterexamples == [
@@ -1039,36 +1065,85 @@ class TestStructure:
         assert expected
         assert self.subposet_counterexamples() == expected
 
+    def test_subposet_reads_the_exported_layout(self, monkeypatch, capsys):
+        """Bend the layout's step of the box partition () from (1,) to (1, 1),
+        wherever (1, 1) is a box partition.  `kyoung ideal` writes the edge
+        () -> (1, 1) in place of () -> (1,), and structure-subposet, which
+        reads the same layout, fails each such ideal at child (), with the
+        k-cover to (1,) extra and the step to (1, 1) missing.  Duality, for
+        which (1,) is the upper end of no step, fails the same ideals, and
+        no other family fails."""
+        from kyoung.cli import main
+
+        class Bent(ideals.IdealLayout):
+            def __init__(self, spec):
+                super().__init__(spec)
+                if (1, 1) in self.box:
+                    assert self.steps[0] == [(0, 1)]
+                    self.steps[0] = [(0, self.box.index((1, 1)))]
+
+        monkeypatch.setattr(ideals, "IdealLayout", Bent)
+        assert main(["ideal", "--m", "3", "--n", "2", "--k", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        vertices = [tuple(v) for rank in doc["ranks"] for v in rank]
+        assert vertices[:2] == [(), (1,)]
+        assert [vertices[u] for v, u in doc["edges"] if v == 0] == [(1, 1)]
+        by_name = {r.check: r for r in verify_structure(3, 3, 4, 4)}
+        specs = [
+            s
+            for s in verify._grid_cells(verify._Grid(3, 3, 4, 4))
+            if s.m >= 2 and min(s.n, s.k - s.m + 1) >= 2  # (1, 1) fits the box
+        ]
+        assert len(specs) == 5
+        assert by_name.pop("structure-subposet").counterexamples == [
+            {**spec_dict(s), "child": [], "extra": [[1]], "missing": [[1, 1]]} for s in specs
+        ]
+        assert by_name.pop("structure-duality").counterexamples == list(map(spec_dict, specs))
+        assert {r.failed for r in by_name.values()} == {0}
+
     def test_subposet_checks_reachability_against_containment(self, monkeypatch):
-        """Drop () -> (1,), the one up-edge of (), from both the k-covers and
-        the steps looked up below (1,).  The two still agree, so only the
-        order clause tells: () reaches no other member now, and each ideal
-        fails once, with its spec."""
+        """Drop () -> (1,), the one up-edge of (), and the other edges
+        (m^j) -> (m^j, 1), from both the k-covers and the layout's steps.
+        The two still agree, so only the order clause tells: () reaches no
+        other member now, and each ideal fails once, with its spec."""
 
-        def bottom_edge_dropped(d):
-            assert d.vertices()[:2] == [(), (1,)]
+        def row_of_one_dropped(d):
+            vertices = d.vertices()
+            m = vertices[-1][0]  # the rectangle (m^n) is last
+            assert vertices[:2] == [(), (1,)]
             assert [(i, j) for i, j in d.edges if i == 0] == [(0, 1)]
-            d.edges.remove((0, 1))
+            d.edges = [
+                (v, u)
+                for v, u in d.edges
+                if not (set(vertices[v]) <= {m} and vertices[u] == vertices[v] + (1,))
+            ]
 
-        self.damage(monkeypatch, bottom_edge_dropped)
-        self.no_step_below_one(monkeypatch)
+        self.damage(monkeypatch, row_of_one_dropped)
+        self.no_step_into_one(monkeypatch)
         specs = verify._grid_cells(verify._Grid(3, 3, 4, 4))
         assert self.subposet_counterexamples() == list(map(spec_dict, specs))
 
     @pytest.mark.parametrize("side", ["dropped", "added"])
     def test_subposet_checks_the_box_members(self, monkeypatch, side):
-        """(1,) dropped from enumerate_ideal's members is a vertex of the
-        k-order's ideal extra to them; a row of 1s added past the rectangle's
-        size is a member missing from the vertices.  Each ideal fails once,
-        naming that partition."""
+        """(1,) dropped from the layout's ranks is a vertex of the k-order's
+        ideal extra to the members; a row of 1s added past the rectangle's
+        size, a box partition with no step on a rank of its own, is a member
+        missing from the vertices.  Each ideal fails once, naming that
+        partition."""
 
-        def damaged(members):
-            if side == "dropped":
-                members.remove((1,))
-            else:
-                members.append((1,) * (sum(members[-1]) + 1))  # members[-1] is the rectangle
+        def dropped(box, ranks):
+            assert len(ranks[1]) == 1  # (1,) alone
+            ranks[1].clear()
 
-        self.damage(monkeypatch, damaged, source=ideals, builder="enumerate_ideal")
+        def added(layout):
+            layout.box.append((1,) * len(layout.ranks))  # the top rank is mn = len(ranks) - 1
+            layout.steps.append([])
+            layout.ranks.append([(0, len(layout.box) - 1)])
+
+        if side == "dropped":
+            self.damaged_ranks(monkeypatch, dropped)
+        else:
+            self.damage(monkeypatch, added, source=ideals, builder="IdealLayout")
         specs = verify._grid_cells(verify._Grid(3, 3, 4, 4))
         assert self.subposet_counterexamples() == [
             {**spec_dict(spec), "extra": [], "missing": [[1] * (spec.top_rank + 1)]}
@@ -1200,10 +1275,11 @@ class TestStructure:
 
     def test_gamma_reads_the_level_below_itself(self, monkeypatch):
         # gamma reads each ideal's k-cover diagram and, at k > m, its
-        # members, drawn from its own box; gamma_set draws the stratum from
-        # its own box, and level k - 1 is enumerated on its own for each k > m
+        # members, read off its layout; gamma_set draws the stratum from its
+        # own box, and level k - 1 is enumerated on its own for each k > m
         calls = Counter()
         self.counted(monkeypatch, calls, lattice, "build_ideal", self.rectangle_spec)
+        self.counted(monkeypatch, calls, ideals, "IdealLayout", lambda spec: (spec,))
         self.counted(monkeypatch, calls, ideals, "enumerate_ideal", lambda spec: (spec,))
         grid = verify._Grid(4, 5, 7, 10)
         verdicts = [isinstance(cell, Pass) for cell in each_ideal(verify._gamma_cells, grid)]
@@ -1211,7 +1287,7 @@ class TestStructure:
         above = [s for s in specs if s.k > s.m]
         assert calls == Counter(
             [("build_ideal", s) for s in specs]
-            + [("enumerate_ideal", s) for s in above]
+            + [("IdealLayout", s) for s in above]
             + [("enumerate_ideal", s._replace(k=s.k - 1)) for s in above]
         )
         assert (len(specs), len(above)) == (59, 39)
@@ -1219,14 +1295,17 @@ class TestStructure:
 
     def test_each_ideal_is_built_once(self, monkeypatch):
         """The per-ideal walk builds each ideal's k-cover diagram once, for
-        subposet and gamma, enumerates its members once and looks their
-        one-box steps up once, and decides the order on them once, for
-        subposet and duality; only gamma enumerates again, the level below."""
+        subposet and gamma, and its layout once, from which it reads the
+        members once and their one-box steps once, and decides the order on
+        them once, for subposet and duality; only gamma enumerates members,
+        those of the level below."""
         calls = Counter()
         self.counted(monkeypatch, calls, lattice, "build_ideal", self.rectangle_spec)
+        self.counted(monkeypatch, calls, ideals, "IdealLayout", lambda spec: (spec,))
         self.counted(monkeypatch, calls, ideals, "enumerate_ideal", lambda spec: (spec,))
         # the functions the cached properties call
-        for prop in (verify._IdealView.below, verify._IdealView.ordered):
+        props = (verify._IdealView.members, verify._IdealView.steps, verify._IdealView.ordered)
+        for prop in props:
             self.counted(monkeypatch, calls, prop, "func", lambda view: (view.spec,))
         grid = verify._Grid(4, 5, 7, 10)
         reports = verify._each_ideal(grid)
@@ -1235,7 +1314,7 @@ class TestStructure:
         specs = list(verify._grid_cells(grid))
         below = [IdealSpec(s.m, s.n, s.k - 1) for s in specs if s.k > s.m]
         assert calls == Counter(
-            [(name, s) for s in specs for name in ("build_ideal", "enumerate_ideal", "func", "func")]
+            [(name, s) for s in specs for name in ("build_ideal", "IdealLayout", *["func"] * 3)]
             + [("enumerate_ideal", s) for s in below]
         )
         assert (len(specs), len(below)) == (59, 39)
@@ -1478,14 +1557,13 @@ class TestStructure:
         """At m = 1 each ideal is the chain of the columns (1^j).  With (1,)
         dropped from the members and, with its edges, from the k-cover
         diagram, the rest is still a chain, closed under meet and join, and
-        the k-covers agree with the steps looked up among the members; but
-        nothing is one box below (1, 1), so () does not reach it.  Subposet
+        the k-covers agree with the layout's steps; but no step goes into
+        (1, 1), so () does not reach it.  Subposet
         fails every ideal with n >= 2, and duality every ideal: at n = 2 the
         rank vector [1, 0, 1] is still a palindrome and the duals still
         reverse containment, so only the missing step tells there."""
         self.damage(monkeypatch, self.without_one)
-        self.damage(monkeypatch, lambda members: members.remove((1,)), source=ideals,
-                    builder="enumerate_ideal")
+        self.damaged_ranks(monkeypatch, lambda box, ranks: ranks[1].remove((1, 0)))
         grid = verify._Grid(1, 4, 4, 4)
         specs = list(verify._grid_cells(grid))
         assert [spec.n for spec in specs].count(2) == 2
