@@ -3,19 +3,20 @@
 The order on k-bounded partitions is generated by covers: lam is covered by
 mu when mu has one more box and both mu and its k-conjugate contain lam and
 its k-conjugate.  Covers are computed from corner residues of the k-skew
-diagram, whose rule _covers states; the definitional test lives in
-covers_oracle.
+diagram, whose rule _corner_covers states and _covers memoises; the
+definitional test lives in covers_oracle.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
 
 from .partitions import (
     Parts,
+    SkewShape,
     _echo,
     contains,
     k_conjugate,
@@ -38,11 +39,10 @@ def _remove_box(p: Parts, row: int) -> Parts:
     return p[: row - 1] + (p[row - 1] - 1,) + p[row:]
 
 
-@lru_cache(maxsize=None)
-def _covers(p: Parts, k: int, direction: str) -> tuple[Parts, ...]:
-    """Covers of p: add (up) or remove (down) a box at the topmost addable or
-    removable corner of each residue of the k-skew diagram, and keep the
-    results that are k-bounded partitions.
+def _corner_covers(p: Parts, shape: SkewShape, k: int, direction: str) -> tuple[Parts, ...]:
+    """Covers of p, read off shape, its k-skew diagram: add (up) or remove
+    (down) a box at the topmost addable or removable corner of each residue
+    of the diagram, and keep the results that are k-bounded partitions.
 
     Row r of the k-skew diagram spans columns inner_r+1 .. outer_r and is
     never empty.  Its addable corner is (r, outer_r + 1) when r = 1 or when
@@ -56,7 +56,6 @@ def _covers(p: Parts, k: int, direction: str) -> tuple[Parts, ...]:
     longer (at r = 1, when p_1 < k), and comes off row r when r is the last
     row or row r+1 is shorter.
     """
-    shape = k_skew(p, k)
     outer, ell, mod = shape.outer, len(p), k + 1
     top: dict[int, int] = {}  # residue -> topmost row of a corner
     if direction == "up":
@@ -80,6 +79,12 @@ def _covers(p: Parts, k: int, direction: str) -> tuple[Parts, ...]:
         out = [_remove_box(p, r) for r in top.values() if r == ell or p[r] < p[r - 1]]
     out.sort()
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _covers(p: Parts, k: int, direction: str) -> tuple[Parts, ...]:
+    """Covers of p by the corner rule on its k-skew diagram."""
+    return _corner_covers(p, k_skew(p, k), k, direction)
 
 
 def _require_direction(direction: str) -> None:
@@ -269,6 +274,10 @@ def check_rectangle_translation(
         raise ValueError(f"rectangle {_echo(rect)} is not a {_echo(k)}-rectangle")
     require_k_bounded(k, lam)
     box = rect.parts
-    lhs = _covers(union(lam, box), k, "up")
-    rhs = tuple(sorted(union(mu, box) for mu in _covers(lam, k, "up")))
-    return lhs, rhs
+    return _covers(union(lam, box), k, "up"), _translated(_covers(lam, k, "up"), box)
+
+
+def _translated(ups: Iterable[Parts], box: Parts) -> tuple[Parts, ...]:
+    """The partitions ups, each joined with box, sorted: the side of the
+    rectangle translation built from the covers above lam."""
+    return tuple(sorted(union(mu, box) for mu in ups))

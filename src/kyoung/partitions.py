@@ -200,6 +200,10 @@ class SkewShape(NamedTuple):
         steps.pop()  # past the last column
         return tuple(accumulate(steps))
 
+    def sorted_heights(self) -> Parts:
+        """The column heights, largest first: of a k-skew diagram, the k-conjugate."""
+        return tuple(sorted(self.column_heights(), reverse=True))
+
     def cells(self) -> Iterator[Cell]:
         for i, o in enumerate(self.outer, start=1):
             for j in range(self.inner_at(i) + 1, o + 1):
@@ -268,7 +272,7 @@ def k_skew(p: Parts, k: int) -> SkewShape:
 @lru_cache(maxsize=None)
 def k_conjugate(p: Parts, k: int) -> Parts:
     """Column lengths of the k-skew diagram, sorted decreasing."""
-    return tuple(sorted(k_skew(p, k).column_heights(), reverse=True))
+    return k_skew(p, k).sorted_heights()
 
 
 class KRectangle(namedtuple("KRectangle", "width k")):

@@ -9,9 +9,12 @@ Every check is a generator of cells: a ``Pass`` of cells that all hold, a
 ``Skip`` of cells where no claim is made, a ``Note`` of the check's own
 findings, or the counterexample dict of one cell that fails.
 ``VerificationReport._add`` alone tallies them into a report, through
-``_sweep`` or, for the per-ideal structure families, the walk
-``_each_ideal``.  A cell that holds is a ``Pass``, so a counterexample is
-built only for a cell that fails.
+``_sweep`` or, for the structure families, ``_walk``, which runs every
+family on one view before it makes the next: ``_each_level`` walks the
+per-item families level by level, each level's partitions, k-skews and
+unions with the k-rectangles built once, and ``_each_ideal`` walks the
+per-ideal families ideal by ideal.  A cell that holds is a ``Pass``, so a
+counterexample is built only for a cell that fails.
 """
 
 from __future__ import annotations
@@ -387,57 +390,110 @@ def _grid_cells(g: _Grid) -> Iterator[IdealSpec]:
                 yield IdealSpec(m, n, k)
 
 
-def _involution_cells(g: _Grid) -> Iterator[SweepCell]:
-    for k in range(1, g.k_max + 1):
-        for p in partitions.k_bounded_partitions(k, g.degree_max):
-            kc = partitions.k_conjugate(p, k)
-            ok = (
-                partitions.k_conjugate(kc, k) == p
-                and sum(kc) == sum(p)
-                and partitions.is_k_bounded(kc, k)
-            )
-            yield _HOLDS if ok else {"k": k, "partition": list(p)}
+class _Level:
+    """One level k as the per-item families read it: the k-bounded
+    partitions up to the grid's degree, enumerated once; each one's k-skew
+    diagram, built once, and its k-conjugate and up and down covers, read
+    off that diagram; and for each k-rectangle, each partition's union with
+    it and the union's k-skew diagram, built once for both rectangle
+    families.  Each table is built for the whole level when a family first
+    reads it, so its time is that family's, and the walk drops the level
+    before the next level's is built."""
 
+    def __init__(self, k: int, degree_max: int):
+        self.k, self.degree_max = k, degree_max
 
-def _kskew_cells(g: _Grid) -> Iterator[SweepCell]:
-    for k in range(1, g.k_max + 1):
-        for p in partitions.k_bounded_partitions(k, g.degree_max):
-            s = partitions.k_skew(p, k)
-            # the hook of inner cell (i, j) is p_i + h_j, h_j the skew cells in
-            # column j, and one with h_j > 0 must have hook > k; so the least
-            # nonzero h_j over columns 1..inner_i must exceed k - p_i
-            least = list(
-                itertools.accumulate((h or k + 1 for h in s.column_heights()), min, initial=k + 1)
-            )
-            # along a row of skew cells the arm and the leg both shrink to the
-            # right, so each row's largest hook is at its first cell
-            inner = s.inner + (0,) * (len(p) - len(s.inner))
-            ok = s.row_lengths() == p and all(
-                s.hook_length((i, a + 1)) <= k and least[a] > k - length
-                for i, (length, a) in enumerate(zip(p, inner), 1)
-            )
-            yield _HOLDS if ok else {"k": k, "partition": list(p)}
+    @functools.cached_property
+    def bounded(self) -> list[Parts]:
+        """The k-bounded partitions of degree at most degree_max, by degree."""
+        return list(partitions.k_bounded_partitions(self.k, self.degree_max))
 
+    @functools.cached_property
+    def shapes(self) -> list[partitions.SkewShape]:
+        """Each partition's k-skew diagram."""
+        return [partitions.k_skew(p, self.k) for p in self.bounded]
 
-def _covering_cells(g: _Grid) -> Iterator[SweepCell]:
-    for k in range(1, g.k_max + 1):
-        for p in partitions.k_bounded_partitions(k, g.degree_max):
-            for direction in ("up", "down"):
-                ok = lattice.covers(p, k, direction) == lattice.covers_oracle(p, k, direction)
-                yield _HOLDS if ok else {"k": k, "partition": list(p), "dir": direction}
+    @functools.cached_property
+    def conjugates(self) -> list[Parts]:
+        """Each partition's k-conjugate, the sorted column heights of its k-skew."""
+        return [s.sorted_heights() for s in self.shapes]
 
+    @functools.cached_property
+    def up(self) -> list[tuple[Parts, ...]]:
+        """The partitions covering each partition."""
+        return self._covers("up")
 
-def _rectangle_conjugate_cells(g: _Grid) -> Iterator[SweepCell]:
-    for k in range(1, g.k_max + 1):
-        bounded = list(partitions.k_bounded_partitions(k, g.degree_max))
+    @functools.cached_property
+    def down(self) -> list[tuple[Parts, ...]]:
+        """The partitions each partition covers."""
+        return self._covers("down")
+
+    def _covers(self, direction: str) -> list[tuple[Parts, ...]]:
+        """Each partition's covers in direction, by the corner rule on its k-skew."""
+        k, rule = self.k, lattice._corner_covers
+        return [rule(p, s, k, direction) for p, s in zip(self.bounded, self.shapes)]
+
+    @functools.cached_property
+    def joined(self) -> list[tuple[partitions.KRectangle, list[Parts], list[partitions.SkewShape]]]:
+        """For each k-rectangle, each partition's union with it, and each
+        union's k-skew diagram."""
+        k, tables = self.k, []
         for rect in partitions.all_k_rectangles(k):
             box = rect.parts
-            box_conj = partitions.k_conjugate(box, k)
-            for p in bounded:
-                ok = partitions.k_conjugate(partitions.union(p, box), k) == partitions.union(
-                    partitions.k_conjugate(p, k), box_conj
-                )
-                yield _HOLDS if ok else {"k": k, "width": rect.width, "partition": list(p)}
+            unions = [partitions.union(p, box) for p in self.bounded]
+            tables.append((rect, unions, [partitions.k_skew(u, k) for u in unions]))
+        return tables
+
+
+def _involution_cells(level: _Level) -> Iterator[SweepCell]:
+    k = level.k
+    # a k-conjugate that is a k-bounded partition of the same degree is on the level
+    conjugate_of = dict(zip(level.bounded, level.conjugates))
+    for p, kc in zip(level.bounded, level.conjugates):
+        ok = conjugate_of.get(kc) == p and sum(kc) == sum(p) and partitions.is_k_bounded(kc, k)
+        yield _HOLDS if ok else {"k": k, "partition": list(p)}
+
+
+def _kskew_cells(level: _Level) -> Iterator[SweepCell]:
+    k = level.k
+    for p, s in zip(level.bounded, level.shapes):
+        # the hook of inner cell (i, j) is p_i + h_j, h_j the skew cells in
+        # column j, and one with h_j > 0 must have hook > k; so the least
+        # nonzero h_j over columns 1..inner_i must exceed k - p_i
+        least = list(
+            itertools.accumulate((h or k + 1 for h in s.column_heights()), min, initial=k + 1)
+        )
+        # along a row of skew cells the arm and the leg both shrink to the
+        # right, so each row's largest hook is at its first cell
+        inner = s.inner + (0,) * (len(p) - len(s.inner))
+        ok = s.row_lengths() == p and all(
+            s.hook_length((i, a + 1)) <= k and least[a] > k - length
+            for i, (length, a) in enumerate(zip(p, inner), 1)
+        )
+        yield _HOLDS if ok else {"k": k, "partition": list(p)}
+
+
+def _covering_cells(level: _Level) -> Iterator[SweepCell]:
+    k = level.k
+    for p, up, down in zip(level.bounded, level.up, level.down):
+        for direction, found in (("up", up), ("down", down)):
+            ok = list(found) == lattice.covers_oracle(p, k, direction)
+            yield _HOLDS if ok else {"k": k, "partition": list(p), "dir": direction}
+
+
+def _rectangle_conjugate_cells(level: _Level) -> Iterator[SweepCell]:
+    k = level.k
+    for rect, _, shapes in level.joined:
+        box_conj = partitions.k_conjugate(rect.parts, k)
+        for p, kc, s in zip(level.bounded, level.conjugates, shapes):
+            ok = s.sorted_heights() == partitions.union(kc, box_conj)
+            yield _HOLDS if ok else {"k": k, "width": rect.width, "partition": list(p)}
+
+
+def _rectangle_form_cells(g: _Grid) -> Iterator[SweepCell]:
+    """rectangle-conjugate's cells after every level's unions: the closed
+    form of each rectangle's k-conjugate, then each k-rectangle followed by
+    the rows of a partition in the box below it."""
     for m in range(1, g.m_max + 1):
         for k in range(m, g.k_max + 1):
             for n in range(0, g.n_max + 1):
@@ -454,22 +510,23 @@ def _rectangle_conjugate_cells(g: _Grid) -> Iterator[SweepCell]:
                 yield _HOLDS if ok else {"k": k, "width": w, "mu": list(mu)}
 
 
-def _rectangle_translation_cells(g: _Grid) -> Iterator[SweepCell]:
-    for k in range(1, g.k_max + 1):
-        bounded = list(partitions.k_bounded_partitions(k, g.degree_max))
-        for rect in partitions.all_k_rectangles(k):
-            for p in bounded:
-                lhs, rhs = lattice.check_rectangle_translation(p, rect, k)
-                if lhs == rhs:
-                    yield _HOLDS
-                    continue
-                yield {
-                    "k": k,
-                    "width": rect.width,
-                    "partition": list(p),
-                    "lhs": [list(x) for x in lhs],
-                    "rhs": [list(x) for x in rhs],
-                }
+def _rectangle_translation_cells(level: _Level) -> Iterator[SweepCell]:
+    k = level.k
+    for rect, unions, shapes in level.joined:
+        box = rect.parts
+        for p, up, u, s in zip(level.bounded, level.up, unions, shapes):
+            lhs = lattice._corner_covers(u, s, k, "up")
+            rhs = lattice._translated(up, box)
+            if lhs == rhs:
+                yield _HOLDS
+                continue
+            yield {
+                "k": k,
+                "width": rect.width,
+                "partition": list(p),
+                "lhs": [list(x) for x in lhs],
+                "rhs": [list(x) for x in rhs],
+            }
 
 
 class _IdealView:
@@ -621,7 +678,9 @@ def _decomposition_cells(view: _IdealView) -> Iterator[SweepCell]:
     yield _HOLDS if total == qpoly.rank_gen_Lk(spec.m, spec.n, spec.k) else spec._asdict()
 
 
-_STRUCTURE_FAMILIES = (
+# each a function of one level's view; rectangle-conjugate's closed-form and
+# small-mu cells follow the last level's
+_PER_LEVEL_FAMILIES = (
     ("structure-involution", _involution_cells),
     ("structure-kskew", _kskew_cells),
     ("structure-covering", _covering_cells),
@@ -639,15 +698,28 @@ _PER_IDEAL_FAMILIES = (
 )
 
 
-def _each_ideal(g: _Grid) -> list[VerificationReport]:
-    """The per-ideal families' reports on g, walked ideal by ideal: every
-    family reads one view of an ideal before the next ideal's is built."""
-    reports = [VerificationReport(name, "theorem") for name, _ in _PER_IDEAL_FAMILIES]
-    for spec in _grid_cells(g):
-        view = _IdealView(spec)
-        for report, (_, family) in zip(reports, _PER_IDEAL_FAMILIES):
+def _walk(families: tuple, views: Iterable) -> dict[str, VerificationReport]:
+    """A report per family, by name, each family run on one view after
+    another: every family reads a view before the next view is made."""
+    reports = {name: VerificationReport(name, "theorem") for name, _ in families}
+    for view in views:
+        for report, (_, family) in zip(reports.values(), families):
             report._add(family(view))
-    return [report._close() for report in reports]
+    return reports
+
+
+def _each_level(g: _Grid) -> list[VerificationReport]:
+    """The per-item families' reports on g, walked level by level."""
+    levels = (_Level(k, g.degree_max) for k in range(1, g.k_max + 1))
+    reports = _walk(_PER_LEVEL_FAMILIES, levels)
+    reports["structure-rectangle-conjugate"]._add(_rectangle_form_cells(g))
+    return [report._close() for report in reports.values()]
+
+
+def _each_ideal(g: _Grid) -> list[VerificationReport]:
+    """The per-ideal families' reports on g, walked ideal by ideal."""
+    reports = _walk(_PER_IDEAL_FAMILIES, map(_IdealView, _grid_cells(g)))
+    return [report._close() for report in reports.values()]
 
 
 def verify_structure(
@@ -655,8 +727,7 @@ def verify_structure(
 ) -> list[VerificationReport]:
     """Run every structural invariant family; all are theorem-status."""
     g = _Grid(m_max, n_max, k_max, degree_max)
-    per_item = [_sweep(name, "theorem", cells(g)) for name, cells in _STRUCTURE_FAMILIES]
-    return per_item + _each_ideal(g)
+    return _each_level(g) + _each_ideal(g)
 
 
 def render(obj: Any) -> str:

@@ -3,7 +3,8 @@ package imports no source of randomness, no warnings, no name it leaves
 unused and no code generator, re-exports no test oracle, and verify builds
 its Gaussians in one place, states the window rule in one, walks the
 structure grid in one, tallies its reports in one and reads an ideal's
-one-box steps off the exported layout."""
+one-box steps off the exported layout, and no module reaches around a
+memo."""
 
 import ast
 import json
@@ -299,6 +300,7 @@ UNCALLED = {
     "ideals.complement_dual": "library API; traced.py's ideals.lattice_ops span",
     "ideals.join": "library API; traced.py's ideals.lattice_ops span",
     "ideals.meet": "library API; traced.py's ideals.lattice_ops span",
+    "lattice.check_rectangle_translation": "library API; traced.py's lattice.covers span",
     "lattice.leq": "library API, which C08 reads; traced.py's lattice.leq span",
     "partitions.residue": "library API",
     "partitions.skew_shape": "library API",
@@ -358,6 +360,35 @@ def test_every_production_route_has_a_caller():
     for name, reason in UNCALLED.items():
         assert ("library API" in reason) == (name in exported), name
         assert ("traced.py" in reason) == (name in bound_by_tracer), name
+
+
+def memo_bypasses(source):
+    """(line, name) for each read of a memo's __wrapped__ or cache_clear in
+    source, as an attribute or as the name getattr is given."""
+    return [
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        for name in [
+            node.attr if isinstance(node, ast.Attribute)
+            else node.value if isinstance(node, ast.Constant)
+            else None
+        ]
+        if name in ("__wrapped__", "cache_clear")
+    ]
+
+
+def test_no_module_reaches_around_a_memo():
+    # the memoised k_skew, k_conjugate, lattice._covers and gaussian are
+    # called through their memos: no module of the package reads a memo's
+    # __wrapped__ or empties it with cache_clear, so the structure walk
+    # builds each k-skew through the memo that perfbench/traced.py counts
+    found = {
+        path.name: memo_bypasses(path.read_text())
+        for path in sorted((ROOT / "src" / "kyoung").rglob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    bypass = "x = k_skew.__wrapped__(p, k)\ngetattr(k_conjugate, 'cache_clear')()\n"
+    assert memo_bypasses(bypass) == [(1, "__wrapped__"), (2, "cache_clear")]
 
 
 def test_only_the_window_readers_read_a_column():
@@ -440,7 +471,7 @@ def test_qualifies_alone_states_the_window_rule():
 def test_only_sweep_tallies_a_report():
     # every check's cells go through verify.VerificationReport._add, the one
     # function that writes a report's counts or adds to its counterexamples,
-    # called by _sweep and by the per-ideal walk; the report's constructor
+    # called by _sweep and by the structure walk; the report's constructor
     # only starts each of them empty
     path = ROOT / "src" / "kyoung" / "verify.py"
     tallied = {"grid", "passed", "failed", "skipped", "counterexamples"}

@@ -53,6 +53,125 @@ def each_ideal(family, grid):
     return itertools.chain.from_iterable(map(family, views))
 
 
+def each_level(family, grid):
+    """The cells of one per-level family on each level of grid in turn, read
+    through a view of its own."""
+    levels = (verify._Level(k, grid.degree_max) for k in range(1, grid.k_max + 1))
+    return itertools.chain.from_iterable(map(family, levels))
+
+
+# The per-item families as five sweeps, the walk's oracle: each enumerates
+# every level again, and reads k-skews, k-conjugates and covers through the
+# memos.  They read partitions and lattice through verify's view of them,
+# where the fault tests plant their faults.
+
+
+def oracle_involution_cells(g):
+    partitions = verify.partitions
+    for k in range(1, g.k_max + 1):
+        for p in partitions.k_bounded_partitions(k, g.degree_max):
+            kc = partitions.k_conjugate(p, k)
+            ok = (
+                partitions.k_conjugate(kc, k) == p
+                and sum(kc) == sum(p)
+                and partitions.is_k_bounded(kc, k)
+            )
+            yield verify._HOLDS if ok else {"k": k, "partition": list(p)}
+
+
+def oracle_kskew_cells(g):
+    partitions = verify.partitions
+    for k in range(1, g.k_max + 1):
+        for p in partitions.k_bounded_partitions(k, g.degree_max):
+            s = partitions.k_skew(p, k)
+            least = list(
+                itertools.accumulate((h or k + 1 for h in s.column_heights()), min, initial=k + 1)
+            )
+            inner = s.inner + (0,) * (len(p) - len(s.inner))
+            ok = s.row_lengths() == p and all(
+                s.hook_length((i, a + 1)) <= k and least[a] > k - length
+                for i, (length, a) in enumerate(zip(p, inner), 1)
+            )
+            yield verify._HOLDS if ok else {"k": k, "partition": list(p)}
+
+
+def oracle_covering_cells(g):
+    partitions, lattice = verify.partitions, verify.lattice
+    for k in range(1, g.k_max + 1):
+        for p in partitions.k_bounded_partitions(k, g.degree_max):
+            for direction in ("up", "down"):
+                ok = lattice.covers(p, k, direction) == lattice.covers_oracle(p, k, direction)
+                yield verify._HOLDS if ok else {"k": k, "partition": list(p), "dir": direction}
+
+
+def oracle_rectangle_conjugate_cells(g):
+    partitions = verify.partitions
+    for k in range(1, g.k_max + 1):
+        bounded = list(partitions.k_bounded_partitions(k, g.degree_max))
+        for rect in partitions.all_k_rectangles(k):
+            box = rect.parts
+            box_conj = partitions.k_conjugate(box, k)
+            for p in bounded:
+                ok = partitions.k_conjugate(partitions.union(p, box), k) == partitions.union(
+                    partitions.k_conjugate(p, k), box_conj
+                )
+                yield verify._HOLDS if ok else {"k": k, "width": rect.width, "partition": list(p)}
+    for m in range(1, g.m_max + 1):
+        for k in range(m, g.k_max + 1):
+            for n in range(0, g.n_max + 1):
+                ok = partitions.rectangle_k_conjugate(m, n, k) == partitions.k_conjugate(
+                    (m,) * n, k
+                )
+                yield verify._HOLDS if ok else {"m": m, "n": n, "k": k}
+    for k in range(1, g.k_max + 1):
+        for rect in partitions.all_k_rectangles(k):
+            w, box = rect.width, rect.parts
+            box_conj = partitions.conjugate(box)
+            for mu in partitions.partitions_in_box(max(w - 1, 0), k - w):
+                ok = partitions.k_conjugate(box + mu, k) == box_conj + partitions.conjugate(mu)
+                yield verify._HOLDS if ok else {"k": k, "width": w, "mu": list(mu)}
+
+
+def oracle_rectangle_translation_cells(g):
+    partitions, lattice = verify.partitions, verify.lattice
+    for k in range(1, g.k_max + 1):
+        bounded = list(partitions.k_bounded_partitions(k, g.degree_max))
+        for rect in partitions.all_k_rectangles(k):
+            for p in bounded:
+                lhs, rhs = lattice.check_rectangle_translation(p, rect, k)
+                if lhs == rhs:
+                    yield verify._HOLDS
+                    continue
+                yield {
+                    "k": k,
+                    "width": rect.width,
+                    "partition": list(p),
+                    "lhs": [list(x) for x in lhs],
+                    "rhs": [list(x) for x in rhs],
+                }
+
+
+ORACLE_FAMILIES = (
+    ("structure-involution", oracle_involution_cells),
+    ("structure-kskew", oracle_kskew_cells),
+    ("structure-covering", oracle_covering_cells),
+    ("structure-rectangle-conjugate", oracle_rectangle_conjugate_cells),
+    ("structure-rectangle-translation", oracle_rectangle_translation_cells),
+)
+
+
+def untimed(reports):
+    """Each report's JSON document by check name, its elapsed_ms set to 0."""
+    return {r.check: {**r.to_json_dict(), "elapsed_ms": 0} for r in reports}
+
+
+def per_item_reports(grid):
+    """The per-item families' reports on grid, by the walk and by the oracle,
+    untimed."""
+    oracle = [verify._sweep(name, "theorem", cells(grid)) for name, cells in ORACLE_FAMILIES]
+    return untimed(verify._each_level(grid)), untimed(oracle)
+
+
 def upsets(rows, spec, reverse=False):
     """Bit j of entry x is set when rows[x] fits inside rows[j] (reverse: when
     rows[j] fits inside rows[x]), rows being partitions in the m x n box.
@@ -267,9 +386,13 @@ class TestWindowRule:
 # every family's cells on a grid where each cell holds, by check name
 HOLDING_GRIDS = {
     **{
-        name: (lambda cells=cells: cells(verify._Grid(3, 4, 5, 6)))
-        for name, cells in verify._STRUCTURE_FAMILIES
+        name: (lambda family=family: each_level(family, verify._Grid(3, 4, 5, 6)))
+        for name, family in verify._PER_LEVEL_FAMILIES
     },
+    "structure-rectangle-conjugate": lambda: itertools.chain(
+        each_level(verify._rectangle_conjugate_cells, verify._Grid(3, 4, 5, 6)),
+        verify._rectangle_form_cells(verify._Grid(3, 4, 5, 6)),
+    ),
     **{
         name: (lambda family=family: each_ideal(family, verify._Grid(3, 4, 5, 6)))
         for name, family in verify._PER_IDEAL_FAMILIES
@@ -884,6 +1007,10 @@ class TestStructure:
         reports = verify_structure(m_max=1, n_max=1, k_max=4, degree_max=6)
         failed = {r.check: r.failed for r in reports}
         assert failed.pop("structure-kskew") > 0
+        # the other per-item families read k-conjugates and covers off the
+        # same diagrams; the per-ideal families build k-skews of their own
+        others = [name for name, _ in verify._PER_LEVEL_FAMILIES if name in failed]
+        assert len(others) == 4 and all(failed.pop(name) > 0 for name in others)
         assert set(failed.values()) == {0}
 
     def test_kskew_inner_clause_matches_hook_scan(self, monkeypatch):
@@ -920,7 +1047,7 @@ class TestStructure:
             shapes = {(p, k): moved(partitions.k_skew(p, k), row, shift) for k, p in cases}
             view = SimpleNamespace(**{**vars(partitions), "k_skew": lambda p, k: shapes[p, k]})
             monkeypatch.setattr(verify, "partitions", view)
-            verdicts = [isinstance(cell, Pass) for cell in verify._kskew_cells(grid)]
+            verdicts = [isinstance(cell, Pass) for cell in each_level(verify._kskew_cells, grid)]
             scans = [scan(shapes[p, k], p, k) for k, p in cases]
             assert verdicts == [all(clauses) for clauses in scans], (row, shift)
             inner_clause_failures += scans.count((True, False))
@@ -1319,6 +1446,48 @@ class TestStructure:
         )
         assert (len(specs), len(below)) == (59, 39)
 
+    def test_each_level_is_walked_once(self, monkeypatch):
+        """The per-item walk enumerates each level's partitions once, builds
+        each one's k-skew once, and each one's union with each k-rectangle
+        once, with the union's k-skew, for both rectangle families.  Every
+        cover it checks is read off one of those k-skews by the corner rule,
+        once a partition and direction and once a union, and none comes
+        through the covers memo or check_rectangle_translation."""
+        calls = Counter()
+        views = {}
+        for module, names in (
+            (partitions, ("k_bounded_partitions", "k_skew", "union")),
+            (lattice, ("_corner_covers", "_covers", "covers", "check_rectangle_translation")),
+        ):
+            view = SimpleNamespace(**vars(module))
+            for name in names:
+                key = (lambda p, shape, k, d: (p, k, d)) if name == "_corner_covers" else None
+                self.counted(monkeypatch, calls, view, name, key or (lambda *args: args))
+            views[module.__name__.rpartition(".")[2]] = view
+        for name, view in views.items():
+            monkeypatch.setattr(verify, name, view)
+        grid = verify._Grid(4, 5, 7, 10)
+        reports = verify_structure(*grid)
+        assert all(r.grid > 0 and r.failed == 0 for r in reports)
+        expected = Counter()
+        for k in range(1, grid.k_max + 1):
+            bounded = list(partitions.k_bounded_partitions(k, grid.degree_max))
+            expected[("k_bounded_partitions", k, grid.degree_max)] += 1
+            expected.update(("k_skew", p, k) for p in bounded)
+            expected.update(("_corner_covers", p, k, d) for p in bounded for d in ("up", "down"))
+            for rect in partitions.all_k_rectangles(k):
+                box, box_conj = rect.parts, partitions.k_conjugate(rect.parts, k)
+                unions = [partitions.union(p, box) for p in bounded]
+                expected.update(("union", p, box) for p in bounded)
+                expected.update(("k_skew", u, k) for u in unions)
+                expected.update(("_corner_covers", u, k, "up") for u in unions)
+                # rectangle-conjugate's right side: each k-conjugate joined with the box's
+                expected.update(
+                    ("union", partitions.k_conjugate(p, k), box_conj) for p in bounded
+                )
+        assert calls == expected
+        assert sum(n for key, n in calls.items() if key[0] == "k_skew") == 578 + 2899
+
     def test_gamma_keeps_no_member_set_across_ideals(self, monkeypatch):
         """structure-gamma keeps nothing from one ideal to the next: when the
         view builds an ideal's diagram, no set gamma made for an earlier
@@ -1710,25 +1879,47 @@ class TestStructure:
 class TestPerItemCounterexamples:
     """One fault per per-item structure family, injected through verify's view
     of partitions or lattice only, and the exact counterexamples it records.
-    The cells that hold carry none."""
+    The walk's report of the faulted family is the oracle's; a fault in a
+    value the walk builds once a level for several families, a k-skew or a
+    union, reaches every family that reads it, where the oracle's other
+    families build that value afresh.  The cells that hold carry none."""
 
     @staticmethod
-    def report(monkeypatch, source, name, fault, family, grid=verify._Grid(2, 2, 5, 4)):
+    def report(monkeypatch, source, name, fault, family, shared=()):
         """The counterexamples of structure-family with source.name replaced
-        by fault(original) in verify's view."""
+        by fault(original) in verify's view; see compared."""
         view = SimpleNamespace(**{**vars(source), name: fault(getattr(source, name))})
         monkeypatch.setattr(verify, source.__name__.rpartition(".")[2], view)
-        cells = dict(verify._STRUCTURE_FAMILIES)["structure-" + family]
-        report = verify._sweep(family, "theorem", cells(grid))
-        assert report.failed == len(report.counterexamples) > 0
-        return report.counterexamples
+        return TestPerItemCounterexamples.compared(family, shared)
+
+    @staticmethod
+    def compared(family, shared=(), grid=verify._Grid(2, 2, 5, 4)):
+        """The counterexamples of structure-family on grid, by the walk, whose
+        reports are the oracle's but for the other families named in shared."""
+        walk, oracle = per_item_reports(grid)
+        assert list(walk) == list(oracle)
+        assert {name for name in walk if walk[name] != oracle[name]} == {
+            "structure-" + other for other in shared
+        }
+        report = walk["structure-" + family]
+        assert report["fail"] == len(report["counterexamples"]) > 0
+        return report["counterexamples"]
+
+    @pytest.mark.parametrize("grid", [verify._Grid(2, 3, 5, 6), verify._Grid(4, 5, 7, 10)])
+    def test_the_walk_gives_the_oracle_reports(self, grid):
+        walk, oracle = per_item_reports(grid)
+        assert list(walk) == [name for name, _ in verify._PER_LEVEL_FAMILIES]
+        assert walk == oracle
+        assert all(r["grid"] > 0 and r["fail"] == 0 for r in walk.values())
 
     @pytest.mark.parametrize(
         "family", ["involution", "kskew", "covering", "rectangle-conjugate", "rectangle-translation"]
     )
     def test_a_cell_that_holds_carries_no_counterexample(self, family):
-        cells = dict(verify._STRUCTURE_FAMILIES)["structure-" + family]
-        outcomes = list(cells(verify._Grid(2, 2, 5, 4)))
+        grid = verify._Grid(2, 2, 5, 4)
+        outcomes = list(each_level(dict(verify._PER_LEVEL_FAMILIES)["structure-" + family], grid))
+        if family == "rectangle-conjugate":
+            outcomes += verify._rectangle_form_cells(grid)
         assert outcomes and all(cell is verify._HOLDS for cell in outcomes)
 
     def test_involution(self, monkeypatch):
@@ -1748,7 +1939,9 @@ class TestPerItemCounterexamples:
 
             return moved
 
-        found = self.report(monkeypatch, partitions, "k_skew", fault, "kskew")
+        # the walk reads the k-conjugate and the covers of (2, 1) at k = 3 off the moved diagram
+        shared = ["involution", "covering", "rectangle-conjugate", "rectangle-translation"]
+        found = self.report(monkeypatch, partitions, "k_skew", fault, "kskew", shared)
         assert found == [{"k": 3, "partition": [2, 1]}]
 
     def test_covering(self, monkeypatch):
@@ -1764,11 +1957,13 @@ class TestPerItemCounterexamples:
 
     def test_rectangle_conjugate_union(self, monkeypatch):
         # (1) joined with (2) is read on the left at k = 2, width 2 (p = (1)),
-        # and on the right at k = 2, width 1 (p = (1), box conjugate (2))
+        # and on the right at k = 2, width 1 (p = (1), box conjugate (2));
+        # rectangle-translation reads the covers above the same union
         def fault(union):
             return lambda a, b: union(a, b) + (1,) * ((a, b) == ((1,), (2,)))
 
-        found = self.report(monkeypatch, partitions, "union", fault, "rectangle-conjugate")
+        shared = ["rectangle-translation"]
+        found = self.report(monkeypatch, partitions, "union", fault, "rectangle-conjugate", shared)
         assert found == [
             {"k": 2, "width": 1, "partition": [1]},
             {"k": 2, "width": 2, "partition": [1]},
@@ -1792,16 +1987,17 @@ class TestPerItemCounterexamples:
         assert found == [{"k": 5, "width": 3, "mu": [2, 1]}]
 
     def test_rectangle_translation(self, monkeypatch):
-        def fault(translation):
-            def damaged(lam, rect, k):
-                lhs, rhs = translation(lam, rect, k)
-                return (lhs, rhs[1:]) if (lam, rect.width, k) == ((1,), 1, 2) else (lhs, rhs)
+        # (1) joined with (1, 1), the k-rectangle of width 1 at k = 2, loses
+        # the first of its translated covers, in the library module itself,
+        # so that the oracle's check_rectangle_translation reads it too
+        translated = lattice._translated
 
-            return damaged
+        def damaged(ups, box):
+            out = translated(ups, box)
+            return out[1:] if (ups, box) == (lattice._covers((1,), 2, "up"), (1, 1)) else out
 
-        found = self.report(
-            monkeypatch, lattice, "check_rectangle_translation", fault, "rectangle-translation"
-        )
+        monkeypatch.setattr(lattice, "_translated", damaged)
+        found = self.compared("rectangle-translation")
         assert found == [
             {
                 "k": 2,
